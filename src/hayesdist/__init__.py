@@ -12,6 +12,7 @@ from .dist import (
     ZeroDistribution,
     classify_word,
     default_point_set,
+    enumeration_distributions_all,
     exact_distribution,
     exact_distributions_all,
     factorial_moments,
@@ -40,6 +41,7 @@ __all__ = [
     "ZeroDistribution",
     "classify_word",
     "default_point_set",
+    "enumeration_distributions_all",
     "exact_distribution",
     "exact_distributions_all",
     "factorial_moments",

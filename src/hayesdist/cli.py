@@ -4,9 +4,13 @@ Every subcommand writes a deterministic artifact (JSON, or CSV for the
 table-shaped outputs) that embeds the run configuration and the library
 version; identical configuration and seed give byte-identical output.
 
+Artifacts of the distribution commands name the engine that produced
+their counts ("sieve" or "enumeration") and its deterministic work count.
+
 Exit codes: 0 when all asserted checks pass, 1 for validation or check
-failures (with a machine-readable failure record on stdout/the artifact),
-2 when an enumeration budget is exceeded.
+failures, arithmetic-check failures and internal consistency errors (with
+a machine-readable failure record on stdout/the artifact), 2 when a work
+budget is exceeded.
 """
 
 from __future__ import annotations
@@ -47,12 +51,16 @@ from .comb import (
 from .dist import (
     classify_row,
     default_point_set,
+    enumeration_distributions_all,
+    enumeration_comparisons,
     exact_distributions_all,
     factorial_moments,
     factorization_counts,
     pmf_remainder_gap,
     rs_census,
     rs_distance_row,
+    rs_group,
+    sieve_work,
     verify_series_identities,
 )
 from .errors import BudgetExceededError, ValidationError
@@ -71,7 +79,10 @@ def _field_args(sub: argparse.ArgumentParser, hayes: bool = True) -> None:
 def _output_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--max-enum", type=int, default=None, help="enumeration budget override")
+    sub.add_argument(
+        "--max-enum", type=int, default=None,
+        help="work budget override (q^k for enumeration, DP plus convolution cells for the sieve)",
+    )
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub.add_argument("--delta0", type=float, default=0.05)
 
@@ -89,11 +100,13 @@ def _config_dict(args) -> dict:
 
 
 def _emit(args, payload: dict, rows: list[dict] | None = None, columns: list[str] | None = None) -> None:
-    """Write the artifact: JSON object, or CSV rows with a config comment line."""
+    """Write the artifact: JSON object, or CSV rows with a comment line that
+    carries everything but the table (version, config, engine, work)."""
     payload = {"version": __version__, "config": _config_dict(args), **payload}
     if args.format == "csv" and rows is not None:
         buf = io.StringIO()
-        buf.write("# " + json.dumps({"version": __version__, "config": _config_dict(args)}, sort_keys=True) + "\n")
+        header = {key: value for key, value in payload.items() if key != "table"}
+        buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         for row in rows:
@@ -130,6 +143,8 @@ def cmd_exact_dist(args) -> int:
     payload = {
         "classes": group.export_classes(),
         "distributions": [d.to_json() for d in dists],
+        "engine": "sieve",
+        "work": sieve_work(group, args.k, len(dists[0].points)),
     }
     _emit(args, payload)
     return 0
@@ -142,8 +157,10 @@ def cmd_moments_check(args) -> int:
     n = len(points)
     failures = []
     records = []
+    comparisons = 0
     for k in range(args.k_min, args.k + 1):
-        dists = exact_distributions_all(group, k, points, budget=args.max_enum)
+        dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
+        comparisons += enumeration_comparisons(group, k, n)
         Ws = {
             j: factorization_counts(group, j, k, points, budget=args.max_enum)
             for j in range(k + 1, k + t + ell + 1)
@@ -161,7 +178,10 @@ def cmd_moments_check(args) -> int:
                 )
                 if not ok:
                     failures.append(records[-1])
-    _emit(args, {"checks": records, "failures": failures, "pass": not failures})
+    _emit(args, {
+        "checks": records, "failures": failures, "pass": not failures,
+        "engine": "enumeration", "work": {"comparisons": comparisons},
+    })
     return 0 if not failures else 1
 
 
@@ -264,9 +284,11 @@ def cmd_bounds_check(args) -> int:
     # factorization-count remainder and pmf remainder on this group
     points = default_point_set(params)
     n = len(points)
+    comparisons = 0
     if ell >= 1 and gamma_at_most_one(n, q, t, ell):
         for k in range(0, args.k + 1):
-            dists = exact_distributions_all(group, k, points, budget=args.max_enum)
+            dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
+            comparisons += enumeration_comparisons(group, k, n)
             for j in range(k + 1, k + t + ell + 1):
                 W = factorization_counts(group, j, k, points, budget=args.max_enum)
                 main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)
@@ -293,19 +315,24 @@ def cmd_bounds_check(args) -> int:
         )
 
     all_ok = all(c["pass"] for c in checks)
-    _emit(args, {"checks": checks, "pass": all_ok})
+    _emit(args, {
+        "checks": checks, "pass": all_ok,
+        "engine": "enumeration", "work": {"comparisons": comparisons},
+    })
     return 0 if all_ok else 1
 
 
 def cmd_rs(args) -> int:
     spec = FieldSpec(args.p, args.a)
+    group = rs_group(spec, args.ell)
+    engine = {"engine": "sieve", "work": sieve_work(group, args.k, spec.q)}
     if args.word:
         f = Polynomial.from_text(spec, args.word)
-        row = rs_distance_row(f, args.k, args.ell, budget=args.max_enum)
-        _emit(args, {"row": row.to_json(), "kind": classify_row(row)})
+        row = rs_distance_row(f, args.k, args.ell, group, budget=args.max_enum)
+        _emit(args, {"row": row.to_json(), "kind": classify_row(row), **engine})
         return 0
-    census = rs_census(spec, args.k, args.ell, budget=args.max_enum)
-    _emit(args, {"census": census})
+    census = rs_census(spec, args.k, args.ell, budget=args.max_enum, group=group)
+    _emit(args, {"census": census, **engine})
     return 0
 
 
@@ -315,11 +342,13 @@ def cmd_approx(args) -> int:
     points = default_point_set(params)
     n = len(points)
     dists = exact_distributions_all(group, args.k, points, budget=args.max_enum)
+    # the limit shapes depend on r alone: one exact mu mass per support value
+    mu_masses = [mu_binomial_pmf(r, n, q, args.k, t, ell) for r in range(min(n, args.k + t + ell) + 1)]
     rows = []
     for eps in range(group.order):
         for r in sorted(dists[eps].counts):
             exact = dists[eps].probability(r)
-            mu_mass = mu_binomial_pmf(r, n, q, args.k, t, ell)
+            mu_mass = mu_masses[r]
             row = {
                 "eps": eps,
                 "r": r,
@@ -337,7 +366,8 @@ def cmd_approx(args) -> int:
         "eps", "r", "count", "exact", "exact_float", "binomial", "poisson",
         "mu_mass", "ratio_to_mu", "envelope",
     ]
-    _emit(args, {"table": rows}, rows=rows, columns=columns)
+    payload = {"table": rows, "engine": "sieve", "work": sieve_work(group, args.k, n)}
+    _emit(args, payload, rows=rows, columns=columns)
     return 0
 
 
@@ -501,8 +531,14 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except (ValidationError, ValueError) as exc:
         record = {"error": "validation", "message": str(exc)}
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-        return 1
+    except ArithmeticError as exc:
+        # a verified inequality failed (e.g. a character sum above its Weil bound)
+        record = {"error": "arithmetic-check", "type": type(exc).__name__, "message": str(exc)}
+    except RuntimeError as exc:
+        # an internal consistency check failed (class count, decomposition)
+        record = {"error": "internal", "type": type(exc).__name__, "message": str(exc)}
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    return 1
 
 
 def main() -> None:

@@ -1,20 +1,44 @@
 """Exact zero-count distributions in Hayes classes, moment identities,
 group-algebra series checks, and Reed-Solomon distance rows.
 
-Enumeration strategy.  The monic degree-(k+t+ell) members of a class are
-exactly  base + h*Q  where base is any one member and h runs over all q^k
+Sieve engine (the primary route).  Fix a class eps, the degree
+d = k + t + ell and a point set D of size n; Y counts the zeros in D of a
+monic degree-d member of eps, and W_j(eps) counts the pairs (f, S) of a
+member f and a j-subset S of D on which f vanishes.  Inclusion-exclusion
+over the factorial-moment counts W_j gives
+
+    q^k P(Y = r) = sum_{j=r}^{min(n,d)} (-1)^(j-r) C(j, r) W_j(eps).
+
+For j <= k the j vanishing conditions are independent linear conditions
+on the q^k members, so W_j = C(n, j) q^(k-j) in every class.  For j > k
+each such f is g * prod_{a in S} (x - a) with g monic of degree d - j, so
+
+    W_j(eps) = sum_c S_j(c) N_(d-j)(eps c^-1),
+
+where S_j(c) counts the j-subsets of D whose product of (x - a) lies in
+class c -- a dynamic programme that translates every class by <x - a>
+once per point -- and N_e counts monic degree-e polynomials per class.
+Here e < t + ell, and a class holds at most one polynomial of such a
+degree, so N_e has Phi_e(Q) nonzero entries.  The work is polynomial in q:
+at most n * (min(n, d) + 1) * |G| DP cells plus |G| per nonzero N_e entry,
+where enumeration costs |G| * q^k * n comparisons.  All arithmetic is on
+Python integers (numpy object arrays).
+
+Enumeration oracle.  The monic degree-d members of a class are exactly
+base + h*Q where base is any one member and h runs over all q^k
 polynomials of degree < k (adding h*Q changes neither the leading
 coefficients nor the residue).  For alpha with Q(alpha) != 0,
 
     (base + h*Q)(alpha) = 0   iff   h(alpha) = -base(alpha) / Q(alpha),
 
-so the zero count of a member over the point set D equals the number of
-positions where h's evaluation vector agrees with a fixed target vector.
-The kernel below therefore enumerates all q^k coefficient vectors of h in
-vectorized blocks, evaluates them against D, and histograms the agreement
-counts -- a literal full enumeration of the class, just without building
-polynomial objects.  A plain object-level brute force over all of
-M_(k+t+ell) is kept alongside as an independent cross-check.
+so the zero count of a member over D equals the number of positions where
+h's evaluation vector agrees with a fixed target vector.  The oracle
+enumerates all q^k coefficient vectors of h in vectorized blocks and
+histograms the agreement counts.  It keeps its q^k budget and feeds the
+verification suites (moment identity, remainder bounds, the series moment
+slice): under the sieve the j <= k moment identities hold by construction,
+so those checks never run on sieve output alone.  A plain object-level
+brute force over all of M_d is kept as a third, independent route.
 
 Counts are arbitrary-precision integers; probabilities are exact rationals.
 """
@@ -163,10 +187,16 @@ def _target_vector(group: ClassGroup, eps: int, k: int, points: tuple[FqElement,
     return out
 
 
-def exact_distributions_all(
+def enumeration_comparisons(group: ClassGroup, k: int, n: int) -> int:
+    """Byte comparisons the enumeration oracle makes for all classes on n points."""
+    return group.order * group.params.spec.q ** k * n
+
+
+def enumeration_distributions_all(
     group: ClassGroup, k: int, points=None, budget: int | None = None
 ) -> list[ZeroDistribution]:
-    """Zero-count distributions of every class at degree k + t + ell."""
+    """Enumeration oracle: the zero-count distribution of every class at
+    degree k + t + ell, by enumerating the q^k members of each class."""
     params = group.params
     spec = params.spec
     pts = _validated_points(params, points)
@@ -184,19 +214,100 @@ def exact_distributions_all(
     return out
 
 
+# ---------------------------------------------------------------------------
+# The subset-product sieve
+# ---------------------------------------------------------------------------
+
+def _point_classes(group: ClassGroup, pts: tuple[FqElement, ...]) -> list[int]:
+    """Class of x - a for every point a (points are never zeros of Q)."""
+    spec = group.params.spec
+    return [group.class_of(Polynomial(spec, (spec.neg(a), spec.one))) for a in pts]
+
+
+def _live_rows(n: int, j_lo: int, j_hi: int) -> list[tuple[int, int]]:
+    """For each of n points in turn, the rows lo..hi of the subset-product
+    table that the DP updates: row j fills once j points are seen, and it is
+    needed only while the points still to come can lift it to j_lo.  A pair
+    with lo > hi updates nothing; no pairs at all when j_lo > j_hi."""
+    if j_lo > j_hi:
+        return []
+    return [(max(1, j_lo - (n - 1 - i)), min(i + 1, j_hi)) for i in range(n)]
+
+
+def subset_product_table(
+    group: ClassGroup, points: tuple[FqElement, ...], j_lo: int, j_hi: int
+) -> np.ndarray:
+    """S[j, c] = number of j-subsets of the points whose product of (x - a)
+    lies in class c, exact for j_lo <= j <= j_hi and j = 0 (rows strictly
+    between hold partial sums).  An object array of Python integers."""
+    S = np.zeros((j_hi + 1, group.order), dtype=object)
+    S[0, group.identity] = 1
+    for (lo, hi), c in zip(_live_rows(len(points), j_lo, j_hi), _point_classes(group, points)):
+        if lo <= hi:
+            # S_j(eps) += S_(j-1)(eps * c^-1): subsets that take this point
+            S[lo:hi + 1] += S[lo - 1:hi][:, group.translation(group.inv(c))]
+    return S
+
+
+def sieve_work(group: ClassGroup, k: int, n: int) -> dict[str, int]:
+    """Cells the sieve touches at degree k + t + ell on n points: DP cell
+    updates, and one |G|-gather per nonzero entry of N_(d-j) for j > k."""
+    params = group.params
+    d = k + params.t + params.ell
+    j_hi = min(n, d)
+    rows = sum(max(0, hi - lo + 1) for lo, hi in _live_rows(n, k + 1, j_hi))
+    gathers = sum(phi(d - j, params.Q) for j in range(k + 1, j_hi + 1))
+    return {"dp_cells": rows * group.order, "convolution_cells": gathers * group.order}
+
+
+def exact_distributions_all(
+    group: ClassGroup, k: int, points=None, budget: int | None = None
+) -> list[ZeroDistribution]:
+    """Zero-count distributions of every class at degree k + t + ell, by the
+    subset-product sieve (see the module docstring)."""
+    params = group.params
+    q = params.spec.q
+    pts = _validated_points(params, points)
+    n = len(pts)
+    d = k + params.t + params.ell
+    j_hi = min(n, d)
+    check_budget("sieve cells (DP + convolution)", sum(sieve_work(group, k, n).values()), budget)
+    S = subset_product_table(group, pts, k + 1, j_hi)
+    high = range(k + 1, j_hi + 1)
+    W = np.zeros((len(high), group.order), dtype=object)
+    for row, j in zip(W, high):
+        for c, count in enumerate(group.monic_class_counts(d - j)):
+            if count:
+                row += count * S[j][group.translation(group.inv(c))]
+    # q^k P(Y = r): the class-free j <= k terms, plus the j > k rows as one
+    # integer matrix product
+    low = np.array(
+        [
+            sum(
+                (-1) ** (j - r) * math.comb(j, r) * math.comb(n, j) * q ** (k - j)
+                for j in range(r, min(k, j_hi) + 1)
+            )
+            for r in range(j_hi + 1)
+        ],
+        dtype=object,
+    )
+    signs = np.array(
+        [[(-1) ** (j - r) * math.comb(j, r) for j in high] for r in range(j_hi + 1)], dtype=object
+    ).reshape(j_hi + 1, len(high))
+    counts = signs @ W + low[:, None]
+    total = q ** k
+    return [
+        ZeroDistribution(params, eps, k, pts, {r: int(c) for r, c in enumerate(counts[:, eps]) if c}, total)
+        for eps in range(group.order)
+    ]
+
+
 def exact_distribution(
     group: ClassGroup, eps: int, k: int, points=None, budget: int | None = None
 ) -> ZeroDistribution:
-    """Zero-count distribution of class eps at degree k + t + ell."""
-    params = group.params
-    spec = params.spec
-    pts = _validated_points(params, points)
-    check_budget("class member enumeration q^k", spec.q ** k, budget)
-    point_idx = tuple(a.index for a in pts)
-    targets = np.array([_target_vector(group, eps, k, pts)], dtype=np.intp).reshape(1, len(pts))
-    hist = _agreement_histograms(spec, k, point_idx, targets)[0]
-    counts = {r: int(c) for r, c in enumerate(hist) if c}
-    return ZeroDistribution(params, eps, k, pts, counts, spec.q ** k)
+    """Zero-count distribution of class eps at degree k + t + ell (the sieve
+    does the DP for all classes at once)."""
+    return exact_distributions_all(group, k, points, budget)[eps]
 
 
 def exact_distribution_bruteforce(
@@ -323,7 +434,6 @@ def factorization_count_by_characters(
                conj(chi(eps)) * (sum over monic g of chi(g)) * e_j(chi(x - a)).
     """
     params = group.params
-    spec = params.spec
     pts = _validated_points(params, points)
     deg_g = k + params.t + params.ell - j
     if not k + 1 <= j <= k + params.t + params.ell:
@@ -331,9 +441,7 @@ def factorization_count_by_characters(
     n = len(pts)
     main = Fraction(phi(deg_g, params.Q) * math.comb(n, j), group.order)
     value = complex(main)
-    point_classes = [
-        group.class_of(Polynomial(spec, (spec.neg(a), spec.one))) for a in pts
-    ]
+    point_classes = _point_classes(group, pts)
     for chi in table.nontrivial():
         sg = character_sum(table, chi, deg_g, group, budget)
         vals = [table.value(chi, cls) for cls in point_classes]
@@ -407,9 +515,11 @@ def verify_series_identities(
     * product form: tagging monic polynomials by class and zero count agrees
       with the monic series multiplied by prod over alpha in D of
       (<1> + (u-1) z <x - alpha>), compared per degree and per power of (u-1);
+      the (u-1)^j factor is the sieve's subset-product table, so this checks
+      it against enumeration;
     * moment slice: for each k with k+t+ell <= d_max, the degree-(k+t+ell)
       slice matches C(n,j) q^(k-j) for j <= k and the factorization counts
-      for j > k, against the exact distributions.
+      for j > k, against the enumeration oracle's distributions.
     """
     params = group.params
     spec = params.spec
@@ -436,25 +546,11 @@ def verify_series_identities(
                 continue
             joint[d][cls][distinct_roots_in(f, pts)] += 1
 
-    # subset-product slices: sub[j][class] = number of j-subsets S of D with
-    # <prod (x - a)> = class; built by one pass over the points
-    sub = [[0] * group.order for _ in range(n + 1)]
-    sub[0][group.identity] = 1
-    for a in pts:
-        cls_a = group.class_of(Polynomial(spec, (spec.neg(a), spec.one)))
-        translate = [int(v) for v in group.mul_table[:, cls_a]]
-        for j in range(n, 0, -1):
-            prev = sub[j - 1]
-            if any(prev):
-                shifted = [0] * group.order
-                for i, c in enumerate(prev):
-                    if c:
-                        shifted[translate[i]] += c
-                sub[j] = [x + y for x, y in zip(sub[j], shifted)]
+    sub = subset_product_table(group, pts, 0, n)
 
     for d in range(d_max + 1):
         for j in range(min(d, n) + 1):
-            rhs = _group_convolve(group, F.slice(d - j), sub[j])
+            rhs = _group_convolve(group, F.slice(d - j), sub[j].tolist())
             lhs = [
                 sum(math.comb(r, j) * joint[d][cls][r] for r in range(n + 1))
                 for cls in range(group.order)
@@ -469,7 +565,7 @@ def verify_series_identities(
             )
 
     for k in range(0, d_max - t - ell + 1):
-        dists = exact_distributions_all(group, k, pts, budget)
+        dists = enumeration_distributions_all(group, k, pts, budget)
         Ws = {
             j: factorization_counts(group, j, k, pts, budget)
             for j in range(k + 1, k + t + ell + 1)
@@ -582,15 +678,21 @@ def classify_word(
 
 
 def rs_census(
-    spec: FieldSpec, k: int, ell: int, budget: int | None = None, list_words_up_to: int = 4096
+    spec: FieldSpec,
+    k: int,
+    ell: int,
+    budget: int | None = None,
+    list_words_up_to: int = 4096,
+    group: ClassGroup | None = None,
 ) -> dict:
     """Classify every received word of degree k + ell, grouped by class.
 
-    Words in the same class share a distance row, so rows are computed once
-    per class; explicit word lists are included while q^(k+ell) stays small.
+    Words in the same class share a distance row, so rows come from one
+    sieve run over all classes and the budget covers that run alone; explicit
+    word lists are included while q^(k+ell) <= list_words_up_to.
     """
-    group = rs_group(spec, ell)
-    check_budget("received word enumeration q^(k+ell)", spec.q ** (k + ell), budget)
+    if group is None:
+        group = rs_group(spec, ell)
     dists = exact_distributions_all(group, k, spec.elements, budget)
     per_class = []
     tallies = {DEEP_HOLE: 0, ORDINARY: 0, NEITHER: 0}

@@ -271,6 +271,11 @@ class ClassGroup:
     def inv(self, i: int) -> int:
         return int(self.inverse[i])
 
+    def translation(self, c: int) -> np.ndarray:
+        """Index array of i -> i*c over all classes, so that v[translation(c)]
+        is the class function eps -> v(eps * c)."""
+        return self.mul_table[c]
+
     def class_of(self, f: Polynomial) -> int | None:
         """Class index of a monic f, or None when gcd(f, Q) != 1."""
         if not f.is_monic:

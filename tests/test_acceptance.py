@@ -41,6 +41,7 @@ from hayesdist.comb import (
 from hayesdist.dist import (
     codeword_agreement_row,
     default_point_set,
+    enumeration_distributions_all,
     exact_distributions_all,
     factorial_moments,
     factorization_counts,
@@ -97,7 +98,7 @@ def test_moment_identity(fields, groups):
         points = default_point_set(G.params)
         n = len(points)
         for k in range(0, 4):
-            dists = exact_distributions_all(G, k, points)
+            dists = enumeration_distributions_all(G, k, points)
             Ws = {
                 j: factorization_counts(G, j, k, points)
                 for j in range(k + 1, k + t + ell + 1)
@@ -269,7 +270,7 @@ def test_bound_suite(fields, groups):
             skipped.append((q, ell, q_text))
             continue
         for k in range(0, 4):
-            dists = exact_distributions_all(G, k, points)
+            dists = enumeration_distributions_all(G, k, points)
             for j in range(k + 1, k + t + ell + 1):
                 W = factorization_counts(G, j, k, points)
                 main = Fraction(phi(k + t + ell - j, G.params.Q) * math.comb(n, j), G.order)

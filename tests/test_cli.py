@@ -87,13 +87,107 @@ def test_csv_determinism_and_header(tmp_path):
 
 
 def test_budget_exceeded_exit_code(capsys):
+    # sieve at q = 5, n = 5, |G| = 5, d = 2: 8 DP rows of 5 cells, plus one
+    # convolution gather of 5 cells
     code, data = run_json(
         capsys,
-        ["exact-dist", "--p", "2", "--ell", "1", "--Q", "1", "--k", "9", "--max-enum", "16"],
+        ["exact-dist", "--p", "5", "--ell", "1", "--Q", "1", "--k", "1", "--max-enum", "16"],
+    )
+    assert code == 2
+    assert data["error"] == "budget-exceeded"
+    assert data["value"] == 45
+
+
+def test_budget_exceeded_exit_code_enumeration(capsys):
+    # the enumeration oracle behind moments-check budgets q^k = 2^9
+    code, data = run_json(
+        capsys,
+        ["moments-check", "--p", "2", "--ell", "1", "--Q", "1", "--k-min", "9", "--k", "9",
+         "--max-enum", "16"],
     )
     assert code == 2
     assert data["error"] == "budget-exceeded"
     assert data["value"] == 512
+
+
+def test_exact_dist_large_k_default_budget(capsys):
+    code, data = run_json(capsys, ["exact-dist", "--p", "2", "--a", "6", "--ell", "1", "--Q", "1", "--k", "32"])
+    assert code == 0
+    assert len(data["distributions"]) == 64
+    assert all(sum(map(int, d["counts"].values())) == 64 ** 32 for d in data["distributions"])
+
+
+def test_rs_census_budgets_only_the_sieve(capsys):
+    # 243^3 received words, none of them enumerated
+    code, data = run_json(capsys, ["rs", "--p", "3", "--a", "5", "--k", "2", "--ell", "1", "--census"])
+    assert code == 0
+    census = data["census"]
+    assert len(census["classes"]) == 243
+    assert sum(census["word_totals"].values()) == 243 ** 3
+    assert "words" not in census
+
+
+@pytest.mark.parametrize(
+    "argv,engine,unit",
+    [
+        (["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"], "sieve", "dp_cells"),
+        (["approx", "--p", "3", "--ell", "1", "--Q", "1", "--k", "2"], "sieve", "dp_cells"),
+        (["rs", "--p", "3", "--k", "1", "--ell", "1", "--word", "x^2 + 1"], "sieve", "dp_cells"),
+        (["rs", "--p", "3", "--k", "1", "--ell", "1", "--census"], "sieve", "dp_cells"),
+        (["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], "enumeration", "comparisons"),
+        (["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"], "enumeration", "comparisons"),
+    ],
+)
+def test_artifact_names_engine_and_work(capsys, argv, engine, unit):
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    assert data["engine"] == engine
+    assert data["work"][unit] > 0
+
+
+def test_moments_check_work_count(capsys):
+    # |G| * q^k * n comparisons summed over k = 0..2: 6 classes, 2 points
+    code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
+    assert code == 0
+    assert data["work"] == {"comparisons": 6 * (1 + 3 + 9) * 2}
+
+
+def test_csv_header_carries_engine(capsys):
+    code = run(["approx", "--p", "3", "--ell", "1", "--Q", "1", "--k", "2", "--format", "csv"])
+    header = json.loads(capsys.readouterr().out.splitlines()[0][2:])
+    assert code == 0
+    assert header["engine"] == "sieve" and set(header["work"]) == {"dp_cells", "convolution_cells"}
+    assert "table" not in header
+
+
+def _weil_bound_violated(monkeypatch):
+    monkeypatch.setattr("hayesdist.chars.weil_bound", lambda j, t, ell, q: -1.0)
+
+
+def _decomposition_lift_missing(monkeypatch):
+    monkeypatch.setattr("hayesdist.chars._element_order", lambda group, x: 0)
+
+
+def _class_count_mismatch(monkeypatch):
+    from hayesdist.hayes import phi
+
+    monkeypatch.setattr("hayesdist.hayes.phi", lambda j, Q: phi(j, Q) + 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt,error,exc_type",
+    [
+        (_weil_bound_violated, "arithmetic-check", "ArithmeticError"),
+        (_decomposition_lift_missing, "internal", "RuntimeError"),
+        (_class_count_mismatch, "internal", "RuntimeError"),
+    ],
+)
+def test_internal_errors_become_records(capsys, monkeypatch, corrupt, error, exc_type):
+    corrupt(monkeypatch)
+    code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
+    assert code == 1
+    assert data["error"] == error and data["type"] == exc_type
+    assert data["message"]
 
 
 def test_validation_failure_exit_code(capsys):

@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hayesdist.chars import character_table
 from hayesdist.dist import (
@@ -10,6 +13,7 @@ from hayesdist.dist import (
     classify_word,
     codeword_agreement_row,
     default_point_set,
+    enumeration_distributions_all,
     exact_distribution,
     exact_distribution_bruteforce,
     exact_distributions_all,
@@ -18,6 +22,8 @@ from hayesdist.dist import (
     factorization_counts,
     rs_census,
     rs_distance_row,
+    sieve_work,
+    subset_product_table,
     verify_series_identities,
 )
 from hayesdist.errors import BudgetExceededError, ValidationError
@@ -46,8 +52,14 @@ class TestExactDistribution:
             exact_distribution(G, 0, 1, points=F3.elements)
 
     def test_budget(self, groups):
+        G = groups(2, 1, 1, "1")
+        # the oracle budgets its q^k = 32 members ...
         with pytest.raises(BudgetExceededError):
-            exact_distribution(groups(2, 1, 1, "1"), 0, 5, budget=10)
+            enumeration_distributions_all(G, 5, budget=10)
+        # ... the sieve its cells, of which there are none at k >= n = 2
+        assert exact_distribution(G, 0, 5, budget=10).counts == {0: 8, 1: 16, 2: 8}
+        with pytest.raises(BudgetExceededError):
+            exact_distribution(groups(5, 1, 1, "1"), 0, 1, budget=10)
 
     def test_default_points_avoid_roots(self, fields, groups):
         F3 = fields(3)
@@ -112,6 +124,101 @@ class TestExactDistribution:
         assert js["counts"] == {"1": "2"}
 
 
+# (p, a, Q): t = 0..3; x^2 over GF(2) and (x + 1)^2 over GF(3) have a
+# repeated factor, x^3 + x + 1 is irreducible
+DIFFERENTIAL_GRID = [
+    (2, 1, "1"),
+    (3, 1, "1"),
+    (2, 1, "x"),
+    (2, 2, "x"),
+    (2, 1, "x^2"),
+    (3, 1, "x^2 + 2*x + 1"),
+    (2, 1, "x^2 + x + 1"),
+    (2, 1, "x^3 + x + 1"),
+]
+
+
+class TestSieveDifferential:
+    """The sieve against the enumeration oracle and the brute-force oracle."""
+
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    @pytest.mark.parametrize("p,a,q_text", DIFFERENTIAL_GRID)
+    def test_three_routes_agree(self, groups, p, a, q_text, ell):
+        G = groups(p, a, ell, q_text)
+        q, t = G.params.spec.q, G.params.t
+        pts = default_point_set(G.params)
+        rng = random.Random(f"{p}/{a}/{q_text}/{ell}")
+        subsets = [None, (), tuple(sorted(rng.sample(pts, len(pts) // 2)))]
+        # the brute force filters all q^d monic polynomials once per class
+        ks = [k for k in range(3) if k == 0 or G.order * q ** (k + t + ell) <= 20_000]
+        for k in ks:
+            for sub in subsets:
+                sieve = [d.counts for d in exact_distributions_all(G, k, sub)]
+                assert sieve == [d.counts for d in enumeration_distributions_all(G, k, sub)], (k, sub)
+                brute = [exact_distribution_bruteforce(G, eps, k, sub).counts for eps in range(G.order)]
+                assert sieve == brute, (k, sub)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_configurations(self, fields, groups, data):
+        p, a = data.draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]), label="field")
+        q = p ** a
+        t = data.draw(st.integers(0, 2), label="t")
+        ell = data.draw(st.integers(0, 2), label="ell")
+        if q ** (t + ell) > 64:  # keeps |G| and the brute force small
+            ell = 0
+        low = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t), label="Q")
+        G = groups(p, a, ell, Polynomial(fields(p, a), (*low, 1)).to_text())
+        pts = default_point_set(G.params)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)), label="D")
+        sub = tuple(x for x, kept in zip(pts, keep) if kept)
+        k = data.draw(st.integers(0, 2 if q ** (t + ell) <= 16 else 1), label="k")
+        eps = data.draw(st.integers(0, G.order - 1), label="eps")
+        sieve = exact_distributions_all(G, k, sub)
+        assert [d.counts for d in sieve] == [d.counts for d in enumeration_distributions_all(G, k, sub)]
+        assert sieve[eps].counts == exact_distribution_bruteforce(G, eps, k, sub).counts
+
+    def test_large_k(self, groups):
+        G = groups(2, 6, 1, "1")  # q = 64, |G| = 64, D = GF(64)
+        q, k, n = 64, 32, 64
+        d = k + 1
+        dists = exact_distributions_all(G, k)
+        assert len(dists) == 64
+        for dist in dists:
+            assert sum(dist.counts.values()) == q ** k
+            assert sum(r * c for r, c in dist.counts.items()) == n * q ** (k - 1)
+            assert all(0 <= r <= min(n, d) and c > 0 for r, c in dist.counts.items())
+
+    def test_subset_product_table(self, fields, groups):
+        F5 = fields(5)
+        G = groups(5, 1, 1, "x^2 + x + 1")
+        pts = default_point_set(G.params)
+        n = len(pts)
+        full = subset_product_table(G, pts, 0, n)
+        for j in range(n + 1):
+            want = [0] * G.order
+            for S in itertools.combinations(pts, j):
+                prod = Polynomial.one(F5)
+                for a in S:
+                    prod = prod * Polynomial(F5, (F5.neg(a), F5.one))
+                want[G.class_of(prod)] += 1
+            assert full[j].tolist() == want, j
+        # the banded table drops rows that cannot reach j_lo, and keeps the rest exact
+        banded = subset_product_table(G, pts, 3, 4)
+        assert banded[3:].tolist() == full[3:5].tolist()
+
+    def test_sieve_work(self, groups):
+        # q = 5, n = 5, |G| = 5, d = 2: the DP updates rows 1, 1-2, 1-2, 1-2
+        # and 2 over the five points (8 rows), and N_0 has one nonzero entry
+        G = groups(5, 1, 1, "1")
+        assert sieve_work(G, 1, 5) == {"dp_cells": 40, "convolution_cells": 5}
+        # k >= n: every W_j is the closed form C(n, j) q^(k-j), no DP at all
+        assert sieve_work(G, 5, 5) == {"dp_cells": 0, "convolution_cells": 0}
+        with pytest.raises(BudgetExceededError) as info:
+            exact_distributions_all(G, 1, budget=44)
+        assert info.value.value == 45
+
+
 class TestFactorizationCounts:
     def test_worked_case(self, fields, groups):
         F2 = fields(2)
@@ -139,7 +246,7 @@ class TestFactorizationCounts:
             pts = default_point_set(G.params)
             n = len(pts)
             for k in range(kmax + 1):
-                dists = exact_distributions_all(G, k, pts)
+                dists = enumeration_distributions_all(G, k, pts)
                 Ws = {j: factorization_counts(G, j, k, pts) for j in range(k + 1, k + t + ell + 1)}
                 for eps in range(G.order):
                     moments = factorial_moments(dists[eps], k + t + ell)
