@@ -139,7 +139,8 @@ class CharacterTable:
         )
         if m:
             scaled = exps / np.array(decomposition.orders, dtype=np.float64)
-            self.values = np.exp(2j * np.pi * (scaled @ dmat.T))
+            phase = 2j * np.pi * (scaled @ dmat.T)
+            self.values = np.exp(phase, out=phase)  # in place: one |G|^2 complex array at peak
         else:
             self.values = np.ones((1, 1), dtype=np.complex128)
 

@@ -4,8 +4,9 @@ Every subcommand writes a deterministic artifact (JSON, or CSV for the
 table-shaped outputs) that embeds the run configuration and the library
 version; identical configuration and seed give byte-identical output.
 
-Artifacts of the distribution commands name the engine that produced
-their counts ("sieve" or "enumeration") and its deterministic work count.
+Artifacts of the distribution commands, `weil` and `series-check` name the
+engine that produced their numbers ("sieve", "enumeration" or "characters")
+and its deterministic work counts.
 
 Exit codes: 0 when all asserted checks pass, 1 for validation or check
 failures, arithmetic-check failures and internal consistency errors (with
@@ -16,8 +17,8 @@ budget is exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import itertools
 import json
 import math
@@ -103,22 +104,18 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: list[str
     """Write the artifact: JSON object, or CSV rows with a comment line that
     carries everything but the table (version, config, engine, work)."""
     payload = {"version": __version__, "config": _config_dict(args), **payload}
-    if args.format == "csv" and rows is not None:
-        buf = io.StringIO()
-        header = {key: value for key, value in payload.items() if key != "table"}
-        buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # written piece by piece, so the whole artifact text is never held in memory
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        if args.format == "csv" and rows is not None:
+            header = {key: value for key, value in payload.items() if key != "table"}
+            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+            writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
 
 def _frac(x: Fraction) -> str:
@@ -191,12 +188,14 @@ def cmd_weil(args) -> int:
     q, t, ell = spec.q, params.t, params.ell
     out = []
     ok = True
+    character_sums = 0
     for chi in range(table.order):
         entry: dict = {"chi": chi, "exponents": list(table.characters[chi].exponents)}
         if table.characters[chi].is_trivial:
             entry["trivial"] = True
         else:
             L = l_polynomial(table, chi, group, budget=args.max_enum)
+            character_sums += len(L.coeffs)
             coeffs = []
             for j, c in enumerate(L.coeffs):
                 bound = weil_bound(j, t, ell, q)
@@ -209,7 +208,15 @@ def cmd_weil(args) -> int:
             entry["degree_bound"] = L.degree_bound
             entry["root_moduli"] = list(L.root_moduli())
         out.append(entry)
-    _emit(args, {"characters": out, "orders": list(table.decomposition.orders), "pass": ok})
+    _emit(args, {
+        "characters": out, "orders": list(table.decomposition.orders), "pass": ok,
+        "engine": "characters",
+        "work": {
+            "classes": group.order,
+            "monic_enumerated": group.monic_enumerated,
+            "character_sums": character_sums,
+        },
+    })
     return 0 if ok else 1
 
 
@@ -426,6 +433,8 @@ def cmd_series_check(args) -> int:
     payload = {
         "pass": report.all_ok,
         "checks": [{"name": c.name, "pass": c.ok, "detail": c.detail} for c in report.checks],
+        "engine": "enumeration",
+        "work": {"classes": group.order, "monic_enumerated": group.monic_enumerated, **report.work},
     }
     _emit(args, payload)
     return 0 if report.all_ok else 1

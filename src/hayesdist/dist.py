@@ -495,6 +495,7 @@ class CheckRecord:
 @dataclass
 class SeriesReport:
     checks: list[CheckRecord]
+    work: dict  # polynomials classified one at a time, and the oracle's comparisons
 
     @property
     def all_ok(self) -> bool:
@@ -538,8 +539,10 @@ def verify_series_identities(
     joint = [
         [[0] * (n + 1) for _ in range(group.order)] for _ in range(d_max + 1)
     ]
+    work = {"polynomials_checked": 0, "comparisons": 0}
     for d in range(d_max + 1):
         check_budget(f"monic enumeration q^{d}", spec.q ** d, budget)
+        work["polynomials_checked"] += spec.q ** d
         for f in enumerate_monic(spec, d):
             cls = group.class_of(f)
             if cls is None:
@@ -566,6 +569,7 @@ def verify_series_identities(
 
     for k in range(0, d_max - t - ell + 1):
         dists = enumeration_distributions_all(group, k, pts, budget)
+        work["comparisons"] += enumeration_comparisons(group, k, n)
         Ws = {
             j: factorization_counts(group, j, k, pts, budget)
             for j in range(k + 1, k + t + ell + 1)
@@ -582,7 +586,7 @@ def verify_series_identities(
                         "" if got == want else f"got={got} want={want}",
                     )
                 )
-    return SeriesReport(checks)
+    return SeriesReport(checks, work)
 
 
 # ---------------------------------------------------------------------------

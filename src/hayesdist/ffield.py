@@ -3,7 +3,11 @@
 Field elements are coordinate vectors in the power basis of a stored monic
 irreducible modulus m(y), so GF(p^a) = GF(p)[y]/(m(y)).  Every element of a
 field is interned: arithmetic returns the one canonical object per value,
-which keeps equality, hashing and the enumeration loops cheap.
+which keeps equality, hashing and the enumeration loops cheap.  The dense
+q x q add/sub/mul tables are built with numpy array operations (products
+from the coordinates of y^i * z, reduced by m); scalar arithmetic reads
+tuple views of them.  `FieldSpec(p, a, modulus)` returns one shared field
+per argument triple, so the tables are built once per process.
 
 Three encodings are used throughout:
 
@@ -50,22 +54,16 @@ def _is_prime(n: int) -> bool:
 # GF(p)[x] helpers on little-endian int tuples (used only to set up the field)
 # ---------------------------------------------------------------------------
 
-def _fp_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _fp_mod(f: Sequence[int], g: Sequence[int], p: int) -> tuple[int, ...]:
+def _fp_divides(g: Sequence[int], f: Sequence[int], p: int) -> bool:
+    """True when the monic g divides f in GF(p)[x]."""
     f = list(f)
     dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
     for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] * inv_lead % p
+        c = f[i]
         if c:
             for j in range(dg + 1):
                 f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
-    return _fp_trim(f)
+    return not any(f[:dg])
 
 
 def _fp_is_irreducible(f: Sequence[int], p: int) -> bool:
@@ -75,8 +73,7 @@ def _fp_is_irreducible(f: Sequence[int], p: int) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         for low in itertools.product(range(p), repeat=d):
-            g = (*low, 1)
-            if not _fp_mod(f, g, p):
+            if _fp_divides((*low, 1), f, p):
                 return False
     return True
 
@@ -112,8 +109,25 @@ class FqElement:
         return f"Fq({self.index})"
 
 
-class FieldSpec:
+class _Shared(type):
+    """Metaclass returning one FieldSpec per (p, a, modulus) argument triple.
+
+    A field never changes after construction (its cache of monic
+    irreducibles is a pure function of the field), so every caller may share
+    it and the tables are built once per process."""
+
+    def __call__(cls, p: int, a: int = 1, modulus: Sequence[int] | None = None):
+        key = (p, a, None if modulus is None else tuple(modulus))
+        spec = cls._shared.get(key)
+        if spec is None:
+            spec = cls._shared[key] = super().__call__(*key)
+        return spec
+
+
+class FieldSpec(metaclass=_Shared):
     """GF(p^a) with interned elements and dense lookup-table arithmetic."""
+
+    _shared: dict[tuple, "FieldSpec"] = {}
 
     def __init__(self, p: int, a: int = 1, modulus: Sequence[int] | None = None):
         if not _is_prime(p):
@@ -134,80 +148,49 @@ class FieldSpec:
         self.a = a
         self.q = p ** a
         self.modulus: tuple[int, ...] = tuple(modulus)
-        self._build_elements()
         self._build_tables()
+        self._irreducibles: dict[int, tuple["Polynomial", ...]] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build_elements(self) -> None:
-        by_index: list[FqElement | None] = [None] * self.q
-        for coords in itertools.product(range(self.p), repeat=self.a):
-            idx = 0
-            for c in reversed(coords):
-                idx = idx * self.p + c
-            by_index[idx] = FqElement(coords, idx)
-        self._by_index: tuple[FqElement, ...] = tuple(by_index)  # type: ignore[arg-type]
+    def _build_tables(self) -> None:
+        p, a = self.p, self.a
+        weights = [p ** j for j in range(a)]
+        # coords[x] = power-basis coordinates of the element with index x
+        coords = np.array([c[::-1] for c in itertools.product(range(p), repeat=a)], dtype=np.int32)
+
+        def index(coord):
+            """Table of element indices from a function giving coordinate j of each entry."""
+            return sum(coord(j) % p * weights[j] for j in range(a))
+
+        # basis[i][z] = coordinates of y^i * z: shift up one place and fold
+        # y^a back in with y^a = -(m_0 + m_1 y + ... + m_{a-1} y^(a-1))
+        basis = [coords]
+        for _ in range(a - 1):
+            prev = basis[-1]
+            shifted = np.zeros_like(prev)
+            shifted[:, 1:] = prev[:, :-1]
+            basis.append((shifted - prev[:, -1:] * np.array(self.modulus[:a])) % p)
+        add = index(lambda j: coords[:, j, None] + coords[None, :, j])
+        # x * z = sum_i x_i (y^i z), one q x q array per coordinate pair
+        mul = index(lambda j: sum(coords[:, i, None] * basis[i][None, :, j] for i in range(a)))
+        neg = index(lambda j: p - coords[:, j])
+        self.add_table = add.astype(np.uint8)
+        self.sub_table = self.add_table[:, neg]
+        self.mul_table = mul.astype(np.uint8)
+
+        def rows(table):
+            return tuple(tuple(row.tolist()) for row in table)
+
+        self._by_index = tuple(FqElement(tuple(c), i) for i, c in enumerate(coords.tolist()))
         self.elements: tuple[FqElement, ...] = tuple(sorted(self._by_index))
         self.zero = self._by_index[0]
         self.one = self._by_index[1]
-
-    def _reduce_coords(self, conv: list[int]) -> tuple[int, ...]:
-        # fold powers y^a .. y^(2a-2) back using y^a = -(m_0 + ... + m_{a-1} y^{a-1})
-        p, a, m = self.p, self.a, self.modulus
-        for i in range(len(conv) - 1, a - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                for j in range(a):
-                    conv[i - a + j] = (conv[i - a + j] - c * m[j]) % p
-        out = conv[:a]
-        out += [0] * (a - len(out))
-        return tuple(out)
-
-    def _mul_coords(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        p, a = self.p, self.a
-        conv = [0] * (2 * a - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    conv[i + j] = (conv[i + j] + ui * vj) % p
-        return self._reduce_coords(conv)
-
-    def _build_tables(self) -> None:
-        p, a, q = self.p, self.a, self.q
-        els = self._by_index
-        add_i = [[0] * q for _ in range(q)]
-        sub_i = [[0] * q for _ in range(q)]
-        mul_i = [[0] * q for _ in range(q)]
-        neg_i = [0] * q
-        for x in els:
-            xc = x.coeffs
-            nc = tuple((-c) % p for c in xc)
-            neg_i[x.index] = self._index_of_coords(nc)
-            for y in els:
-                s = tuple((cx + cy) % p for cx, cy in zip(xc, y.coeffs))
-                add_i[x.index][y.index] = self._index_of_coords(s)
-                d = tuple((cx - cy) % p for cx, cy in zip(xc, y.coeffs))
-                sub_i[x.index][y.index] = self._index_of_coords(d)
-                mul_i[x.index][y.index] = self._index_of_coords(self._mul_coords(xc, y.coeffs))
-        inv_i: list[int | None] = [None] * q
-        for i in range(1, q):
-            row = mul_i[i]
-            inv_i[i] = row.index(1)
-        self._add_i = tuple(map(tuple, add_i))
-        self._sub_i = tuple(map(tuple, sub_i))
-        self._mul_i = tuple(map(tuple, mul_i))
-        self._neg_i = tuple(neg_i)
-        self._inv_i = tuple(inv_i)
-        self.add_table = np.array(add_i, dtype=np.uint8)
-        self.mul_table = np.array(mul_i, dtype=np.uint8)
-        self._irreducibles: dict[int, tuple["Polynomial", ...]] = {}
-
-    def _index_of_coords(self, coords: Sequence[int]) -> int:
-        idx = 0
-        for c in reversed(coords):
-            idx = idx * self.p + c
-        return idx
+        self._add_i = rows(self.add_table)
+        self._sub_i = rows(self.sub_table)
+        self._mul_i = rows(self.mul_table)
+        self._neg_i = tuple(neg.tolist())
+        self._inv_i = (None, *(row.index(1) for row in self._mul_i[1:]))
 
     # -- element access ------------------------------------------------------
 
@@ -222,7 +205,7 @@ class FieldSpec:
         coords = tuple(int(c) % self.p for c in value)
         if len(coords) != self.a:
             raise ValueError("coordinate vector has wrong length")
-        return self._by_index[self._index_of_coords(coords)]
+        return self._by_index[sum(c * self.p ** i for i, c in enumerate(coords))]
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -8,9 +8,11 @@ q^ell * Phi_t(Q), t = deg Q, under <f><g> = <fg>.
 
 A class is recorded as its *signature*: the ell reciprocal coefficients of
 x^1..x^ell (zero-padded when deg f < ell) together with the residue f mod Q.
-Each class has exactly one monic member of degree t + ell; that canonical
-representative fixes the class indexing used everywhere: classes are numbered
-by the enumeration order of their representatives.
+As element indices these form a key, read as the mixed-radix integer
+sum_i key_i q^i (the class *code*).  Each class has exactly one monic member
+of degree t + ell; that canonical representative fixes the class indexing
+used everywhere: classes are numbered by the enumeration order of their
+representatives.
 
 Phi_j(Q) counts monic degree-j polynomials coprime to Q; it is computed by
 inclusion-exclusion over the distinct irreducible factors of Q, and the same
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DEFAULT_CLASS_BUDGET, BudgetExceededError, check_budget
-from .ffield import FieldSpec, FqElement, Polynomial, enumerate_below_degree, enumerate_monic
+from .ffield import FieldSpec, FqElement, Polynomial, enumerate_below_degree
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,16 @@ def phi_relative_gap(j: int, Q: Polynomial) -> Fraction:
     return abs(Fraction(phi(j, Q), q ** j) - 1)
 
 
+_BLOCK_ROWS = 1 << 14  # monic polynomials per array block in monic_class_counts
+
+
 class ClassGroup:
     """The group of Hayes classes, with dense multiplication table.
 
     Classes are indexed 0..n-1 in the enumeration order of their canonical
-    representatives (the unique monic member of degree t + ell).  The whole
+    representatives; a dense lookup maps each of the q^(ell+t) codes to its
+    class, or to -1 when the residue is not coprime to Q.  Construction works
+    on arrays of polynomials with the field's numpy tables.  The whole
     structure is immutable after construction; queries are pure.
     """
 
@@ -144,117 +151,121 @@ class ClassGroup:
         self.params = params
         self.degenerate = params.degenerate
         self._spec = spec
-        self._q = spec.q
-        self._ell = params.ell
-        self._t = params.t
+        self._q = q = spec.q
+        self._ell = ell = params.ell
+        self._t = t = params.t
         self._Q_idx = params.Q.index_coeffs()
-        self._mul_i = spec._mul_i
-        self._sub_i = spec._sub_i
-        self._add_i = spec._add_i
+        # index of the element at each position of the element order
+        self._index_at = np.array([e.index for e in spec.elements], dtype=np.uint8)
 
-        reps: list[Polynomial] = []
-        sigs: list[HayesSignature] = []
-        key_to_index: dict[tuple, int] = {}
-        for f in enumerate_monic(spec, params.t + params.ell):
-            sig = signature(f, params)
-            if sig is None:
-                continue
-            key = self._key_of_signature(sig)
-            if key in key_to_index:
-                raise RuntimeError("duplicate canonical representative")  # impossible
-            key_to_index[key] = len(reps)
-            reps.append(f)
-            sigs.append(sig)
-        if len(reps) != expected:
-            raise RuntimeError(f"class count {len(reps)} != q^ell * Phi_t(Q) = {expected}")
-        self.reps = tuple(reps)
-        self.signatures = tuple(sigs)
-        self._key_to_index = key_to_index
-        self._keys = tuple(key_to_index)
-        self._build_mul_table()
-        one_sig = signature(Polynomial.one(spec), params)
-        self.identity = key_to_index[self._key_of_signature(one_sig)]
-        self.inverse = np.argmax(self.mul_table == self.identity, axis=1).astype(np.int32)
+        # Each code belongs to exactly one monic polynomial of degree t + ell;
+        # it is a class when its residue (the high digits) is a unit mod Q.
+        cands = self._monic_rows(t + ell)
+        codes = self._codes(cands)
+        unit = np.ones(q ** t, dtype=bool)
+        residues = np.indices((q,) * t).reshape(t, q ** t)[::-1].T  # row r holds the digits of r
+        for P in distinct_irreducible_factors(params.Q):
+            unit &= self._reduce(residues, P.index_coeffs()).any(axis=1)
+        keep = np.repeat(unit, q ** ell)[codes]
+        if keep.sum() != expected:
+            raise RuntimeError(f"class count {keep.sum()} != q^ell * Phi_t(Q) = {expected}")
+        self._lookup = np.full(q ** (t + ell), -1, dtype=np.int32)
+        self._lookup[codes[keep]] = np.arange(expected)
+        self._lookup_i = tuple(self._lookup.tolist())  # for the scalar path
+        rows = cands[keep]
+        self.reps = tuple(Polynomial(spec, r) for r in rows.tolist())
+        self.identity = self.class_of(Polynomial.one(spec))
+        self._build_mul_table(rows)
         self._counts_cache: dict[int, tuple[list[int], int]] = {}
 
-    # -- fast signature keys ---------------------------------------------------
+    # -- class codes -------------------------------------------------------------
 
-    def _key_of_signature(self, sig: HayesSignature) -> tuple:
-        res = sig.residue.index_coeffs()
-        res = res + (0,) * (self._t - len(res))
-        return tuple(c.index for c in sig.leading) + res
+    def _monic_rows(self, d: int, prefix: tuple[int, ...] = ()) -> np.ndarray:
+        """Index coefficients (constant term first, leading one last) of the
+        monic degree-d polynomials whose first coefficients are the elements
+        at positions `prefix` of the element order, in `enumerate_monic` order."""
+        free = d - len(prefix)
+        pos = np.empty((self._q ** free, d), dtype=np.uint8)
+        pos[:, :len(prefix)] = prefix
+        grid = np.indices((self._q,) * free, dtype=np.uint8)
+        pos[:, len(prefix):] = grid.reshape(free, len(pos)).T
+        return np.column_stack([self._index_at[pos], np.ones(len(pos), dtype=np.uint8)])
 
-    def _key_of_index_coeffs(self, fidx: tuple[int, ...]) -> tuple:
-        """Signature key of a monic polynomial given as an index-coefficient tuple."""
+    def _reduce(self, rows: np.ndarray, mod: tuple[int, ...]) -> np.ndarray:
+        """Rows of index coefficients reduced modulo the monic `mod` (deg(mod) columns)."""
+        s = len(mod) - 1
+        width = rows.shape[1]
+        rem = np.zeros((len(rows), max(width, s)), dtype=np.uint8)
+        rem[:, :width] = rows
+        sub = self._spec.sub_table
+        times_mod = self._spec.mul_table[:, list(mod[:-1])]  # times_mod[c] = c * (m_0..m_{s-1})
+        for i in range(width - 1, s - 1, -1):
+            rem[:, i - s:i] = sub[rem[:, i - s:i], times_mod[rem[:, i]]]
+        return rem[:, :s]
+
+    def _codes(self, f: np.ndarray) -> np.ndarray:
+        """Codes of the monic polynomials in the rows of f (as from `_monic_rows`)."""
+        q, ell = self._q, self._ell
+        d = f.shape[1] - 1
+        code = np.zeros(len(f), dtype=np.int64)
+        for c in self._reduce(f, self._Q_idx).T[::-1]:
+            code = code * q + c
+        for j in range(ell, 0, -1):
+            code = code * q + (f[:, d - j] if j <= d else 0)
+        return code
+
+    def _code_of(self, fidx: tuple[int, ...]) -> int:
+        """Signature code of one monic polynomial given as an index-coefficient
+        tuple: the scalar form of `_codes`, in plain Python for per-call speed."""
         d = len(fidx) - 1
-        ell, t = self._ell, self._t
-        lead = tuple(fidx[d - j] if d - j >= 0 else 0 for j in range(1, ell + 1))
-        if t == 0:
-            return lead
-        rem = list(fidx) + [0] * max(t - len(fidx), 0)
-        mul_i, sub_i, Qi = self._mul_i, self._sub_i, self._Q_idx
-        for i in range(d, t - 1, -1):
-            c = rem[i]
-            if c:
-                rem[i] = 0
-                row = mul_i[c]
-                for jj in range(t):
-                    qj = Qi[jj]
-                    if qj:
-                        rem[i - t + jj] = sub_i[rem[i - t + jj]][row[qj]]
-        return lead + tuple(rem[:t])
+        q, ell, t = self._q, self._ell, self._t
+        code = 0
+        if t:
+            rem = list(fidx) + [0] * max(t - len(fidx), 0)
+            mul_i, sub_i, Qi = self._spec._mul_i, self._spec._sub_i, self._Q_idx
+            for i in range(d, t - 1, -1):
+                c = rem[i]
+                if c:
+                    row = mul_i[c]
+                    for jj in range(t):
+                        qj = Qi[jj]
+                        if qj:
+                            rem[i - t + jj] = sub_i[rem[i - t + jj]][row[qj]]
+            for c in reversed(rem[:t]):
+                code = code * q + c
+        for j in range(ell, 0, -1):
+            code = code * q + (fidx[d - j] if j <= d else 0)
+        return code
 
-    def _mul_keys(self, k1: tuple, k2: tuple) -> tuple:
-        """Key of the product class: reciprocal series multiply mod x^(ell+1),
-        residue multiply mod Q."""
-        ell, t = self._ell, self._t
-        mul_i, add_i, sub_i = self._mul_i, self._add_i, self._sub_i
-        s1 = (1,) + k1[:ell]
-        s2 = (1,) + k2[:ell]
-        lead = []
-        for m in range(1, ell + 1):
-            acc = 0
-            for i in range(m + 1):
-                a, b = s1[i], s2[m - i]
-                if a and b:
-                    acc = add_i[acc][mul_i[a][b]]
-            lead.append(acc)
-        if t == 0:
-            return tuple(lead)
-        r1 = k1[ell:]
-        r2 = k2[ell:]
-        conv = [0] * (2 * t - 1)
-        for i, a in enumerate(r1):
-            if a:
-                row = mul_i[a]
-                for j, b in enumerate(r2):
-                    if b:
-                        conv[i + j] = add_i[conv[i + j]][row[b]]
-        Qi = self._Q_idx
-        for i in range(len(conv) - 1, t - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                row = mul_i[c]
-                for jj in range(t):
-                    qj = Qi[jj]
-                    if qj:
-                        conv[i - t + jj] = sub_i[conv[i - t + jj]][row[qj]]
-        return tuple(lead) + tuple(conv[:t])
-
-    def _build_mul_table(self) -> None:
-        n = len(self.reps)
+    def _build_mul_table(self, rows: np.ndarray) -> None:
+        """Fill the table one row (i -> i*c) at a time.  A class g outside the
+        subgroup H generated so far gets its row from the array product of all
+        representatives with its own; the rows of the cosets g H, g^2 H, ...
+        follow by composition, row(g h) = row(g)[row(h)], one gather each."""
+        n, width = rows.shape
+        add, mul = self._spec.add_table, self._spec.mul_table
         table = np.empty((n, n), dtype=np.int32)
-        keys = self._keys
-        lookup = self._key_to_index
-        for i in range(n):
-            ki = keys[i]
-            row = table[i]
-            for j in range(i, n):
-                idx = lookup[self._mul_keys(ki, keys[j])]
-                row[j] = idx
-                table[j, i] = idx
+        table[self.identity] = np.arange(n)
+        known = np.arange(n) == self.identity
+        subgroup = np.array([self.identity])
+        for g in range(n):
+            if known[g]:
+                continue
+            prod = np.zeros((n, 2 * width - 1), dtype=np.uint8)
+            for j, b in enumerate(rows[g].tolist()):
+                if b:
+                    prod[:, j:j + width] = add[prod[:, j:j + width], mul[b][rows]]
+            row = table[g] = self._lookup[self._codes(prod)]
+            coset = subgroup
+            while not known[row[coset[0]]]:  # cosets are disjoint or equal
+                nxt = row[coset]
+                for h, gh in zip(coset.tolist(), nxt.tolist()):
+                    table[gh] = row[table[h]]
+                known[nxt] = True
+                subgroup = np.concatenate([subgroup, nxt])
+                coset = nxt
         self.mul_table = table
+        self.inverse = np.array([np.argmax(r == self.identity) for r in table], dtype=np.int32)
 
     # -- queries ----------------------------------------------------------------
 
@@ -278,12 +289,11 @@ class ClassGroup:
 
     def class_of(self, f: Polynomial) -> int | None:
         """Class index of a monic f, or None when gcd(f, Q) != 1."""
-        if not f.is_monic:
+        fidx = f.index_coeffs()
+        if not fidx or fidx[-1] != 1:
             raise ValueError("class_of expects a monic polynomial")
-        return self._key_to_index.get(self._key_of_index_coeffs(f.index_coeffs()))
-
-    def index_of_signature(self, sig: HayesSignature) -> int:
-        return self._key_to_index[self._key_of_signature(sig)]
+        idx = self._lookup_i[self._code_of(fidx)]
+        return idx if idx >= 0 else None
 
     def member_base(self, eps: int, d: int) -> Polynomial:
         """A monic degree-d member of class eps: x^k * rep, residue-corrected."""
@@ -314,18 +324,20 @@ class ClassGroup:
         """Counts of monic degree-d polynomials per class (coprime ones only)."""
         if d not in self._counts_cache:
             check_budget(f"monic enumeration q^{d}", self._q ** d, budget)
-            counts = [0] * len(self.reps)
-            dropped = 0
-            lookup = self._key_to_index
-            key_of = self._key_of_index_coeffs
-            for low in itertools.product(range(self._q), repeat=d):
-                idx = lookup.get(key_of((*low, 1)))
-                if idx is None:
-                    dropped += 1
-                else:
-                    counts[idx] += 1
-            self._counts_cache[d] = (counts, dropped)
+            counts = np.zeros(len(self.reps) + 1, dtype=np.int64)  # slot 0: not coprime
+            free = d
+            while self._q ** free > _BLOCK_ROWS:
+                free -= 1
+            for prefix in itertools.product(range(self._q), repeat=d - free):
+                codes = self._codes(self._monic_rows(d, prefix))
+                counts += np.bincount(self._lookup[codes] + 1, minlength=len(counts))
+            self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]))
         return list(self._counts_cache[d][0])
+
+    @property
+    def monic_enumerated(self) -> int:
+        """Monic polynomials enumerated so far by `monic_class_counts` (each degree once)."""
+        return sum(self._q ** d for d in self._counts_cache)
 
     def noncoprime_count(self, d: int) -> int:
         """Number of monic degree-d polynomials with gcd(f, Q) != 1."""

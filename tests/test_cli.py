@@ -136,6 +136,8 @@ def test_rs_census_budgets_only_the_sieve(capsys):
         (["rs", "--p", "3", "--k", "1", "--ell", "1", "--census"], "sieve", "dp_cells"),
         (["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], "enumeration", "comparisons"),
         (["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"], "enumeration", "comparisons"),
+        (["weil", "--p", "3", "--ell", "1", "--Q", "x"], "characters", "character_sums"),
+        (["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"], "enumeration", "comparisons"),
     ],
 )
 def test_artifact_names_engine_and_work(capsys, argv, engine, unit):
@@ -150,6 +152,20 @@ def test_moments_check_work_count(capsys):
     code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
     assert code == 0
     assert data["work"] == {"comparisons": 6 * (1 + 3 + 9) * 2}
+
+
+def test_weil_and_series_work_counts(capsys):
+    # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..ell+t+2 = 4,
+    # class counts of degrees 0..4; series-check --d-max 3: degrees 0..3 counted
+    # and classified, oracle at k = 0, 1 on n = 2 points
+    code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
+    assert code == 0
+    assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9 + 27 + 81, "character_sums": 5 * 5}
+    code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"])
+    assert code == 0
+    assert data["work"] == {
+        "classes": 6, "monic_enumerated": 40, "polynomials_checked": 40, "comparisons": 6 * (1 + 3) * 2,
+    }
 
 
 def test_csv_header_carries_engine(capsys):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_rem, gf_sub
 
 from hayesdist.ffield import (
     FieldSpec,
@@ -271,3 +273,74 @@ def test_monic_irreducibles_cache(fields):
     assert [f.to_text() for f in F2.monic_irreducibles(1)] == ["x", "x + 1"]
     assert [f.to_text() for f in F2.monic_irreducibles(2)] == ["x^2 + x + 1"]
     assert len(F2.monic_irreducibles(3)) == 2
+
+
+def test_fields_are_shared_per_argument_triple():
+    assert FieldSpec(2, 3) is FieldSpec(2, 3)
+    assert FieldSpec(2, 3, modulus=(1, 1, 0, 1)) is FieldSpec(2, 3, modulus=[1, 1, 0, 1])
+    assert FieldSpec(2, 3, modulus=(1, 1, 0, 1)) != FieldSpec(2, 3)  # default: (1, 0, 1, 1)
+    f = Polynomial.from_text(FieldSpec(3, 2), "x^2 + 5*x + 1")
+    assert Polynomial.from_json(f.to_json()).spec is f.spec
+    for _ in range(2):  # a failed construction is not remembered
+        with pytest.raises(ValueError):
+            FieldSpec(2, 2, modulus=(1, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# Field tables against an independent oracle: sympy's GF(p)[y] arithmetic
+# reduced by the stored modulus
+# ---------------------------------------------------------------------------
+
+def _to_gf(spec, x):
+    """Element index -> sympy dense GF(p) polynomial in y (highest degree first)."""
+    poly = [ZZ(x // spec.p ** i % spec.p) for i in reversed(range(spec.a))]
+    while poly and poly[0] == 0:
+        poly.pop(0)
+    return poly
+
+
+def _from_gf(spec, poly):
+    return sum(int(c) * spec.p ** i for i, c in enumerate(reversed(poly)))
+
+
+def _check_pairs(spec, pairs):
+    p = spec.p
+    m = [ZZ(c) for c in reversed(spec.modulus)]
+    for x, y in pairs:
+        fx, fy = _to_gf(spec, x), _to_gf(spec, y)
+        s = _from_gf(spec, gf_add(fx, fy, p, ZZ))
+        d = _from_gf(spec, gf_sub(fx, fy, p, ZZ))
+        prod = _from_gf(spec, gf_rem(gf_mul(fx, fy, p, ZZ), m, p, ZZ))
+        ex, ey = spec.element(x), spec.element(y)
+        assert spec.add(ex, ey).index == spec.add_table[x, y] == s
+        assert spec.sub(ex, ey).index == spec.sub_table[x, y] == d
+        assert spec.mul(ex, ey).index == spec.mul_table[x, y] == prod
+
+
+def _check_inverses(spec, xs):
+    m = [ZZ(c) for c in reversed(spec.modulus)]
+    for x in xs:
+        ex = spec.element(x)
+        assert spec.neg(ex).index == _from_gf(spec, gf_neg(_to_gf(spec, x), spec.p, ZZ))
+        if x:
+            s, _, g = gf_gcdex(_to_gf(spec, x), m, spec.p, ZZ)  # s * x + t * m = g = 1
+            assert g == [1] and spec.inv(ex).index == _from_gf(spec, s)
+
+
+@pytest.mark.parametrize(
+    "p,a,modulus",
+    [(2, 1, None), (3, 1, None), (7, 1, None), (31, 1, None), (2, 2, None), (3, 2, None),
+     (2, 3, None), (2, 3, (1, 1, 0, 1)), (5, 2, None), (3, 3, None), (2, 4, None), (2, 5, None)],
+)
+def test_tables_match_sympy_on_all_pairs(p, a, modulus):
+    spec = FieldSpec(p, a, modulus)
+    _check_pairs(spec, itertools.product(range(spec.q), repeat=2))
+    _check_inverses(spec, range(spec.q))
+
+
+@pytest.mark.parametrize("p,a", [(2, 7), (3, 5), (2, 8)])
+def test_tables_match_sympy_on_sampled_pairs(p, a):
+    spec = FieldSpec(p, a)
+    rng = random.Random(p * 100 + a)
+    _check_pairs(spec, [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(3000)])
+    _check_inverses(spec, range(spec.q))

@@ -180,7 +180,7 @@ class TestClassGroup:
 
     def test_representatives_have_unique_signatures(self, groups):
         G = groups(3, 1, 1, "x")
-        assert len({G._key_of_signature(s) for s in G.signatures}) == G.order
+        assert len({signature(r, G.params) for r in G.reps}) == G.order
         assert all(r.degree == 2 for r in G.reps)
 
     def test_mul_table_is_abelian_group(self, groups):
@@ -214,7 +214,7 @@ class TestClassGroup:
             if sig is None:
                 assert G.class_of(f) is None
             else:
-                assert G.class_of(f) == G.index_of_signature(sig)
+                assert signature(G.reps[G.class_of(f)], params) == sig
 
     def test_budget(self, fields):
         F5 = fields(5)
@@ -285,3 +285,39 @@ def test_monic_class_counts_consistency(groups):
         assert sum(counts) + G.noncoprime_count(d) == q ** d
         if d >= G.params.t + G.params.ell:
             assert all(c == q ** (d - G.params.t - G.params.ell) for c in counts)
+
+
+# Groups of the benchmark's sizes and one over GF(8): |G| = q^ell * Phi_t(Q).
+ORACLE_GROUPS = [
+    (7, 1, 1, "x^2 + 1", 336),
+    (5, 1, 2, "x^2 + 2", 600),
+    (5, 1, 1, "x^3 + x + 1", 620),
+    (2, 3, 1, "x^2 + 3*x + 2", 8 * (64 - 8 - 8 + 1)),  # Q = (x + 1)(x + y)
+]
+
+
+@pytest.mark.parametrize("p,a,ell,q_text,order", ORACLE_GROUPS)
+def test_group_against_polynomial_oracle(fields, groups, p, a, ell, q_text, order):
+    """Representatives, products and class counts against object-level
+    polynomial arithmetic (gcd, products, class_of one polynomial at a time)."""
+    G = groups(p, a, ell, q_text)
+    spec = fields(p, a)
+    Q = G.params.Q
+    assert G.order == order
+    assert list(G.reps) == [f for f in enumerate_monic(spec, Q.degree + ell) if f.gcd(Q).is_one]
+    rng = random.Random(order)
+    for _ in range(300):
+        i, j = rng.randrange(order), rng.randrange(order)
+        assert G.mul(i, j) == G.class_of(G.reps[i] * G.reps[j])
+        assert G.mul(i, G.inv(i)) == G.identity
+    for d in range(4):
+        by_polynomial = [0] * order
+        dropped = 0
+        for f in enumerate_monic(spec, d):
+            eps = G.class_of(f)
+            if eps is None:
+                dropped += 1
+            else:
+                by_polynomial[eps] += 1
+        assert G.monic_class_counts(d) == by_polynomial
+        assert G.noncoprime_count(d) == dropped
