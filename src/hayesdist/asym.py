@@ -92,7 +92,7 @@ def mu_binomial_pmf(r: int, n: int, q: int, k: int, t: int, ell: int) -> Fractio
         raise ValueError("need 0 <= r <= k+t+ell")
     if r > n:
         return Fraction(0)  # the C(n, r) factor vanishes
-    return truncated_binomial_sum(k + t + ell - r, r, n, q) * math.comb(n, r) * Fraction(1, q) ** r
+    return truncated_binomial_sum(k + t + ell - r, r, n, q) * Fraction(math.comb(n, r), q ** r)
 
 
 def rs_count_asymptotic(r: int, q: int, k: int, ell: int) -> Fraction:

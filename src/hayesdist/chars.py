@@ -184,9 +184,8 @@ def character_sum(
     check: bool = True,
 ) -> complex:
     """sum over monic degree-j f of chi(f), with chi(f) = 0 off gcd(f,Q)=1."""
-    counts = group.monic_class_counts(j, budget)
-    row = table.values[chi]
-    total = complex(np.dot(row, np.array(counts, dtype=np.float64)))
+    counts = group.monic_class_count_array(j, budget)
+    total = complex(np.dot(table.values[chi], counts))
     if check and not table.characters[chi].is_trivial:
         params = group.params
         bound = weil_bound(j, params.t, params.ell, params.spec.q)

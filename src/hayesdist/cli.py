@@ -57,6 +57,8 @@ from .dist import (
     exact_distributions_all,
     factorial_moments,
     factorization_counts,
+    factorization_pairs,
+    pmf_prediction,
     pmf_remainder_gap,
     rs_census,
     rs_distance_row,
@@ -155,6 +157,7 @@ def cmd_moments_check(args) -> int:
     failures = []
     records = []
     comparisons = 0
+    pairs = 0
     for k in range(args.k_min, args.k + 1):
         dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
         comparisons += enumeration_comparisons(group, k, n)
@@ -162,6 +165,7 @@ def cmd_moments_check(args) -> int:
             j: factorization_counts(group, j, k, points, budget=args.max_enum)
             for j in range(k + 1, k + t + ell + 1)
         }
+        pairs += sum(factorization_pairs(group, j, k, n) for j in Ws)
         for eps in range(group.order):
             moments = factorial_moments(dists[eps], k + t + ell)
             for j, m in enumerate(moments):
@@ -177,7 +181,7 @@ def cmd_moments_check(args) -> int:
                     failures.append(records[-1])
     _emit(args, {
         "checks": records, "failures": failures, "pass": not failures,
-        "engine": "enumeration", "work": {"comparisons": comparisons},
+        "engine": "enumeration", "work": {"comparisons": comparisons, "factorization_pairs": pairs},
     })
     return 0 if not failures else 1
 
@@ -220,6 +224,33 @@ def cmd_weil(args) -> int:
     return 0 if ok else 1
 
 
+def truncated_binomial_verdicts():
+    """Exact verdicts of the truncated-binomial floor and proximity checks,
+    one per cell (n, qq, r, m) with n <= 12, 2 <= qq <= 9, r <= n and
+    m <= 12, yielded as (n, qq, r, m, floor, close).
+
+    With N = n - r, mu_m(r) = num_m / qq^m for the running integer numerator
+    num_m = num_(m-1) qq + (-1)^m C(N, m), so both checks are integer ones:
+
+      floor:  mu_m >= (qq - N)/qq            iff  num_m >= (qq - N) qq^(m-1)
+      close:  |mu_m - (1-1/qq)^N| <= C(N, m+1) qq^-(m+1)
+              iff  |num_m qq^(N+1) - (qq-1)^N qq^(m+1)| <= C(N, m+1) qq^N
+
+    `floor` is None at m = 0 and is reported for every other cell, also
+    where N > qq and the alternating floor need not hold."""
+    for n in range(13):
+        for qq in range(2, 10):
+            for r in range(n + 1):
+                N = n - r
+                full = (qq - 1) ** N
+                num = 0
+                for m in range(13):
+                    num = num * qq + (-1) ** m * math.comb(N, m)
+                    floor = num >= (qq - N) * qq ** (m - 1) if m >= 1 else None
+                    close = abs(num * qq ** (N + 1) - full * qq ** (m + 1)) <= math.comb(N, m + 1) * qq ** N
+                    yield n, qq, r, m, floor, close
+
+
 def cmd_bounds_check(args) -> int:
     spec, params, group = _build_group(args)
     q, t, ell = spec.q, params.t, params.ell
@@ -251,15 +282,10 @@ def cmd_bounds_check(args) -> int:
     # and proximity to (1-1/q)^(n-r)
     mu_ok = True
     close_ok = True
-    for n in range(0, 13):
-        for qq in range(2, 10):
-            for r in range(0, n + 1):
-                target = Fraction(qq - 1, qq) ** (n - r)
-                for m in range(0, 13):
-                    mu = truncated_binomial_sum(m, r, n, qq)
-                    if m >= 1 and n - r <= qq:
-                        mu_ok &= mu >= Fraction(qq - n + r, qq)
-                    close_ok &= abs(mu - target) <= Fraction(math.comb(n - r, m + 1), qq ** (m + 1))
+    for n, qq, r, m, floor, close in truncated_binomial_verdicts():
+        if m >= 1 and n - r <= qq:
+            mu_ok &= floor
+        close_ok &= close
     record("truncated binomial floor", mu_ok, "mu_m(r)", "(q-n+r)/q on n-r <= q")
     record("truncated binomial proximity", close_ok, "|mu_m - (1-1/q)^(n-r)|", "C(n-r, m+1) q^-(m+1)")
 
@@ -292,12 +318,14 @@ def cmd_bounds_check(args) -> int:
     points = default_point_set(params)
     n = len(points)
     comparisons = 0
+    pairs = 0
     if ell >= 1 and gamma_at_most_one(n, q, t, ell):
         for k in range(0, args.k + 1):
             dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
             comparisons += enumeration_comparisons(group, k, n)
             for j in range(k + 1, k + t + ell + 1):
                 W = factorization_counts(group, j, k, points, budget=args.max_enum)
+                pairs += factorization_pairs(group, j, k, n)
                 main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)
                 bound = w_remainder_bound(j, n, q, k, t, ell, group.order)
                 worst = max(abs(w - main) for w in W)
@@ -307,11 +335,16 @@ def cmd_bounds_check(args) -> int:
                     _frac(Fraction(worst)),
                     _frac(bound),
                 )
+            # the prediction and its bound depend on (k, r) alone, not on the class
+            support = range(0, k + t + ell + 1)
+            predictions = [pmf_prediction(params, n, r, k) for r in support]
+            bounds = [pmf_remainder_bound(r, n, q, k, t, ell) for r in support]
             for eps in range(group.order):
-                for r in range(0, k + t + ell + 1):
-                    lhs = pmf_remainder_gap(group, dists[eps], r, k)
-                    rhs = pmf_remainder_bound(r, n, q, k, t, ell)
-                    record(f"pmf remainder k={k} eps={eps} r={r}", lhs <= rhs, _frac(lhs), _frac(rhs))
+                for r in support:
+                    lhs = pmf_remainder_gap(dists[eps], r, predictions[r])
+                    record(
+                        f"pmf remainder k={k} eps={eps} r={r}", lhs <= bounds[r], _frac(lhs), _frac(bounds[r])
+                    )
     else:
         checks.append(
             {
@@ -324,7 +357,7 @@ def cmd_bounds_check(args) -> int:
     all_ok = all(c["pass"] for c in checks)
     _emit(args, {
         "checks": checks, "pass": all_ok,
-        "engine": "enumeration", "work": {"comparisons": comparisons},
+        "engine": "enumeration", "work": {"comparisons": comparisons, "factorization_pairs": pairs},
     })
     return 0 if all_ok else 1
 

@@ -51,7 +51,8 @@ def truncated_binomial_sum(m: int, r: int, n: int, q: int) -> Fraction:
 
     This is the order-m truncation of the binomial expansion of
     (1 - 1/q)^(n-r); it appears as the correction factor in the asymptotic
-    zero-count formulas.
+    zero-count formulas.  It is built as one integer numerator over q^m,
+    sum_{j <= min(m, n-r)} (-1)^j C(n-r, j) q^(m-j), by Horner's rule.
     """
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
@@ -59,8 +60,12 @@ def truncated_binomial_sum(m: int, r: int, n: int, q: int) -> Fraction:
         raise ValueError("need q >= 2")
     if m < 0:
         raise ValueError("need m >= 0")
-    qf = Fraction(1, q)
-    return sum(((-1) ** j) * math.comb(n - r, j) * qf ** j for j in range(m + 1))
+    N = n - r
+    top = min(m, N)  # C(N, j) = 0 past j = N
+    num = 0
+    for j in range(top + 1):
+        num = num * q + (-1) ** j * math.comb(N, j)
+    return Fraction(num * q ** (m - top), q ** m)
 
 
 def partitions(j: int):

@@ -53,6 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chars import CharacterTable, character_sum
+from .comb import truncated_binomial_sum
 from .errors import ValidationError, check_budget
 from .ffield import (
     FieldSpec,
@@ -339,6 +340,13 @@ def factorial_moments(dist: ZeroDistribution, j_max: int) -> list[Fraction]:
 # Factorization counts (the high factorial moments)
 # ---------------------------------------------------------------------------
 
+def factorization_pairs(group: ClassGroup, j: int, k: int, n: int) -> int:
+    """Pairs (g, S) that factorization_counts enumerates on n points:
+    C(n, j) subsets S times q^(k+t+ell-j) monic cofactors g."""
+    params = group.params
+    return math.comb(n, j) * params.spec.q ** (k + params.t + params.ell - j)
+
+
 def factorization_counts(
     group: ClassGroup, j: int, k: int, points=None, budget: int | None = None
 ) -> list[int]:
@@ -353,8 +361,7 @@ def factorization_counts(
     deg_g = k + params.t + params.ell - j
     if not k + 1 <= j <= k + params.t + params.ell:
         raise ValueError("need k+1 <= j <= k+t+ell")
-    n = len(pts)
-    check_budget("factorization enumeration", math.comb(n, j) * spec.q ** deg_g, budget)
+    check_budget("factorization enumeration", factorization_pairs(group, j, k, len(pts)), budget)
     W = [0] * group.order
     one = Polynomial.one(spec)
     for S in itertools.combinations(pts, j):
@@ -376,23 +383,20 @@ def _elementary_symmetric(values: list[complex], j: int) -> complex:
     return e[j]
 
 
-def pmf_remainder_gap(group: ClassGroup, dist: ZeroDistribution, r: int, k: int) -> Fraction:
-    """Exact left side of the pmf remainder inequality:
+def pmf_prediction(params: HayesParams, n: int, r: int, k: int) -> Fraction:
+    """Class-free prediction of P(Y=r) at degree k+t+ell on n points:
 
-    |P(Y=r) - mu_(k-r)(r) C(n,r) q^-r
-            - C(n,r) q^-(k+ell) sum_j (-1)^(j-r) C(n-r, j-r) Phi_(k+t+ell-j)/Phi_t|
+    mu_(k-r)(r) C(n,r) q^-r
+    + C(n,r) q^-(k+ell) sum_j (-1)^(j-r) C(n-r, j-r) Phi_(k+t+ell-j)/Phi_t
 
-    with the sum over k+1 <= j <= k+t+ell."""
-    from .comb import truncated_binomial_sum
-
-    params = group.params
+    with the sum over k+1 <= j <= k+t+ell.  It depends on the class group
+    only through (q, t, ell, Q), so one value serves every class."""
     q = params.spec.q
     t, ell = params.t, params.ell
-    n = len(dist.points)
     if r > n:
-        return dist.probability(r)  # every explicit term carries C(n, r) = 0
+        return Fraction(0)  # every term carries C(n, r) = 0
     mu_term = (
-        truncated_binomial_sum(k - r, r, n, q) * math.comb(n, r) * Fraction(1, q) ** r
+        truncated_binomial_sum(k - r, r, n, q) * Fraction(math.comb(n, r), q ** r)
         if k - r >= 0
         else Fraction(0)
     )
@@ -405,7 +409,13 @@ def pmf_remainder_gap(group: ClassGroup, dist: ZeroDistribution, r: int, k: int)
                 * Fraction(phi(k + t + ell - j, params.Q), phi(t, params.Q))
             )
     corr *= math.comb(n, r) * Fraction(1, q ** (k + ell))
-    return abs(dist.probability(r) - mu_term - corr)
+    return mu_term + corr
+
+
+def pmf_remainder_gap(dist: ZeroDistribution, r: int, prediction: Fraction) -> Fraction:
+    """Exact left side of the pmf remainder inequality, |P(Y=r) - prediction|,
+    with `prediction` = pmf_prediction(params, n, r, k) for the class's (n, r, k)."""
+    return abs(dist.probability(r) - prediction)
 
 
 @dataclass(frozen=True)

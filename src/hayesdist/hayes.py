@@ -176,7 +176,7 @@ class ClassGroup:
         self.reps = tuple(Polynomial(spec, r) for r in rows.tolist())
         self.identity = self.class_of(Polynomial.one(spec))
         self._build_mul_table(rows)
-        self._counts_cache: dict[int, tuple[list[int], int]] = {}
+        self._counts_cache: dict[int, tuple[list[int], int, np.ndarray]] = {}
 
     # -- class codes -------------------------------------------------------------
 
@@ -320,8 +320,8 @@ class ClassGroup:
         for h in enumerate_below_degree(self._spec, k):
             yield base + h * Q
 
-    def monic_class_counts(self, d: int, budget: int | None = None) -> list[int]:
-        """Counts of monic degree-d polynomials per class (coprime ones only)."""
+    def _class_counts_entry(self, d: int, budget: int | None) -> tuple[list[int], int, np.ndarray]:
+        """Cached (per-class counts, non-coprime count, counts as float64) of degree d."""
         if d not in self._counts_cache:
             check_budget(f"monic enumeration q^{d}", self._q ** d, budget)
             counts = np.zeros(len(self.reps) + 1, dtype=np.int64)  # slot 0: not coprime
@@ -331,8 +331,18 @@ class ClassGroup:
             for prefix in itertools.product(range(self._q), repeat=d - free):
                 codes = self._codes(self._monic_rows(d, prefix))
                 counts += np.bincount(self._lookup[codes] + 1, minlength=len(counts))
-            self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]))
-        return list(self._counts_cache[d][0])
+            weights = counts[1:].astype(np.float64)
+            weights.flags.writeable = False
+            self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]), weights)
+        return self._counts_cache[d]
+
+    def monic_class_counts(self, d: int, budget: int | None = None) -> list[int]:
+        """Counts of monic degree-d polynomials per class (coprime ones only)."""
+        return list(self._class_counts_entry(d, budget)[0])
+
+    def monic_class_count_array(self, d: int, budget: int | None = None) -> np.ndarray:
+        """`monic_class_counts(d)` as one shared read-only float64 array."""
+        return self._class_counts_entry(d, budget)[2]
 
     @property
     def monic_enumerated(self) -> int:
@@ -341,8 +351,7 @@ class ClassGroup:
 
     def noncoprime_count(self, d: int) -> int:
         """Number of monic degree-d polynomials with gcd(f, Q) != 1."""
-        self.monic_class_counts(d)
-        return self._counts_cache[d][1]
+        return self._class_counts_entry(d, None)[1]
 
     def export_classes(self) -> list[dict]:
         """Stable class-index <-> canonical-representative mapping."""

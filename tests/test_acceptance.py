@@ -45,6 +45,7 @@ from hayesdist.dist import (
     exact_distributions_all,
     factorial_moments,
     factorization_counts,
+    pmf_prediction,
     pmf_remainder_gap,
     rs_census,
     rs_distance_row,
@@ -280,8 +281,9 @@ def test_bound_suite(fields, groups):
                 w_checked += 1
             for r in range(0, k + t + ell + 1):
                 rhs = pmf_remainder_bound(r, n, q, k, t, ell)
+                prediction = pmf_prediction(G.params, n, r, k)
                 for eps in range(G.order):
-                    lhs = pmf_remainder_gap(G, dists[eps], r, k)
+                    lhs = pmf_remainder_gap(dists[eps], r, prediction)
                     assert lhs <= rhs, (p, a, ell, q_text, k, r, eps)
                     pmf_checked += 1
     report(

@@ -1,7 +1,10 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from hayesdist import cli
 from hayesdist.cli import run
 
 
@@ -148,10 +151,71 @@ def test_artifact_names_engine_and_work(capsys, argv, engine, unit):
 
 
 def test_moments_check_work_count(capsys):
-    # |G| * q^k * n comparisons summed over k = 0..2: 6 classes, 2 points
+    # |G| * q^k * n comparisons summed over k = 0..2: 6 classes, 2 points;
+    # factorization pairs C(n, j) q^(k+t+ell-j) for j = k+1..k+2 (t = ell = 1):
+    # k = 0: 2*3 + 1*1, k = 1: 1*3 + 0*1, k = 2: none
     code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
     assert code == 0
-    assert data["work"] == {"comparisons": 6 * (1 + 3 + 9) * 2}
+    assert data["work"] == {"comparisons": 6 * (1 + 3 + 9) * 2, "factorization_pairs": 7 + 3}
+
+
+def test_bounds_check_remainder_records(capsys, monkeypatch):
+    # the pmf bound is computed once per (k, r) and shared by every class,
+    # and no remainder check is dropped on the way
+    calls = []
+    bound = cli.pmf_remainder_bound
+
+    def counted(r, n, q, k, t, ell):
+        calls.append((k, r))
+        return bound(r, n, q, k, t, ell)
+
+    monkeypatch.setattr(cli, "pmf_remainder_bound", counted)
+    code, data = run_json(capsys, ["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
+    assert code == 0 and data["pass"]
+    # |G| = 6, t = ell = 1: r = 0..k+2 for k = 0..2, j = k+1..k+2; the same
+    # enumeration and factorization work as the moments-check case
+    assert data["work"] == {"comparisons": 6 * (1 + 3 + 9) * 2, "factorization_pairs": 7 + 3}
+    assert calls == [(k, r) for k in range(3) for r in range(k + 3)]
+    names = [c["name"] for c in data["checks"]]
+    pmf = [name for name in names if name.startswith("pmf remainder ")]
+    assert len(pmf) == 6 * (3 + 4 + 5)
+    assert pmf == [
+        f"pmf remainder k={k} eps={eps} r={r}" for k in range(3) for eps in range(6) for r in range(k + 3)
+    ]
+    assert [name for name in names if name.startswith("factorization remainder ")] == [
+        f"factorization remainder k={k} j={j}" for k in range(3) for j in (k + 1, k + 2)
+    ]
+    # remainder hypotheses not met (ell = 0): no enumeration, no factorization
+    code, data = run_json(capsys, ["bounds-check", "--p", "3", "--ell", "0", "--Q", "x", "--k", "2"])
+    assert code == 0
+    assert data["work"] == {"comparisons": 0, "factorization_pairs": 0}
+
+
+def test_truncated_binomial_verdicts_match_fraction_form():
+    # every (n, q, r, m) cell of the integer-form floor and proximity verdicts
+    # against the same inequality on the Fraction mu_m(r) = sum_{j<=m} (-1)^j C(n-r, j) q^-j,
+    # including floor cells with n - r > q, which the suite skips
+    cells = 0
+    floor_false = 0
+    expected = iter(
+        (n, q, r, m)
+        for n in range(13) for q in range(2, 10) for r in range(n + 1) for m in range(13)
+    )
+    mu = None
+    for n, q, r, m, floor, close in cli.truncated_binomial_verdicts():
+        assert (n, q, r, m) == next(expected)
+        N = n - r
+        mu = Fraction(1) if m == 0 else mu + Fraction((-1) ** m * math.comb(N, m), q ** m)
+        if m == 0:
+            assert floor is None
+        else:
+            assert floor == (mu >= Fraction(q - N, q)), (n, q, r, m)
+            floor_false += not floor
+        target = Fraction(q - 1, q) ** N
+        assert close == (abs(mu - target) <= Fraction(math.comb(N, m + 1), q ** (m + 1))), (n, q, r, m)
+        cells += 1
+    assert cells == 9464
+    assert floor_false > 0  # the Fraction-form floor fails on some n - r > q cells
 
 
 def test_weil_and_series_work_counts(capsys):

@@ -71,6 +71,25 @@ class TestTruncatedBinomialSum:
             truncated_binomial_sum(-1, 0, 3, 2)
         with pytest.raises(ValueError):
             truncated_binomial_sum(1, 0, 3, 1)
+        for m, r, n, q in [(1, -1, 3, 2), (0, 0, -1, 2), (2, 1, 3, 0), (-3, 3, 3, 9)]:
+            with pytest.raises(ValueError):
+                truncated_binomial_sum(m, r, n, q)
+
+    def test_matches_defining_sum_on_bounds_grid(self):
+        # the integer-numerator kernel against sum_{j<=m} (-1)^j C(n-r, j) q^-j
+        # on every cell of the bounds-check grid, m > n - r included
+        cells = 0
+        for n in range(0, 13):
+            for q in range(2, 10):
+                for r in range(0, n + 1):
+                    for m in range(0, 13):
+                        want = sum(
+                            (Fraction((-1) ** j * math.comb(n - r, j), q ** j) for j in range(m + 1)),
+                            Fraction(0),
+                        )
+                        assert truncated_binomial_sum(m, r, n, q) == want, (m, r, n, q)
+                        cells += 1
+        assert cells == 9464
 
 
 class TestCycleAverages:
