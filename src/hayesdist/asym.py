@@ -299,10 +299,3 @@ def condition_b(p: int, c: float, gamma: float, delta0: float) -> ConditionResul
     rhs = gamma + gamma * math.log((c + gamma) / gamma) + delta0
     return ConditionResult(lhs >= rhs, lhs, rhs, notes)
 
-
-def condition_a_regime(regime: Regime) -> ConditionResult:
-    return condition_a(regime.p, regime.c, regime.gamma, regime.delta0)
-
-
-def condition_b_regime(regime: Regime) -> ConditionResult:
-    return condition_b(regime.p, regime.c, regime.gamma, regime.delta0)

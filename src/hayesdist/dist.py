@@ -40,6 +40,14 @@ slice): under the sieve the j <= k moment identities hold by construction,
 so those checks never run on sieve output alone.  A plain object-level
 brute force over all of M_d is kept as a third, independent route.
 
+The polynomial routes (brute force, factorization counts, the series check,
+the census word list) multiply `Polynomial` objects and count roots one
+polynomial at a time; only their class labels come from the group's array
+kernel, `ClassGroup.classes_of`, a block of _LABEL_ROWS polynomials per call.
+`group_convolve` is the one group-algebra product: the sieve's W_j and the
+series check's product slices both use it, so that check exercises it
+against enumeration.
+
 Counts are arbitrary-precision integers; probabilities are exact rationals.
 """
 
@@ -65,6 +73,7 @@ from .ffield import (
 from .hayes import ClassGroup, HayesParams, phi
 
 _BLOCK_ROWS = 1 << 16  # vectorized enumeration block: at most this many rows at once
+_LABEL_ROWS = 1 << 10  # polynomials labelled per ClassGroup.classes_of call
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +231,15 @@ def enumeration_distributions_all(
 def _point_classes(group: ClassGroup, pts: tuple[FqElement, ...]) -> list[int]:
     """Class of x - a for every point a (points are never zeros of Q)."""
     spec = group.params.spec
-    return [group.class_of(Polynomial(spec, (spec.neg(a), spec.one))) for a in pts]
+    return group.classes_of([(spec.neg(a).index, 1) for a in pts]).tolist()
+
+
+def _labelled_blocks(group: ClassGroup, polys):
+    """Blocks of at most _LABEL_ROWS of the monic polynomials `polys` (all of
+    one degree), each with the array of their classes (-1 where gcd(f, Q) != 1)."""
+    polys = iter(polys)
+    while block := list(itertools.islice(polys, _LABEL_ROWS)):
+        yield block, group.classes_of([f.index_coeffs() for f in block])
 
 
 def _live_rows(n: int, j_lo: int, j_hi: int) -> list[tuple[int, int]]:
@@ -277,9 +294,7 @@ def exact_distributions_all(
     high = range(k + 1, j_hi + 1)
     W = np.zeros((len(high), group.order), dtype=object)
     for row, j in zip(W, high):
-        for c, count in enumerate(group.monic_class_counts(d - j)):
-            if count:
-                row += count * S[j][group.translation(group.inv(c))]
+        row[:] = group_convolve(group, group.monic_class_counts(d - j), S[j])
     # q^k P(Y = r): the class-free j <= k terms, plus the j > k rows as one
     # integer matrix product
     low = np.array(
@@ -321,10 +336,11 @@ def exact_distribution_bruteforce(
     d = k + params.t + params.ell
     check_budget("monic enumeration q^d", spec.q ** d, budget)
     counts: dict[int, int] = {}
-    for f in enumerate_monic(spec, d):
-        if group.class_of(f) == eps:
-            r = distinct_roots_in(f, pts)
-            counts[r] = counts.get(r, 0) + 1
+    for block, classes in _labelled_blocks(group, enumerate_monic(spec, d)):
+        for f, cls in zip(block, classes.tolist()):
+            if cls == eps:
+                r = distinct_roots_in(f, pts)
+                counts[r] = counts.get(r, 0) + 1
     return ZeroDistribution(params, eps, k, pts, counts, spec.q ** k)
 
 
@@ -362,17 +378,20 @@ def factorization_counts(
     if not k + 1 <= j <= k + params.t + params.ell:
         raise ValueError("need k+1 <= j <= k+t+ell")
     check_budget("factorization enumeration", factorization_pairs(group, j, k, len(pts)), budget)
-    W = [0] * group.order
-    one = Polynomial.one(spec)
-    for S in itertools.combinations(pts, j):
-        prod = one
-        for a in S:
-            prod = prod * Polynomial(spec, (spec.neg(a), spec.one))
-        for g in enumerate_monic(spec, deg_g):
-            cls = group.class_of(g * prod)
-            if cls is not None:
-                W[cls] += 1
-    return W
+    linear = {a: Polynomial(spec, (spec.neg(a), spec.one)) for a in pts}
+
+    def products():
+        for S in itertools.combinations(pts, j):
+            prod = Polynomial.one(spec)
+            for a in S:
+                prod = prod * linear[a]
+            for g in enumerate_monic(spec, deg_g):
+                yield g * prod
+
+    W = np.zeros(group.order + 1, dtype=np.int64)  # slot 0: not coprime to Q
+    for _, classes in _labelled_blocks(group, products()):
+        W += np.bincount(classes + 1, minlength=len(W))
+    return W[1:].tolist()
 
 
 def _elementary_symmetric(values: list[complex], j: int) -> complex:
@@ -483,15 +502,14 @@ def monic_series(group: ClassGroup, d_max: int, budget: int | None = None) -> Gr
     return GroupAlgebraSeries(d_max, slices)
 
 
-def _group_convolve(group: ClassGroup, u: list[int], v: list[int]) -> list[int]:
-    out = [0] * group.order
-    mul_table = group.mul_table
-    for i, ui in enumerate(u):
-        if ui:
-            row = mul_table[i]
-            for jj, vj in enumerate(v):
-                if vj:
-                    out[int(row[jj])] += ui * vj
+def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray:
+    """Group-algebra product of the class functions u and v (an object array),
+    out[eps] = sum_c u[c] v[eps c^-1]: one |G|-gather of v per nonzero u[c].
+    An object array of Python integers."""
+    out = np.zeros(group.order, dtype=object)
+    for c, uc in enumerate(u):
+        if uc:
+            out += uc * v[group.translation(group.inv(c))]
     return out
 
 
@@ -505,7 +523,7 @@ class CheckRecord:
 @dataclass
 class SeriesReport:
     checks: list[CheckRecord]
-    work: dict  # polynomials classified one at a time, and the oracle's comparisons
+    work: dict  # polynomials enumerated, the oracle's comparisons, factorization pairs
 
     @property
     def all_ok(self) -> bool:
@@ -526,8 +544,8 @@ def verify_series_identities(
     * product form: tagging monic polynomials by class and zero count agrees
       with the monic series multiplied by prod over alpha in D of
       (<1> + (u-1) z <x - alpha>), compared per degree and per power of (u-1);
-      the (u-1)^j factor is the sieve's subset-product table, so this checks
-      it against enumeration;
+      the (u-1)^j factor is the sieve's subset-product table and the product
+      is the sieve's `group_convolve`, so this checks both against enumeration;
     * moment slice: for each k with k+t+ell <= d_max, the degree-(k+t+ell)
       slice matches C(n,j) q^(k-j) for j <= k and the factorization counts
       for j > k, against the enumeration oracle's distributions.
@@ -549,21 +567,20 @@ def verify_series_identities(
     joint = [
         [[0] * (n + 1) for _ in range(group.order)] for _ in range(d_max + 1)
     ]
-    work = {"polynomials_checked": 0, "comparisons": 0}
+    work = {"polynomials_checked": 0, "comparisons": 0, "factorization_pairs": 0}
     for d in range(d_max + 1):
         check_budget(f"monic enumeration q^{d}", spec.q ** d, budget)
         work["polynomials_checked"] += spec.q ** d
-        for f in enumerate_monic(spec, d):
-            cls = group.class_of(f)
-            if cls is None:
-                continue
-            joint[d][cls][distinct_roots_in(f, pts)] += 1
+        for block, classes in _labelled_blocks(group, enumerate_monic(spec, d)):
+            for f, cls in zip(block, classes.tolist()):
+                if cls >= 0:
+                    joint[d][cls][distinct_roots_in(f, pts)] += 1
 
     sub = subset_product_table(group, pts, 0, n)
 
     for d in range(d_max + 1):
         for j in range(min(d, n) + 1):
-            rhs = _group_convolve(group, F.slice(d - j), sub[j].tolist())
+            rhs = group_convolve(group, F.slice(d - j), sub[j]).tolist()
             lhs = [
                 sum(math.comb(r, j) * joint[d][cls][r] for r in range(n + 1))
                 for cls in range(group.order)
@@ -584,6 +601,7 @@ def verify_series_identities(
             j: factorization_counts(group, j, k, pts, budget)
             for j in range(k + 1, k + t + ell + 1)
         }
+        work["factorization_pairs"] += sum(factorization_pairs(group, j, k, n) for j in Ws)
         for eps in range(group.order):
             counts = dists[eps].counts
             for j in range(0, k + t + ell + 1):
@@ -734,8 +752,8 @@ def rs_census(
     }
     if spec.q ** (k + ell) <= list_words_up_to:
         words = []
-        for f in enumerate_monic(spec, k + ell):
-            eps = group.class_of(f)
-            words.append({"word": f.to_text(), "eps": eps, "kind": per_class[eps]["kind"]})
+        for block, classes in _labelled_blocks(group, enumerate_monic(spec, k + ell)):
+            for f, eps in zip(block, classes.tolist()):
+                words.append({"word": f.to_text(), "eps": eps, "kind": per_class[eps]["kind"]})
         out["words"] = words
     return out

@@ -25,7 +25,10 @@ never -1, so degree arithmetic cannot silently go negative.
 The default modulus for GF(p^a) is the lexicographically smallest monic
 irreducible of degree a over GF(p) (ordered by coefficient tuple
 ``(c_0, ..., c_{a-1})``), which makes enumeration orders and class labels
-reproducible across runs.
+reproducible across runs.  It is the first entry of
+``FieldSpec(p).monic_irreducibles(a)``: the candidate moduli come from the
+same `Polynomial` arithmetic as everything else (``(0, 1)`` when a = 1), and
+an explicit modulus must be one of them.
 """
 
 from __future__ import annotations
@@ -48,42 +51,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# GF(p)[x] helpers on little-endian int tuples (used only to set up the field)
-# ---------------------------------------------------------------------------
-
-def _fp_divides(g: Sequence[int], f: Sequence[int], p: int) -> bool:
-    """True when the monic g divides f in GF(p)[x]."""
-    f = list(f)
-    dg = len(g) - 1
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i]
-        if c:
-            for j in range(dg + 1):
-                f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
-    return not any(f[:dg])
-
-
-def _fp_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    if deg < 1 or f[-1] != 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            if _fp_divides((*low, 1), f, p):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, a: int) -> tuple[int, ...]:
-    for low in itertools.product(range(p), repeat=a):
-        cand = (*low, 1)
-        if _fp_is_irreducible(cand, p):
-            return cand
-    raise RuntimeError(f"no irreducible of degree {a} over GF({p})")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +103,19 @@ class FieldSpec(metaclass=_Shared):
             raise ValueError("extension degree must be >= 1")
         if p ** a > MAX_Q:
             raise ValueError(f"q = {p ** a} exceeds supported table size {MAX_Q}")
-        if modulus is None:
-            modulus = _smallest_irreducible(p, a)
+        if modulus is None and a == 1:
+            modulus = (0, 1)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != a + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree a")
-            if not _fp_is_irreducible(modulus, p):
-                raise ValueError("modulus is reducible over GF(p)")
+            # the moduli are the monic irreducibles of degree a over the prime field
+            irreducibles = [f.index_coeffs() for f in FieldSpec(p).monic_irreducibles(a)]
+            if modulus is None:
+                modulus = irreducibles[0]
+            else:
+                modulus = tuple(int(c) % p for c in modulus)
+                if len(modulus) != a + 1 or modulus[-1] != 1:
+                    raise ValueError("modulus must be monic of degree a")
+                if modulus not in irreducibles:
+                    raise ValueError("modulus is reducible over GF(p)")
         self.p = p
         self.a = a
         self.q = p ** a

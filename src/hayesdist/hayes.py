@@ -14,6 +14,11 @@ of degree t + ell; that canonical representative fixes the class indexing
 used everywhere: classes are numbered by the enumeration order of their
 representatives.
 
+Codes come from one array kernel (`ClassGroup._reduce` / `_codes`) on rows
+of index coefficients.  `ClassGroup.classes_of` labels a block of monic
+polynomials of one degree with it, and `class_of` is its one-row form;
+`signature` is the object-level definition the kernel is tested against.
+
 Phi_j(Q) counts monic degree-j polynomials coprime to Q; it is computed by
 inclusion-exclusion over the distinct irreducible factors of Q, and the same
 factorization drives the coprimality checks.
@@ -137,9 +142,10 @@ class ClassGroup:
 
     Classes are indexed 0..n-1 in the enumeration order of their canonical
     representatives; a dense lookup maps each of the q^(ell+t) codes to its
-    class, or to -1 when the residue is not coprime to Q.  Construction works
-    on arrays of polynomials with the field's numpy tables.  The whole
-    structure is immutable after construction; queries are pure.
+    class, or to -1 when the residue is not coprime to Q.  Construction,
+    class counts and labels all go through `classes_of`, on arrays of
+    polynomials with the field's numpy tables.  The whole structure is
+    immutable after construction; queries are pure.
     """
 
     def __init__(self, params: HayesParams, max_classes: int | None = None):
@@ -171,7 +177,6 @@ class ClassGroup:
             raise RuntimeError(f"class count {keep.sum()} != q^ell * Phi_t(Q) = {expected}")
         self._lookup = np.full(q ** (t + ell), -1, dtype=np.int32)
         self._lookup[codes[keep]] = np.arange(expected)
-        self._lookup_i = tuple(self._lookup.tolist())  # for the scalar path
         rows = cands[keep]
         self.reps = tuple(Polynomial(spec, r) for r in rows.tolist())
         self.identity = self.class_of(Polynomial.one(spec))
@@ -214,29 +219,6 @@ class ClassGroup:
             code = code * q + (f[:, d - j] if j <= d else 0)
         return code
 
-    def _code_of(self, fidx: tuple[int, ...]) -> int:
-        """Signature code of one monic polynomial given as an index-coefficient
-        tuple: the scalar form of `_codes`, in plain Python for per-call speed."""
-        d = len(fidx) - 1
-        q, ell, t = self._q, self._ell, self._t
-        code = 0
-        if t:
-            rem = list(fidx) + [0] * max(t - len(fidx), 0)
-            mul_i, sub_i, Qi = self._spec._mul_i, self._spec._sub_i, self._Q_idx
-            for i in range(d, t - 1, -1):
-                c = rem[i]
-                if c:
-                    row = mul_i[c]
-                    for jj in range(t):
-                        qj = Qi[jj]
-                        if qj:
-                            rem[i - t + jj] = sub_i[rem[i - t + jj]][row[qj]]
-            for c in reversed(rem[:t]):
-                code = code * q + c
-        for j in range(ell, 0, -1):
-            code = code * q + (fidx[d - j] if j <= d else 0)
-        return code
-
     def _build_mul_table(self, rows: np.ndarray) -> None:
         """Fill the table one row (i -> i*c) at a time.  A class g outside the
         subgroup H generated so far gets its row from the array product of all
@@ -255,7 +237,7 @@ class ClassGroup:
             for j, b in enumerate(rows[g].tolist()):
                 if b:
                     prod[:, j:j + width] = add[prod[:, j:j + width], mul[b][rows]]
-            row = table[g] = self._lookup[self._codes(prod)]
+            row = table[g] = self.classes_of(prod)
             coset = subgroup
             while not known[row[coset[0]]]:  # cosets are disjoint or equal
                 nxt = row[coset]
@@ -287,12 +269,20 @@ class ClassGroup:
         is the class function eps -> v(eps * c)."""
         return self.mul_table[c]
 
+    def classes_of(self, rows) -> np.ndarray:
+        """Class indices of monic polynomials of one degree, given as rows of
+        index coefficients (constant term first, leading one last): an int32
+        array with -1 where gcd(f, Q) != 1."""
+        rows = np.asarray(rows, dtype=np.uint8)  # ragged rows raise ValueError
+        if rows.ndim == 2 and rows.shape[1] and (rows[:, -1] == 1).all():
+            return self._lookup[self._codes(rows)]
+        if rows.shape == (0,):
+            return np.empty(0, dtype=np.int32)
+        raise ValueError("classes_of expects monic polynomials of one degree")
+
     def class_of(self, f: Polynomial) -> int | None:
         """Class index of a monic f, or None when gcd(f, Q) != 1."""
-        fidx = f.index_coeffs()
-        if not fidx or fidx[-1] != 1:
-            raise ValueError("class_of expects a monic polynomial")
-        idx = self._lookup_i[self._code_of(fidx)]
+        idx = int(self.classes_of([f.index_coeffs()])[0])
         return idx if idx >= 0 else None
 
     def member_base(self, eps: int, d: int) -> Polynomial:
@@ -329,8 +319,8 @@ class ClassGroup:
             while self._q ** free > _BLOCK_ROWS:
                 free -= 1
             for prefix in itertools.product(range(self._q), repeat=d - free):
-                codes = self._codes(self._monic_rows(d, prefix))
-                counts += np.bincount(self._lookup[codes] + 1, minlength=len(counts))
+                classes = self.classes_of(self._monic_rows(d, prefix))
+                counts += np.bincount(classes + 1, minlength=len(counts))
             weights = counts[1:].astype(np.float64)
             weights.flags.writeable = False
             self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]), weights)

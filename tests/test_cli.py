@@ -221,7 +221,8 @@ def test_truncated_binomial_verdicts_match_fraction_form():
 def test_weil_and_series_work_counts(capsys):
     # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..ell+t+2 = 4,
     # class counts of degrees 0..4; series-check --d-max 3: degrees 0..3 counted
-    # and classified, oracle at k = 0, 1 on n = 2 points
+    # and classified, oracle at k = 0, 1 on n = 2 points, factorization pairs
+    # as in the moments-check case
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
     assert code == 0
     assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9 + 27 + 81, "character_sums": 5 * 5}
@@ -229,7 +230,16 @@ def test_weil_and_series_work_counts(capsys):
     assert code == 0
     assert data["work"] == {
         "classes": 6, "monic_enumerated": 40, "polynomials_checked": 40, "comparisons": 6 * (1 + 3) * 2,
+        "factorization_pairs": 7 + 3,
     }
+
+
+def test_series_check_counts_factorization_pairs(capsys):
+    # Q = x^2 + 1 has no root in GF(3), so n = 3; d-max 4 = t + ell leaves
+    # k = 0 alone: C(3, j) * 3^(4 - j) pairs for j = 1..4
+    code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "2", "--Q", "x^2 + 1", "--d-max", "4"])
+    assert code == 0 and data["pass"]
+    assert data["work"]["factorization_pairs"] == 3 * 27 + 3 * 9 + 1 * 3 == 111
 
 
 def test_csv_header_carries_engine(capsys):

@@ -271,6 +271,30 @@ class TestFactorizationCounts:
                         assert abs(split.value - Ws[j][eps]) <= 1e-6 * q ** k
                         assert abs(split.value.imag) <= 1e-6 * q ** k
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_character_route_random_configurations(self, fields, groups, data):
+        p, a = data.draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]), label="field")
+        q = p ** a
+        t = data.draw(st.integers(0, 2), label="t")
+        ell = data.draw(st.integers(0 if t else 1, 2), label="ell")  # t + ell >= 1: some j > k
+        if q ** (t + ell) > 64:  # keeps |G| and the character table small
+            ell = 0
+        low = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t), label="Q")
+        G = groups(p, a, ell, Polynomial(fields(p, a), (*low, 1)).to_text())
+        pts = default_point_set(G.params)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)), label="D")
+        sub = tuple(x for x, kept in zip(pts, keep) if kept)
+        k = data.draw(st.integers(0, 2 if q ** (t + ell) <= 16 else 1), label="k")
+        j = data.draw(st.integers(k + 1, k + t + ell), label="j")
+        W = factorization_counts(G, j, k, sub)
+        table = character_table(G)
+        for eps in range(G.order):
+            split = factorization_count_by_characters(G, table, j, eps, k, sub)
+            assert abs(split.value - W[eps]) <= 1e-6 * q ** k, eps
+            # the main term is the class average of the counts
+            assert split.main_term == Fraction(sum(W), G.order)
+
     def test_character_route_trivial_group_has_no_remainder(self, groups):
         # the only order-1 group with a nonempty j-range: ell = 0, Q = x^2 + x
         G = groups(2, 1, 0, "x^2 + x")

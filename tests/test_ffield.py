@@ -3,12 +3,11 @@ import random
 
 import pytest
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_rem, gf_sub
+from sympy.polys.galoistools import gf_add, gf_gcdex, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_sub
 
 from hayesdist.ffield import (
     FieldSpec,
     Polynomial,
-    _fp_is_irreducible,
     distinct_roots_in,
     enumerate_below_degree,
     enumerate_monic,
@@ -32,16 +31,33 @@ def test_rejects_reducible_modulus():
         FieldSpec(2, 2, modulus=(0, 1, 1))  # divisible by x
 
 
+def sympy_irreducible(coeffs, p):
+    """sympy's irreducibility test on a little-endian coefficient tuple over GF(p)."""
+    return gf_irreducible_p([ZZ(c) for c in reversed(coeffs)], p, ZZ)
+
+
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2)])
 def test_default_modulus_is_smallest_irreducible(p, a):
     spec = FieldSpec(p, a)
-    assert _fp_is_irreducible(spec.modulus, p)
+    assert sympy_irreducible(spec.modulus, p)
     # oracle: every lexicographically smaller monic candidate is reducible
     for low in itertools.product(range(p), repeat=a):
         cand = (*low, 1)
         if cand == spec.modulus:
             break
-        assert not _fp_is_irreducible(cand, p)
+        assert not sympy_irreducible(cand, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_explicit_modulus_accepted_iff_irreducible(p):
+    for a in (1, 2, 3):
+        for low in itertools.product(range(p), repeat=a):
+            cand = (*low, 1)
+            if sympy_irreducible(cand, p):
+                assert FieldSpec(p, a, modulus=cand).modulus == cand
+            else:
+                with pytest.raises(ValueError, match="reducible"):
+                    FieldSpec(p, a, modulus=cand)
 
 
 def test_gf4_multiplication_reduces_by_modulus():

@@ -301,26 +301,49 @@ ORACLE_GROUPS = [
 
 @pytest.mark.parametrize("p,a,ell,q_text,order", ORACLE_GROUPS)
 def test_group_against_polynomial_oracle(fields, groups, p, a, ell, q_text, order):
-    """Representatives, products and class counts against object-level
-    polynomial arithmetic (gcd, products, class_of one polynomial at a time)."""
+    """Representatives, products, class labels and class counts against
+    object-level polynomial arithmetic: gcd, products and signature(), never
+    the array kernel that labels classes."""
     G = groups(p, a, ell, q_text)
     spec = fields(p, a)
-    Q = G.params.Q
+    params = G.params
+    Q = params.Q
     assert G.order == order
     assert list(G.reps) == [f for f in enumerate_monic(spec, Q.degree + ell) if f.gcd(Q).is_one]
+    by_signature = {signature(rep, params): i for i, rep in enumerate(G.reps)}
+
+    def label(f):
+        sig = signature(f, params)
+        return -1 if sig is None else by_signature[sig]
+
+    assert G.identity == label(Polynomial.one(spec))
     rng = random.Random(order)
     for _ in range(300):
         i, j = rng.randrange(order), rng.randrange(order)
-        assert G.mul(i, j) == G.class_of(G.reps[i] * G.reps[j])
+        assert G.mul(i, j) == label(G.reps[i] * G.reps[j])
         assert G.mul(i, G.inv(i)) == G.identity
     for d in range(4):
-        by_polynomial = [0] * order
-        dropped = 0
-        for f in enumerate_monic(spec, d):
-            eps = G.class_of(f)
-            if eps is None:
-                dropped += 1
-            else:
-                by_polynomial[eps] += 1
-        assert G.monic_class_counts(d) == by_polynomial
-        assert G.noncoprime_count(d) == dropped
+        polys = list(enumerate_monic(spec, d))
+        want = [label(f) for f in polys]
+        got = G.classes_of([f.index_coeffs() for f in polys])
+        assert got.tolist() == want
+        assert (got == -1).tolist() == [not f.gcd(Q).is_one for f in polys]
+        counts = np.bincount(np.array(want) + 1, minlength=order + 1)
+        assert G.monic_class_counts(d) == counts[1:].tolist()
+        assert G.noncoprime_count(d) == counts[0]
+
+
+def test_classes_of_input_checks(fields, groups):
+    F3 = fields(3)
+    G = groups(3, 1, 1, "x")
+    assert G.class_of(Polynomial.one(F3)) == G.identity
+    assert G.class_of(Polynomial.x(F3)) is None  # gcd(x, Q) = x
+    assert G.classes_of([]).shape == (0,)
+    assert G.classes_of(np.zeros((0, 3), dtype=np.uint8)).shape == (0,)
+    assert G.classes_of([(1,), (1,)]).tolist() == [G.identity] * 2
+    for bad in ([(0, 2)], [(1, 1), (1, 2)], [()], [(1, 0, 1), (0, 1)], [1, 1]):
+        with pytest.raises(ValueError):
+            G.classes_of(bad)
+    for f in (Polynomial.zero(F3), Polynomial(F3, (0, 2))):
+        with pytest.raises(ValueError):
+            G.class_of(f)
