@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, HypothesisError, ValidationError
 from .ffield import FieldSpec, FqElement, Polynomial, distinct_roots_in, enumerate_monic
-from .hayes import ClassGroup, HayesParams, HayesSignature, class_group, equivalent, phi, signature
+from .hayes import ClassGroup, HayesParams, HayesSignature, equivalent, phi, signature
 from .chars import character_table, l_polynomial
 from .dist import (
     ZeroDistribution,
@@ -32,7 +32,6 @@ __all__ = [
     "ClassGroup",
     "HayesParams",
     "HayesSignature",
-    "class_group",
     "equivalent",
     "phi",
     "signature",

@@ -1,12 +1,9 @@
 """Characters of the Hayes class group and their L-polynomials.
 
-The group is decomposed greedily into a direct product of cyclic factors:
-repeatedly take an element whose order in the quotient by what is already
-generated is maximal *and* whose order in the full group equals that
-quotient order (such a lift always exists; the search is exhaustive over
-the tiny groups handled here).  The exponent coordinates produced this way
-make every map  class -> exponent tuple  a genuine homomorphism onto
-Z_{n_1} x ... x Z_{n_m}, which is what the character construction needs.
+Characters are read off the group's direct-product decomposition
+(`ClassGroup.orders` and `dlog`): the map  class -> exponent tuple  is a
+homomorphism onto Z_{n_1} x ... x Z_{n_m}, which is what the character
+construction needs.
 
 Character values are complex floats; the verification layer tolerances
 (orthogonality 1e-9, coefficient vanishing 1e-6 scaled) absorb the rounding.
@@ -30,22 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_budget
-from .hayes import ClassGroup
+from .hayes import ClassGroup, HayesParams
 
 COEFF_ZERO_TOL = 1e-9  # below this magnitude an L-polynomial coefficient is treated as zero
-
-
-@dataclass(frozen=True)
-class AbelianDecomposition:
-    """Generators (class indices), their cyclic orders, and the exponent map."""
-
-    generators: tuple[int, ...]
-    orders: tuple[int, ...]
-    dlog: dict[int, tuple[int, ...]]
-
-    @property
-    def group_order(self) -> int:
-        return math.prod(self.orders)
 
 
 @dataclass(frozen=True)
@@ -60,85 +44,29 @@ class Character:
         return all(e == 0 for e in self.exponents)
 
 
-def _element_order(group: ClassGroup, x: int) -> int:
-    e = group.identity
-    y = x
-    n = 1
-    while y != e:
-        y = group.mul(y, x)
-        n += 1
-    return n
-
-
-def decompose(group: ClassGroup) -> AbelianDecomposition:
-    """Greedy direct-product decomposition of the (finite abelian) class group."""
-    n = group.order
-    identity = group.identity
-    dlog: dict[int, tuple[int, ...]] = {identity: ()}
-    generators: list[int] = []
-    orders: list[int] = []
-    element_order = {x: _element_order(group, x) for x in range(n)}
-    while len(dlog) < n:
-        # quotient order of x = least m >= 1 with x^m already generated
-        best_x, best_m = -1, 0
-        for x in range(n):
-            if x in dlog:
-                continue
-            y = x
-            m = 1
-            while y not in dlog:
-                y = group.mul(y, x)
-                m += 1
-            if m > best_m:
-                best_x, best_m = x, m
-        # among elements of maximal quotient order, a lift with matching
-        # full order exists; take the first for determinism
-        chosen = -1
-        for x in range(n):
-            if x in dlog or element_order[x] != best_m:
-                continue
-            y = x
-            m = 1
-            while y not in dlog:
-                y = group.mul(y, x)
-                m += 1
-            if m == best_m:
-                chosen = x
-                break
-        if chosen < 0:
-            raise RuntimeError("no direct-summand lift found; group table is corrupt")
-        generators.append(chosen)
-        orders.append(best_m)
-        new_dlog: dict[int, tuple[int, ...]] = {}
-        power = identity
-        for e in range(best_m):
-            for h, tup in dlog.items():
-                new_dlog[group.mul(h, power)] = tup + (e,)
-            power = group.mul(power, chosen)
-        if len(new_dlog) != len(dlog) * best_m:
-            raise RuntimeError("decomposition is not direct; group table is corrupt")
-        dlog = new_dlog
-    return AbelianDecomposition(tuple(generators), tuple(orders), dlog)
+def decompose(group: ClassGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Generators (class indices) and cyclic orders of the group's
+    direct-product decomposition, which `ClassGroup` computes once.  A read
+    of its fields, kept because the benchmark's tracer wraps it by name."""
+    return group.generators, group.orders
 
 
 class CharacterTable:
     """All |E| characters, as a dense complex matrix values[chi, class]."""
 
-    def __init__(self, decomposition: AbelianDecomposition):
-        self.decomposition = decomposition
-        n = decomposition.group_order
-        m = len(decomposition.orders)
-        dmat = np.zeros((n, m), dtype=np.float64)
-        for cls, tup in decomposition.dlog.items():
-            dmat[cls] = tup
+    def __init__(self, group: ClassGroup):
+        self.orders = group.orders
+        n = group.order
+        m = len(self.orders)
+        dmat = group.dlog.astype(np.float64)
         exps = np.array(
-            [tup for tup in _exponent_tuples(decomposition.orders)], dtype=np.float64
+            list(itertools.product(*[range(o) for o in self.orders])), dtype=np.float64
         ).reshape(n, m)
         self.characters = tuple(
             Character(tuple(int(e) for e in row)) for row in exps
         )
         if m:
-            scaled = exps / np.array(decomposition.orders, dtype=np.float64)
+            scaled = exps / np.array(self.orders, dtype=np.float64)
             phase = 2j * np.pi * (scaled @ dmat.T)
             self.values = np.exp(phase, out=phase)  # in place: one |G|^2 complex array at peak
         else:
@@ -155,19 +83,8 @@ class CharacterTable:
         return [i for i, c in enumerate(self.characters) if not c.is_trivial]
 
 
-def _exponent_tuples(orders: tuple[int, ...]):
-    if not orders:
-        yield ()
-        return
-    yield from itertools.product(*[range(o) for o in orders])
-
-
-def all_characters(decomposition: AbelianDecomposition) -> CharacterTable:
-    return CharacterTable(decomposition)
-
-
 def character_table(group: ClassGroup) -> CharacterTable:
-    return CharacterTable(decompose(group))
+    return CharacterTable(group)
 
 
 def weil_bound(j: int, t: int, ell: int, q: int) -> float:
@@ -217,6 +134,11 @@ class LPolynomial:
         return tuple(abs(z) for z in self.roots)
 
 
+def check_l_polynomial_budget(params: HayesParams, budget: int | None = None) -> None:
+    """Refuse an L-polynomial whose sums enumerate monic degrees up to t + ell + 2."""
+    check_budget("L-polynomial enumeration q^j", params.spec.q ** (params.ell + params.t + 2), budget)
+
+
 def l_polynomial(
     table: CharacterTable, chi: int, group: ClassGroup, budget: int | None = None
 ) -> LPolynomial:
@@ -226,7 +148,7 @@ def l_polynomial(
     params = group.params
     degree_bound = params.ell + params.t - 1
     top = params.ell + params.t + 2
-    check_budget("L-polynomial enumeration q^j", params.spec.q ** top, budget)
+    check_l_polynomial_budget(params, budget)
     coeffs = tuple(character_sum(table, chi, j, group, budget) for j in range(top + 1))
     degree = 0
     for j in range(min(degree_bound, top), 0, -1):

@@ -22,6 +22,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .asym import (
     poisson_pmf,
     w_remainder_bound,
 )
-from .chars import character_table, l_polynomial, weil_bound
+from .chars import character_table, check_l_polynomial_budget, l_polynomial, weil_bound
 from .comb import (
     binomial_lower_bound,
     coordinate_sieve_check,
@@ -188,6 +189,8 @@ def cmd_moments_check(args) -> int:
 
 def cmd_weil(args) -> int:
     spec, params, group = _build_group(args)
+    if group.order > 1:  # refuse before the |G|^2 table is built
+        check_l_polynomial_budget(params, args.max_enum)
     table = character_table(group)
     q, t, ell = spec.q, params.t, params.ell
     out = []
@@ -213,7 +216,7 @@ def cmd_weil(args) -> int:
             entry["root_moduli"] = list(L.root_moduli())
         out.append(entry)
     _emit(args, {
-        "characters": out, "orders": list(table.decomposition.orders), "pass": ok,
+        "characters": out, "orders": list(table.orders), "pass": ok,
         "engine": "characters",
         "work": {
             "classes": group.order,
@@ -382,26 +385,31 @@ def cmd_approx(args) -> int:
     points = default_point_set(params)
     n = len(points)
     dists = exact_distributions_all(group, args.k, points, budget=args.max_enum)
-    # the limit shapes depend on r alone: one exact mu mass per support value
-    mu_masses = [mu_binomial_pmf(r, n, q, args.k, t, ell) for r in range(min(n, args.k + t + ell) + 1)]
+    # the limit shapes depend on r alone: one exact mu mass and one set of
+    # limit-shape columns per support value r <= n
+    shapes = []
+    for r in range(min(n, args.k + t + ell) + 1):
+        mu_mass = mu_binomial_pmf(r, n, q, args.k, t, ell)
+        shapes.append((mu_mass, {
+            "binomial": float(binomial_pmf(r, n, q)),
+            "poisson": poisson_pmf(r, n, q),
+            "mu_mass": float(mu_mass),
+            "envelope": float(binomial_envelope(r, n, q, args.k)) if r < args.k else "",
+        }))
     rows = []
     for eps in range(group.order):
         for r in sorted(dists[eps].counts):
             exact = dists[eps].probability(r)
-            mu_mass = mu_masses[r]
-            row = {
+            mu_mass, shape = shapes[r]
+            rows.append({
                 "eps": eps,
                 "r": r,
                 "count": str(dists[eps].counts[r]),
                 "exact": _frac(exact),
                 "exact_float": float(exact),
-                "binomial": float(binomial_pmf(r, n, q)) if r <= n else 0.0,
-                "poisson": poisson_pmf(r, n, q),
-                "mu_mass": float(mu_mass),
                 "ratio_to_mu": float(exact / mu_mass) if mu_mass else float("inf"),
-                "envelope": float(binomial_envelope(r, n, q, args.k)) if r < args.k else "",
-            }
-            rows.append(row)
+                **shape,
+            })
     columns = [
         "eps", "r", "count", "exact", "exact_float", "binomial", "poisson",
         "mu_mass", "ratio_to_mu", "envelope",
@@ -579,6 +587,13 @@ def run(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         # an internal consistency check failed (class count, decomposition)
         record = {"error": "internal", "type": type(exc).__name__, "message": str(exc)}
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): point the real stdout at
+        # devnull so that the interpreter's last flush cannot fail again
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(json.dumps({"error": "broken-pipe"}) + "\n")
+        return 1
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
     return 1
 

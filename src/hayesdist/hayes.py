@@ -14,6 +14,10 @@ of degree t + ell; that canonical representative fixes the class indexing
 used everywhere: classes are numbered by the enumeration order of their
 representatives.
 
+The group is a direct product of cyclic factors with generators g_1..g_m of
+orders n_1..n_m; a class is stored by its exponent tuple (its *dlog*), and
+products, inverses and translations are index arithmetic on those tuples.
+
 Codes come from one array kernel (`ClassGroup._reduce` / `_codes`) on rows
 of index coefficients.  `ClassGroup.classes_of` labels a block of monic
 polynomials of one degree with it, and `class_of` is its one-row form;
@@ -27,6 +31,7 @@ factorization drives the coprimality checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,14 +143,16 @@ _BLOCK_ROWS = 1 << 14  # monic polynomials per array block in monic_class_counts
 
 
 class ClassGroup:
-    """The group of Hayes classes, with dense multiplication table.
+    """The group of Hayes classes, in discrete-log coordinates.
 
     Classes are indexed 0..n-1 in the enumeration order of their canonical
     representatives; a dense lookup maps each of the q^(ell+t) codes to its
     class, or to -1 when the residue is not coprime to Q.  Construction,
     class counts and labels all go through `classes_of`, on arrays of
-    polynomials with the field's numpy tables.  The whole structure is
-    immutable after construction; queries are pure.
+    polynomials with the field's numpy tables.  `generators` and `orders`
+    give the decomposition, `dlog[i]` the exponent tuple of class i, and
+    the memory is O(|G| m).  The whole structure is immutable after
+    construction; queries are pure.
     """
 
     def __init__(self, params: HayesParams, max_classes: int | None = None):
@@ -179,8 +186,9 @@ class ClassGroup:
         self._lookup[codes[keep]] = np.arange(expected)
         rows = cands[keep]
         self.reps = tuple(Polynomial(spec, r) for r in rows.tolist())
+        self._rows = rows
         self.identity = self.class_of(Polynomial.one(spec))
-        self._build_mul_table(rows)
+        self._decompose()
         self._counts_cache: dict[int, tuple[list[int], int, np.ndarray]] = {}
 
     # -- class codes -------------------------------------------------------------
@@ -219,35 +227,71 @@ class ClassGroup:
             code = code * q + (f[:, d - j] if j <= d else 0)
         return code
 
-    def _build_mul_table(self, rows: np.ndarray) -> None:
-        """Fill the table one row (i -> i*c) at a time.  A class g outside the
-        subgroup H generated so far gets its row from the array product of all
-        representatives with its own; the rows of the cosets g H, g^2 H, ...
-        follow by composition, row(g h) = row(g)[row(h)], one gather each."""
-        n, width = rows.shape
+    def _products(self, a, b) -> np.ndarray:
+        """Classes of reps[a_i] * reps[b_i] for index arrays a and b (either
+        may be a single index), by one array product of the representatives."""
+        a, b = np.broadcast_arrays(a, b)
+        A, B = self._rows[a], self._rows[b]
+        width = self._rows.shape[1]
         add, mul = self._spec.add_table, self._spec.mul_table
-        table = np.empty((n, n), dtype=np.int32)
-        table[self.identity] = np.arange(n)
-        known = np.arange(n) == self.identity
-        subgroup = np.array([self.identity])
-        for g in range(n):
-            if known[g]:
-                continue
-            prod = np.zeros((n, 2 * width - 1), dtype=np.uint8)
-            for j, b in enumerate(rows[g].tolist()):
-                if b:
-                    prod[:, j:j + width] = add[prod[:, j:j + width], mul[b][rows]]
-            row = table[g] = self.classes_of(prod)
-            coset = subgroup
-            while not known[row[coset[0]]]:  # cosets are disjoint or equal
-                nxt = row[coset]
-                for h, gh in zip(coset.tolist(), nxt.tolist()):
-                    table[gh] = row[table[h]]
-                known[nxt] = True
-                subgroup = np.concatenate([subgroup, nxt])
-                coset = nxt
-        self.mul_table = table
-        self.inverse = np.array([np.argmax(r == self.identity) for r in table], dtype=np.int32)
+        prod = np.zeros((len(a), 2 * width - 1), dtype=np.uint8)
+        for j in range(width):
+            prod[:, j:j + width] = add[prod[:, j:j + width], mul[A[:, j:j + 1], B]]
+        return self.classes_of(prod)
+
+    def _power(self, x: np.ndarray, e: int) -> np.ndarray:
+        """Classes x_i^e for e >= 1, by square-and-multiply on the whole array."""
+        out = None
+        while True:
+            if e & 1:
+                out = x if out is None else self._products(out, x)
+            e >>= 1
+            if not e:
+                return out
+            x = self._products(x, x)
+
+    def _decompose(self) -> None:
+        """Greedy direct-product decomposition: repeatedly take the first class
+        whose order modulo the subgroup H generated so far is maximal *and*
+        equals its full order (such a lift always exists).  H is listed so
+        that position sum_i dlog_i * stride_i holds the class with that dlog."""
+        n = len(self.reps)
+        everything = np.arange(n)
+        ladders = []
+        for p, v in _prime_powers(n):
+            rung = self._power(everything, n // p ** v)
+            ladder = [rung]
+            for _ in range(v - 1):
+                ladder.append(rung := self._power(rung, p))
+            ladders.append((p, np.array(ladder)))
+        member = everything == self.identity
+        order = _orders_mod(ladders, member)
+        elements = np.array([self.identity])
+        generators, orders = [], []
+        while len(elements) < n:
+            quotient = _orders_mod(ladders, member)
+            m = int(quotient.max())
+            lifts = np.flatnonzero((quotient == m) & (order == m))
+            if m < 2 or not len(lifts):
+                raise RuntimeError("no direct-summand lift found; group arithmetic is corrupt")
+            g = int(lifts[0])
+            powers = np.array([self.identity, g])
+            while len(powers) < m:  # g^0..g^(2L-1) from g^0..g^(L-1) and g^L
+                powers = np.concatenate([powers, self._products(powers, self._products(powers[-1:], g))])
+            elements = self._products(np.repeat(elements, m), np.tile(powers[:m], len(elements)))
+            member[elements] = True
+            if elements.min() < 0 or member.sum() != len(elements):
+                raise RuntimeError("decomposition is not direct; group arithmetic is corrupt")
+            generators.append(g)
+            orders.append(m)
+        self.generators = tuple(generators)
+        self.orders = tuple(orders)
+        self._radix = np.array(orders, dtype=np.int64)
+        self._strides = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
+        self._eps_of = elements
+        self.dlog = np.empty((n, len(orders)), dtype=np.int64)
+        self.dlog[elements] = everything[:, None] // self._strides % self._radix
+        self.dlog.flags.writeable = False
 
     # -- queries ----------------------------------------------------------------
 
@@ -258,16 +302,20 @@ class ClassGroup:
     def __len__(self) -> int:
         return len(self.reps)
 
+    def _class_at(self, dlog: np.ndarray) -> np.ndarray:
+        """Classes with the exponent tuples in the last axis of dlog (taken mod the orders)."""
+        return self._eps_of[dlog % self._radix @ self._strides]
+
     def mul(self, i: int, j: int) -> int:
-        return int(self.mul_table[i, j])
+        return int(self._class_at(self.dlog[i] + self.dlog[j]))
 
     def inv(self, i: int) -> int:
-        return int(self.inverse[i])
+        return int(self._class_at(-self.dlog[i]))
 
     def translation(self, c: int) -> np.ndarray:
         """Index array of i -> i*c over all classes, so that v[translation(c)]
         is the class function eps -> v(eps * c)."""
-        return self.mul_table[c]
+        return self._class_at(self.dlog + self.dlog[c])
 
     def classes_of(self, rows) -> np.ndarray:
         """Class indices of monic polynomials of one degree, given as rows of
@@ -354,5 +402,27 @@ class ClassGroup:
         )
 
 
-def class_group(params: HayesParams, max_classes: int | None = None) -> ClassGroup:
-    return ClassGroup(params, max_classes=max_classes)
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, v) for each prime power p^v exactly dividing n."""
+    out, p = [], 2
+    while n > 1:
+        v = 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        if v:
+            out.append((p, v))
+        p += 1
+    return out
+
+
+def _orders_mod(ladders: list[tuple[int, np.ndarray]], member: np.ndarray) -> np.ndarray:
+    """Order of every class modulo the subgroup H marked by `member`.
+
+    For each prime power p^v exactly dividing |G| a ladder holds the rows
+    x^(|G|/p^v), x^(p |G|/p^v), ..., x^(|G|/p) over all classes x.  The p-part
+    of the order of xH is p^a for the least a whose row lies in H; once a row
+    lies in H so do the later ones, so a is the number of rows outside H."""
+    order = np.ones(len(member), dtype=np.int64)
+    for p, ladder in ladders:
+        order *= p ** (~member[ladder]).sum(axis=0)
+    return order

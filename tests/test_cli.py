@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hayesdist import cli
@@ -255,7 +259,7 @@ def _weil_bound_violated(monkeypatch):
 
 
 def _decomposition_lift_missing(monkeypatch):
-    monkeypatch.setattr("hayesdist.chars._element_order", lambda group, x: 0)
+    monkeypatch.setattr("hayesdist.hayes._orders_mod", lambda ladders, member: np.zeros(len(member), dtype=int))
 
 
 def _class_count_mismatch(monkeypatch):
@@ -278,6 +282,49 @@ def test_internal_errors_become_records(capsys, monkeypatch, corrupt, error, exc
     assert code == 1
     assert data["error"] == error and data["type"] == exc_type
     assert data["message"]
+
+
+def test_weil_refuses_before_the_character_table(capsys, monkeypatch):
+    def table_built(group):
+        raise AssertionError("character table built on a refused run")
+
+    monkeypatch.setattr("hayesdist.cli.character_table", table_built)
+    code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x", "--max-enum", "10"])
+    assert code == 2
+    assert data == {"budget": 10, "error": "budget-exceeded", "value": 3 ** 4, "what": "L-polynomial enumeration q^j"}
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_broken_pipe_is_a_record(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = run(["rs", "--p", "3", "--k", "2", "--ell", "1", "--census"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == '{"error": "broken-pipe"}\n'
+
+
+def test_broken_pipe_in_a_real_pipe():
+    # a pipe whose read end is closed before the child writes: no traceback,
+    # no message from the interpreter's last flush, only the record
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hayesdist.cli", "rs", "--p", "3", "--k", "2", "--ell", "1", "--census"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b'{"error": "broken-pipe"}\n'
 
 
 def test_validation_failure_exit_code(capsys):

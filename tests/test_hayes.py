@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -186,13 +187,14 @@ class TestClassGroup:
     def test_mul_table_is_abelian_group(self, groups):
         for key in [(2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 2, "x + 1"), (2, 2, 1, "1")]:
             G = groups(*key)
-            mt = G.mul_table
             n = G.order
+            mt = np.array([[G.mul(i, j) for j in range(n)] for i in range(n)])
             assert np.array_equal(mt, mt.T)
             for i in range(n):
                 assert sorted(mt[i]) == list(range(n))
                 assert mt[G.identity, i] == i
-                assert mt[i, G.inv(i)] == G.identity
+                assert G.mul(i, G.inv(i)) == G.identity
+                assert G.translation(i).tolist() == mt[:, i].tolist()
             rng = random.Random(17)
             for _ in range(30):
                 i, j, k = (rng.randrange(n) for _ in range(3))
@@ -331,6 +333,54 @@ def test_group_against_polynomial_oracle(fields, groups, p, a, ell, q_text, orde
         counts = np.bincount(np.array(want) + 1, minlength=order + 1)
         assert G.monic_class_counts(d) == counts[1:].tolist()
         assert G.noncoprime_count(d) == counts[0]
+
+
+# (generators, orders) of the greedy decomposition, recorded from the
+# multiplication-table construction: `weil` artifacts carry the orders and
+# the exponent tuples that depend on them.
+DECOMPOSITIONS = {
+    (2, 1, 0, "1"): ((), ()),
+    (2, 1, 1, "1"): ((1,), (2,)),
+    (2, 2, 1, "1"): ((1, 2), (2, 2)),
+    (2, 1, 1, "x"): ((1,), (2,)),
+    (3, 1, 1, "x"): ((4,), (6,)),
+    (2, 1, 2, "x + 1"): ((1,), (4,)),
+    (3, 1, 2, "1"): ((1, 2), (3, 3)),
+    (2, 2, 1, "x"): ((1, 6), (6, 2)),
+    (2, 1, 2, "x"): ((1,), (4,)),
+    (2, 1, 1, "x^2 + x + 1"): ((1,), (6,)),
+    (3, 1, 1, "1"): ((1,), (3,)),
+    (5, 1, 1, "1"): ((1,), (5,)),
+    (2, 1, 2, "1"): ((1,), (4,)),
+    (7, 1, 1, "x^2 + 1"): ((2,), (336,)),
+    (5, 1, 2, "x^2 + 2"): ((2, 19), (120, 5)),
+    (5, 1, 1, "x^3 + x + 1"): ((4,), (620,)),
+    (2, 3, 1, "x^2 + 3*x + 2"): ((1, 2, 34), (14, 14, 2)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DECOMPOSITIONS))
+def test_decomposition_is_pinned(groups, key):
+    G = groups(*key)
+    assert (G.generators, G.orders) == DECOMPOSITIONS[key]
+    assert G.dlog.shape == (G.order, len(G.orders))
+
+
+def test_coordinates_beyond_the_class_cap(fields):
+    """|G| = 16384 over GF(128): sampled products, inverses and translations
+    from the coordinates against classes of polynomial products."""
+    spec = fields(2, 7)
+    G = ClassGroup(HayesParams(2, Polynomial.one(spec)), max_classes=1 << 14)
+    assert G.order == 1 << 14 and math.prod(G.orders) == G.order
+    rng = random.Random(128)
+    for _ in range(50):
+        i, j = rng.randrange(G.order), rng.randrange(G.order)
+        assert G.mul(i, j) == G.class_of(G.reps[i] * G.reps[j])
+        assert G.class_of(G.reps[i] * G.reps[G.inv(i)]) == G.identity
+    for c in rng.sample(range(G.order), 3):
+        row = G.translation(c)
+        for i in rng.sample(range(G.order), 20):
+            assert row[i] == G.class_of(G.reps[i] * G.reps[c])
 
 
 def test_classes_of_input_checks(fields, groups):
