@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .errors import BudgetExceededError, HypothesisError, ValidationError
 from .ffield import FieldSpec, FqElement, Polynomial, distinct_roots_in, enumerate_monic
 from .hayes import ClassGroup, HayesParams, HayesSignature, equivalent, phi, signature
-from .chars import character_table, l_polynomial
+from .chars import CharacterTable, l_polynomial
 from .dist import (
     ZeroDistribution,
     classify_word,
@@ -35,7 +35,7 @@ __all__ = [
     "equivalent",
     "phi",
     "signature",
-    "character_table",
+    "CharacterTable",
     "l_polynomial",
     "ZeroDistribution",
     "classify_word",

@@ -2,11 +2,19 @@
 
 Characters are read off the group's direct-product decomposition
 (`ClassGroup.orders` and `dlog`): the map  class -> exponent tuple  is a
-homomorphism onto Z_{n_1} x ... x Z_{n_m}, which is what the character
-construction needs.
+homomorphism onto Z_{n_1} x ... x Z_{n_m}.  The character with exponent
+tuple e sends a class with dlog d to exp(2 pi i sum_i e_i d_i / n_i);
+characters are numbered in `itertools.product` order of their exponent
+tuples, so character 0 is the trivial one.
 
-Character values are complex floats; the verification layer tolerances
-(orthogonality 1e-9, coefficient vanishing 1e-6 scaled) absorb the rounding.
+No |G| x |G| table is built.  The character sums of one degree j,
+
+    S_j(e) = sum over classes c of N_j(c) chi_e(c),
+
+are one inverse FFT of the class counts N_j laid out on the `orders` grid
+by their dlog (`CharacterTable.sums`), and single character values come
+from exact integer phases (`CharacterTable.values_at`).  Both are complex
+floats; an L-polynomial coefficient below COEFF_ZERO_TOL counts as zero.
 A character is extended by zero to polynomials not coprime to Q, which is
 already encoded in the class counts: non-coprime polynomials carry no class.
 
@@ -20,28 +28,15 @@ throughout the error estimates).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import check_budget
-from .hayes import ClassGroup, HayesParams
+from .hayes import ClassGroup
 
 COEFF_ZERO_TOL = 1e-9  # below this magnitude an L-polynomial coefficient is treated as zero
-
-
-@dataclass(frozen=True)
-class Character:
-    """Exponent tuple e: the character sends a class with dlog d to
-    prod_i zeta_{n_i}^(e_i * d_i)."""
-
-    exponents: tuple[int, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
 
 
 def decompose(group: ClassGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -52,39 +47,48 @@ def decompose(group: ClassGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class CharacterTable:
-    """All |E| characters, as a dense complex matrix values[chi, class]."""
+    """The |G| characters of a class group: their exponent tuples, values at
+    chosen classes, and per-degree character sums, in O(|G| m) memory."""
 
     def __init__(self, group: ClassGroup):
         self.orders = group.orders
-        n = group.order
         m = len(self.orders)
-        dmat = group.dlog.astype(np.float64)
-        exps = np.array(
-            list(itertools.product(*[range(o) for o in self.orders])), dtype=np.float64
-        ).reshape(n, m)
-        self.characters = tuple(
-            Character(tuple(int(e) for e in row)) for row in exps
-        )
-        if m:
-            scaled = exps / np.array(self.orders, dtype=np.float64)
-            phase = 2j * np.pi * (scaled @ dmat.T)
-            self.values = np.exp(phase, out=phase)  # in place: one |G|^2 complex array at peak
-        else:
-            self.values = np.ones((1, 1), dtype=np.complex128)
+        # row chi holds the exponent tuple of character chi (itertools.product order)
+        self.exponents = np.indices(self.orders).reshape(m, group.order).T
+        self._group = group
+        self._sums: dict[int, np.ndarray] = {}
 
     @property
     def order(self) -> int:
-        return len(self.characters)
+        return len(self.exponents)
 
-    def value(self, chi: int, cls: int) -> complex:
-        return complex(self.values[chi, cls])
+    def values_at(self, classes) -> np.ndarray:
+        """chi(c) for every character chi (rows) and each class c of
+        `classes` (columns), from the exact phase sum_i e_i d_i N/n_i mod N."""
+        N = math.lcm(*self.orders)
+        weights = np.array([N // n for n in self.orders], dtype=np.int64)
+        d = self._group.dlog[np.asarray(classes, dtype=np.int64)] * weights
+        return np.exp(2j * np.pi * ((self.exponents @ d.T) % N / N))
 
-    def nontrivial(self) -> list[int]:
-        return [i for i, c in enumerate(self.characters) if not c.is_trivial]
-
-
-def character_table(group: ClassGroup) -> CharacterTable:
-    return CharacterTable(group)
+    def sums(self, j: int, budget: int | None = None) -> np.ndarray:
+        """Character sums over monic degree-j polynomials, one per character:
+        |G| times the inverse FFT of the class counts N_j on the `orders`
+        grid.  Each degree is computed once and checked against the Weil
+        bound for every nontrivial character."""
+        if j not in self._sums:
+            group = self._group
+            counts = np.array(group.monic_class_counts(j, budget), dtype=np.float64)
+            grid = counts[group._eps_of].reshape(self.orders or (1,))
+            sums = group.order * np.fft.ifftn(grid).ravel()
+            params = group.params
+            q = params.spec.q
+            bound = weil_bound(j, params.t, params.ell, q)
+            worst = np.abs(sums[1:]).max(initial=0.0)
+            if worst > bound + 1e-9 * max(1.0, q ** (j / 2)):
+                raise ArithmeticError(f"character sum magnitude {worst} exceeds Weil bound {bound}")
+            sums.flags.writeable = False
+            self._sums[j] = sums
+        return self._sums[j]
 
 
 def weil_bound(j: int, t: int, ell: int, q: int) -> float:
@@ -92,26 +96,9 @@ def weil_bound(j: int, t: int, ell: int, q: int) -> float:
     return math.comb(t + ell - 1, j) * q ** (j / 2) if t + ell - 1 >= 0 else 0.0
 
 
-def character_sum(
-    table: CharacterTable,
-    chi: int,
-    j: int,
-    group: ClassGroup,
-    budget: int | None = None,
-    check: bool = True,
-) -> complex:
+def character_sum(table: CharacterTable, chi: int, j: int, budget: int | None = None) -> complex:
     """sum over monic degree-j f of chi(f), with chi(f) = 0 off gcd(f,Q)=1."""
-    counts = group.monic_class_count_array(j, budget)
-    total = complex(np.dot(table.values[chi], counts))
-    if check and not table.characters[chi].is_trivial:
-        params = group.params
-        bound = weil_bound(j, params.t, params.ell, params.spec.q)
-        slack = 1e-9 * max(1.0, params.spec.q ** (j / 2))
-        if abs(total) > bound + slack:
-            raise ArithmeticError(
-                f"character sum magnitude {abs(total)} exceeds Weil bound {bound}"
-            )
-    return total
+    return complex(table.sums(j, budget)[chi])
 
 
 @dataclass(frozen=True)
@@ -134,22 +121,16 @@ class LPolynomial:
         return tuple(abs(z) for z in self.roots)
 
 
-def check_l_polynomial_budget(params: HayesParams, budget: int | None = None) -> None:
-    """Refuse an L-polynomial whose sums enumerate monic degrees up to t + ell + 2."""
-    check_budget("L-polynomial enumeration q^j", params.spec.q ** (params.ell + params.t + 2), budget)
-
-
-def l_polynomial(
-    table: CharacterTable, chi: int, group: ClassGroup, budget: int | None = None
-) -> LPolynomial:
-    """P(z, chi) for a nontrivial character, with companion-matrix roots."""
-    if table.characters[chi].is_trivial:
+def l_polynomial(table: CharacterTable, chi: int, budget: int | None = None) -> LPolynomial:
+    """P(z, chi) for a nontrivial character, with companion-matrix roots.
+    Refuses before any enumeration when q^(t+ell+2) exceeds the budget."""
+    if chi == 0:
         raise ValueError("the L-polynomial is defined for nontrivial characters")
-    params = group.params
+    params = table._group.params
     degree_bound = params.ell + params.t - 1
     top = params.ell + params.t + 2
-    check_l_polynomial_budget(params, budget)
-    coeffs = tuple(character_sum(table, chi, j, group, budget) for j in range(top + 1))
+    check_budget("L-polynomial enumeration q^j", params.spec.q ** top, budget)
+    coeffs = tuple(character_sum(table, chi, j, budget) for j in range(top + 1))
     degree = 0
     for j in range(min(degree_bound, top), 0, -1):
         if abs(coeffs[j]) >= COEFF_ZERO_TOL:

@@ -41,7 +41,7 @@ from .asym import (
     poisson_pmf,
     w_remainder_bound,
 )
-from .chars import character_table, check_l_polynomial_budget, l_polynomial, weil_bound
+from .chars import CharacterTable, l_polynomial, weil_bound
 from .comb import (
     binomial_lower_bound,
     coordinate_sieve_check,
@@ -189,34 +189,29 @@ def cmd_moments_check(args) -> int:
 
 def cmd_weil(args) -> int:
     spec, params, group = _build_group(args)
-    if group.order > 1:  # refuse before the |G|^2 table is built
-        check_l_polynomial_budget(params, args.max_enum)
-    table = character_table(group)
+    table = CharacterTable(group)
     q, t, ell = spec.q, params.t, params.ell
     out = []
-    ok = True
     character_sums = 0
-    for chi in range(table.order):
-        entry: dict = {"chi": chi, "exponents": list(table.characters[chi].exponents)}
-        if table.characters[chi].is_trivial:
+    for chi, exponents in enumerate(table.exponents.tolist()):
+        entry: dict = {"chi": chi, "exponents": exponents}
+        if chi == 0:
             entry["trivial"] = True
         else:
-            L = l_polynomial(table, chi, group, budget=args.max_enum)
+            L = l_polynomial(table, chi, budget=args.max_enum)
             character_sums += len(L.coeffs)
             coeffs = []
             for j, c in enumerate(L.coeffs):
                 bound = weil_bound(j, t, ell, q)
-                slack = bound - abs(c)
-                coeffs.append({"j": j, "re": c.real, "im": c.imag, "bound": bound, "slack": slack})
-                if slack < -1e-9 * max(1.0, q ** (j / 2)):
-                    ok = False
+                coeffs.append({"j": j, "re": c.real, "im": c.imag, "bound": bound, "slack": bound - abs(c)})
             entry["coeffs"] = coeffs
             entry["degree"] = L.degree
             entry["degree_bound"] = L.degree_bound
             entry["root_moduli"] = list(L.root_moduli())
         out.append(entry)
+    # a sum above its Weil bound has already raised ArithmeticError
     _emit(args, {
-        "characters": out, "orders": list(table.orders), "pass": ok,
+        "characters": out, "orders": list(table.orders), "pass": True,
         "engine": "characters",
         "work": {
             "classes": group.order,
@@ -224,7 +219,7 @@ def cmd_weil(args) -> int:
             "character_sums": character_sums,
         },
     })
-    return 0 if ok else 1
+    return 0
 
 
 def truncated_binomial_verdicts():

@@ -60,7 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chars import CharacterTable, character_sum
+from .chars import CharacterTable
 from .comb import truncated_binomial_sum
 from .errors import ValidationError, check_budget
 from .ffield import (
@@ -285,6 +285,8 @@ def exact_distributions_all(
     subset-product sieve (see the module docstring)."""
     params = group.params
     q = params.spec.q
+    if k < 0:
+        raise ValidationError(f"k must be >= 0, got {k}")
     pts = _validated_points(params, points)
     n = len(pts)
     d = k + params.t + params.ell
@@ -394,14 +396,6 @@ def factorization_counts(
     return W[1:].tolist()
 
 
-def _elementary_symmetric(values: list[complex], j: int) -> complex:
-    e = [complex(1)] + [complex(0)] * j
-    for v in values:
-        for idx in range(min(j, len(e) - 1), 0, -1):
-            e[idx] += e[idx - 1] * v
-    return e[j]
-
-
 def pmf_prediction(params: HayesParams, n: int, r: int, k: int) -> Fraction:
     """Class-free prediction of P(Y=r) at degree k+t+ell on n points:
 
@@ -469,13 +463,13 @@ def factorization_count_by_characters(
         raise ValueError("need k+1 <= j <= k+t+ell")
     n = len(pts)
     main = Fraction(phi(deg_g, params.Q) * math.comb(n, j), group.order)
-    value = complex(main)
-    point_classes = _point_classes(group, pts)
-    for chi in table.nontrivial():
-        sg = character_sum(table, chi, deg_g, group, budget)
-        vals = [table.value(chi, cls) for cls in point_classes]
-        ej = _elementary_symmetric(vals, j)
-        value += table.value(chi, eps).conjugate() * sg * ej / group.order
+    # e_0..e_j of the values chi(x - a) over the points, for all characters at once
+    e = np.zeros((j + 1, table.order), dtype=np.complex128)
+    e[0] = 1
+    for vals in table.values_at(_point_classes(group, pts)).T:
+        e[1:] += e[:-1] * vals
+    terms = table.values_at([eps])[:, 0].conj() * table.sums(deg_g, budget) * e[j]
+    value = complex(main) + complex(terms[1:].sum()) / group.order  # character 0 is trivial
     return FactorizationSplit(value, main, abs(value - complex(main)))
 
 
@@ -555,6 +549,8 @@ def verify_series_identities(
     pts = _validated_points(params, points)
     n = len(pts)
     t, ell = params.t, params.ell
+    if d_max < 0:
+        raise ValidationError(f"d_max must be >= 0, got {d_max}")
     checks: list[CheckRecord] = []
 
     F = monic_series(group, d_max, budget)

@@ -189,7 +189,7 @@ class ClassGroup:
         self._rows = rows
         self.identity = self.class_of(Polynomial.one(spec))
         self._decompose()
-        self._counts_cache: dict[int, tuple[list[int], int, np.ndarray]] = {}
+        self._counts_cache: dict[int, tuple[list[int], int]] = {}
 
     # -- class codes -------------------------------------------------------------
 
@@ -358,8 +358,8 @@ class ClassGroup:
         for h in enumerate_below_degree(self._spec, k):
             yield base + h * Q
 
-    def _class_counts_entry(self, d: int, budget: int | None) -> tuple[list[int], int, np.ndarray]:
-        """Cached (per-class counts, non-coprime count, counts as float64) of degree d."""
+    def _class_counts_entry(self, d: int, budget: int | None) -> tuple[list[int], int]:
+        """Cached (per-class counts, non-coprime count) of degree d."""
         if d not in self._counts_cache:
             check_budget(f"monic enumeration q^{d}", self._q ** d, budget)
             counts = np.zeros(len(self.reps) + 1, dtype=np.int64)  # slot 0: not coprime
@@ -369,18 +369,12 @@ class ClassGroup:
             for prefix in itertools.product(range(self._q), repeat=d - free):
                 classes = self.classes_of(self._monic_rows(d, prefix))
                 counts += np.bincount(classes + 1, minlength=len(counts))
-            weights = counts[1:].astype(np.float64)
-            weights.flags.writeable = False
-            self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]), weights)
+            self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]))
         return self._counts_cache[d]
 
     def monic_class_counts(self, d: int, budget: int | None = None) -> list[int]:
         """Counts of monic degree-d polynomials per class (coprime ones only)."""
         return list(self._class_counts_entry(d, budget)[0])
-
-    def monic_class_count_array(self, d: int, budget: int | None = None) -> np.ndarray:
-        """`monic_class_counts(d)` as one shared read-only float64 array."""
-        return self._class_counts_entry(d, budget)[2]
 
     @property
     def monic_enumerated(self) -> int:

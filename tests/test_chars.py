@@ -1,21 +1,38 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hayesdist.chars import (
     CharacterTable,
     character_sum,
-    character_table,
     decompose,
     l_polynomial,
     weil_bound,
 )
-from hayesdist.ffield import Polynomial
-from hayesdist.hayes import phi
+from hayesdist.ffield import FieldSpec, Polynomial
+from hayesdist.hayes import ClassGroup, HayesParams, phi
 
 ORTHO_TOL = 1e-9
+
+
+def reference_sums(G, j):
+    """sum_c N_j(c) exp(2 pi i sum_i e_i d_i / n_i) for every exponent tuple e
+    in itertools.product order, straight from the definition."""
+    counts = G.monic_class_counts(j)
+    out = []
+    for e in itertools.product(*[range(n) for n in G.orders]):
+        total = 0j
+        for c, d in enumerate(G.dlog.tolist()):
+            phase = sum(ei * di / n for ei, di, n in zip(e, d, G.orders))
+            total += counts[c] * complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase))
+        out.append(total)
+    return np.array(out)
 
 
 class TestDecompose:
@@ -64,9 +81,9 @@ class TestDecompose:
         # for every nontrivial chi whenever p does not divide i
         for p, a, ell in [(2, 1, 2), (3, 1, 1), (2, 2, 1)]:
             G = groups(p, a, ell, "1")
-            table = character_table(G)
-            for chi in table.nontrivial():
-                exps = table.characters[chi].exponents
+            table = CharacterTable(G)
+            for chi in range(1, table.order):
+                exps = table.exponents[chi].tolist()
                 for i in range(1, 2 * p + 1):
                     if i % p == 0:
                         continue
@@ -89,29 +106,29 @@ class TestDecompose:
 
 class TestCharacterTable:
     def test_trivial_group_single_character(self, groups):
-        table = character_table(groups(2, 1, 0, "1"))
+        table = CharacterTable(groups(2, 1, 0, "1"))
         assert table.order == 1
-        assert table.value(0, 0) == 1
+        assert table.values_at([0]).tolist() == [[1]]
 
     def test_order_two_signs(self, groups):
-        table = character_table(groups(2, 1, 1, "1"))
-        assert np.allclose(table.values, np.array([[1, 1], [1, -1]]), atol=1e-12)
+        table = CharacterTable(groups(2, 1, 1, "1"))
+        assert np.allclose(table.values_at(range(2)), np.array([[1, 1], [1, -1]]), atol=1e-12)
 
     @pytest.mark.parametrize(
         "key", [(2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 2, "x"), (3, 1, 2, "1"), (2, 2, 1, "1")]
     )
     def test_row_and_column_orthogonality(self, groups, key):
         G = groups(*key)
-        table = character_table(G)
+        table = CharacterTable(G)
         n = G.order
-        M = table.values
+        M = table.values_at(range(n))
         assert np.abs(M @ M.conj().T / n - np.eye(n)).max() < ORTHO_TOL
         assert np.abs(M.conj().T @ M / n - np.eye(n)).max() < ORTHO_TOL
 
     def test_column_sums_detect_identity(self, groups):
         G = groups(3, 1, 1, "x")
-        table = character_table(G)
-        col = table.values.sum(axis=0)
+        table = CharacterTable(G)
+        col = table.values_at(range(G.order)).sum(axis=0)
         for g in range(G.order):
             want = G.order if g == G.identity else 0.0
             assert abs(col[g] - want) < ORTHO_TOL * G.order
@@ -122,34 +139,86 @@ class TestCharacterTable:
 
 
 class TestCharacterSums:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (2, 1, 0, "1"), (2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 2, "x"), (3, 1, 2, "1"),
+            (2, 2, 1, "1"), (2, 2, 1, "x"), (2, 1, 2, "x + 1"), (2, 1, 1, "x^2 + x + 1"),
+        ],
+    )
+    def test_sums_match_the_definition(self, groups, key):
+        G = groups(*key)
+        table = CharacterTable(G)
+        assert table.exponents.tolist() == [list(e) for e in itertools.product(*[range(n) for n in G.orders])]
+        for j in range(G.params.t + G.params.ell + 3):
+            got = table.sums(j)
+            assert got.shape == (G.order,)
+            assert np.abs(got - reference_sums(G, j)).max() <= 1e-9 * max(1.0, G.params.spec.q ** j)
+            assert table.sums(j) is got and not got.flags.writeable  # one transform per degree
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_sums_match_the_definition_random_groups(self, fields, groups, data):
+        p, a = data.draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (7, 1)]), label="field")
+        q = p ** a
+        t = data.draw(st.integers(0, 2), label="t")
+        ell = data.draw(st.integers(0, 2), label="ell")
+        if q ** (t + ell) > 64:  # keeps the reference loop small
+            ell = 0
+        low = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t), label="Q")
+        G = groups(p, a, ell, Polynomial(fields(p, a), (*low, 1)).to_text())
+        j = data.draw(st.integers(0, t + ell + 2), label="j")
+        got = CharacterTable(G).sums(j)
+        assert np.abs(got - reference_sums(G, j)).max() <= 1e-9 * max(1.0, q ** j)
+
+    def test_sums_peak_memory_beyond_the_class_cap(self):
+        # GF(128), ell = 2: |G| = 16384, where a dense complex character
+        # table would take 16 * 16384^2 bytes = 4 GiB.  Every degree under the
+        # default enumeration budget (q^3 <= 10^7), class counts included.
+        spec = FieldSpec(2, 7)
+        G = ClassGroup(HayesParams(2, Polynomial.one(spec)), max_classes=1 << 14)
+        assert G.order == 1 << 14
+        tracemalloc.start()
+        try:
+            table = CharacterTable(G)
+            for j in range(4):
+                sums = table.sums(j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        # N_3 is q per class, so only the trivial character survives
+        assert sums[0] == pytest.approx(128 ** 3)
+        assert np.abs(sums[1:]).max() <= 1e-6
+
     def test_degree_zero_is_one(self, groups):
         G = groups(3, 1, 1, "x")
-        table = character_table(G)
+        table = CharacterTable(G)
         for chi in range(table.order):
-            assert character_sum(table, chi, 0, G) == pytest.approx(1)
+            assert character_sum(table, chi, 0) == pytest.approx(1)
 
     def test_trivial_character_gives_phi(self, groups):
         G = groups(3, 1, 1, "x")
-        table = character_table(G)
+        table = CharacterTable(G)
         for j in range(5):
-            got = character_sum(table, 0, j, G)
+            got = character_sum(table, 0, j)
             assert got == pytest.approx(phi(j, G.params.Q))
             assert abs(got.imag) < 1e-9
 
     def test_signs_cancel_at_degree_one(self, groups):
-        table = character_table(groups(2, 1, 1, "1"))
+        table = CharacterTable(groups(2, 1, 1, "1"))
         G = groups(2, 1, 1, "1")
-        (chi,) = table.nontrivial()
-        assert abs(character_sum(table, chi, 1, G)) < 1e-12
+        (chi,) = range(1, table.order)
+        assert abs(character_sum(table, chi, 1)) < 1e-12
 
     @pytest.mark.parametrize("key", [(2, 1, 1, "x"), (3, 1, 1, "x"), (2, 1, 2, "1"), (2, 2, 1, "x")])
     def test_weil_bound_on_grid(self, groups, key):
         G = groups(*key)
         params = G.params
-        table = character_table(G)
-        for chi in table.nontrivial():
+        table = CharacterTable(G)
+        for chi in range(1, table.order):
             for j in range(0, 6):
-                got = abs(character_sum(table, chi, j, G))
+                got = abs(character_sum(table, chi, j))
                 bound = weil_bound(j, params.t, params.ell, params.spec.q)
                 assert got <= bound + 1e-9 * max(1.0, params.spec.q ** (j / 2))
 
@@ -157,25 +226,25 @@ class TestCharacterSums:
 class TestLPolynomial:
     def test_constant_for_order_two_group(self, groups):
         G = groups(2, 1, 1, "1")
-        table = character_table(G)
-        (chi,) = table.nontrivial()
-        L = l_polynomial(table, chi, G)
+        table = CharacterTable(G)
+        (chi,) = range(1, table.order)
+        L = l_polynomial(table, chi)
         assert L.degree == 0 and L.roots == ()
         assert L.coeffs[0] == pytest.approx(1)
         assert all(abs(c) < 1e-9 for c in L.coeffs[1:])
 
     def test_leading_coefficient_always_one(self, groups):
         G = groups(3, 1, 2, "1")
-        table = character_table(G)
-        for chi in table.nontrivial():
-            L = l_polynomial(table, chi, G)
+        table = CharacterTable(G)
+        for chi in range(1, table.order):
+            L = l_polynomial(table, chi)
             assert L.coeffs[0] == pytest.approx(1)
 
     def test_gf3_single_leading_coefficient_is_degree_zero(self, groups):
         G = groups(3, 1, 1, "1")
-        table = character_table(G)
-        for chi in table.nontrivial():
-            L = l_polynomial(table, chi, G)
+        table = CharacterTable(G)
+        for chi in range(1, table.order):
+            L = l_polynomial(table, chi)
             assert all(abs(c) < 1e-9 for c in L.coeffs[1:])
 
     @pytest.mark.parametrize(
@@ -186,9 +255,9 @@ class TestLPolynomial:
         params = G.params
         q = params.spec.q
         bound = params.ell + params.t - 1
-        table = character_table(G)
-        for chi in table.nontrivial():
-            L = l_polynomial(table, chi, G)
+        table = CharacterTable(G)
+        for chi in range(1, table.order):
+            L = l_polynomial(table, chi)
             assert L.degree <= bound
             for j in range(bound + 1, len(L.coeffs)):
                 assert abs(L.coeffs[j]) <= 1e-6 * q ** (j / 2)
@@ -203,14 +272,14 @@ class TestLPolynomial:
     def test_some_roots_actually_appear(self, groups):
         # a case with deg P = 1 on both circles across the character table
         G = groups(3, 1, 1, "x")
-        table = character_table(G)
+        table = CharacterTable(G)
         moduli = set()
-        for chi in table.nontrivial():
-            L = l_polynomial(table, chi, G)
+        for chi in range(1, table.order):
+            L = l_polynomial(table, chi)
             moduli.update(round(m, 6) for m in L.root_moduli())
         assert moduli == {1.0, round(3 ** -0.5, 6)}
 
     def test_trivial_character_rejected(self, groups):
         G = groups(2, 1, 1, "1")
         with pytest.raises(ValueError):
-            l_polynomial(character_table(G), 0, G)
+            l_polynomial(CharacterTable(G), 0)

@@ -10,6 +10,7 @@ import pytest
 
 from hayesdist import cli
 from hayesdist.cli import run
+from hayesdist.hayes import ClassGroup
 
 
 def run_json(capsys, argv):
@@ -285,10 +286,10 @@ def test_internal_errors_become_records(capsys, monkeypatch, corrupt, error, exc
 
 
 def test_weil_refuses_before_the_character_table(capsys, monkeypatch):
-    def table_built(group):
-        raise AssertionError("character table built on a refused run")
+    def counts_enumerated(self, d, budget=None):
+        raise AssertionError("class counts enumerated on a refused run")
 
-    monkeypatch.setattr("hayesdist.cli.character_table", table_built)
+    monkeypatch.setattr(ClassGroup, "monic_class_counts", counts_enumerated)
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x", "--max-enum", "10"])
     assert code == 2
     assert data == {"budget": 10, "error": "budget-exceeded", "value": 3 ** 4, "what": "L-polynomial enumeration q^j"}
@@ -325,6 +326,21 @@ def test_broken_pipe_in_a_real_pipe():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b'{"error": "broken-pipe"}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "-1"],
+        ["approx", "--p", "3", "--ell", "1", "--Q", "x", "--k", "-1"],
+        ["rs", "--p", "3", "--k", "-1", "--ell", "1", "--census"],
+        ["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "-1"],
+    ],
+)
+def test_negative_degree_is_a_validation_record(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 1
+    assert data["error"] == "validation" and ">= 0" in data["message"]
 
 
 def test_validation_failure_exit_code(capsys):

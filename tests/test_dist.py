@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hayesdist.chars import character_table
+from hayesdist.chars import CharacterTable
 from hayesdist.dist import (
     classify_row,
     classify_word,
@@ -261,7 +261,7 @@ class TestFactorizationCounts:
             G = groups(*key)
             q = G.params.spec.q
             t, ell = G.params.t, G.params.ell
-            table = character_table(G)
+            table = CharacterTable(G)
             pts = default_point_set(G.params)
             for k in (1, 2):
                 Ws = {j: factorization_counts(G, j, k, pts) for j in range(k + 1, k + t + ell + 1)}
@@ -288,7 +288,7 @@ class TestFactorizationCounts:
         k = data.draw(st.integers(0, 2 if q ** (t + ell) <= 16 else 1), label="k")
         j = data.draw(st.integers(k + 1, k + t + ell), label="j")
         W = factorization_counts(G, j, k, sub)
-        table = character_table(G)
+        table = CharacterTable(G)
         for eps in range(G.order):
             split = factorization_count_by_characters(G, table, j, eps, k, sub)
             assert abs(split.value - W[eps]) <= 1e-6 * q ** k, eps
@@ -299,7 +299,7 @@ class TestFactorizationCounts:
         # the only order-1 group with a nonempty j-range: ell = 0, Q = x^2 + x
         G = groups(2, 1, 0, "x^2 + x")
         assert G.order == 1
-        table = character_table(G)
+        table = CharacterTable(G)
         for j in (2, 3):
             split = factorization_count_by_characters(G, table, j, 0, 1)
             n = len(default_point_set(G.params))

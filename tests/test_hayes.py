@@ -285,9 +285,6 @@ def test_monic_class_counts_consistency(groups):
     for d in range(0, 5):
         counts = G.monic_class_counts(d)
         assert sum(counts) + G.noncoprime_count(d) == q ** d
-        weights = G.monic_class_count_array(d)
-        assert weights.dtype == np.float64 and weights.tolist() == counts
-        assert weights is G.monic_class_count_array(d) and not weights.flags.writeable
         if d >= G.params.t + G.params.ell:
             assert all(c == q ** (d - G.params.t - G.params.ell) for c in counts)
 
