@@ -151,6 +151,10 @@ def cmd_exact_dist(args) -> int:
 
 
 def cmd_moments_check(args) -> int:
+    if args.k_min < 0:
+        raise ValidationError(f"k_min must be >= 0, got {args.k_min}")
+    if args.k_min > args.k:
+        raise ValidationError(f"k_min must be <= k, got k_min={args.k_min} > k={args.k}")
     spec, params, group = _build_group(args)
     t, ell = params.t, params.ell
     points = default_point_set(params)
@@ -250,6 +254,8 @@ def truncated_binomial_verdicts():
 
 
 def cmd_bounds_check(args) -> int:
+    if args.k < 0:
+        raise ValidationError(f"k must be >= 0, got {args.k}")
     spec, params, group = _build_group(args)
     q, t, ell = spec.q, params.t, params.ell
     p = spec.p

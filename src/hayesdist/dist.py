@@ -40,10 +40,15 @@ slice): under the sieve the j <= k moment identities hold by construction,
 so those checks never run on sieve output alone.  A plain object-level
 brute force over all of M_d is kept as a third, independent route.
 
-The polynomial routes (brute force, factorization counts, the series check,
-the census word list) multiply `Polynomial` objects and count roots one
-polynomial at a time; only their class labels come from the group's array
-kernel, `ClassGroup.classes_of`, a block of _LABEL_ROWS polynomials per call.
+The factorization counts, the series check's joint (class, zero count)
+table and the oracle's target vectors run on the field's row kernel
+(`FieldSpec.monic_rows` / `mul_rows` / `eval_rows`): every polynomial is
+still formed, labelled with `ClassGroup.classes_of` and evaluated
+explicitly, a block of at most _BLOCK_ROWS (factorization products) or
+`MONIC_BLOCK_ROWS` (monic enumeration) rows at a time, and none of them
+touches the group multiplication, `group_convolve` or the sieve.  The brute
+force and the census word list stay object-level: they multiply and
+evaluate `Polynomial` objects, labelled a block of _LABEL_ROWS per call.
 `group_convolve` is the one group-algebra product: the sieve's W_j and the
 series check's product slices both use it, so that check exercises it
 against enumeration.
@@ -70,9 +75,9 @@ from .ffield import (
     distinct_roots_in,
     enumerate_monic,
 )
-from .hayes import ClassGroup, HayesParams, phi
+from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, phi
 
-_BLOCK_ROWS = 1 << 16  # vectorized enumeration block: at most this many rows at once
+_BLOCK_ROWS = 1 << 16  # vectorized enumeration and product blocks: at most this many rows at once
 _LABEL_ROWS = 1 << 10  # polynomials labelled per ClassGroup.classes_of call
 
 
@@ -185,18 +190,6 @@ class ZeroDistribution:
         }
 
 
-def _target_vector(group: ClassGroup, eps: int, k: int, points: tuple[FqElement, ...]) -> list[int]:
-    params = group.params
-    spec = params.spec
-    base = group.member_base(eps, k + params.t + params.ell)
-    Q = params.Q
-    out = []
-    for a in points:
-        v = spec.neg(spec.mul(base(a), spec.inv(Q(a))))
-        out.append(v.index)
-    return out
-
-
 def enumeration_comparisons(group: ClassGroup, k: int, n: int) -> int:
     """Byte comparisons the enumeration oracle makes for all classes on n points."""
     return group.order * group.params.spec.q ** k * n
@@ -209,12 +202,15 @@ def enumeration_distributions_all(
     degree k + t + ell, by enumerating the q^k members of each class."""
     params = group.params
     spec = params.spec
+    if k < 0:
+        raise ValidationError(f"k must be >= 0, got {k}")
     pts = _validated_points(params, points)
     check_budget("class member enumeration q^k", spec.q ** k, budget)
     point_idx = tuple(a.index for a in pts)
-    targets = np.array(
-        [_target_vector(group, eps, k, pts) for eps in range(group.order)], dtype=np.intp
-    ).reshape(group.order, len(pts))
+    # target of class eps at a: -base(a) / Q(a) for its member base
+    scale = np.array([spec.neg(spec.inv(params.Q(a))).index for a in pts], dtype=np.intp)
+    base = group.member_base_rows(k + params.t + params.ell)
+    targets = spec.mul_table[spec.eval_rows(base, point_idx), scale]
     hists = _agreement_histograms(spec, k, point_idx, targets)
     total = spec.q ** k
     out = []
@@ -380,19 +376,18 @@ def factorization_counts(
     if not k + 1 <= j <= k + params.t + params.ell:
         raise ValueError("need k+1 <= j <= k+t+ell")
     check_budget("factorization enumeration", factorization_pairs(group, j, k, len(pts)), budget)
-    linear = {a: Polynomial(spec, (spec.neg(a), spec.one)) for a in pts}
-
-    def products():
-        for S in itertools.combinations(pts, j):
-            prod = Polynomial.one(spec)
-            for a in S:
-                prod = prod * linear[a]
-            for g in enumerate_monic(spec, deg_g):
-                yield g * prod
-
+    linear = np.array([(spec.neg(a).index, 1) for a in pts], dtype=np.uint8).reshape(-1, 2)
     W = np.zeros(group.order + 1, dtype=np.int64)  # slot 0: not coprime to Q
-    for _, classes in _labelled_blocks(group, products()):
-        W += np.bincount(classes + 1, minlength=len(W))
+    subsets = itertools.combinations(range(len(pts)), j)
+    per_block = max(1, _BLOCK_ROWS // spec.q ** deg_g)  # subsets per block of products
+    while chunk := list(itertools.islice(subsets, per_block)):
+        # rows of prod_{a in S} (x - a), one factor per subset position
+        prods = np.ones((len(chunk), 1), dtype=np.uint8)
+        for col in np.array(chunk, dtype=np.intp).T:
+            prods = spec.mul_rows(prods, linear[col])
+        for g in spec.monic_row_blocks(deg_g, _BLOCK_ROWS):
+            rows = spec.mul_rows(np.repeat(prods, len(g), axis=0), np.tile(g, (len(prods), 1)))
+            W += np.bincount(group.classes_of(rows) + 1, minlength=len(W))
     return W[1:].tolist()
 
 
@@ -507,6 +502,21 @@ def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray
     return out
 
 
+def joint_zero_counts(group: ClassGroup, d: int, points=None) -> np.ndarray:
+    """Per class and r, the number of monic degree-d polynomials of that class
+    with exactly r distinct zeros in D: an (|G|, n+1) int64 array, by
+    enumerating, labelling and evaluating every monic polynomial of degree d."""
+    spec = group.params.spec
+    pts = _validated_points(group.params, points)
+    point_idx = [a.index for a in pts]
+    width = len(pts) + 1
+    joint = np.zeros((group.order + 1) * width, dtype=np.int64)  # class row 0: not coprime
+    for rows in spec.monic_row_blocks(d, MONIC_BLOCK_ROWS):
+        zeros = (spec.eval_rows(rows, point_idx) == 0).sum(axis=1)
+        joint += np.bincount((group.classes_of(rows) + 1) * width + zeros, minlength=len(joint))
+    return joint.reshape(group.order + 1, width)[1:]
+
+
 @dataclass
 class CheckRecord:
     name: str
@@ -559,18 +569,13 @@ def verify_series_identities(
         ok = all(c == want for c in F.slice(d))
         checks.append(CheckRecord(f"geometric tail, degree {d}", ok, f"expected q^{d - t - ell} per class"))
 
-    # joint enumeration: counts[d][class][r]
-    joint = [
-        [[0] * (n + 1) for _ in range(group.order)] for _ in range(d_max + 1)
-    ]
+    # joint enumeration: joint[d][class][r]
+    joint = []
     work = {"polynomials_checked": 0, "comparisons": 0, "factorization_pairs": 0}
     for d in range(d_max + 1):
         check_budget(f"monic enumeration q^{d}", spec.q ** d, budget)
         work["polynomials_checked"] += spec.q ** d
-        for block, classes in _labelled_blocks(group, enumerate_monic(spec, d)):
-            for f, cls in zip(block, classes.tolist()):
-                if cls >= 0:
-                    joint[d][cls][distinct_roots_in(f, pts)] += 1
+        joint.append(joint_zero_counts(group, d, pts).tolist())
 
     sub = subset_product_table(group, pts, 0, n)
 

@@ -9,6 +9,12 @@ from the coordinates of y^i * z, reduced by m); scalar arithmetic reads
 tuple views of them.  `FieldSpec(p, a, modulus)` returns one shared field
 per argument triple, so the tables are built once per process.
 
+The same tables drive the package's one array polynomial kernel: blocks of
+polynomials as uint8 rows of index coefficients, with `FieldSpec.monic_rows`
+(enumeration), `mul_rows` (row-wise products), `mod_rows` (remainders) and
+`eval_rows` (Horner evaluation at a vector of points).  `Polynomial` is the
+object-level form the kernel is tested against.
+
 Three encodings are used throughout:
 
 * coordinate tuple ``(c_0, ..., c_{a-1})`` with each ``c_i`` in ``[0, p)``;
@@ -156,6 +162,8 @@ class FieldSpec(metaclass=_Shared):
 
         self._by_index = tuple(FqElement(tuple(c), i) for i, c in enumerate(coords.tolist()))
         self.elements: tuple[FqElement, ...] = tuple(sorted(self._by_index))
+        # index of the element at each position of the element order
+        self._index_at = np.array([e.index for e in self.elements], dtype=np.uint8)
         self.zero = self._by_index[0]
         self.one = self._by_index[1]
         self._add_i = rows(self.add_table)
@@ -209,6 +217,59 @@ class FieldSpec(metaclass=_Shared):
                     found.append(f)
             self._irreducibles[d] = tuple(found)
         return self._irreducibles[d]
+
+    # -- polynomial rows -----------------------------------------------------
+    #
+    # A polynomial row is a uint8 array of index coefficients, constant term
+    # first; a 2-d array holds one polynomial per row, all of one width.
+
+    def monic_rows(self, d: int, prefix: tuple[int, ...] = ()) -> np.ndarray:
+        """Rows of the monic degree-d polynomials whose first coefficients are
+        the elements at positions `prefix` of the element order, in
+        `enumerate_monic` order."""
+        free = d - len(prefix)
+        pos = np.empty((self.q ** free, d), dtype=np.uint8)
+        pos[:, :len(prefix)] = prefix
+        grid = np.indices((self.q,) * free, dtype=np.uint8)
+        pos[:, len(prefix):] = grid.reshape(free, len(pos)).T
+        return np.column_stack([self._index_at[pos], np.ones(len(pos), dtype=np.uint8)])
+
+    def monic_row_blocks(self, d: int, max_rows: int) -> Iterator[np.ndarray]:
+        """`monic_rows(d)` in `enumerate_monic` order, in blocks of at most
+        max_rows rows (each block fixes a prefix of the low coefficients)."""
+        free = d
+        while self.q ** free > max_rows:
+            free -= 1
+        for prefix in itertools.product(range(self.q), repeat=d - free):
+            yield self.monic_rows(d, prefix)
+
+    def mul_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Row-wise products A_i * B_i of two arrays with the same number of rows."""
+        width = B.shape[1]
+        prod = np.zeros((len(A), A.shape[1] + width - 1), dtype=np.uint8)
+        for j in range(A.shape[1]):
+            prod[:, j:j + width] = self.add_table[prod[:, j:j + width], self.mul_table[A[:, j:j + 1], B]]
+        return prod
+
+    def mod_rows(self, rows: np.ndarray, mod: tuple[int, ...]) -> np.ndarray:
+        """Rows reduced modulo the monic `mod` (index coefficients): deg(mod) columns."""
+        s = len(mod) - 1
+        width = rows.shape[1]
+        rem = np.zeros((len(rows), max(width, s)), dtype=np.uint8)
+        rem[:, :width] = rows
+        times_mod = self.mul_table[:, list(mod[:-1])]  # times_mod[c] = c * (m_0..m_{s-1})
+        for i in range(width - 1, s - 1, -1):
+            rem[:, i - s:i] = self.sub_table[rem[:, i - s:i], times_mod[rem[:, i]]]
+        return rem[:, :s]
+
+    def eval_rows(self, rows: np.ndarray, points) -> np.ndarray:
+        """Values of the rows' polynomials at the elements with indices
+        `points`, by Horner's rule from the leading column down: (R, n) uint8."""
+        points = np.asarray(points, dtype=np.intp)
+        vals = np.zeros((len(rows), len(points)), dtype=np.uint8)
+        for c in rows.T[::-1]:
+            vals = self.add_table[self.mul_table[vals, points], c[:, None]]
+        return vals
 
     # -- identity ------------------------------------------------------------
 

@@ -18,10 +18,11 @@ The group is a direct product of cyclic factors with generators g_1..g_m of
 orders n_1..n_m; a class is stored by its exponent tuple (its *dlog*), and
 products, inverses and translations are index arithmetic on those tuples.
 
-Codes come from one array kernel (`ClassGroup._reduce` / `_codes`) on rows
-of index coefficients.  `ClassGroup.classes_of` labels a block of monic
-polynomials of one degree with it, and `class_of` is its one-row form;
-`signature` is the object-level definition the kernel is tested against.
+Codes come from `ClassGroup._codes` on rows of index coefficients, on the
+field's row kernel (`FieldSpec.mod_rows`).  `ClassGroup.classes_of` labels
+a block of monic polynomials of one degree with it, and `class_of` is its
+one-row form; `signature` is the object-level definition the kernel is
+tested against.  `member_base_rows` is the row form of `member_base`.
 
 Phi_j(Q) counts monic degree-j polynomials coprime to Q; it is computed by
 inclusion-exclusion over the distinct irreducible factors of Q, and the same
@@ -139,7 +140,7 @@ def phi_relative_gap(j: int, Q: Polynomial) -> Fraction:
     return abs(Fraction(phi(j, Q), q ** j) - 1)
 
 
-_BLOCK_ROWS = 1 << 14  # monic polynomials per array block in monic_class_counts
+MONIC_BLOCK_ROWS = 1 << 14  # monic polynomials per array block when enumerating a degree
 
 
 class ClassGroup:
@@ -168,17 +169,14 @@ class ClassGroup:
         self._ell = ell = params.ell
         self._t = t = params.t
         self._Q_idx = params.Q.index_coeffs()
-        # index of the element at each position of the element order
-        self._index_at = np.array([e.index for e in spec.elements], dtype=np.uint8)
-
         # Each code belongs to exactly one monic polynomial of degree t + ell;
         # it is a class when its residue (the high digits) is a unit mod Q.
-        cands = self._monic_rows(t + ell)
+        cands = spec.monic_rows(t + ell)
         codes = self._codes(cands)
         unit = np.ones(q ** t, dtype=bool)
         residues = np.indices((q,) * t).reshape(t, q ** t)[::-1].T  # row r holds the digits of r
         for P in distinct_irreducible_factors(params.Q):
-            unit &= self._reduce(residues, P.index_coeffs()).any(axis=1)
+            unit &= spec.mod_rows(residues, P.index_coeffs()).any(axis=1)
         keep = np.repeat(unit, q ** ell)[codes]
         if keep.sum() != expected:
             raise RuntimeError(f"class count {keep.sum()} != q^ell * Phi_t(Q) = {expected}")
@@ -193,35 +191,12 @@ class ClassGroup:
 
     # -- class codes -------------------------------------------------------------
 
-    def _monic_rows(self, d: int, prefix: tuple[int, ...] = ()) -> np.ndarray:
-        """Index coefficients (constant term first, leading one last) of the
-        monic degree-d polynomials whose first coefficients are the elements
-        at positions `prefix` of the element order, in `enumerate_monic` order."""
-        free = d - len(prefix)
-        pos = np.empty((self._q ** free, d), dtype=np.uint8)
-        pos[:, :len(prefix)] = prefix
-        grid = np.indices((self._q,) * free, dtype=np.uint8)
-        pos[:, len(prefix):] = grid.reshape(free, len(pos)).T
-        return np.column_stack([self._index_at[pos], np.ones(len(pos), dtype=np.uint8)])
-
-    def _reduce(self, rows: np.ndarray, mod: tuple[int, ...]) -> np.ndarray:
-        """Rows of index coefficients reduced modulo the monic `mod` (deg(mod) columns)."""
-        s = len(mod) - 1
-        width = rows.shape[1]
-        rem = np.zeros((len(rows), max(width, s)), dtype=np.uint8)
-        rem[:, :width] = rows
-        sub = self._spec.sub_table
-        times_mod = self._spec.mul_table[:, list(mod[:-1])]  # times_mod[c] = c * (m_0..m_{s-1})
-        for i in range(width - 1, s - 1, -1):
-            rem[:, i - s:i] = sub[rem[:, i - s:i], times_mod[rem[:, i]]]
-        return rem[:, :s]
-
     def _codes(self, f: np.ndarray) -> np.ndarray:
-        """Codes of the monic polynomials in the rows of f (as from `_monic_rows`)."""
+        """Codes of the monic polynomials in the rows of f (as from `FieldSpec.monic_rows`)."""
         q, ell = self._q, self._ell
         d = f.shape[1] - 1
         code = np.zeros(len(f), dtype=np.int64)
-        for c in self._reduce(f, self._Q_idx).T[::-1]:
+        for c in self._spec.mod_rows(f, self._Q_idx).T[::-1]:
             code = code * q + c
         for j in range(ell, 0, -1):
             code = code * q + (f[:, d - j] if j <= d else 0)
@@ -231,13 +206,7 @@ class ClassGroup:
         """Classes of reps[a_i] * reps[b_i] for index arrays a and b (either
         may be a single index), by one array product of the representatives."""
         a, b = np.broadcast_arrays(a, b)
-        A, B = self._rows[a], self._rows[b]
-        width = self._rows.shape[1]
-        add, mul = self._spec.add_table, self._spec.mul_table
-        prod = np.zeros((len(a), 2 * width - 1), dtype=np.uint8)
-        for j in range(width):
-            prod[:, j:j + width] = add[prod[:, j:j + width], mul[A[:, j:j + 1], B]]
-        return self.classes_of(prod)
+        return self.classes_of(self._spec.mul_rows(self._rows[a], self._rows[b]))
 
     def _power(self, x: np.ndarray, e: int) -> np.ndarray:
         """Classes x_i^e for e >= 1, by square-and-multiply on the whole array."""
@@ -345,6 +314,22 @@ class ClassGroup:
             f0 = f0 + (rep % self.params.Q) - (f0 % self.params.Q)
         return f0
 
+    def member_base_rows(self, d: int) -> np.ndarray:
+        """Rows of member_base(eps, d) for every class eps at once: the
+        representatives shifted up by k, with the low t coefficients corrected
+        to the representative's residue."""
+        k = d - self._t - self._ell
+        if k < 0:
+            raise ValueError(f"degree must be >= t + ell = {self._t + self._ell}")
+        spec, t = self._spec, self._t
+        base = np.zeros((len(self._rows), d + 1), dtype=np.uint8)
+        base[:, k:] = self._rows
+        base[:, :t] = spec.sub_table[
+            spec.add_table[base[:, :t], spec.mod_rows(self._rows, self._Q_idx)],
+            spec.mod_rows(base, self._Q_idx),
+        ]
+        return base
+
     def members(self, eps: int, d: int):
         """All q^(d - t - ell) monic degree-d members of class eps.
 
@@ -363,12 +348,8 @@ class ClassGroup:
         if d not in self._counts_cache:
             check_budget(f"monic enumeration q^{d}", self._q ** d, budget)
             counts = np.zeros(len(self.reps) + 1, dtype=np.int64)  # slot 0: not coprime
-            free = d
-            while self._q ** free > _BLOCK_ROWS:
-                free -= 1
-            for prefix in itertools.product(range(self._q), repeat=d - free):
-                classes = self.classes_of(self._monic_rows(d, prefix))
-                counts += np.bincount(classes + 1, minlength=len(counts))
+            for rows in self._spec.monic_row_blocks(d, MONIC_BLOCK_ROWS):
+                counts += np.bincount(self.classes_of(rows) + 1, minlength=len(counts))
             self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]))
         return self._counts_cache[d]
 

@@ -343,6 +343,42 @@ def test_negative_degree_is_a_validation_record(capsys, argv):
     assert data["error"] == "validation" and ">= 0" in data["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moments-check", "--p", "3", "--ell", "1", "--Q", "1", "--k", "2", "--k-min", "5"], "k_min must be <= k"),
+        (["moments-check", "--p", "3", "--ell", "1", "--Q", "1", "--k", "2", "--k-min", "-1"], "k_min must be >= 0"),
+        (["bounds-check", "--p", "3", "--ell", "1", "--Q", "1", "--k", "-1"], "k must be >= 0"),
+    ],
+)
+def test_suites_that_would_check_nothing_are_validation_records(capsys, argv, message):
+    # an empty k range would otherwise report "pass": true having checked nothing
+    code, data = run_json(capsys, argv)
+    assert code == 1
+    assert data == {"error": "validation", "message": data["message"]}
+    assert data["message"].startswith(message)
+
+
+def test_series_check_memory_at_q256():
+    # |G| = 256, 256 points: the joint table evaluates 2^16 quadratics in
+    # blocks of 2^14 rows at most.  A small launcher starts the job, because
+    # a child's ru_maxrss also counts the process it was forked from.
+    launcher = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen([sys.executable, '-m', 'hayesdist.cli', *sys.argv[1:]], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["series-check", "--p", "2", "--a", "8", "--ell", "1", "--Q", "1", "--d-max", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    code, max_rss_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert max_rss_kb < 64 * 1024  # ru_maxrss is in KB on Linux
+
+
 def test_validation_failure_exit_code(capsys):
     code, data = run_json(capsys, ["exact-dist", "--p", "3", "--ell", "1", "--Q", "2*x", "--k", "1"])
     assert code == 1

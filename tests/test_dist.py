@@ -61,6 +61,10 @@ class TestExactDistribution:
         with pytest.raises(BudgetExceededError):
             exact_distribution(groups(5, 1, 1, "1"), 0, 1, budget=10)
 
+    def test_negative_k_rejected(self, groups):
+        with pytest.raises(ValidationError, match="k must be >= 0"):
+            enumeration_distributions_all(groups(2, 1, 1, "1"), -1)
+
     def test_default_points_avoid_roots(self, fields, groups):
         F3 = fields(3)
         G = groups(3, 1, 1, "x")
