@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Every subcommand writes a deterministic artifact (JSON, or CSV for the
-table-shaped outputs) that embeds the run configuration and the library
-version; identical configuration and seed give byte-identical output.
+tables of `approx` and `regimes`) that embeds the run configuration and the
+library version; identical configuration and seed give byte-identical output.
 
 Artifacts of the distribution commands, `weil` and `series-check` name the
 engine that produced their numbers ("sieve", "enumeration" or "characters")
 and its deterministic work counts.
 
 Exit codes: 0 when all asserted checks pass, 1 for validation or check
-failures, arithmetic-check failures and internal consistency errors (with
-a machine-readable failure record on stdout/the artifact), 2 when a work
-budget is exceeded.
+failures (usage errors on the command line included), arithmetic-check
+failures and internal consistency errors (with a machine-readable failure
+record on stdout/the artifact), 2 when a work budget is exceeded.
 """
 
 from __future__ import annotations
@@ -80,9 +80,18 @@ def _field_args(sub: argparse.ArgumentParser, hayes: bool = True) -> None:
         sub.add_argument("--Q", default="1", help='modulus polynomial, e.g. "x^2 + x + 1"')
 
 
-def _output_args(sub: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in the validation record and exit code 1, not in
+    argparse's exit code 2, which here means budget-exceeded."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
+def _output_args(sub: argparse.ArgumentParser, table: bool = False) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_argument("--format", choices=("json", "csv") if table else ("json",), default="json")
     sub.add_argument(
         "--max-enum", type=int, default=None,
         help="work budget override (q^k for enumeration, DP plus convolution cells for the sieve)",
@@ -110,7 +119,7 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: list[str
     # written piece by piece, so the whole artifact text is never held in memory
     out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:
-        if args.format == "csv" and rows is not None:
+        if args.format == "csv":
             header = {key: value for key, value in payload.items() if key != "table"}
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
             writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
@@ -450,8 +459,10 @@ def cmd_kernels(args) -> int:
         value = truncated_binomial_sum(args.m, args.r, args.n, args.q)
         _emit(args, {"kernel": args.kernel, "value": _frac(value)})
     elif args.kernel == "cycle-average":
-        a = Fraction(args.a_val)
-        b = Fraction(args.b_val)
+        try:
+            a, b = Fraction(args.a_val), Fraction(args.b_val)
+        except ZeroDivisionError:
+            raise ValidationError(f"zero denominator in --a-val {args.a_val} or --b-val {args.b_val}") from None
         series = cycle_average_series(args.j, a, b, args.p_char)
         routes = {
             "series": _frac(series),
@@ -476,7 +487,7 @@ def cmd_series_check(args) -> int:
         "pass": report.all_ok,
         "checks": [{"name": c.name, "pass": c.ok, "detail": c.detail} for c in report.checks],
         "engine": "enumeration",
-        "work": {"classes": group.order, "monic_enumerated": group.monic_enumerated, **report.work},
+        "work": {"classes": group.order, **report.work},
     }
     _emit(args, payload)
     return 0 if report.all_ok else 1
@@ -487,7 +498,7 @@ def cmd_series_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hayesdist",
         description="Exact zero-count distributions over Hayes classes, with verification suites.",
     )
@@ -533,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("approx", help="exact vs limit-shape comparison table")
     _field_args(s)
     s.add_argument("--k", type=int, required=True)
-    _output_args(s)
+    _output_args(s, table=True)
     s.set_defaults(func=cmd_approx)
 
     s = subs.add_parser("regimes", help="regime predicate table")
@@ -543,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t", type=int, default=0)
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--k-list", type=lambda s: [int(x) for x in s.split(",")], required=True)
-    _output_args(s)
+    _output_args(s, table=True)
     s.set_defaults(func=cmd_regimes)
 
     s = subs.add_parser("series-check", help="group-algebra series identity checks")
@@ -572,9 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceededError as exc:
         record = {"error": "budget-exceeded", "what": exc.what, "value": exc.value, "budget": exc.budget}

@@ -35,10 +35,11 @@ so the zero count of a member over D equals the number of positions where
 h's evaluation vector agrees with a fixed target vector.  The oracle
 enumerates all q^k coefficient vectors of h in vectorized blocks and
 histograms the agreement counts.  It keeps its q^k budget and feeds the
-verification suites (moment identity, remainder bounds, the series moment
-slice): under the sieve the j <= k moment identities hold by construction,
-so those checks never run on sieve output alone.  A plain object-level
-brute force over all of M_d is kept as a third, independent route.
+verification suites (moment identity, remainder bounds): under the sieve
+the j <= k moment identities hold by construction, so those checks never
+run on sieve output alone; the series moment slice reads the series
+check's joint table instead of the oracle.  A plain object-level brute
+force over all of M_d is kept as a third, independent route.
 
 The factorization counts, the series check's joint (class, zero count)
 table and the oracle's target vectors run on the field's row kernel
@@ -472,25 +473,6 @@ def factorization_count_by_characters(
 # Group-algebra series identities
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GroupAlgebraSeries:
-    """Truncated series with group-algebra coefficients: slice[d][class] is the
-    integer coefficient of z^d times that class."""
-
-    truncation: int
-    slices: list[list[int]]
-
-    def slice(self, d: int) -> list[int]:
-        return self.slices[d]
-
-
-def monic_series(group: ClassGroup, d_max: int, budget: int | None = None) -> GroupAlgebraSeries:
-    """The series sum over monic f of <f> z^deg(f), truncated at z^d_max
-    (non-coprime polynomials carry class 0 and are dropped)."""
-    slices = [group.monic_class_counts(d, budget) for d in range(d_max + 1)]
-    return GroupAlgebraSeries(d_max, slices)
-
-
 def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray:
     """Group-algebra product of the class functions u and v (an object array),
     out[eps] = sum_c u[c] v[eps c^-1]: one |G|-gather of v per nonzero u[c].
@@ -527,7 +509,7 @@ class CheckRecord:
 @dataclass
 class SeriesReport:
     checks: list[CheckRecord]
-    work: dict  # polynomials enumerated, the oracle's comparisons, factorization pairs
+    work: dict  # polynomials enumerated, factorization pairs
 
     @property
     def all_ok(self) -> bool:
@@ -552,7 +534,14 @@ def verify_series_identities(
       is the sieve's `group_convolve`, so this checks both against enumeration;
     * moment slice: for each k with k+t+ell <= d_max, the degree-(k+t+ell)
       slice matches C(n,j) q^(k-j) for j <= k and the factorization counts
-      for j > k, against the enumeration oracle's distributions.
+      for j > k; it reads the joint table, not the enumeration oracle.
+
+    Each degree is enumerated once, into the joint (class, zero count)
+    table: its row sums are the class counts N_d, and its binomial moments
+    M_d[j][c] = sum_r C(r, j) joint_d[c][r] are the left side of the
+    product and moment slices.  The right sides read the table only through
+    N_(d-j), so the (u-1)^0 product slice checks `group_convolve` with <1>
+    alone; the geometric tail and the higher slices check the row sums.
     """
     params = group.params
     spec = params.spec
@@ -561,31 +550,30 @@ def verify_series_identities(
     t, ell = params.t, params.ell
     if d_max < 0:
         raise ValidationError(f"d_max must be >= 0, got {d_max}")
-    checks: list[CheckRecord] = []
-
-    F = monic_series(group, d_max, budget)
-    for d in range(t + ell, d_max + 1):
-        want = spec.q ** (d - t - ell)
-        ok = all(c == want for c in F.slice(d))
-        checks.append(CheckRecord(f"geometric tail, degree {d}", ok, f"expected q^{d - t - ell} per class"))
-
-    # joint enumeration: joint[d][class][r]
-    joint = []
-    work = {"polynomials_checked": 0, "comparisons": 0, "factorization_pairs": 0}
     for d in range(d_max + 1):
         check_budget(f"monic enumeration q^{d}", spec.q ** d, budget)
+    checks: list[CheckRecord] = []
+    work = {"polynomials_checked": 0, "factorization_pairs": 0}
+
+    N: list[list[int]] = []  # N[d][class]
+    M: list[list[list[int]]] = []  # M[d][j][class], exact Python integers
+    for d in range(d_max + 1):
+        joint = joint_zero_counts(group, d, pts).tolist()
         work["polynomials_checked"] += spec.q ** d
-        joint.append(joint_zero_counts(group, d, pts).tolist())
+        N.append([sum(row) for row in joint])
+        M.append([[sum(math.comb(r, j) * c for r, c in enumerate(row)) for row in joint] for j in range(d + 1)])
+
+    for d in range(t + ell, d_max + 1):
+        want = spec.q ** (d - t - ell)
+        ok = all(c == want for c in N[d])
+        checks.append(CheckRecord(f"geometric tail, degree {d}", ok, f"expected q^{d - t - ell} per class"))
 
     sub = subset_product_table(group, pts, 0, n)
 
     for d in range(d_max + 1):
         for j in range(min(d, n) + 1):
-            rhs = group_convolve(group, F.slice(d - j), sub[j]).tolist()
-            lhs = [
-                sum(math.comb(r, j) * joint[d][cls][r] for r in range(n + 1))
-                for cls in range(group.order)
-            ]
+            rhs = group_convolve(group, N[d - j], sub[j]).tolist()
+            lhs = M[d][j]
             ok = lhs == rhs
             checks.append(
                 CheckRecord(
@@ -596,17 +584,12 @@ def verify_series_identities(
             )
 
     for k in range(0, d_max - t - ell + 1):
-        dists = enumeration_distributions_all(group, k, pts, budget)
-        work["comparisons"] += enumeration_comparisons(group, k, n)
-        Ws = {
-            j: factorization_counts(group, j, k, pts, budget)
-            for j in range(k + 1, k + t + ell + 1)
-        }
+        d = k + t + ell
+        Ws = {j: factorization_counts(group, j, k, pts, budget) for j in range(k + 1, d + 1)}
         work["factorization_pairs"] += sum(factorization_pairs(group, j, k, n) for j in Ws)
         for eps in range(group.order):
-            counts = dists[eps].counts
-            for j in range(0, k + t + ell + 1):
-                got = sum(math.comb(r, j) * c for r, c in counts.items())
+            for j in range(0, d + 1):
+                got = M[d][j][eps]
                 want = math.comb(n, j) * spec.q ** (k - j) if j <= k else Ws[j][eps]
                 checks.append(
                     CheckRecord(
@@ -729,10 +712,8 @@ def rs_census(
     dists = exact_distributions_all(group, k, spec.elements, budget)
     per_class = []
     tallies = {DEEP_HOLE: 0, ORDINARY: 0, NEITHER: 0}
-    rows = []
     for eps in range(group.order):
         row = RSDistanceRow(group.reps[eps], k, ell, dict(dists[eps].counts), dists[eps].total)
-        rows.append(row)
         per_class.append(
             {
                 "eps": eps,

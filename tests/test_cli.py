@@ -145,7 +145,7 @@ def test_rs_census_budgets_only_the_sieve(capsys):
         (["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], "enumeration", "comparisons"),
         (["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"], "enumeration", "comparisons"),
         (["weil", "--p", "3", "--ell", "1", "--Q", "x"], "characters", "character_sums"),
-        (["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"], "enumeration", "comparisons"),
+        (["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"], "enumeration", "polynomials_checked"),
     ],
 )
 def test_artifact_names_engine_and_work(capsys, argv, engine, unit):
@@ -225,18 +225,15 @@ def test_truncated_binomial_verdicts_match_fraction_form():
 
 def test_weil_and_series_work_counts(capsys):
     # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..ell+t+2 = 4,
-    # class counts of degrees 0..4; series-check --d-max 3: degrees 0..3 counted
-    # and classified, oracle at k = 0, 1 on n = 2 points, factorization pairs
-    # as in the moments-check case
+    # class counts of degrees 0..4; series-check --d-max 3: degrees 0..3
+    # enumerated once each into the joint table, factorization pairs as in
+    # the moments-check case
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
     assert code == 0
     assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9 + 27 + 81, "character_sums": 5 * 5}
     code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"])
     assert code == 0
-    assert data["work"] == {
-        "classes": 6, "monic_enumerated": 40, "polynomials_checked": 40, "comparisons": 6 * (1 + 3) * 2,
-        "factorization_pairs": 7 + 3,
-    }
+    assert data["work"] == {"classes": 6, "polynomials_checked": 1 + 3 + 9 + 27, "factorization_pairs": 7 + 3}
 
 
 def test_series_check_counts_factorization_pairs(capsys):
@@ -411,3 +408,58 @@ def test_regimes_table(capsys):
     rows = data["table"]
     assert [row["k"] for row in rows] == [2, 4]
     assert all(row["gamma"] == 0.0 for row in rows)  # t + ell - 1 = 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],  # no subcommand
+        ["exact-dist", "--p", "3", "--ell", "1", "--Q", "x"],  # --k missing
+        ["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "one"],
+        ["regimes", "--p", "2", "--k-list", "2,x"],
+        ["exact-dist", "--p", "3", "--k", "1", "--bogus"],
+    ],
+)
+def test_usage_errors_are_validation_records(capsys, argv):
+    # exit code 2 is reserved for budget-exceeded
+    code, data = run_json(capsys, argv)
+    assert code == 1
+    assert data["error"] == "validation" and data["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["series-check", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_zero_denominator_is_a_validation_record(capsys):
+    code, data = run_json(capsys, ["kernels", "cycle-average", "--j", "2", "--a-val", "1/0"])
+    assert code == 1
+    assert data == {"error": "validation", "message": "zero denominator in --a-val 1/0 or --b-val 1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-dist", "--p", "3", "--Q", "x", "--k", "1"],
+        ["moments-check", "--p", "3", "--Q", "x", "--k", "1"],
+        ["weil", "--p", "3", "--Q", "x"],
+        ["bounds-check", "--p", "3", "--Q", "x"],
+        ["rs", "--p", "3", "--k", "1", "--ell", "1"],
+        ["series-check", "--p", "3", "--Q", "x", "--d-max", "2"],
+        ["kernels", "phi", "--p", "2", "--Q", "x", "--j", "2"],
+    ],
+)
+def test_csv_without_a_table_is_refused_before_any_work(capsys, monkeypatch, argv):
+    def forbidden(args):
+        raise AssertionError("a subcommand ran")
+
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, forbidden)
+    code, data = run_json(capsys, argv + ["--format", "csv"])
+    assert code == 1
+    assert data["error"] == "validation" and "--format" in data["message"]

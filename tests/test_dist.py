@@ -20,6 +20,8 @@ from hayesdist.dist import (
     factorial_moments,
     factorization_count_by_characters,
     factorization_counts,
+    group_convolve,
+    joint_zero_counts,
     rs_census,
     rs_distance_row,
     sieve_work,
@@ -28,7 +30,7 @@ from hayesdist.dist import (
 )
 from hayesdist.errors import BudgetExceededError, ValidationError
 from hayesdist.ffield import Polynomial, enumerate_monic
-from hayesdist.hayes import phi
+from hayesdist.hayes import ClassGroup, phi
 
 
 class TestExactDistribution:
@@ -326,14 +328,12 @@ class TestFactorialMoments:
 
 
 def test_monic_series_slice_totals(groups):
-    # a degree slice sums over classes to the coprime count at that degree
-    from hayesdist.dist import monic_series
-
+    # a degree slice of the monic series sums over classes to the coprime
+    # count at that degree
     for key in [(2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 1, "x^2 + x + 1")]:
         G = groups(*key)
-        series = monic_series(G, 4)
         for d in range(5):
-            assert sum(series.slice(d)) == phi(d, G.params.Q), (key, d)
+            assert sum(G.monic_class_counts(d)) == phi(d, G.params.Q), (key, d)
 
 
 class TestSeriesIdentities:
@@ -349,6 +349,82 @@ class TestSeriesIdentities:
     def test_degenerate_single_class(self, groups):
         report = verify_series_identities(groups(2, 1, 0, "1"), 3)
         assert report.all_ok
+
+    def test_one_enumeration_per_degree(self, groups, monkeypatch):
+        # the joint table is the only enumeration: no oracle, no class counts
+        degrees = []
+
+        def spy(group, d, points=None):
+            degrees.append(d)
+            return joint_zero_counts(group, d, points)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a second enumeration ran")
+
+        monkeypatch.setattr("hayesdist.dist.joint_zero_counts", spy)
+        monkeypatch.setattr("hayesdist.dist.enumeration_distributions_all", forbidden)
+        monkeypatch.setattr(ClassGroup, "monic_class_counts", forbidden)
+        report = verify_series_identities(groups(3, 1, 1, "x"), 4)
+        assert report.all_ok
+        assert degrees == [0, 1, 2, 3, 4]
+
+    def test_budget_refused_before_any_enumeration(self, groups, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("enumerated on a refused run")
+
+        monkeypatch.setattr("hayesdist.dist.joint_zero_counts", spy)
+        with pytest.raises(BudgetExceededError) as info:
+            verify_series_identities(groups(3, 1, 1, "x"), 4, budget=10)
+        # the first degree over budget is named, as each degree is checked in turn
+        assert (info.value.what, info.value.value) == ("monic enumeration q^3", 27)
+
+
+def _corrupt_factorization_counts(monkeypatch):
+    def corrupt(group, j, k, points=None, budget=None):
+        out = factorization_counts(group, j, k, points, budget)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr("hayesdist.dist.factorization_counts", corrupt)
+
+
+def _corrupt_group_convolve(monkeypatch):
+    def corrupt(group, u, v):
+        out = group_convolve(group, u, v)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr("hayesdist.dist.group_convolve", corrupt)
+
+
+def _corrupt_joint_zero_counts(monkeypatch):
+    def corrupt(group, d, points=None):
+        out = joint_zero_counts(group, d, points)
+        if d == 3:
+            out = out.copy()
+            out[0, 1] += 1  # one more class-0 cubic with exactly one zero
+        return out
+
+    monkeypatch.setattr("hayesdist.dist.joint_zero_counts", corrupt)
+
+
+@pytest.mark.parametrize(
+    "corrupt, expected",
+    [
+        # |G| = 6, t = ell = 1, n = 2, d_max = 4: moment slices k = 0..2 use
+        # factorization counts for j = k+1..k+2
+        (_corrupt_factorization_counts, {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2)}),
+        (_corrupt_group_convolve, {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(min(d, 2) + 1)}),
+        (_corrupt_joint_zero_counts, {"product slice z^3 (u-1)^1"}),
+    ],
+)
+def test_series_check_catches_a_corrupt_cell(groups, monkeypatch, corrupt, expected):
+    # each side of the series identities comes from its own route, so one
+    # wrong cell on any route fails a slice with the expected name
+    corrupt(monkeypatch)
+    report = verify_series_identities(groups(3, 1, 1, "x"), 4)
+    failed = {c.name for c in report.failures()}
+    assert expected <= failed
 
 
 class TestReedSolomon:
