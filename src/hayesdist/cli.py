@@ -51,12 +51,12 @@ from .comb import (
     truncated_binomial_sum,
 )
 from .dist import (
+    binomial_moments,
     classify_row,
     default_point_set,
     enumeration_distributions_all,
     enumeration_comparisons,
     exact_distributions_all,
-    factorial_moments,
     factorization_counts,
     factorization_pairs,
     pmf_prediction,
@@ -134,6 +134,12 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, as `_frac` writes it."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -180,17 +186,16 @@ def cmd_moments_check(args) -> int:
             for j in range(k + 1, k + t + ell + 1)
         }
         pairs += sum(factorization_pairs(group, j, k, n) for j in Ws)
+        # q^k E[C(Y, j)] against C(n, j) q^(k-j) (j <= k) or W_j (j > k), as integers
+        total = spec.q ** k
         for eps in range(group.order):
-            moments = factorial_moments(dists[eps], k + t + ell)
-            for j, m in enumerate(moments):
-                if j <= k:
-                    want = Fraction(math.comb(n, j), spec.q ** j)
-                else:
-                    want = Fraction(Ws[j][eps], spec.q ** k)
-                ok = m == want
-                records.append(
-                    {"k": k, "eps": eps, "j": j, "moment": _frac(m), "expected": _frac(want), "pass": ok}
-                )
+            for j, got in enumerate(binomial_moments(dists[eps], k + t + ell)):
+                want = math.comb(n, j) * spec.q ** (k - j) if j <= k else Ws[j][eps]
+                ok = got == want
+                records.append({
+                    "k": k, "eps": eps, "j": j,
+                    "moment": _ratio(got, total), "expected": _ratio(want, total), "pass": ok,
+                })
                 if not ok:
                     failures.append(records[-1])
     _emit(args, {

@@ -33,8 +33,15 @@ coefficients nor the residue).  For alpha with Q(alpha) != 0,
 
 so the zero count of a member over D equals the number of positions where
 h's evaluation vector agrees with a fixed target vector.  The oracle
-enumerates all q^k coefficient vectors of h in vectorized blocks and
-histograms the agreement counts.  It keeps its q^k budget and feeds the
+compares the evaluation vector of every one of the q^k polynomials h with
+the target of every class, in one array pass over all classes: the
+evaluation vectors of the low coefficients of h form one shared block,
+each high-coefficient evaluation vector e shifts the targets instead
+(low + e agrees with t exactly where low agrees with t - e), and the
+agreement counts of a block of targets against the low block (a bounded
+number of cells) are histogrammed by one `bincount`.  Its work is the
+|G| * q^k * n comparisons of `enumeration_comparisons`; its budget counts
+q^k.  It uses neither the sieve nor group arithmetic, and it feeds the
 verification suites (moment identity, remainder bounds): under the sieve
 the j <= k moment identities hold by construction, so those checks never
 run on sieve output alone; the series moment slice reads the series
@@ -78,7 +85,9 @@ from .ffield import (
 )
 from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, phi
 
-_BLOCK_ROWS = 1 << 16  # vectorized enumeration and product blocks: at most this many rows at once
+_BLOCK_ROWS = 1 << 16  # factorization product blocks: at most this many rows at once
+_AGREEMENT_CELLS = 1 << 14  # oracle blocks: low evaluation vectors, (target, low row) agreement counts
+_HISTOGRAM_CELLS = 1 << 16  # oracle blocks: (target, count) cells per histogram
 _LABEL_ROWS = 1 << 10  # polynomials labelled per ClassGroup.classes_of call
 
 
@@ -113,7 +122,19 @@ def _agreement_histograms(
     spec: FieldSpec, k: int, point_idx: tuple[int, ...], targets: np.ndarray
 ) -> np.ndarray:
     """For every target row, histogram over all q^k polynomials h of degree < k
-    of #{positions where h(point) == target}.  Returns (len(targets), n+1)."""
+    of #{positions where h(point) == target}.  Returns (len(targets), n+1).
+
+    h splits into a low part (the first j_low coefficients, with q^j_low at
+    most _AGREEMENT_CELLS) and a high part.  The evaluation vectors of all low
+    parts form one block, built once, as an (n, q^j_low) array.  For each
+    high part, with evaluation vector e, low + e agrees with a target t
+    exactly where low agrees with t - e, so the targets shifted by
+    `sub_table` are compared with the shared low block.  A block of targets
+    at a time, n compare-adds fill one (targets x low rows) array of
+    agreement counts, laid out with the longer axis contiguous, and one
+    offset `bincount` histograms it per target.  The agreement array holds
+    at most _AGREEMENT_CELLS cells and the block's histogram at most
+    _HISTOGRAM_CELLS."""
     q = spec.q
     n = len(point_idx)
     m = targets.shape[0]
@@ -132,26 +153,39 @@ def _agreement_histograms(
         pw[i] = mul[pw[i - 1], pts]
 
     j_low = 0
-    while j_low < k and q ** (j_low + 1) <= _BLOCK_ROWS:
+    while j_low < k and q ** (j_low + 1) <= _AGREEMENT_CELLS:
         j_low += 1
 
-    # low block: evaluation vectors of all q^j_low combinations of c_0..c_{j_low-1}
-    block = np.zeros((1, n), dtype=np.uint8)
+    # low[:, row]: evaluation vector of one of the q^j_low combinations of c_0..c_{j_low-1}
+    low = np.zeros((n, 1), dtype=np.uint8)
     coeff_vals = np.arange(q, dtype=np.intp)
     for i in range(j_low):
-        contrib = mul[coeff_vals[:, None], pw[i][None, :]]  # (q, n)
-        block = add[block[:, None, :], contrib[None, :, :]].reshape(-1, n)
+        contrib = mul[pw[i][:, None], coeff_vals[None, :]]  # (n, q)
+        low = add[low[:, :, None], contrib[:, None, :]].reshape(n, -1)
+    rows = low.shape[1]
 
-    tgt = targets.astype(np.uint8)
+    width = n + 1
+    per_block = max(1, min(_AGREEMENT_CELLS // rows, _HISTOGRAM_CELLS // width))  # targets per block
+    tgt = targets.T  # (n, m)
+    count_type = np.min_scalar_type(n)
     for high in itertools.product(range(q), repeat=k - j_low):
         e = np.zeros(n, dtype=np.uint8)
         for offset, c in enumerate(high):
             if c:
                 e = add[e, mul[c, pw[j_low + offset]]]
-        total = add[block, e[None, :]]
-        for ti in range(m):
-            agree = (total == tgt[ti][None, :]).sum(axis=1)
-            hists[ti] += np.bincount(agree, minlength=n + 1)
+        for lo in range(0, m, per_block):
+            shifted = spec.sub_table[tgt[:, lo:lo + per_block], e[:, None]]  # (n, targets)
+            mb = shifted.shape[1]
+            offsets = np.arange(mb) * width
+            if rows >= mb:
+                a, b, offsets = shifted, low, offsets[:, None]
+            else:
+                a, b = low, shifted
+            agree = np.zeros((a.shape[1], b.shape[1]), dtype=count_type)
+            for i in range(n):
+                agree += a[i][:, None] == b[i]
+            counts = np.bincount((agree + offsets).ravel(), minlength=mb * width)
+            hists[lo:lo + mb] += counts.reshape(mb, width)
     return hists
 
 
@@ -213,12 +247,12 @@ def enumeration_distributions_all(
     base = group.member_base_rows(k + params.t + params.ell)
     targets = spec.mul_table[spec.eval_rows(base, point_idx), scale]
     hists = _agreement_histograms(spec, k, point_idx, targets)
+    counts: list[dict[int, int]] = [{} for _ in range(group.order)]
+    eps_of, r_of = np.nonzero(hists)  # row-major, so each class's r ascend
+    for eps, r, c in zip(eps_of.tolist(), r_of.tolist(), hists[eps_of, r_of].tolist()):
+        counts[eps][r] = c
     total = spec.q ** k
-    out = []
-    for eps in range(group.order):
-        counts = {r: int(c) for r, c in enumerate(hists[eps]) if c}
-        out.append(ZeroDistribution(params, eps, k, pts, counts, total))
-    return out
+    return [ZeroDistribution(params, eps, k, pts, c, total) for eps, c in enumerate(counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +377,16 @@ def exact_distribution_bruteforce(
     return ZeroDistribution(params, eps, k, pts, counts, spec.q ** k)
 
 
+def binomial_moments(dist: ZeroDistribution, j_max: int) -> list[int]:
+    """sum_r C(r, j) counts[r] for j = 0..j_max, as exact integers: the pairs
+    (f, S) of a member f and a j-subset S of D on which f vanishes, that is
+    total * E[C(Y, j)]."""
+    return [sum(math.comb(r, j) * c for r, c in dist.counts.items()) for j in range(j_max + 1)]
+
+
 def factorial_moments(dist: ZeroDistribution, j_max: int) -> list[Fraction]:
     """E[C(Y, j)] for j = 0..j_max, exactly from the counts."""
-    return [
-        Fraction(sum(math.comb(r, j) * c for r, c in dist.counts.items()), dist.total)
-        for j in range(j_max + 1)
-    ]
+    return [Fraction(w, dist.total) for w in binomial_moments(dist, j_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +568,12 @@ def verify_series_identities(
     * product form: tagging monic polynomials by class and zero count agrees
       with the monic series multiplied by prod over alpha in D of
       (<1> + (u-1) z <x - alpha>), compared per degree and per power of (u-1);
-      the (u-1)^j factor is the sieve's subset-product table and the product
-      is the sieve's `group_convolve`, so this checks both against enumeration;
+      for j >= 1 the (u-1)^j factor is the sieve's subset-product table and
+      the product is the sieve's `group_convolve`, so this checks both
+      against enumeration; the (u-1)^0 factor is <1>, so that slice is the
+      class counts N_d and is checked against q^(d-t-ell) per class at
+      d >= t+ell, and below t+ell against a 0/1 vector (a class holds at
+      most one polynomial of such a degree) with total Phi_d(Q);
     * moment slice: for each k with k+t+ell <= d_max, the degree-(k+t+ell)
       slice matches C(n,j) q^(k-j) for j <= k and the factorization counts
       for j > k; it reads the joint table, not the enumeration oracle.
@@ -540,8 +582,7 @@ def verify_series_identities(
     table: its row sums are the class counts N_d, and its binomial moments
     M_d[j][c] = sum_r C(r, j) joint_d[c][r] are the left side of the
     product and moment slices.  The right sides read the table only through
-    N_(d-j), so the (u-1)^0 product slice checks `group_convolve` with <1>
-    alone; the geometric tail and the higher slices check the row sums.
+    N_(d-j) with j >= 1, so no slice compares the table with itself.
     """
     params = group.params
     spec = params.spec
@@ -572,9 +613,16 @@ def verify_series_identities(
 
     for d in range(d_max + 1):
         for j in range(min(d, n) + 1):
-            rhs = group_convolve(group, N[d - j], sub[j]).tolist()
             lhs = M[d][j]
-            ok = lhs == rhs
+            if j:
+                rhs = group_convolve(group, N[d - j], sub[j]).tolist()
+                ok = lhs == rhs
+            elif d >= t + ell:  # (u-1)^0: the class counts, whose convolution with <1> is themselves
+                rhs = [spec.q ** (d - t - ell)] * group.order
+                ok = lhs == rhs
+            else:  # below t + ell a class holds at most one polynomial of degree d
+                rhs = f"0 or 1 per class, phi_{d}(Q) = {phi(d, params.Q)} in all"
+                ok = set(lhs) <= {0, 1} and sum(lhs) == phi(d, params.Q)
             checks.append(
                 CheckRecord(
                     f"product slice z^{d} (u-1)^{j}",

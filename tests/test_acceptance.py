@@ -41,6 +41,7 @@ from hayesdist.comb import (
 from hayesdist.dist import (
     codeword_agreement_row,
     default_point_set,
+    enumeration_comparisons,
     enumeration_distributions_all,
     exact_distributions_all,
     factorial_moments,
@@ -92,6 +93,7 @@ def test_structure_sizes(fields, groups):
 
 def test_moment_identity(fields, groups):
     checked = 0
+    comparisons = 0
     for p, a, ell, q_text in grid_keys(fields):
         spec = fields(p, a)
         G = groups(p, a, ell, q_text)
@@ -100,6 +102,7 @@ def test_moment_identity(fields, groups):
         n = len(points)
         for k in range(0, 4):
             dists = enumeration_distributions_all(G, k, points)
+            comparisons += enumeration_comparisons(G, k, n)
             Ws = {
                 j: factorization_counts(G, j, k, points)
                 for j in range(k + 1, k + t + ell + 1)
@@ -113,7 +116,7 @@ def test_moment_identity(fields, groups):
                         want = Fraction(Ws[j][eps], spec.q ** k)
                     assert m == want, (p, a, ell, q_text, k, eps, j)
                     checked += 1
-    report("moment identity", f"{checked} exact moment comparisons")
+    report("moment identity", f"{checked} exact moment comparisons; enumeration, {comparisons} comparisons")
 
 
 def test_series_identities(fields, groups):
@@ -262,6 +265,7 @@ def test_bound_suite(fields, groups):
     # certified remainder bounds dominate exact gaps on the structure grid
     w_checked = 0
     pmf_checked = 0
+    comparisons = 0
     skipped = []
     for p, a, ell, q_text in grid_keys(fields):
         if ell < 1:
@@ -277,6 +281,7 @@ def test_bound_suite(fields, groups):
             continue
         for k in range(0, 4):
             dists = enumeration_distributions_all(G, k, points)
+            comparisons += enumeration_comparisons(G, k, n)
             for j in range(k + 1, k + t + ell + 1):
                 W = factorization_counts(G, j, k, points)
                 main = Fraction(phi(k + t + ell - j, G.params.Q) * math.comb(n, j), G.order)
@@ -294,7 +299,8 @@ def test_bound_suite(fields, groups):
     report(
         "bound suite",
         f"{sandwich} sandwich checks, {w_checked} factorization and {pmf_checked} pmf "
-        f"remainders dominated, {len(skipped)} cells skipped (gamma > 1): {skipped}",
+        f"remainders dominated, {len(skipped)} cells skipped (gamma > 1): {skipped}; "
+        f"enumeration, {comparisons} comparisons",
     )
 
 

@@ -26,6 +26,31 @@ def test_moments_check_worked_example(capsys):
     assert half[0]["moment"] == "1/2"
 
 
+def test_moments_check_failure_record(capsys, monkeypatch):
+    # one wrong factorization count fails exactly its (k, eps, j) cell, with
+    # both sides written as reduced fractions of q^k
+    factorization_counts = cli.factorization_counts
+
+    def corrupt(group, j, k, points=None, budget=None):
+        out = factorization_counts(group, j, k, points, budget)
+        if (j, k) == (3, 1):
+            out[2] += 3
+        return out
+
+    monkeypatch.setattr(cli, "factorization_counts", corrupt)
+    code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"])
+    assert code == 1 and not data["pass"]
+    (bad,) = data["failures"]
+    assert (bad["k"], bad["eps"], bad["j"]) == (1, 2, 3)
+    moment = Fraction(*map(int, bad["moment"].split("/")))
+    assert bad["expected"] == cli._frac(moment + 1)  # (W + 3) / 3
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (0, 27), (6, 9), (5, 25), (81, 27), (2 ** 70, 3 ** 40 * 2 ** 9)])
+def test_ratio_matches_frac(num, den):
+    assert cli._ratio(num, den) == cli._frac(Fraction(num, den))
+
+
 def test_rs_census_worked_example(capsys):
     code, data = run_json(capsys, ["rs", "--p", "2", "--k", "1", "--ell", "1", "--census"])
     assert code == 0

@@ -397,15 +397,27 @@ def _corrupt_group_convolve(monkeypatch):
     monkeypatch.setattr("hayesdist.dist.group_convolve", corrupt)
 
 
-def _corrupt_joint_zero_counts(monkeypatch):
+def _corrupt_joint_cell(monkeypatch, degree, r):
     def corrupt(group, d, points=None):
         out = joint_zero_counts(group, d, points)
-        if d == 3:
+        if d == degree:
             out = out.copy()
-            out[0, 1] += 1  # one more class-0 cubic with exactly one zero
+            out[0, r] += 1  # one more class-0 polynomial of this degree with exactly r zeros
         return out
 
     monkeypatch.setattr("hayesdist.dist.joint_zero_counts", corrupt)
+
+
+def _corrupt_joint_zero_counts(monkeypatch):
+    _corrupt_joint_cell(monkeypatch, 3, 1)
+
+
+def _corrupt_cubic_class_count(monkeypatch):
+    _corrupt_joint_cell(monkeypatch, 3, 0)
+
+
+def _corrupt_linear_class_count(monkeypatch):
+    _corrupt_joint_cell(monkeypatch, 1, 0)  # below t + ell = 2
 
 
 @pytest.mark.parametrize(
@@ -414,8 +426,11 @@ def _corrupt_joint_zero_counts(monkeypatch):
         # |G| = 6, t = ell = 1, n = 2, d_max = 4: moment slices k = 0..2 use
         # factorization counts for j = k+1..k+2
         (_corrupt_factorization_counts, {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2)}),
-        (_corrupt_group_convolve, {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(min(d, 2) + 1)}),
+        (_corrupt_group_convolve, {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(1, min(d, 2) + 1)}),
         (_corrupt_joint_zero_counts, {"product slice z^3 (u-1)^1"}),
+        # the (u-1)^0 slice is the class counts: q^(d-t-ell) each, or 0/1 with total Phi_d(Q)
+        (_corrupt_cubic_class_count, {"product slice z^3 (u-1)^0", "geometric tail, degree 3"}),
+        (_corrupt_linear_class_count, {"product slice z^1 (u-1)^0"}),
     ],
 )
 def test_series_check_catches_a_corrupt_cell(groups, monkeypatch, corrupt, expected):
