@@ -19,8 +19,13 @@ A character is extended by zero to polynomials not coprime to Q, which is
 already encoded in the class counts: non-coprime polynomials carry no class.
 
 For a nontrivial character chi, the series  sum over monic f of
-chi(f) z^deg(f)  is a polynomial P(z, chi) of degree at most ell + t - 1
-whose roots are 1 or have modulus q^(-1/2), at most one root equal to 1.
+chi(f) z^deg(f)  is a polynomial P(z, chi) of degree at most ell + t - 1.
+For a primitive chi its roots have modulus q^(-1/2), except at most one
+root equal to 1.  An imprimitive chi is induced by a primitive chi' of
+smaller modulus, and P(z, chi) also carries the Euler factors
+(1 - chi'(P) z^deg(P)) of the primes P dividing Q: their roots have
+modulus 1 and can equal 1, so more than one root may be 1 (at q = 4,
+ell = 1, Q = x^2 + x one polynomial is (1 - z)^2).
 Coefficient j is the full character sum over monic degree-j polynomials,
 so |coefficient j| <= C(t+ell-1, j) * q^(j/2) (the Weil bound used
 throughout the error estimates).

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, _writer
 from .asym import (
     Regime,
     binomial_envelope,
@@ -126,7 +127,7 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: list[str
             writer.writeheader()
             writer.writerows(rows)
         else:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            _writer.dump(payload, fh)  # the bytes of json.dumps(payload, sort_keys=True, indent=2)
             fh.write("\n")
 
 
@@ -615,7 +616,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # The artifact is closed and what is still alive dies with the process:
+    # frozen, it is skipped by the interpreter's exit-time collections, while
+    # stdout and stderr are still flushed and atexit handlers still run.  The
+    # young generations go first (well under a millisecond), so that the
+    # teardown reuses the memory of their cyclic garbage instead of growing
+    # the heap (about 0.1 MB of peak RSS on a small job).
+    gc.collect(1)
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

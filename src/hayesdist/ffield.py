@@ -4,10 +4,12 @@ Field elements are coordinate vectors in the power basis of a stored monic
 irreducible modulus m(y), so GF(p^a) = GF(p)[y]/(m(y)).  Every element of a
 field is interned: arithmetic returns the one canonical object per value,
 which keeps equality, hashing and the enumeration loops cheap.  The dense
-q x q add/sub/mul tables are built with numpy array operations (products
-from the coordinates of y^i * z, reduced by m); scalar arithmetic reads
-tuple views of them.  `FieldSpec(p, a, modulus)` returns one shared field
-per argument triple, so the tables are built once per process.
+q x q add/sub/mul tables are built with numpy gathers, one block of rows
+per digit of the row index: x + z and x * z come from x' + z and x' * z,
+where x' is x without its leading digit, and from the coordinates of
+y^i * z reduced by m.  Scalar arithmetic reads nested-list views of them.
+`FieldSpec(p, a, modulus)` returns one shared field per argument triple,
+so the tables are built once per process.
 
 The same tables drive the package's one array polynomial kernel: blocks of
 polynomials as uint8 rows of index coefficients, with `FieldSpec.monic_rows`
@@ -31,10 +33,12 @@ never -1, so degree arithmetic cannot silently go negative.
 The default modulus for GF(p^a) is the lexicographically smallest monic
 irreducible of degree a over GF(p) (ordered by coefficient tuple
 ``(c_0, ..., c_{a-1})``), which makes enumeration orders and class labels
-reproducible across runs.  It is the first entry of
-``FieldSpec(p).monic_irreducibles(a)``: the candidate moduli come from the
-same `Polynomial` arithmetic as everything else (``(0, 1)`` when a = 1), and
-an explicit modulus must be one of them.
+reproducible across runs.  It is the first irreducible in `enumerate_monic`
+order, so the first entry of ``FieldSpec(p).monic_irreducibles(a)``; the
+search stops there.  Irreducibility is trial division by the monic
+irreducibles of degree at most a/2, in the same `Polynomial` arithmetic as
+everything else (``(0, 1)`` when a = 1), and an explicit modulus must pass
+that one test.
 """
 
 from __future__ import annotations
@@ -113,14 +117,15 @@ class FieldSpec(metaclass=_Shared):
             modulus = (0, 1)
         else:
             # the moduli are the monic irreducibles of degree a over the prime field
-            irreducibles = [f.index_coeffs() for f in FieldSpec(p).monic_irreducibles(a)]
+            prime = FieldSpec(p)
             if modulus is None:
-                modulus = irreducibles[0]
+                first = next(f for f in enumerate_monic(prime, a) if prime.is_irreducible(f))
+                modulus = first.index_coeffs()
             else:
                 modulus = tuple(int(c) % p for c in modulus)
                 if len(modulus) != a + 1 or modulus[-1] != 1:
                     raise ValueError("modulus must be monic of degree a")
-                if modulus not in irreducibles:
+                if not prime.is_irreducible(Polynomial(prime, modulus)):
                     raise ValueError("modulus is reducible over GF(p)")
         self.p = p
         self.a = a
@@ -149,26 +154,34 @@ class FieldSpec(metaclass=_Shared):
             shifted = np.zeros_like(prev)
             shifted[:, 1:] = prev[:, :-1]
             basis.append((shifted - prev[:, -1:] * np.array(self.modulus[:a])) % p)
-        add = index(lambda j: coords[:, j, None] + coords[None, :, j])
-        # x * z = sum_i x_i (y^i z), one q x q array per coordinate pair
-        mul = index(lambda j: sum(coords[:, i, None] * basis[i][None, :, j] for i in range(a)))
+        # rows x of the tables by the digits of x: for x = x' + d p^j with
+        # x' < p^j, x + z = (x' + z) + d y^j and x * z = x' * z + d (y^j z),
+        # one row gather per block of p^j rows
+        add = np.zeros((self.q, self.q), dtype=np.uint8)
+        add[0] = np.arange(self.q)
+        mul = np.zeros_like(add)
+        digits = [(weights[j], d, j) for j in range(a) for d in range(1, p)]
+        for step, d, j in digits:
+            plus = index(lambda i: coords[:, i] + d * (i == j))  # z -> z + d y^j
+            add[d * step:(d + 1) * step] = plus[add[:step]]
+        for step, d, j in digits:
+            times = index(lambda i: d * basis[j][:, i])  # z -> d (y^j z)
+            mul[d * step:(d + 1) * step] = add[mul[:step], times]
         neg = index(lambda j: p - coords[:, j])
-        self.add_table = add.astype(np.uint8)
-        self.sub_table = self.add_table[:, neg]
-        self.mul_table = mul.astype(np.uint8)
-
-        def rows(table):
-            return tuple(tuple(row.tolist()) for row in table)
+        self.add_table = add
+        self.sub_table = add[:, neg]
+        self.mul_table = mul
 
         self._by_index = tuple(FqElement(tuple(c), i) for i, c in enumerate(coords.tolist()))
-        self.elements: tuple[FqElement, ...] = tuple(sorted(self._by_index))
+        self.elements: tuple[FqElement, ...] = tuple(sorted(self._by_index, key=lambda e: e.coeffs))
         # index of the element at each position of the element order
         self._index_at = np.array([e.index for e in self.elements], dtype=np.uint8)
         self.zero = self._by_index[0]
         self.one = self._by_index[1]
-        self._add_i = rows(self.add_table)
-        self._sub_i = rows(self.sub_table)
-        self._mul_i = rows(self.mul_table)
+        # nested-list views for scalar arithmetic, never written to
+        self._add_i = add.tolist()
+        self._sub_i = self.sub_table.tolist()
+        self._mul_i = mul.tolist()
         self._neg_i = tuple(neg.tolist())
         self._inv_i = (None, *(row.index(1) for row in self._mul_i[1:]))
 
@@ -210,13 +223,15 @@ class FieldSpec(metaclass=_Shared):
     def monic_irreducibles(self, d: int) -> tuple["Polynomial", ...]:
         """All monic irreducible polynomials of degree d, cached, in order."""
         if d not in self._irreducibles:
-            smaller = [g for dd in range(1, d // 2 + 1) for g in self.monic_irreducibles(dd)]
-            found = []
-            for f in enumerate_monic(self, d):
-                if d >= 1 and all(not (f % g).is_zero for g in smaller):
-                    found.append(f)
-            self._irreducibles[d] = tuple(found)
+            self._irreducibles[d] = tuple(f for f in enumerate_monic(self, d) if self.is_irreducible(f))
         return self._irreducibles[d]
+
+    def is_irreducible(self, f: "Polynomial") -> bool:
+        """Whether f has degree >= 1 and no monic irreducible factor of degree <= deg(f)/2."""
+        d = f.degree
+        return d is not None and d >= 1 and all(
+            not (f % g).is_zero for dd in range(1, d // 2 + 1) for g in self.monic_irreducibles(dd)
+        )
 
     # -- polynomial rows -----------------------------------------------------
     #

@@ -488,3 +488,57 @@ def test_csv_without_a_table_is_refused_before_any_work(capsys, monkeypatch, arg
     code, data = run_json(capsys, argv + ["--format", "csv"])
     assert code == 1
     assert data["error"] == "validation" and "--format" in data["message"]
+
+
+# ---------------------------------------------------------------------------
+# The process entry point: run(), then gc.collect(1) and gc.freeze(), then exit
+# ---------------------------------------------------------------------------
+
+def _main(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run(
+        [sys.executable, "-m", "hayesdist.cli", *argv], capture_output=True, env=env, timeout=120,
+    )
+
+
+def test_main_writes_the_bytes_of_run(tmp_path):
+    argv = ["exact-dist", "--p", "5", "--ell", "2", "--Q", "x + 1", "--k", "3"]
+    in_process, child = tmp_path / "run.json", tmp_path / "main.json"
+    assert run(argv + ["--out", str(in_process)]) == 0
+    proc = _main(argv + ["--out", str(child)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert child.read_bytes() == in_process.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["exact-dist", "--p", "3", "--ell", "1", "--Q", "2*x", "--k", "1"], 1),
+        (["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "one"], 1),
+        (["exact-dist", "--p", "5", "--ell", "1", "--Q", "1", "--k", "1", "--max-enum", "16"], 2),
+        (["moments-check", "--p", "2", "--ell", "1", "--Q", "1", "--k-min", "9", "--k", "9", "--max-enum", "16"], 2),
+    ],
+)
+def test_main_keeps_the_failure_record(capsys, argv, code):
+    assert run(argv) == code
+    record = capsys.readouterr().out
+    proc = _main(argv)
+    assert proc.returncode == code
+    assert proc.stdout.decode() == record
+    assert record.endswith("}\n") and json.loads(record)["error"]
+
+
+def test_main_freezes_the_heap_only_after_run_returns(monkeypatch):
+    events = []
+
+    def fake_run():
+        events.append("run")
+        return 2
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    monkeypatch.setattr(cli.gc, "collect", lambda generation=2: events.append(f"collect({generation})"))
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert events == ["run", "collect(1)", "freeze"]
+    assert info.value.code == 2

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_gcdex, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_sub
@@ -360,3 +361,59 @@ def test_tables_match_sympy_on_sampled_pairs(p, a):
     rng = random.Random(p * 100 + a)
     _check_pairs(spec, [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(3000)])
     _check_inverses(spec, range(spec.q))
+
+
+# ---------------------------------------------------------------------------
+# Field construction against the direct one: moduli from the full list of
+# monic irreducibles, the product table from a^2 q x q array products
+# ---------------------------------------------------------------------------
+
+def _reference_field(p, a, modulus=None):
+    """(modulus, add, sub, mul, neg, inv) of GF(p^a) built directly."""
+    if modulus is None and a == 1:
+        modulus = (0, 1)
+    else:
+        irreducibles = [f.index_coeffs() for f in FieldSpec(p).monic_irreducibles(a)]
+        if modulus is None:
+            modulus = irreducibles[0]
+        assert tuple(modulus) in irreducibles
+    weights = [p ** j for j in range(a)]
+    coords = np.array([c[::-1] for c in itertools.product(range(p), repeat=a)], dtype=np.int64)
+
+    def index(coord):
+        return sum(coord(j) % p * weights[j] for j in range(a))
+
+    basis = [coords]
+    for _ in range(a - 1):
+        prev = basis[-1]
+        shifted = np.zeros_like(prev)
+        shifted[:, 1:] = prev[:, :-1]
+        basis.append((shifted - prev[:, -1:] * np.array(modulus[:a])) % p)
+    add = index(lambda j: coords[:, j, None] + coords[None, :, j])
+    mul = index(lambda j: sum(coords[:, i, None] * basis[i][None, :, j] for i in range(a)))
+    neg = index(lambda j: p - coords[:, j])
+    inv = [None, *(int(np.flatnonzero(row == 1)[0]) for row in mul[1:])]
+    return tuple(modulus), add, add[:, neg], mul, neg.tolist(), inv
+
+
+_SMALL_FIELDS = [
+    (p, a) for p in range(2, 257) if all(p % d for d in range(2, p)) for a in range(1, 9) if p ** a <= 256
+]
+
+
+@pytest.mark.parametrize(
+    "p,a,modulus",
+    [(p, a, None) for p, a in _SMALL_FIELDS] + [(2, 3, (1, 1, 0, 1)), (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))],
+)
+def test_field_construction_matches_direct_construction(p, a, modulus):
+    spec = FieldSpec(p, a, modulus)
+    ref_modulus, add, sub, mul, neg, inv = _reference_field(p, a, modulus)
+    assert spec.modulus == ref_modulus
+    assert np.array_equal(spec.add_table, add)
+    assert np.array_equal(spec.sub_table, sub)
+    assert np.array_equal(spec.mul_table, mul)
+    assert list(spec._neg_i) == neg
+    assert list(spec._inv_i) == inv
+    assert spec._add_i == add.tolist()
+    assert spec._sub_i == sub.tolist()
+    assert spec._mul_i == mul.tolist()
