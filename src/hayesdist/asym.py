@@ -234,6 +234,10 @@ class Regime:
             raise ValueError("delta0 must be positive")
         if not 0 < self.k < self.q:
             raise ValueError("regime evaluation needs 0 < c = k/q < 1")
+        if self.t < 0 or self.ell < 0:
+            raise ValueError(f"need t >= 0 and ell >= 0, got t={self.t}, ell={self.ell}")
+        if not 1 <= self.n <= self.q:
+            raise ValueError(f"need 1 <= n <= q = {self.q}, got n={self.n}")
 
     @property
     def p(self) -> int:

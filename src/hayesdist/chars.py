@@ -29,6 +29,15 @@ ell = 1, Q = x^2 + x one polynomial is (1 - z)^2).
 Coefficient j is the full character sum over monic degree-j polynomials,
 so |coefficient j| <= C(t+ell-1, j) * q^(j/2) (the Weil bound used
 throughout the error estimates).
+
+The coefficients are computed for j = 0..t+ell, one degree past that bound:
+every class holds exactly one monic polynomial of degree t+ell (and q^k of
+degree t+ell+k), so from degree t+ell on every nontrivial sum is exactly
+zero.  `CharacterTable.l_polynomials` checks N_(t+ell)(c) = 1 for every
+class c with zero tolerance, and `series-check` verifies the geometric tail
+by enumeration.  All L-polynomials come from one array pass: the per-degree
+sums stacked into one coefficient array, one vectorized degree rule, and one
+eigenvalue call per effective degree on the stacked companion matrices.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ class CharacterTable:
         self.exponents = np.indices(self.orders).reshape(m, group.order).T
         self._group = group
         self._sums: dict[int, np.ndarray] = {}
+        self._l_polynomials: LPolynomials | None = None
 
     @property
     def order(self) -> int:
@@ -95,6 +105,42 @@ class CharacterTable:
             self._sums[j] = sums
         return self._sums[j]
 
+    def l_polynomials(self, budget: int | None = None) -> LPolynomials:
+        """P(z, chi) of every character, coefficients j = 0..t+ell.  Refuses
+        before any enumeration when q^(t+ell) exceeds the budget; computed
+        once per table."""
+        group = self._group
+        params = group.params
+        q, top = params.spec.q, params.t + params.ell
+        check_budget("L-polynomial enumeration q^j", q ** top, budget)
+        if self._l_polynomials is None:
+            # the tail stops at t+ell because each class holds one polynomial there
+            tail = group.monic_class_counts(top, budget)
+            bad = [c for c, n in enumerate(tail) if n != 1]
+            if bad:
+                raise RuntimeError(f"class {bad[0]} holds {tail[bad[0]]} monic polynomials of degree {top}, not 1")
+            coeffs = np.stack([self.sums(j, budget) for j in range(top + 1)], axis=1)
+            degree_bound = top - 1
+            # effective degree: the last j in 1..degree_bound with |c_j| >= COEFF_ZERO_TOL
+            # (hypot is what abs(complex) computes)
+            big = np.hypot(coeffs.real, coeffs.imag)[1:, 1:degree_bound + 1] >= COEFF_ZERO_TOL
+            degrees = np.zeros(self.order, dtype=np.int64)
+            if big.size:
+                degrees[1:] = np.where(big.any(axis=1), big.shape[1] - np.argmax(big[:, ::-1], axis=1), 0)
+            roots = np.zeros((self.order, max(degree_bound, 0)), dtype=np.complex128)
+            for d in np.unique(degrees[degrees > 0]).tolist():
+                rows = np.flatnonzero(degrees == d)
+                # companion matrices as np.roots builds them, highest coefficient first
+                p = coeffs[rows, d::-1]
+                A = np.zeros((len(rows), d, d), dtype=np.complex128)
+                A[:, 0, :] = -p[:, 1:] / p[:, :1]
+                A[:, np.arange(1, d), np.arange(d - 1)] = 1
+                roots[rows, :d] = np.linalg.eigvals(A)
+            for array in (coeffs, degrees, roots):
+                array.flags.writeable = False
+            self._l_polynomials = LPolynomials(coeffs, degrees, roots, degree_bound, q)
+        return self._l_polynomials
+
 
 def weil_bound(j: int, t: int, ell: int, q: int) -> float:
     """C(t+ell-1, j) * q^(j/2): bound for nontrivial character sums over M_j."""
@@ -107,11 +153,31 @@ def character_sum(table: CharacterTable, chi: int, j: int, budget: int | None = 
 
 
 @dataclass(frozen=True)
+class LPolynomials:
+    """P(z, chi) of every character of a table, as read-only arrays.
+
+    `coeffs[chi, j]` is the character sum over monic degree-j polynomials,
+    j = 0..t+ell; row 0, the trivial character, holds Phi_j(Q) and has
+    degree 0 and no roots.  `degrees[chi]` is the effective degree after
+    dropping trailing coefficients below COEFF_ZERO_TOL, and
+    `roots[chi, :degrees[chi]]` are the roots of that truncation (the rest of
+    the row is zero).
+    """
+
+    coeffs: np.ndarray
+    degrees: np.ndarray
+    roots: np.ndarray
+    degree_bound: int
+    q: int
+
+
+@dataclass(frozen=True)
 class LPolynomial:
     """Coefficients c_j of P(z, chi) with diagnostics.
 
-    `coeffs` runs j = 0..(ell+t+2): a couple of degrees past the guaranteed
-    bound, so the vanishing of the tail is itself observable.  `degree` is
+    `coeffs` runs j = 0..t+ell: one degree past the guaranteed bound, the
+    first degree at which every class holds the same number of polynomials,
+    so that every nontrivial sum from there on is exactly zero.  `degree` is
     the effective degree after dropping trailing coefficients below
     COEFF_ZERO_TOL; `roots` are the roots of that truncation.
     """
@@ -127,24 +193,13 @@ class LPolynomial:
 
 
 def l_polynomial(table: CharacterTable, chi: int, budget: int | None = None) -> LPolynomial:
-    """P(z, chi) for a nontrivial character, with companion-matrix roots.
-    Refuses before any enumeration when q^(t+ell+2) exceeds the budget."""
+    """P(z, chi) for a nontrivial character: row chi of
+    `CharacterTable.l_polynomials`.  Refuses before any enumeration when
+    q^(t+ell) exceeds the budget."""
     if chi == 0:
         raise ValueError("the L-polynomial is defined for nontrivial characters")
-    params = table._group.params
-    degree_bound = params.ell + params.t - 1
-    top = params.ell + params.t + 2
-    check_budget("L-polynomial enumeration q^j", params.spec.q ** top, budget)
-    coeffs = tuple(character_sum(table, chi, j, budget) for j in range(top + 1))
-    degree = 0
-    for j in range(min(degree_bound, top), 0, -1):
-        if abs(coeffs[j]) >= COEFF_ZERO_TOL:
-            degree = j
-            break
-    if degree == 0:
-        roots: tuple[complex, ...] = ()
-    else:
-        # numpy wants the highest-degree coefficient first
-        arr = np.array([coeffs[j] for j in range(degree, -1, -1)], dtype=np.complex128)
-        roots = tuple(complex(z) for z in np.roots(arr))
-    return LPolynomial(coeffs, degree, degree_bound, roots, params.spec.q)
+    L = table.l_polynomials(budget)
+    degree = int(L.degrees[chi])
+    return LPolynomial(
+        tuple(L.coeffs[chi].tolist()), degree, L.degree_bound, tuple(L.roots[chi, :degree].tolist()), L.q
+    )

@@ -70,10 +70,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chars import CharacterTable
 from .comb import truncated_binomial_sum
 from .errors import ValidationError, check_budget
 from .ffield import (
@@ -84,6 +84,9 @@ from .ffield import (
     enumerate_monic,
 )
 from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, phi
+
+if TYPE_CHECKING:
+    from .chars import CharacterTable
 
 _BLOCK_ROWS = 1 << 16  # factorization product blocks: at most this many rows at once
 _AGREEMENT_CELLS = 1 << 14  # oracle blocks: low evaluation vectors, (target, low row) agreement counts

@@ -5,16 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hayesdist.chars import (
+    COEFF_ZERO_TOL,
     CharacterTable,
+    LPolynomial,
     character_sum,
     decompose,
     l_polynomial,
     weil_bound,
 )
+from hayesdist.errors import BudgetExceededError
 from hayesdist.ffield import FieldSpec, Polynomial
 from hayesdist.hayes import ClassGroup, HayesParams, phi
 
@@ -33,6 +36,58 @@ def reference_sums(G, j):
             total += counts[c] * complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase))
         out.append(total)
     return np.array(out)
+
+
+def reference_l_polynomial(table, chi):
+    """P(z, chi) one character at a time, as `l_polynomial` computed it before
+    the batched kernel: coefficients j = 0..t+ell+2 from the per-degree sums,
+    the degree from a backwards scan with abs(complex), one np.roots call.
+    Returns (coeffs, degree, degree_bound, roots)."""
+    params = table._group.params
+    degree_bound = params.ell + params.t - 1
+    top = params.ell + params.t + 2
+    coeffs = tuple(character_sum(table, chi, j) for j in range(top + 1))
+    degree = 0
+    for j in range(min(degree_bound, top), 0, -1):
+        if abs(coeffs[j]) >= COEFF_ZERO_TOL:
+            degree = j
+            break
+    roots: tuple[complex, ...] = ()
+    if degree:
+        arr = np.array([coeffs[j] for j in range(degree, -1, -1)], dtype=np.complex128)
+        roots = tuple(complex(z) for z in np.roots(arr))
+    return coeffs, degree, degree_bound, roots
+
+
+def assert_batched_matches_reference(table):
+    """Every row of the batched kernel, and `l_polynomial`, equal to the
+    reference bit for bit; the reference's two extra tail coefficients
+    vanish.  Returns the set of L-degrees seen."""
+    params = table._group.params
+    q, top = params.spec.q, params.t + params.ell
+    L = table.l_polynomials()
+    assert L.coeffs.shape == (table.order, top + 1)
+    assert L.roots.shape == (table.order, max(top - 1, 0))
+    degrees = set()
+    for chi in range(1, table.order):
+        coeffs, degree, degree_bound, roots = reference_l_polynomial(table, chi)
+        assert L.coeffs[chi].tolist() == list(coeffs[:top + 1])
+        assert (L.degrees[chi], L.degree_bound) == (degree, degree_bound)
+        assert L.roots[chi, :degree].tolist() == list(roots)
+        assert not L.roots[chi, degree:].any()
+        assert l_polynomial(table, chi) == LPolynomial(coeffs[:top + 1], degree, degree_bound, roots, q)
+        for j in (top + 1, top + 2):
+            assert abs(coeffs[j]) <= 1e-6 * q ** (j / 2)
+        degrees.add(degree)
+    return degrees
+
+
+STRUCTURE_GRID = [
+    (p, a, ell, q_text)
+    for p, a, quadratic in [(2, 1, "x^2 + x + 1"), (3, 1, "x^2 + 1"), (2, 2, "x^2 + 2*x + 2"), (5, 1, "x^2 + x + 1")]
+    for ell in (0, 1, 2)
+    for q_text in ("1", "x", "x + 1", quadratic, "x^2 + x")
+]
 
 
 class TestDecompose:
@@ -283,3 +338,48 @@ class TestLPolynomial:
         G = groups(2, 1, 1, "1")
         with pytest.raises(ValueError):
             l_polynomial(CharacterTable(G), 0)
+
+
+class TestBatchedLPolynomials:
+    @pytest.mark.parametrize("key", STRUCTURE_GRID)
+    def test_batched_matches_the_per_character_path(self, groups, key):
+        assert_batched_matches_reference(CharacterTable(groups(*key)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        field=st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (7, 1)]),
+        ell=st.integers(0, 2),
+        low=st.lists(st.integers(0, 6), max_size=2),
+    )
+    @example(field=(2, 1), ell=0, low=[])  # |G| = 1: no nontrivial character
+    @example(field=(3, 1), ell=1, low=[])  # t + ell = 1: every L-polynomial is constant, no roots
+    @example(field=(2, 1), ell=2, low=[1, 1])  # L-degrees 1, 2 and 3 in one group
+    def test_batched_matches_the_per_character_path_random_groups(self, fields, groups, field, ell, low):
+        p, a = field
+        q = p ** a
+        if q ** (len(low) + ell) > 125:  # keeps the reference loop small
+            ell = 0
+        spec = fields(p, a)
+        Q = Polynomial(spec, (*(spec.element(c % q) for c in low), spec.one))
+        G = groups(p, a, ell, Q.to_text())
+        degrees = assert_batched_matches_reference(CharacterTable(G))
+        if G.order == 1 or len(low) + ell == 1:
+            assert degrees <= {0}
+
+    def test_example_groups_cover_the_edge_cases(self, groups):
+        assert CharacterTable(groups(2, 1, 0, "1")).order == 1
+        assert set(CharacterTable(groups(3, 1, 1, "1")).l_polynomials().degrees.tolist()) == {0}
+        assert set(CharacterTable(groups(2, 1, 2, "x^2 + x + 1")).l_polynomials().degrees[1:].tolist()) == {1, 2, 3}
+
+    def test_computed_once_and_read_only(self, groups):
+        table = CharacterTable(groups(3, 1, 1, "x"))
+        L = table.l_polynomials()
+        assert table.l_polynomials() is L
+        assert not any(a.flags.writeable for a in (L.coeffs, L.degrees, L.roots))
+
+    def test_budget_counts_q_to_the_t_plus_ell(self, groups):
+        table = CharacterTable(groups(3, 1, 1, "x"))  # q^(t+ell) = 9
+        with pytest.raises(BudgetExceededError) as info:
+            table.l_polynomials(budget=8)
+        assert info.value.value == 9
+        assert table.l_polynomials(budget=9).coeffs.shape == (6, 3)

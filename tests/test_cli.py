@@ -29,7 +29,7 @@ def test_moments_check_worked_example(capsys):
 def test_moments_check_failure_record(capsys, monkeypatch):
     # one wrong factorization count fails exactly its (k, eps, j) cell, with
     # both sides written as reduced fractions of q^k
-    factorization_counts = cli.factorization_counts
+    from hayesdist.dist import factorization_counts
 
     def corrupt(group, j, k, points=None, budget=None):
         out = factorization_counts(group, j, k, points, budget)
@@ -37,7 +37,7 @@ def test_moments_check_failure_record(capsys, monkeypatch):
             out[2] += 3
         return out
 
-    monkeypatch.setattr(cli, "factorization_counts", corrupt)
+    monkeypatch.setattr("hayesdist.dist.factorization_counts", corrupt)
     code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"])
     assert code == 1 and not data["pass"]
     (bad,) = data["failures"]
@@ -193,13 +193,13 @@ def test_bounds_check_remainder_records(capsys, monkeypatch):
     # the pmf bound is computed once per (k, r) and shared by every class,
     # and no remainder check is dropped on the way
     calls = []
-    bound = cli.pmf_remainder_bound
+    from hayesdist.asym import pmf_remainder_bound as bound
 
     def counted(r, n, q, k, t, ell):
         calls.append((k, r))
         return bound(r, n, q, k, t, ell)
 
-    monkeypatch.setattr(cli, "pmf_remainder_bound", counted)
+    monkeypatch.setattr("hayesdist.asym.pmf_remainder_bound", counted)
     code, data = run_json(capsys, ["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
     assert code == 0 and data["pass"]
     # |G| = 6, t = ell = 1: r = 0..k+2 for k = 0..2, j = k+1..k+2; the same
@@ -249,13 +249,13 @@ def test_truncated_binomial_verdicts_match_fraction_form():
 
 
 def test_weil_and_series_work_counts(capsys):
-    # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..ell+t+2 = 4,
-    # class counts of degrees 0..4; series-check --d-max 3: degrees 0..3
+    # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..t+ell = 2,
+    # class counts of degrees 0..2; series-check --d-max 3: degrees 0..3
     # enumerated once each into the joint table, factorization pairs as in
     # the moments-check case
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
     assert code == 0
-    assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9 + 27 + 81, "character_sums": 5 * 5}
+    assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9, "character_sums": 5 * 3}
     code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"])
     assert code == 0
     assert data["work"] == {"classes": 6, "polynomials_checked": 1 + 3 + 9 + 27, "factorization_pairs": 7 + 3}
@@ -291,12 +291,26 @@ def _class_count_mismatch(monkeypatch):
     monkeypatch.setattr("hayesdist.hayes.phi", lambda j, Q: phi(j, Q) + 1)
 
 
+def _tail_class_count_not_one(monkeypatch):
+    # one class with two monic quadratics (t + ell = 2): the tail identity fails
+    counts = ClassGroup.monic_class_counts
+
+    def corrupt(self, d, budget=None):
+        out = counts(self, d, budget)
+        if d == 2:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(ClassGroup, "monic_class_counts", corrupt)
+
+
 @pytest.mark.parametrize(
     "corrupt,error,exc_type",
     [
         (_weil_bound_violated, "arithmetic-check", "ArithmeticError"),
         (_decomposition_lift_missing, "internal", "RuntimeError"),
         (_class_count_mismatch, "internal", "RuntimeError"),
+        (_tail_class_count_not_one, "internal", "RuntimeError"),
     ],
 )
 def test_internal_errors_become_records(capsys, monkeypatch, corrupt, error, exc_type):
@@ -312,9 +326,9 @@ def test_weil_refuses_before_the_character_table(capsys, monkeypatch):
         raise AssertionError("class counts enumerated on a refused run")
 
     monkeypatch.setattr(ClassGroup, "monic_class_counts", counts_enumerated)
-    code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x", "--max-enum", "10"])
+    code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x", "--max-enum", "8"])
     assert code == 2
-    assert data == {"budget": 10, "error": "budget-exceeded", "value": 3 ** 4, "what": "L-polynomial enumeration q^j"}
+    assert data == {"budget": 8, "error": "budget-exceeded", "value": 3 ** 2, "what": "L-polynomial enumeration q^j"}
 
 
 class _ClosedPipe:
@@ -413,6 +427,14 @@ def test_weil_diagnostics(capsys):
     nontrivial = [c for c in data["characters"] if "coeffs" in c]
     assert len(nontrivial) == 5
     assert all(c["coeffs"][0]["re"] == pytest.approx(1) for c in nontrivial)
+    # entries j = 0..t+ell, each slack written from the abs() of its own complex value
+    from hayesdist.chars import weil_bound
+
+    for c in nontrivial:
+        assert [e["j"] for e in c["coeffs"]] == [0, 1, 2]
+        for e in c["coeffs"]:
+            assert e["bound"] == weil_bound(e["j"], 1, 1, 3)
+            assert e["slack"] == e["bound"] - abs(complex(e["re"], e["im"]))
 
 
 def test_bounds_check_passes(capsys):
@@ -542,3 +564,128 @@ def test_main_freezes_the_heap_only_after_run_returns(monkeypatch):
         cli.main()
     assert events == ["run", "collect(1)", "freeze"]
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Output paths, regime inputs and the import scope of a job
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weil", "--p", "3", "--Q", "x"],
+        ["regimes", "--p", "3", "--k-list", "1", "--format", "csv"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_validation_record(capsys, tmp_path, argv, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, data = run_json(capsys, argv + ["--out", str(out)])
+    assert code == 1
+    assert data["error"] == "validation" and str(out) in data["message"]
+
+
+@pytest.mark.parametrize(
+    "extra, needle",
+    [
+        (["--p", "3", "--n", "0"], "n="),
+        (["--p", "3", "--n", "7"], "n="),
+        (["--p", "3", "--t", "-1"], "t="),
+        (["--p", "3", "--ell", "-2"], "ell="),
+        (["--p", "4"], "not prime"),
+        (["--p", "3", "--a", "0"], "extension degree"),
+    ],
+)
+def test_regimes_input_validation(capsys, extra, needle):
+    code, data = run_json(capsys, ["regimes", "--k-list", "1", *extra])
+    assert code == 1
+    assert data["error"] == "validation" and needle in data["message"]
+
+
+_EXECUTED = """
+import json, os, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(getattr(args[0], "co_filename", "")))
+code = None
+try:
+    exec(sys.argv[1])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(os.path.basename(f) for f in ran if os.sep + "hayesdist" + os.sep in f)]))
+"""
+
+
+def _executed(snippet: str, *argv: str):
+    """(exit code, hayesdist source files whose module code ran) of `snippet`
+    in a fresh interpreter, seen by an audit hook on exec."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXECUTED, snippet, *argv], capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, ran = json.loads(proc.stdout.decode().splitlines()[-1])
+    return code, set(ran)
+
+
+_RUN_CLI = """
+import runpy
+sys.argv = ["hayesdist.cli", *sys.argv[2:]]
+runpy.run_module("hayesdist.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["weil", "--p", "3", "--ell", "1", "--Q", "x"], {"chars.py"}),
+        (["kernels", "phi", "--p", "2", "--Q", "x", "--j", "2"], set()),
+    ],
+)
+def test_a_job_runs_only_the_layers_it_calls(tmp_path, argv, executed):
+    # as `python -m hayesdist.cli` runs it: the code of dist, comb and asym
+    # never runs (cli leaves them in sys.modules as lazy modules, where the
+    # benchmark's tracer looks them up)
+    code, ran = _executed(_RUN_CLI, *argv, "--out", str(tmp_path / "a.json"))
+    assert code == 0
+    assert ran & {"chars.py", "dist.py", "comb.py", "asym.py"} == executed
+    assert {"cli.py", "ffield.py", "hayes.py"} <= ran
+
+
+def test_importing_the_cli_lists_every_layer_without_running_it():
+    # the benchmark's tracer wraps each layer, looked up in sys.modules, right
+    # after `import hayesdist.cli`
+    snippet = (
+        "import sys, hayesdist.cli\n"
+        "assert all(f'hayesdist.{m}' in sys.modules for m in ('chars', 'dist', 'comb', 'asym'))"
+    )
+    code, ran = _executed(snippet)
+    assert code is None
+    assert not ran & {"chars.py", "dist.py", "comb.py", "asym.py"}
+
+
+_PUBLIC_NAMES = """
+import importlib
+import hayesdist
+assert sorted(set(hayesdist.__all__) - set(dir(hayesdist))) == [], "dir() misses a public name"
+for name in hayesdist.__all__:
+    home = hayesdist._HOME_OF.get(name)
+    want = getattr(importlib.import_module(f"hayesdist.{home}"), name) if home else hayesdist.__version__
+    assert getattr(hayesdist, name) is want, name
+try:
+    hayesdist.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("no AttributeError")
+assert hayesdist.dist is importlib.import_module("hayesdist.dist")
+namespace = {}
+exec("from hayesdist import *", namespace)
+assert set(hayesdist.__all__) <= set(namespace)
+"""
+
+
+def test_public_names_resolve_on_first_access():
+    # `import hayesdist` runs no layer; each public name resolves, from its
+    # home module, and is listed by dir(); the star import still works
+    assert _executed("import hayesdist") == (None, {"__init__.py"})
+    assert _executed(_PUBLIC_NAMES)[0] is None
