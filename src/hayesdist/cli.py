@@ -80,7 +80,8 @@ def _output_args(sub: argparse.ArgumentParser, table: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "csv") if table else ("json",), default="json")
     sub.add_argument(
         "--max-enum", type=int, default=None,
-        help="work budget override (q^k for enumeration, DP plus convolution cells for the sieve)",
+        help="work budget (default 10^8) on each route's own count: group and sieve cells, "
+             "oracle comparisons, series evaluation cells",
     )
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub.add_argument("--delta0", type=float, default=0.05)
@@ -90,7 +91,7 @@ def _build_group(args) -> tuple[FieldSpec, HayesParams, ClassGroup]:
     spec = FieldSpec(args.p, args.a)
     Q = Polynomial.from_text(spec, args.Q)
     params = HayesParams(args.ell, Q)
-    return spec, params, ClassGroup(params)
+    return spec, params, ClassGroup(params, args.max_enum)
 
 
 def _config_dict(args) -> dict:
@@ -402,7 +403,7 @@ def cmd_rs(args) -> int:
     from .dist import classify_row, rs_census, rs_distance_row, rs_group, sieve_work
 
     spec = FieldSpec(args.p, args.a)
-    group = rs_group(spec, args.ell)
+    group = rs_group(spec, args.ell, args.max_enum)
     engine = {"engine": "sieve", "work": sieve_work(group, args.k, spec.q)}
     if args.word:
         f = Polynomial.from_text(spec, args.word)
@@ -625,6 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if (args.max_enum or 0) < 0:
+            raise ValidationError(f"--max-enum must be >= 0, got {args.max_enum}")
         return args.func(args)
     except BudgetExceededError as exc:
         record = {"error": "budget-exceeded", "what": exc.what, "value": exc.value, "budget": exc.budget}

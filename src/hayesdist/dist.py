@@ -40,8 +40,8 @@ each high-coefficient evaluation vector e shifts the targets instead
 (low + e agrees with t exactly where low agrees with t - e), and the
 agreement counts of a block of targets against the low block (a bounded
 number of cells) are histogrammed by one `bincount`.  Its work is the
-|G| * q^k * n comparisons of `enumeration_comparisons`; its budget counts
-q^k.  It uses neither the sieve nor group arithmetic, and it feeds the
+|G| * q^k * n comparisons of `enumeration_comparisons`, and its budget
+counts them.  It uses neither the sieve nor group arithmetic, and it feeds the
 verification suites (moment identity, remainder bounds): under the sieve
 the j <= k moment identities hold by construction, so those checks never
 run on sieve output alone; the series moment slice reads the series
@@ -243,7 +243,7 @@ def enumeration_distributions_all(
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     pts = _validated_points(params, points)
-    check_budget("class member enumeration q^k", spec.q ** k, budget)
+    check_budget("enumeration comparisons |G| q^k n", enumeration_comparisons(group, k, len(pts)), budget)
     point_idx = tuple(a.index for a in pts)
     # target of class eps at a: -base(a) / Q(a) for its member base
     scale = np.array([spec.neg(spec.inv(params.Q(a))).index for a in pts], dtype=np.intp)
@@ -586,6 +586,8 @@ def verify_series_identities(
     M_d[j][c] = sum_r C(r, j) joint_d[c][r] are the left side of the
     product and moment slices.  The right sides read the table only through
     N_(d-j) with j >= 1, so no slice compares the table with itself.
+    Every degree's q^d (n+1) evaluation cells (n evaluations and one label
+    per polynomial) are checked against the budget before the first one.
     """
     params = group.params
     spec = params.spec
@@ -595,7 +597,7 @@ def verify_series_identities(
     if d_max < 0:
         raise ValidationError(f"d_max must be >= 0, got {d_max}")
     for d in range(d_max + 1):
-        check_budget(f"monic enumeration q^{d}", spec.q ** d, budget)
+        check_budget(f"evaluation cells q^{d} (n+1)", spec.q ** d * (n + 1), budget)
     checks: list[CheckRecord] = []
     work = {"polynomials_checked": 0, "factorization_pairs": 0}
 
@@ -612,7 +614,7 @@ def verify_series_identities(
         ok = all(c == want for c in N[d])
         checks.append(CheckRecord(f"geometric tail, degree {d}", ok, f"expected q^{d - t - ell} per class"))
 
-    sub = subset_product_table(group, pts, 0, n)
+    sub = subset_product_table(group, pts, 0, min(d_max, n))  # the slices read j <= min(d, n)
 
     for d in range(d_max + 1):
         for j in range(min(d, n) + 1):
@@ -683,9 +685,9 @@ class RSDistanceRow:
         }
 
 
-def rs_group(spec: FieldSpec, ell: int) -> ClassGroup:
+def rs_group(spec: FieldSpec, ell: int, budget: int | None = None) -> ClassGroup:
     """The class group with Q = 1 used by the Reed-Solomon view."""
-    return ClassGroup(HayesParams(ell, Polynomial.one(spec)))
+    return ClassGroup(HayesParams(ell, Polynomial.one(spec)), budget)
 
 
 def rs_distance_row(
@@ -701,7 +703,7 @@ def rs_distance_row(
     if not f.is_monic or f.degree != k + ell:
         raise ValidationError("received word must be monic of degree k + ell")
     if group is None:
-        group = rs_group(spec, ell)
+        group = rs_group(spec, ell, budget)
     eps = group.class_of(f)
     dist = exact_distribution(group, eps, k, spec.elements, budget)
     return RSDistanceRow(f, k, ell, dict(dist.counts), dist.total)
@@ -755,20 +757,22 @@ def rs_census(
     """Classify every received word of degree k + ell, grouped by class.
 
     Words in the same class share a distance row, so rows come from one
-    sieve run over all classes and the budget covers that run alone; explicit
-    word lists are included while q^(k+ell) <= list_words_up_to.
+    sieve run over all classes and the budget covers that run (and the
+    group, when built here); explicit word lists are included while
+    q^(k+ell) <= list_words_up_to.
     """
     if group is None:
-        group = rs_group(spec, ell)
+        group = rs_group(spec, ell, budget)
     dists = exact_distributions_all(group, k, spec.elements, budget)
     per_class = []
     tallies = {DEEP_HOLE: 0, ORDINARY: 0, NEITHER: 0}
     for eps in range(group.order):
-        row = RSDistanceRow(group.reps[eps], k, ell, dict(dists[eps].counts), dists[eps].total)
+        rep = group.rep(eps)
+        row = RSDistanceRow(rep, k, ell, dict(dists[eps].counts), dists[eps].total)
         per_class.append(
             {
                 "eps": eps,
-                "rep": group.reps[eps].to_text(),
+                "rep": rep.to_text(),
                 "kind": classify_row(row),
                 "counts": {str(r): str(c) for r, c in sorted(row.counts.items())},
             }

@@ -1,16 +1,13 @@
-"""Shared exception types and enumeration budgets.
+"""Shared exception types and the work budget.
 
-Budgets guard the full-enumeration code paths.  The defaults can be raised
-or lowered through environment variables so that scripted runs fail fast
-instead of grinding through an oversized field.
+Each route checks its own count of the work it will do against one budget
+before it starts (see the README's "Budgets").  The default is
+DEFAULT_BUDGET; only `--max-enum` or a `budget=` argument sets another.
 """
 
 from __future__ import annotations
 
-import os
-
-DEFAULT_ENUMERATION_BUDGET = int(os.environ.get("HAYESDIST_MAX_ENUM", "10000000"))
-DEFAULT_CLASS_BUDGET = int(os.environ.get("HAYESDIST_MAX_CLASSES", "4096"))
+DEFAULT_BUDGET = 10 ** 8
 
 
 class ValidationError(ValueError):
@@ -33,6 +30,6 @@ class HypothesisError(ValueError):
 
 def check_budget(what: str, value: int, budget: int | None = None) -> None:
     """Raise BudgetExceededError when `value` exceeds the budget."""
-    limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+    limit = DEFAULT_BUDGET if budget is None else budget
     if value > limit:
         raise BudgetExceededError(what, value, limit)

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DEFAULT_CLASS_BUDGET, BudgetExceededError, check_budget
+from .errors import check_budget
 from .ffield import FieldSpec, FqElement, Polynomial, enumerate_below_degree
 
 
@@ -150,24 +150,27 @@ class ClassGroup:
     representatives; a dense lookup maps each of the q^(ell+t) codes to its
     class, or to -1 when the residue is not coprime to Q.  Construction,
     class counts and labels all go through `classes_of`, on arrays of
-    polynomials with the field's numpy tables.  `generators` and `orders`
-    give the decomposition, `dlog[i]` the exponent tuple of class i, and
-    the memory is O(|G| m).  The whole structure is immutable after
-    construction; queries are pure.
+    polynomials with the field's numpy tables.  Representatives are kept
+    as rows of index coefficients; `rep(eps)` makes one a `Polynomial`.
+    `generators` and `orders` give the decomposition, `dlog[i]` the
+    exponent tuple of class i, and the memory is O(|G| m).  Construction is
+    refused before it allocates anything when its cells exceed the budget.
+    The whole structure is immutable after construction; queries are pure.
     """
 
-    def __init__(self, params: HayesParams, max_classes: int | None = None):
-        limit = DEFAULT_CLASS_BUDGET if max_classes is None else max_classes
+    def __init__(self, params: HayesParams, budget: int | None = None):
         spec = params.spec
-        expected = spec.q ** params.ell * phi(params.t, params.Q)
-        if expected > limit:
-            raise BudgetExceededError("class group order", expected, limit)
+        q, ell, t = spec.q, params.ell, params.t
+        expected = q ** ell * phi(t, params.Q)
+        prime_powers = _prime_powers(expected)
+        # q^(t+ell) candidate rows of t+ell+1 cells, then one row of |G| cells
+        # per rung of the ladders of _decompose (v rungs per p^v dividing |G|)
+        cells = q ** (t + ell) * (t + ell + 1) + expected * sum(v for _, v in prime_powers)
+        check_budget("class group cells (candidates + ladders)", cells, budget)
         self.params = params
         self.degenerate = params.degenerate
         self._spec = spec
-        self._q = q = spec.q
-        self._ell = ell = params.ell
-        self._t = t = params.t
+        self._q, self._ell, self._t = q, ell, t
         self._Q_idx = params.Q.index_coeffs()
         # Each code belongs to exactly one monic polynomial of degree t + ell;
         # it is a class when its residue (the high digits) is a unit mod Q.
@@ -182,11 +185,9 @@ class ClassGroup:
             raise RuntimeError(f"class count {keep.sum()} != q^ell * Phi_t(Q) = {expected}")
         self._lookup = np.full(q ** (t + ell), -1, dtype=np.int32)
         self._lookup[codes[keep]] = np.arange(expected)
-        rows = cands[keep]
-        self.reps = tuple(Polynomial(spec, r) for r in rows.tolist())
-        self._rows = rows
+        self._rows = cands[keep]
         self.identity = self.class_of(Polynomial.one(spec))
-        self._decompose()
+        self._decompose(prime_powers)
         self._counts_cache: dict[int, tuple[list[int], int]] = {}
 
     # -- class codes -------------------------------------------------------------
@@ -203,7 +204,7 @@ class ClassGroup:
         return code
 
     def _products(self, a, b) -> np.ndarray:
-        """Classes of reps[a_i] * reps[b_i] for index arrays a and b (either
+        """Classes of rep(a_i) * rep(b_i) for index arrays a and b (either
         may be a single index), by one array product of the representatives."""
         a, b = np.broadcast_arrays(a, b)
         return self.classes_of(self._spec.mul_rows(self._rows[a], self._rows[b]))
@@ -219,15 +220,16 @@ class ClassGroup:
                 return out
             x = self._products(x, x)
 
-    def _decompose(self) -> None:
+    def _decompose(self, prime_powers: list[tuple[int, int]]) -> None:
         """Greedy direct-product decomposition: repeatedly take the first class
         whose order modulo the subgroup H generated so far is maximal *and*
         equals its full order (such a lift always exists).  H is listed so
-        that position sum_i dlog_i * stride_i holds the class with that dlog."""
-        n = len(self.reps)
+        that position sum_i dlog_i * stride_i holds the class with that dlog;
+        prime_powers is `_prime_powers(|G|)`."""
+        n = self.order
         everything = np.arange(n)
         ladders = []
-        for p, v in _prime_powers(n):
+        for p, v in prime_powers:
             rung = self._power(everything, n // p ** v)
             ladder = [rung]
             for _ in range(v - 1):
@@ -266,10 +268,14 @@ class ClassGroup:
 
     @property
     def order(self) -> int:
-        return len(self.reps)
+        return len(self._rows)
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self._rows)
+
+    def rep(self, eps: int) -> Polynomial:
+        """The canonical representative of class eps: its monic member of degree t + ell."""
+        return Polynomial(self._spec, self._rows[eps].tolist())
 
     def _class_at(self, dlog: np.ndarray) -> np.ndarray:
         """Classes with the exponent tuples in the last axis of dlog (taken mod the orders)."""
@@ -308,7 +314,7 @@ class ClassGroup:
         if k < 0:
             raise ValueError(f"degree must be >= t + ell = {self._t + self._ell}")
         spec = self._spec
-        rep = self.reps[eps]
+        rep = self.rep(eps)
         f0 = rep * Polynomial.monomial(spec, k)
         if self._t > 0:
             f0 = f0 + (rep % self.params.Q) - (f0 % self.params.Q)
@@ -347,7 +353,7 @@ class ClassGroup:
         """Cached (per-class counts, non-coprime count) of degree d."""
         if d not in self._counts_cache:
             check_budget(f"monic enumeration q^{d}", self._q ** d, budget)
-            counts = np.zeros(len(self.reps) + 1, dtype=np.int64)  # slot 0: not coprime
+            counts = np.zeros(self.order + 1, dtype=np.int64)  # slot 0: not coprime
             for rows in self._spec.monic_row_blocks(d, MONIC_BLOCK_ROWS):
                 counts += np.bincount(self.classes_of(rows) + 1, minlength=len(counts))
             self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]))
@@ -368,12 +374,12 @@ class ClassGroup:
 
     def export_classes(self) -> list[dict]:
         """Stable class-index <-> canonical-representative mapping."""
-        return [{"eps": i, "rep": rep.to_text()} for i, rep in enumerate(self.reps)]
+        return [{"eps": i, "rep": self.rep(i).to_text()} for i in range(self.order)]
 
     def __repr__(self) -> str:
         return (
             f"ClassGroup(q={self._q}, ell={self._ell}, Q={self.params.Q.to_text()!r}, "
-            f"order={len(self.reps)})"
+            f"order={self.order})"
         )
 
 

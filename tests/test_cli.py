@@ -132,7 +132,8 @@ def test_budget_exceeded_exit_code(capsys):
 
 
 def test_budget_exceeded_exit_code_enumeration(capsys):
-    # the enumeration oracle behind moments-check budgets q^k = 2^9
+    # the enumeration oracle behind moments-check budgets its comparisons,
+    # |G| q^k n = 2 * 2^9 * 2
     code, data = run_json(
         capsys,
         ["moments-check", "--p", "2", "--ell", "1", "--Q", "1", "--k-min", "9", "--k", "9",
@@ -140,7 +141,59 @@ def test_budget_exceeded_exit_code_enumeration(capsys):
     )
     assert code == 2
     assert data["error"] == "budget-exceeded"
-    assert data["value"] == 512
+    assert data["value"] == 2048
+
+
+GROUP = "class group cells (candidates + ladders)"
+SIEVE = "sieve cells (DP + convolution)"
+ORACLE = "enumeration comparisons |G| q^k n"
+
+
+@pytest.mark.parametrize(
+    "argv, what, value, work",
+    [
+        # sieve at q = 5, n = 5, |G| = 5: 8 DP rows of 5 cells and one gather
+        # of 5; the group takes 5 * 2 candidate cells and 1 rung of 5
+        (["exact-dist", "--p", "5", "--ell", "1", "--Q", "1", "--k", "1"],
+         SIEVE, 45, {"dp_cells": 40, "convolution_cells": 5}),
+        # oracle at k = 2: |G| q^k n = 5 * 25 * 5; the factorization count
+        # at j = 3 takes C(5, 3) pairs
+        (["moments-check", "--p", "5", "--ell", "1", "--Q", "1", "--k-min", "2", "--k", "2"],
+         ORACLE, 625, {"comparisons": 625}),
+        # series check: q^d (n+1) = 3^4 * 4 at the top degree
+        (["series-check", "--p", "3", "--ell", "1", "--Q", "1", "--d-max", "4"],
+         "evaluation cells q^4 (n+1)", 324, {}),
+        # weil's own count, q^(t+ell) = 9, is below the group's 3^2 * 3
+        # candidate cells plus 2 rungs of |G| = 6, so the group binds
+        (["weil", "--p", "3", "--ell", "1", "--Q", "x"], GROUP, 39, {}),
+        # group: 3^2 * 3 candidate cells plus 2 rungs of |G| = 9, above the
+        # oracle's 9 * 1 * 3 comparisons
+        (["moments-check", "--p", "3", "--ell", "2", "--Q", "1", "--k", "0"],
+         GROUP, 45, {"comparisons": 27, "factorization_pairs": 12}),
+        # rs builds its Q = 1 group too: 2 * 2 candidate cells plus 1 rung of
+        # |G| = 2; at k >= n = q the sieve has no rows
+        (["rs", "--p", "2", "--k", "2", "--ell", "1", "--census"],
+         GROUP, 6, {"dp_cells": 0, "convolution_cells": 0}),
+        # n = 0 at q = 2, Q = x(x+1), |G| = 2: 2^3 * 4 + 2 * 1 group cells;
+        # the sieve has no rows and the oracle compares nothing, so both
+        # report 0 work, while the series check still counts q^d (n+1)
+        (["exact-dist", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--k", "1"],
+         GROUP, 34, {"dp_cells": 0, "convolution_cells": 0}),
+        (["moments-check", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--k-min", "3", "--k", "3"],
+         GROUP, 34, {"comparisons": 0, "factorization_pairs": 0}),
+        (["series-check", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--d-max", "6"],
+         "evaluation cells q^6 (n+1)", 64, {}),
+    ],
+)
+def test_refusal_value_is_the_work_of_the_route(capsys, argv, what, value, work):
+    code, data = run_json(capsys, argv + ["--max-enum", str(value)])
+    assert code == 0
+    assert {key: data["work"][key] for key in work} == work
+    if what in (SIEVE, ORACLE):
+        assert sum(work.values()) == value
+    code, record = run_json(capsys, argv + ["--max-enum", str(value - 1)])
+    assert code == 2
+    assert record == {"error": "budget-exceeded", "what": what, "value": value, "budget": value - 1}
 
 
 def test_exact_dist_large_k_default_budget(capsys):
@@ -322,13 +375,16 @@ def test_internal_errors_become_records(capsys, monkeypatch, corrupt, error, exc
 
 
 def test_weil_refuses_before_the_character_table(capsys, monkeypatch):
+    # The group's 3^2 * 3 candidate cells plus 2 rungs of |G| = 6 exceed
+    # any budget that refuses the q^(t+ell) = 9 L-polynomial count, so the
+    # command is refused at group construction.
     def counts_enumerated(self, d, budget=None):
         raise AssertionError("class counts enumerated on a refused run")
 
     monkeypatch.setattr(ClassGroup, "monic_class_counts", counts_enumerated)
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x", "--max-enum", "8"])
     assert code == 2
-    assert data == {"budget": 8, "error": "budget-exceeded", "value": 3 ** 2, "what": "L-polynomial enumeration q^j"}
+    assert data == {"budget": 8, "error": "budget-exceeded", "value": 39, "what": GROUP}
 
 
 class _ClosedPipe:
@@ -465,6 +521,7 @@ def test_regimes_table(capsys):
         ["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "one"],
         ["regimes", "--p", "2", "--k-list", "2,x"],
         ["exact-dist", "--p", "3", "--k", "1", "--bogus"],
+        ["exact-dist", "--p", "3", "--k", "1", "--max-enum", "-5"],
     ],
 )
 def test_usage_errors_are_validation_records(capsys, argv):
@@ -516,8 +573,8 @@ def test_csv_without_a_table_is_refused_before_any_work(capsys, monkeypatch, arg
 # The process entry point: run(), then gc.collect(1) and gc.freeze(), then exit
 # ---------------------------------------------------------------------------
 
-def _main(argv):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+def _main(argv, **env):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
     return subprocess.run(
         [sys.executable, "-m", "hayesdist.cli", *argv], capture_output=True, env=env, timeout=120,
     )
@@ -528,6 +585,10 @@ def test_main_writes_the_bytes_of_run(tmp_path):
     in_process, child = tmp_path / "run.json", tmp_path / "main.json"
     assert run(argv + ["--out", str(in_process)]) == 0
     proc = _main(argv + ["--out", str(child)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert child.read_bytes() == in_process.read_bytes()
+    # the environment sets no budget
+    proc = _main(argv + ["--out", str(child)], HAYESDIST_MAX_ENUM="1", HAYESDIST_MAX_CLASSES="1")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     assert child.read_bytes() == in_process.read_bytes()
 

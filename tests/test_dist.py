@@ -55,9 +55,11 @@ class TestExactDistribution:
 
     def test_budget(self, groups):
         G = groups(2, 1, 1, "1")
-        # the oracle budgets its q^k = 32 members ...
-        with pytest.raises(BudgetExceededError):
-            enumeration_distributions_all(G, 5, budget=10)
+        # the oracle budgets its |G| q^k n = 2 * 32 * 2 comparisons ...
+        with pytest.raises(BudgetExceededError) as info:
+            enumeration_distributions_all(G, 5, budget=127)
+        assert info.value.value == 128
+        assert enumeration_distributions_all(G, 5, budget=128)[0].total == 32
         # ... the sieve its cells, of which there are none at k >= n = 2
         assert exact_distribution(G, 0, 5, budget=10).counts == {0: 8, 1: 16, 2: 8}
         with pytest.raises(BudgetExceededError):
@@ -375,8 +377,9 @@ class TestSeriesIdentities:
         monkeypatch.setattr("hayesdist.dist.joint_zero_counts", spy)
         with pytest.raises(BudgetExceededError) as info:
             verify_series_identities(groups(3, 1, 1, "x"), 4, budget=10)
-        # the first degree over budget is named, as each degree is checked in turn
-        assert (info.value.what, info.value.value) == ("monic enumeration q^3", 27)
+        # the first degree over budget is named, as each degree is checked in
+        # turn: q^d (n+1) evaluation cells with n = 2 points
+        assert (info.value.what, info.value.value) == ("evaluation cells q^2 (n+1)", 27)
 
 
 def _corrupt_factorization_counts(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,9 @@ from hayesdist.hayes import (
     phi_relative_gap,
     signature,
 )
+
+
+GROUP_CELLS = "class group cells (candidates + ladders)"
 
 
 def leading_indices(sig):
@@ -181,8 +185,9 @@ class TestClassGroup:
 
     def test_representatives_have_unique_signatures(self, groups):
         G = groups(3, 1, 1, "x")
-        assert len({signature(r, G.params) for r in G.reps}) == G.order
-        assert all(r.degree == 2 for r in G.reps)
+        reps = [G.rep(i) for i in range(G.order)]
+        assert len({signature(r, G.params) for r in reps}) == G.order
+        assert all(r.degree == 2 for r in reps)
 
     def test_mul_table_is_abelian_group(self, groups):
         for key in [(2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 2, "x + 1"), (2, 2, 1, "1")]:
@@ -205,7 +210,7 @@ class TestClassGroup:
         rng = random.Random(23)
         for _ in range(40):
             i, j = rng.randrange(G.order), rng.randrange(G.order)
-            assert G.mul(i, j) == G.class_of(G.reps[i] * G.reps[j])
+            assert G.mul(i, j) == G.class_of(G.rep(i) * G.rep(j))
 
     def test_class_of_matches_signature(self, fields, groups):
         F3 = fields(3)
@@ -216,12 +221,18 @@ class TestClassGroup:
             if sig is None:
                 assert G.class_of(f) is None
             else:
-                assert signature(G.reps[G.class_of(f)], params) == sig
+                assert signature(G.rep(G.class_of(f)), params) == sig
 
     def test_budget(self, fields):
-        F5 = fields(5)
+        # q = 5, ell = 2, Q = 1: 5^2 candidate rows of 3 cells, and |G| = 25
+        # = 5^2 has a ladder of 2 rungs of 25 cells
+        params = HayesParams(2, Polynomial.one(fields(5)))
+        with pytest.raises(BudgetExceededError) as info:
+            ClassGroup(params, budget=10)
+        assert (info.value.what, info.value.value) == (GROUP_CELLS, 125)
         with pytest.raises(BudgetExceededError):
-            ClassGroup(HayesParams(2, Polynomial.one(F5)), max_classes=10)
+            ClassGroup(params, budget=124)
+        assert ClassGroup(params, budget=125).order == 25
 
     def test_degenerate_flag(self, fields, groups):
         assert groups(2, 1, 0, "1").degenerate
@@ -247,7 +258,7 @@ class TestClassMembers:
             d = G.params.t + G.params.ell
             for eps in range(G.order):
                 members = list(G.members(eps, d))
-                assert members == [G.reps[eps]]
+                assert members == [G.rep(eps)]
 
     def test_count_against_exhaustive_filter(self, fields, groups):
         # every class has exactly q^(d-t-ell) members of degree d
@@ -308,8 +319,9 @@ def test_group_against_polynomial_oracle(fields, groups, p, a, ell, q_text, orde
     params = G.params
     Q = params.Q
     assert G.order == order
-    assert list(G.reps) == [f for f in enumerate_monic(spec, Q.degree + ell) if f.gcd(Q).is_one]
-    by_signature = {signature(rep, params): i for i, rep in enumerate(G.reps)}
+    reps = [G.rep(i) for i in range(G.order)]
+    assert reps == [f for f in enumerate_monic(spec, Q.degree + ell) if f.gcd(Q).is_one]
+    by_signature = {signature(rep, params): i for i, rep in enumerate(reps)}
 
     def label(f):
         sig = signature(f, params)
@@ -319,7 +331,7 @@ def test_group_against_polynomial_oracle(fields, groups, p, a, ell, q_text, orde
     rng = random.Random(order)
     for _ in range(300):
         i, j = rng.randrange(order), rng.randrange(order)
-        assert G.mul(i, j) == label(G.reps[i] * G.reps[j])
+        assert G.mul(i, j) == label(G.rep(i) * G.rep(j))
         assert G.mul(i, G.inv(i)) == G.identity
     for d in range(4):
         polys = list(enumerate_monic(spec, d))
@@ -367,17 +379,44 @@ def test_coordinates_beyond_the_class_cap(fields):
     """|G| = 16384 over GF(128): sampled products, inverses and translations
     from the coordinates against classes of polynomial products."""
     spec = fields(2, 7)
-    G = ClassGroup(HayesParams(2, Polynomial.one(spec)), max_classes=1 << 14)
+    G = ClassGroup(HayesParams(2, Polynomial.one(spec)))
     assert G.order == 1 << 14 and math.prod(G.orders) == G.order
     rng = random.Random(128)
     for _ in range(50):
         i, j = rng.randrange(G.order), rng.randrange(G.order)
-        assert G.mul(i, j) == G.class_of(G.reps[i] * G.reps[j])
-        assert G.class_of(G.reps[i] * G.reps[G.inv(i)]) == G.identity
+        assert G.mul(i, j) == G.class_of(G.rep(i) * G.rep(j))
+        assert G.class_of(G.rep(i) * G.rep(G.inv(i))) == G.identity
     for c in rng.sample(range(G.order), 3):
         row = G.translation(c)
         for i in rng.sample(range(G.order), 20):
-            assert row[i] == G.class_of(G.reps[i] * G.reps[c])
+            assert row[i] == G.class_of(G.rep(i) * G.rep(c))
+
+
+def test_paper_regime_group_builds_under_the_default_budget(fields):
+    """q = 256, ell = 2, Q = 1 (t + ell <= sqrt(q)): 256^2 candidate rows of
+    3 cells plus 16 ladder rungs of |G| = 65536 cells, about 1.2e6."""
+    G = ClassGroup(HayesParams(2, Polynomial.one(fields(2, 8))))
+    assert G.order == 1 << 16 and math.prod(G.orders) == G.order
+
+
+@pytest.mark.parametrize(
+    "ell, q_text, cells",
+    [
+        (3, "1", 256 ** 3 * 4 + 2 ** 24 * 24),  # |G| = 2^24
+        (2, "x + 1", 256 ** 3 * 4 + 2 ** 16 * 255 * 19),  # |G| = 2^16 * 3 * 5 * 17
+    ],
+)
+def test_oversized_group_is_refused_before_any_array(fields, ell, q_text, cells):
+    params = HayesParams(ell, Polynomial.from_text(fields(2, 8), q_text))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            ClassGroup(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.what, info.value.value) == (GROUP_CELLS, cells)
+    assert peak < 2 ** 20
 
 
 def test_classes_of_input_checks(fields, groups):

@@ -148,7 +148,9 @@ def agreement_histograms_reference(spec, k, point_idx, targets):
 
 
 def array_targets(group, k, points):
-    """The target rows that enumeration_distributions_all hands to the agreement kernel."""
+    """The target rows that enumeration_distributions_all hands to the agreement
+    kernel.  The kernel is stubbed out, so the budget admits its comparisons
+    whatever their number."""
     seen = []
 
     def capture(spec, k, point_idx, targets):
@@ -157,7 +159,8 @@ def array_targets(group, k, points):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dist, "_agreement_histograms", capture)
-        enumeration_distributions_all(group, k, points)
+        budget = dist.enumeration_comparisons(group, k, len(points))
+        enumeration_distributions_all(group, k, points, budget=budget)
     return seen[0].reshape(group.order, len(points)).tolist()
 
 
