@@ -587,7 +587,9 @@ def verify_series_identities(
     product and moment slices.  The right sides read the table only through
     N_(d-j) with j >= 1, so no slice compares the table with itself.
     Every degree's q^d (n+1) evaluation cells (n evaluations and one label
-    per polynomial) are checked against the budget before the first one.
+    per polynomial) are checked against the budget before the first one;
+    the subset-product table and the convolutions (about n min(d_max, n) |G|
+    cells) are not counted.
     """
     params = group.params
     spec = params.spec

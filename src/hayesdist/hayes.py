@@ -140,6 +140,7 @@ def phi_relative_gap(j: int, Q: Polynomial) -> Fraction:
     return abs(Fraction(phi(j, Q), q ** j) - 1)
 
 
+GROUP_CELLS = "class group cells (candidates + ladders)"
 MONIC_BLOCK_ROWS = 1 << 14  # monic polynomials per array block when enumerating a degree
 
 
@@ -161,12 +162,14 @@ class ClassGroup:
     def __init__(self, params: HayesParams, budget: int | None = None):
         spec = params.spec
         q, ell, t = spec.q, params.ell, params.t
+        # q^(t+ell) candidate rows of t+ell+1 cells, checked before Q is
+        # factored; then one row of |G| cells per rung of the ladders of
+        # _decompose, at most log2 |G| of them (sum_p v_p <= log2 |G|)
+        cells = q ** (t + ell) * (t + ell + 1)
+        check_budget(GROUP_CELLS, cells, budget)
         expected = q ** ell * phi(t, params.Q)
-        prime_powers = _prime_powers(expected)
-        # q^(t+ell) candidate rows of t+ell+1 cells, then one row of |G| cells
-        # per rung of the ladders of _decompose (v rungs per p^v dividing |G|)
-        cells = q ** (t + ell) * (t + ell + 1) + expected * sum(v for _, v in prime_powers)
-        check_budget("class group cells (candidates + ladders)", cells, budget)
+        cells += expected * (expected.bit_length() - 1)
+        check_budget(GROUP_CELLS, cells, budget)
         self.params = params
         self.degenerate = params.degenerate
         self._spec = spec
@@ -187,7 +190,7 @@ class ClassGroup:
         self._lookup[codes[keep]] = np.arange(expected)
         self._rows = cands[keep]
         self.identity = self.class_of(Polynomial.one(spec))
-        self._decompose(prime_powers)
+        self._decompose()
         self._counts_cache: dict[int, tuple[list[int], int]] = {}
 
     # -- class codes -------------------------------------------------------------
@@ -220,16 +223,15 @@ class ClassGroup:
                 return out
             x = self._products(x, x)
 
-    def _decompose(self, prime_powers: list[tuple[int, int]]) -> None:
+    def _decompose(self) -> None:
         """Greedy direct-product decomposition: repeatedly take the first class
         whose order modulo the subgroup H generated so far is maximal *and*
         equals its full order (such a lift always exists).  H is listed so
-        that position sum_i dlog_i * stride_i holds the class with that dlog;
-        prime_powers is `_prime_powers(|G|)`."""
+        that position sum_i dlog_i * stride_i holds the class with that dlog."""
         n = self.order
         everything = np.arange(n)
         ladders = []
-        for p, v in prime_powers:
+        for p, v in _prime_powers(n):
             rung = self._power(everything, n // p ** v)
             ladder = [rung]
             for _ in range(v - 1):
@@ -386,13 +388,15 @@ class ClassGroup:
 def _prime_powers(n: int) -> list[tuple[int, int]]:
     """(p, v) for each prime power p^v exactly dividing n."""
     out, p = [], 2
-    while n > 1:
+    while p * p <= n:
         v = 0
         while n % p == 0:
             n, v = n // p, v + 1
         if v:
             out.append((p, v))
         p += 1
+    if n > 1:
+        out.append((n, 1))
     return out
 
 

@@ -121,10 +121,10 @@ def test_csv_determinism_and_header(tmp_path):
 
 def test_budget_exceeded_exit_code(capsys):
     # sieve at q = 5, n = 5, |G| = 5, d = 2: 8 DP rows of 5 cells, plus one
-    # convolution gather of 5 cells
+    # convolution gather of 5 cells; the group's 20 cells fit the budget
     code, data = run_json(
         capsys,
-        ["exact-dist", "--p", "5", "--ell", "1", "--Q", "1", "--k", "1", "--max-enum", "16"],
+        ["exact-dist", "--p", "5", "--ell", "1", "--Q", "1", "--k", "1", "--max-enum", "20"],
     )
     assert code == 2
     assert data["error"] == "budget-exceeded"
@@ -153,7 +153,7 @@ ORACLE = "enumeration comparisons |G| q^k n"
     "argv, what, value, work",
     [
         # sieve at q = 5, n = 5, |G| = 5: 8 DP rows of 5 cells and one gather
-        # of 5; the group takes 5 * 2 candidate cells and 1 rung of 5
+        # of 5; the group takes 5 * 2 candidate cells and 2 rungs of 5
         (["exact-dist", "--p", "5", "--ell", "1", "--Q", "1", "--k", "1"],
          SIEVE, 45, {"dp_cells": 40, "convolution_cells": 5}),
         # oracle at k = 2: |G| q^k n = 5 * 25 * 5; the factorization count
@@ -166,10 +166,10 @@ ORACLE = "enumeration comparisons |G| q^k n"
         # weil's own count, q^(t+ell) = 9, is below the group's 3^2 * 3
         # candidate cells plus 2 rungs of |G| = 6, so the group binds
         (["weil", "--p", "3", "--ell", "1", "--Q", "x"], GROUP, 39, {}),
-        # group: 3^2 * 3 candidate cells plus 2 rungs of |G| = 9, above the
-        # oracle's 9 * 1 * 3 comparisons
+        # group: 3^2 * 3 candidate cells plus floor(log2 9) = 3 rungs of
+        # |G| = 9, above the oracle's 9 * 1 * 3 comparisons
         (["moments-check", "--p", "3", "--ell", "2", "--Q", "1", "--k", "0"],
-         GROUP, 45, {"comparisons": 27, "factorization_pairs": 12}),
+         GROUP, 54, {"comparisons": 27, "factorization_pairs": 12}),
         # rs builds its Q = 1 group too: 2 * 2 candidate cells plus 1 rung of
         # |G| = 2; at k >= n = q the sieve has no rows
         (["rs", "--p", "2", "--k", "2", "--ell", "1", "--census"],
@@ -375,16 +375,16 @@ def test_internal_errors_become_records(capsys, monkeypatch, corrupt, error, exc
 
 
 def test_weil_refuses_before_the_character_table(capsys, monkeypatch):
-    # The group's 3^2 * 3 candidate cells plus 2 rungs of |G| = 6 exceed
-    # any budget that refuses the q^(t+ell) = 9 L-polynomial count, so the
-    # command is refused at group construction.
+    # The group's 3^2 * 3 candidate cells alone exceed any budget that
+    # refuses the q^(t+ell) = 9 L-polynomial count, so the command is
+    # refused at group construction, on those cells, before Q is factored.
     def counts_enumerated(self, d, budget=None):
         raise AssertionError("class counts enumerated on a refused run")
 
     monkeypatch.setattr(ClassGroup, "monic_class_counts", counts_enumerated)
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x", "--max-enum", "8"])
     assert code == 2
-    assert data == {"budget": 8, "error": "budget-exceeded", "value": 39, "what": GROUP}
+    assert data == {"budget": 8, "error": "budget-exceeded", "value": 27, "what": GROUP}
 
 
 class _ClosedPipe:

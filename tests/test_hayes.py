@@ -12,6 +12,7 @@ from hayesdist.ffield import Polynomial, enumerate_monic
 from hayesdist.hayes import (
     ClassGroup,
     HayesParams,
+    _prime_powers,
     distinct_irreducible_factors,
     equivalent,
     phi,
@@ -224,13 +225,13 @@ class TestClassGroup:
                 assert signature(G.rep(G.class_of(f)), params) == sig
 
     def test_budget(self, fields):
-        # q = 5, ell = 2, Q = 1: 5^2 candidate rows of 3 cells, and |G| = 25
-        # = 5^2 has a ladder of 2 rungs of 25 cells
+        # q = 5, ell = 2, Q = 1: 5^2 candidate rows of 3 cells, and rungs of
+        # |G| = 25 cells, counted as floor(log2 25) = 4 (the ladder has 2)
         params = HayesParams(2, Polynomial.one(fields(5)))
         with pytest.raises(BudgetExceededError) as info:
-            ClassGroup(params, budget=124)
-        assert (info.value.what, info.value.value) == (GROUP_CELLS, 125)
-        assert ClassGroup(params, budget=125).order == 25
+            ClassGroup(params, budget=174)
+        assert (info.value.what, info.value.value) == (GROUP_CELLS, 175)
+        assert ClassGroup(params, budget=175).order == 25
 
     def test_degenerate_flag(self, fields, groups):
         assert groups(2, 1, 0, "1").degenerate
@@ -401,7 +402,7 @@ def test_paper_regime_group_builds_under_the_default_budget(fields):
     "ell, q_text, cells",
     [
         (3, "1", 256 ** 3 * 4 + 2 ** 24 * 24),  # |G| = 2^24
-        (2, "x + 1", 256 ** 3 * 4 + 2 ** 16 * 255 * 19),  # |G| = 2^16 * 3 * 5 * 17
+        (2, "x + 1", 256 ** 3 * 4 + 2 ** 16 * 255 * 23),  # |G| = 2^16 * 255, log2 |G| < 24
     ],
 )
 def test_oversized_group_is_refused_before_any_array(fields, ell, q_text, cells):
@@ -415,6 +416,22 @@ def test_oversized_group_is_refused_before_any_array(fields, ell, q_text, cells)
         tracemalloc.stop()
     assert (info.value.what, info.value.value) == (GROUP_CELLS, cells)
     assert peak < 2 ** 20
+
+
+def test_group_with_a_large_prime_order_factor_is_refused_before_q_is_factored(fields, monkeypatch):
+    """GF(2), ell = 1, Q = x^31 + x^3 + 1 (irreducible): |G| = 2 (2^31 - 1)
+    with 2^31 - 1 prime.  The 2^32 candidate rows of 33 cells are refused
+    on q, t and ell alone, before Phi_t(Q) needs the factors of Q."""
+    params = HayesParams(1, Polynomial.from_text(fields(2), "x^31 + x^3 + 1"))
+
+    def factored(*args):
+        raise AssertionError("Q factored on a refused group")
+
+    monkeypatch.setattr("hayesdist.hayes.phi", factored)
+    with pytest.raises(BudgetExceededError) as info:
+        ClassGroup(params)
+    assert (info.value.what, info.value.value) == (GROUP_CELLS, 2 ** 32 * 33)
+    assert _prime_powers(2 * (2 ** 31 - 1)) == [(2, 1), (2 ** 31 - 1, 1)]
 
 
 def test_classes_of_input_checks(fields, groups):
