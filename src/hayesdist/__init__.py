@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "errors": ("BudgetExceededError", "HypothesisError", "ValidationError"),
-    "ffield": ("FieldSpec", "FqElement", "Polynomial", "distinct_roots_in", "enumerate_monic"),
-    "hayes": ("ClassGroup", "HayesParams", "HayesSignature", "equivalent", "phi", "signature"),
+    "ffield": ("FieldSpec", "FqElement", "Polynomial", "distinct_roots_in", "enumerate_monic", "phi"),
+    "hayes": ("ClassGroup", "HayesParams", "HayesSignature", "equivalent", "signature"),
     "chars": ("CharacterTable", "l_polynomial"),
     "dist": (
         "ZeroDistribution",

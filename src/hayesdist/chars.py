@@ -128,7 +128,7 @@ class CharacterTable:
             if big.size:
                 degrees[1:] = np.where(big.any(axis=1), big.shape[1] - np.argmax(big[:, ::-1], axis=1), 0)
             roots = np.zeros((self.order, max(degree_bound, 0)), dtype=np.complex128)
-            for d in np.unique(degrees[degrees > 0]).tolist():
+            for d in sorted(set(degrees[degrees > 0].tolist())):  # np.unique would import numpy.ma
                 rows = np.flatnonzero(degrees == d)
                 # companion matrices as np.roots builds them, highest coefficient first
                 p = coeffs[rows, d::-1]

@@ -31,19 +31,20 @@ from fractions import Fraction
 
 from . import __version__, _writer
 from .errors import BudgetExceededError, ValidationError
-from .ffield import FieldSpec, Polynomial, _is_prime
-from .hayes import ClassGroup, HayesParams, distinct_irreducible_factors, phi, phi_relative_gap
+from .ffield import FieldSpec, Polynomial, _is_prime, distinct_irreducible_factors, phi, phi_relative_gap
 
 
 def _defer(name: str) -> None:
     """Put hayesdist.<name> in sys.modules without running its code, which
     runs on the first attribute access.
 
-    The layers that only some subcommands use (chars, dist, comb, asym) are
-    imported inside those subcommands, so a job compiles and runs no more of
-    the package than it calls.  Tools that wrap the layers by module name
-    right after `import hayesdist.cli` (the benchmark's tracer,
-    bench/shim.py) still find every layer in sys.modules."""
+    The layers that only some subcommands use (hayes, chars, dist, comb,
+    asym) are imported inside those subcommands, so a job compiles and runs
+    no more of the package than it calls, and the scalar subcommands
+    (`kernels`, `regimes`, usage errors) never import numpy.  Tools that
+    wrap the layers by module name right after `import hayesdist.cli` (the
+    benchmark's tracer, bench/shim.py) still find every layer in
+    sys.modules."""
     fullname = f"{__package__}.{name}"
     if fullname in sys.modules:
         return
@@ -54,7 +55,7 @@ def _defer(name: str) -> None:
     spec.loader.exec_module(module)
 
 
-for _layer in ("chars", "dist", "comb", "asym"):
+for _layer in ("hayes", "chars", "dist", "comb", "asym"):
     _defer(_layer)
 
 
@@ -88,6 +89,8 @@ def _output_args(sub: argparse.ArgumentParser, table: bool = False) -> None:
 
 
 def _build_group(args) -> tuple[FieldSpec, HayesParams, ClassGroup]:
+    from .hayes import ClassGroup, HayesParams
+
     spec = FieldSpec(args.p, args.a)
     Q = Polynomial.from_text(spec, args.Q)
     params = HayesParams(args.ell, Q)
@@ -162,6 +165,7 @@ def cmd_exact_dist(args) -> int:
 def cmd_moments_check(args) -> int:
     from .dist import (
         binomial_moments,
+        check_oracle_budgets,
         default_point_set,
         enumeration_comparisons,
         enumeration_distributions_all,
@@ -181,6 +185,7 @@ def cmd_moments_check(args) -> int:
     records = []
     comparisons = 0
     pairs = 0
+    check_oracle_budgets(group, range(args.k_min, args.k + 1), n, args.max_enum)
     for k in range(args.k_min, args.k + 1):
         dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
         comparisons += enumeration_comparisons(group, k, n)
@@ -278,6 +283,7 @@ def cmd_bounds_check(args) -> int:
     from .asym import gamma_at_most_one, log_cycle_average_bound, pmf_remainder_bound, w_remainder_bound
     from .comb import binomial_lower_bound, coordinate_sieve_check, cycle_average_series
     from .dist import (
+        check_oracle_budgets,
         default_point_set,
         enumeration_comparisons,
         enumeration_distributions_all,
@@ -357,6 +363,7 @@ def cmd_bounds_check(args) -> int:
     comparisons = 0
     pairs = 0
     if ell >= 1 and gamma_at_most_one(n, q, t, ell):
+        check_oracle_budgets(group, range(0, args.k + 1), n, args.max_enum)
         for k in range(0, args.k + 1):
             dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
             comparisons += enumeration_comparisons(group, k, n)
@@ -538,14 +545,7 @@ def cmd_series_check(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hayesdist",
-        description="Exact zero-count distributions over Hayes classes, with verification suites.",
-    )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    s = subs.add_parser("exact-dist", help="per-class zero-count distributions")
+def _exact_dist_args(s: argparse.ArgumentParser) -> None:
     _field_args(s)
     s.add_argument("--k", type=int, required=True)
     s.add_argument(
@@ -553,42 +553,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation set D as comma-separated element indices (default: all non-roots of Q)",
     )
     _output_args(s)
-    s.set_defaults(func=cmd_exact_dist)
 
-    s = subs.add_parser("moments-check", help="verify the factorial-moment identity")
+
+def _moments_check_args(s: argparse.ArgumentParser) -> None:
     _field_args(s)
     s.add_argument("--k", type=int, required=True, help="largest k to verify")
     s.add_argument("--k-min", type=int, default=0)
     _output_args(s)
-    s.set_defaults(func=cmd_moments_check)
 
-    s = subs.add_parser("weil", help="character and L-polynomial diagnostics")
+
+def _weil_args(s: argparse.ArgumentParser) -> None:
     _field_args(s)
     _output_args(s)
-    s.set_defaults(func=cmd_weil)
 
-    s = subs.add_parser("bounds-check", help="inequality suites (sandwich, envelopes, remainders)")
+
+def _bounds_check_args(s: argparse.ArgumentParser) -> None:
     _field_args(s)
     s.add_argument("--k", type=int, default=2, help="largest k for the remainder suites")
     _output_args(s)
-    s.set_defaults(func=cmd_bounds_check)
 
-    s = subs.add_parser("rs", help="Reed-Solomon distance rows and deep-hole census")
+
+def _rs_args(s: argparse.ArgumentParser) -> None:
     _field_args(s, hayes=False)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--ell", type=int, required=True)
     s.add_argument("--word", default=None, help="received word; omit for a census")
     s.add_argument("--census", action="store_true", help="classify every received word (default)")
     _output_args(s)
-    s.set_defaults(func=cmd_rs)
 
-    s = subs.add_parser("approx", help="exact vs limit-shape comparison table")
+
+def _approx_args(s: argparse.ArgumentParser) -> None:
     _field_args(s)
     s.add_argument("--k", type=int, required=True)
     _output_args(s, table=True)
-    s.set_defaults(func=cmd_approx)
 
-    s = subs.add_parser("regimes", help="regime predicate table")
+
+def _regimes_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--a", type=int, default=1)
     s.add_argument("--ell", type=int, default=1)
@@ -596,15 +596,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--k-list", type=lambda s: [int(x) for x in s.split(",")], required=True)
     _output_args(s, table=True)
-    s.set_defaults(func=cmd_regimes)
 
-    s = subs.add_parser("series-check", help="group-algebra series identity checks")
+
+def _series_check_args(s: argparse.ArgumentParser) -> None:
     _field_args(s)
     s.add_argument("--d-max", type=int, required=True)
     _output_args(s)
-    s.set_defaults(func=cmd_series_check)
 
-    s = subs.add_parser("kernels", help="ad-hoc kernel evaluation")
+
+def _kernels_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("kernel", choices=("truncated-binomial", "cycle-average", "phi"))
     s.add_argument("--m", type=int, default=0)
     s.add_argument("--r", type=int, default=0)
@@ -618,14 +618,46 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", type=int, default=1)
     s.add_argument("--Q", default="1")
     _output_args(s)
-    s.set_defaults(func=cmd_kernels)
 
+
+# (name, help, arguments, command), in the order of the top-level help
+_SUBCOMMANDS = (
+    ("exact-dist", "per-class zero-count distributions", _exact_dist_args, cmd_exact_dist),
+    ("moments-check", "verify the factorial-moment identity", _moments_check_args, cmd_moments_check),
+    ("weil", "character and L-polynomial diagnostics", _weil_args, cmd_weil),
+    ("bounds-check", "inequality suites (sandwich, envelopes, remainders)", _bounds_check_args, cmd_bounds_check),
+    ("rs", "Reed-Solomon distance rows and deep-hole census", _rs_args, cmd_rs),
+    ("approx", "exact vs limit-shape comparison table", _approx_args, cmd_approx),
+    ("regimes", "regime predicate table", _regimes_args, cmd_regimes),
+    ("series-check", "group-algebra series identity checks", _series_check_args, cmd_series_check),
+    ("kernels", "ad-hoc kernel evaluation", _kernels_args, cmd_kernels),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser, with every subcommand and its help.  Only the arguments
+    of the subcommand that `argv` invokes are filled in, which is all that
+    parsing `argv` reads; all of them when `argv` names none."""
+    parser = _Parser(
+        prog="hayesdist",
+        description="Exact zero-count distributions over Hayes classes, with verification suites.",
+    )
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    # the top level has no option that takes a value: the first word is the subcommand
+    invoked = next((word for word in argv or () if not word.startswith("-")), None)
+    names = [name for name, *_ in _SUBCOMMANDS]
+    for name, help_text, arguments, command in _SUBCOMMANDS:
+        s = subs.add_parser(name, help=help_text)
+        if invoked not in names or invoked == name:
+            arguments(s)
+        s.set_defaults(func=command)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if (args.max_enum or 0) < 0:
             raise ValidationError(f"--max-enum must be >= 0, got {args.max_enum}")
         return args.func(args)

@@ -228,9 +228,24 @@ class ZeroDistribution:
         }
 
 
+ENUMERATION_COMPARISONS = "enumeration comparisons |G| q^k n"
+FACTORIZATION_PAIRS = "factorization enumeration"
+
+
 def enumeration_comparisons(group: ClassGroup, k: int, n: int) -> int:
     """Byte comparisons the enumeration oracle makes for all classes on n points."""
     return group.order * group.params.spec.q ** k * n
+
+
+def check_oracle_budgets(group: ClassGroup, ks: range, n: int, budget: int | None = None) -> None:
+    """The budget checks of `enumeration_distributions_all` at each k in ks
+    and of `factorization_counts` at each j in (k, k+t+ell], on n points, in
+    the order a loop over ks makes them, before any of that work starts."""
+    params = group.params
+    for k in ks:
+        check_budget(ENUMERATION_COMPARISONS, enumeration_comparisons(group, k, n), budget)
+        for j in range(k + 1, k + params.t + params.ell + 1):
+            check_budget(FACTORIZATION_PAIRS, factorization_pairs(group, j, k, n), budget)
 
 
 def enumeration_distributions_all(
@@ -243,7 +258,7 @@ def enumeration_distributions_all(
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     pts = _validated_points(params, points)
-    check_budget("enumeration comparisons |G| q^k n", enumeration_comparisons(group, k, len(pts)), budget)
+    check_budget(ENUMERATION_COMPARISONS, enumeration_comparisons(group, k, len(pts)), budget)
     point_idx = tuple(a.index for a in pts)
     # target of class eps at a: -base(a) / Q(a) for its member base
     scale = np.array([spec.neg(spec.inv(params.Q(a))).index for a in pts], dtype=np.intp)
@@ -417,7 +432,7 @@ def factorization_counts(
     deg_g = k + params.t + params.ell - j
     if not k + 1 <= j <= k + params.t + params.ell:
         raise ValueError("need k+1 <= j <= k+t+ell")
-    check_budget("factorization enumeration", factorization_pairs(group, j, k, len(pts)), budget)
+    check_budget(FACTORIZATION_PAIRS, factorization_pairs(group, j, k, len(pts)), budget)
     linear = np.array([(spec.neg(a).index, 1) for a in pts], dtype=np.uint8).reshape(-1, 2)
     W = np.zeros(group.order + 1, dtype=np.int64)  # slot 0: not coprime to Q
     subsets = itertools.combinations(range(len(pts)), j)

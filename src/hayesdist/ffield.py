@@ -4,18 +4,26 @@ Field elements are coordinate vectors in the power basis of a stored monic
 irreducible modulus m(y), so GF(p^a) = GF(p)[y]/(m(y)).  Every element of a
 field is interned: arithmetic returns the one canonical object per value,
 which keeps equality, hashing and the enumeration loops cheap.  The dense
-q x q add/sub/mul tables are built with numpy gathers, one block of rows
-per digit of the row index: x + z and x * z come from x' + z and x' * z,
-where x' is x without its leading digit, and from the coordinates of
-y^i * z reduced by m.  Scalar arithmetic reads nested-list views of them.
-`FieldSpec(p, a, modulus)` returns one shared field per argument triple,
-so the tables are built once per process.
+q x q add/sub/mul tables are built once, as q `bytes` rows each, by a digit
+recurrence that `bytes.translate` runs at C speed: the add row of x is the
+add row of x - p^j translated by z -> z + y^j (p^j the top digit weight of
+x); the mul row of x grows over the digits of z, x (z' + c y^i) =
+x z' + c (x y^i), one translate of the row so far per block, with x y^i
+from a "times y" map that folds the top digit back in with the modulus; the
+sub row of x is the add row of -x translated by the negation map.  Each
+table is one `bytes` buffer, and scalar arithmetic indexes memoryview rows
+of it.  `FieldSpec(p, a, modulus)` returns one shared field per argument
+triple, so the tables are built once per process.
 
 The same tables drive the package's one array polynomial kernel: blocks of
 polynomials as uint8 rows of index coefficients, with `FieldSpec.monic_rows`
 (enumeration), `mul_rows` (row-wise products), `mod_rows` (remainders) and
-`eval_rows` (Horner evaluation at a vector of points).  `Polynomial` is the
-object-level form the kernel is tested against.
+`eval_rows` (Horner evaluation at a vector of points).  The kernel reads
+`add_table`, `sub_table` and `mul_table`: read-only numpy views of the
+tables' buffers, made without a copy on first use.  Numpy is imported only
+there, in the view properties and in the row kernel, so scalar work (the
+tables, `Polynomial`, factoring Q and Phi_j(Q)) never loads it.
+`Polynomial` is the object-level form the kernel is tested against.
 
 Three encodings are used throughout:
 
@@ -38,18 +46,30 @@ order, so the first entry of ``FieldSpec(p).monic_irreducibles(a)``; the
 search stops there.  Irreducibility is trial division by the monic
 irreducibles of degree at most a/2, in the same `Polynomial` arithmetic as
 everything else (``(0, 1)`` when a = 1), and an explicit modulus must pass
-that one test.
+that one test.  The same trial division gives the distinct irreducible
+factors of a modulus Q, once per Q, and with them Phi_j(Q), the number of
+monic degree-j polynomials coprime to Q (`phi`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_Q = 256  # lookup tables are dense q x q; full-enumeration work stays far below this
+
+
+def _view(data: bytes, *shape: int) -> np.ndarray:
+    """A read-only uint8 array over the bytes of `data`, without a copy."""
+    import numpy as np
+
+    return np.frombuffer(data, dtype=np.uint8).reshape(shape)
 
 
 def _is_prime(n: int) -> bool:
@@ -137,53 +157,81 @@ class FieldSpec(metaclass=_Shared):
     # -- construction ------------------------------------------------------
 
     def _build_tables(self) -> None:
-        p, a = self.p, self.a
+        p, a, q = self.p, self.a, self.q
         weights = [p ** j for j in range(a)]
-        # coords[x] = power-basis coordinates of the element with index x
-        coords = np.array([c[::-1] for c in itertools.product(range(p), repeat=a)], dtype=np.int32)
+        pad = bytes(256 - q)  # a translate table maps all 256 byte values
+        # step[j] maps z to z + y^j: digit j of the index up by one, mod p
+        step = [bytes(z - (p - 1) * w if z // w % p == p - 1 else z + w for z in range(q)) + pad for w in weights]
+        # add row x from add row x - p^j, p^j the top digit weight of x:
+        # x + z = (x - y^j) + (z + y^j), one translate per row
+        add = [bytes(range(q))]
+        for j, w in enumerate(weights):
+            for x in range(w, w * p):
+                add.append(add[x - w].translate(step[j]))
+        add_map = [row + pad for row in add]  # add_map[c] maps z to c + z
+        neg = bytes(row.index(0) for row in add)
+        neg_map = neg + pad
+        sub = [add[n].translate(neg_map) for n in neg]  # x - z = -(-x + z)
+        # times_y[z] = y z: the digits shifted up one place, with the top
+        # digit c folded back in as c y^a = -c (m_0 + m_1 y + ... + m_{a-1} y^(a-1))
+        top = weights[-1]
+        fold = [sum((-c * m) % p * w for m, w in zip(self.modulus, weights)) for c in range(p)]
+        times_y = [add[z % top * p][fold[z // top]] for z in range(q)]
+        # row x by the digits of z: with z = z' + c y^i, z' < p^i,
+        # x z = x z' + c (x y^i), one translate of the row so far per block
+        mul = []
+        for x in range(q):
+            row, w = b"", x  # row holds x z for z < p^i; w = x y^i
+            for _ in range(a):
+                cw = [0]  # c w for c = 0..p-1
+                for _ in range(p - 1):
+                    cw.append(add[cw[-1]][w])
+                # at i = 0 the row is x c = c w for the c < p themselves
+                row = b"".join([row.translate(add_map[c]) for c in cw]) if row else bytes(cw)
+                w = times_y[w]
+            mul.append(row)
+        self._inv_i = (None, *(row.index(1) for row in mul[1:]))
+        self._neg_i = neg
 
-        def index(coord):
-            """Table of element indices from a function giving coordinate j of each entry."""
-            return sum(coord(j) % p * weights[j] for j in range(a))
+        def rows(table):
+            """One bytes buffer of the q rows, and its rows as memoryviews."""
+            data = b"".join(table)
+            view = memoryview(data)
+            return data, tuple(view[x * q:(x + 1) * q] for x in range(q))
 
-        # basis[i][z] = coordinates of y^i * z: shift up one place and fold
-        # y^a back in with y^a = -(m_0 + m_1 y + ... + m_{a-1} y^(a-1))
-        basis = [coords]
-        for _ in range(a - 1):
-            prev = basis[-1]
-            shifted = np.zeros_like(prev)
-            shifted[:, 1:] = prev[:, :-1]
-            basis.append((shifted - prev[:, -1:] * np.array(self.modulus[:a])) % p)
-        # rows x of the tables by the digits of x: for x = x' + d p^j with
-        # x' < p^j, x + z = (x' + z) + d y^j and x * z = x' * z + d (y^j z),
-        # one row gather per block of p^j rows
-        add = np.zeros((self.q, self.q), dtype=np.uint8)
-        add[0] = np.arange(self.q)
-        mul = np.zeros_like(add)
-        digits = [(weights[j], d, j) for j in range(a) for d in range(1, p)]
-        for step, d, j in digits:
-            plus = index(lambda i: coords[:, i] + d * (i == j))  # z -> z + d y^j
-            add[d * step:(d + 1) * step] = plus[add[:step]]
-        for step, d, j in digits:
-            times = index(lambda i: d * basis[j][:, i])  # z -> d (y^j z)
-            mul[d * step:(d + 1) * step] = add[mul[:step], times]
-        neg = index(lambda j: p - coords[:, j])
-        self.add_table = add
-        self.sub_table = add[:, neg]
-        self.mul_table = mul
+        self._add, self._add_i = rows(add)
+        self._sub, self._sub_i = rows(sub)
+        self._mul, self._mul_i = rows(mul)
 
-        self._by_index = tuple(FqElement(tuple(c), i) for i, c in enumerate(coords.tolist()))
+        self._by_index = tuple(
+            FqElement(c[::-1], i) for i, c in enumerate(itertools.product(range(p), repeat=a))
+        )
         self.elements: tuple[FqElement, ...] = tuple(sorted(self._by_index, key=lambda e: e.coeffs))
-        # index of the element at each position of the element order
-        self._index_at = np.array([e.index for e in self.elements], dtype=np.uint8)
+        self._order = bytes(e.index for e in self.elements)
         self.zero = self._by_index[0]
         self.one = self._by_index[1]
-        # nested-list views for scalar arithmetic, never written to
-        self._add_i = add.tolist()
-        self._sub_i = self.sub_table.tolist()
-        self._mul_i = mul.tolist()
-        self._neg_i = tuple(neg.tolist())
-        self._inv_i = (None, *(row.index(1) for row in self._mul_i[1:]))
+
+    # -- numpy views, for the row kernel ---------------------------------------
+
+    @functools.cached_property
+    def add_table(self) -> np.ndarray:
+        """q x q uint8 table of x + z: a read-only view of the add rows' buffer."""
+        return _view(self._add, self.q, self.q)
+
+    @functools.cached_property
+    def sub_table(self) -> np.ndarray:
+        """q x q uint8 table of x - z: a read-only view of the sub rows' buffer."""
+        return _view(self._sub, self.q, self.q)
+
+    @functools.cached_property
+    def mul_table(self) -> np.ndarray:
+        """q x q uint8 table of x * z: a read-only view of the mul rows' buffer."""
+        return _view(self._mul, self.q, self.q)
+
+    @functools.cached_property
+    def _index_at(self) -> np.ndarray:
+        """Index of the element at each position of the element order."""
+        return _view(self._order, self.q)
 
     # -- element access ------------------------------------------------------
 
@@ -242,6 +290,8 @@ class FieldSpec(metaclass=_Shared):
         """Rows of the monic degree-d polynomials whose first coefficients are
         the elements at positions `prefix` of the element order, in
         `enumerate_monic` order."""
+        import numpy as np
+
         free = d - len(prefix)
         pos = np.empty((self.q ** free, d), dtype=np.uint8)
         pos[:, :len(prefix)] = prefix
@@ -260,6 +310,8 @@ class FieldSpec(metaclass=_Shared):
 
     def mul_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Row-wise products A_i * B_i of two arrays with the same number of rows."""
+        import numpy as np
+
         width = B.shape[1]
         prod = np.zeros((len(A), A.shape[1] + width - 1), dtype=np.uint8)
         for j in range(A.shape[1]):
@@ -268,6 +320,8 @@ class FieldSpec(metaclass=_Shared):
 
     def mod_rows(self, rows: np.ndarray, mod: tuple[int, ...]) -> np.ndarray:
         """Rows reduced modulo the monic `mod` (index coefficients): deg(mod) columns."""
+        import numpy as np
+
         s = len(mod) - 1
         width = rows.shape[1]
         rem = np.zeros((len(rows), max(width, s)), dtype=np.uint8)
@@ -280,6 +334,8 @@ class FieldSpec(metaclass=_Shared):
     def eval_rows(self, rows: np.ndarray, points) -> np.ndarray:
         """Values of the rows' polynomials at the elements with indices
         `points`, by Horner's rule from the leading column down: (R, n) uint8."""
+        import numpy as np
+
         points = np.asarray(points, dtype=np.intp)
         vals = np.zeros((len(rows), len(points)), dtype=np.uint8)
         for c in rows.T[::-1]:
@@ -557,3 +613,56 @@ def zeros_of(f: Polynomial) -> tuple[FqElement, ...]:
         return f.spec.elements
     zero = f.spec.zero
     return tuple(alpha for alpha in f.spec.elements if f(alpha) == zero)
+
+
+# ---------------------------------------------------------------------------
+# Factoring Q and Phi_j(Q)
+# ---------------------------------------------------------------------------
+
+def distinct_irreducible_factors(Q: Polynomial) -> tuple[Polynomial, ...]:
+    """Distinct monic irreducible factors of Q, via trial division up to
+    deg(Q)/2, computed once per Q.
+
+    Whatever survives after dividing out every factor of degree <= t/2 has a
+    single irreducible factor left, so it is appended whole.
+    """
+    if not Q.is_monic:
+        raise ValueError("Q must be monic")
+    return _factors(Q)
+
+
+@functools.cache
+def _factors(Q: Polynomial) -> tuple[Polynomial, ...]:
+    spec = Q.spec
+    out = []
+    rem = Q
+    for d in range(1, Q.degree // 2 + 1):
+        for cand in spec.monic_irreducibles(d):
+            if (rem % cand).is_zero:
+                out.append(cand)
+                while (rem % cand).is_zero:
+                    rem = rem // cand
+    if rem.degree >= 1:
+        out.append(rem)
+    return tuple(out)
+
+
+def phi(j: int, Q: Polynomial) -> int:
+    """Number of monic degree-j polynomials coprime to Q (inclusion-exclusion)."""
+    if j < 0:
+        raise ValueError("degree must be >= 0")
+    q = Q.spec.q
+    degrees = [P.degree for P in distinct_irreducible_factors(Q)]
+    total = 0
+    for size in range(len(degrees) + 1):
+        for combo in itertools.combinations(degrees, size):
+            drop = sum(combo)
+            if drop <= j:
+                total += (-1) ** size * q ** (j - drop)
+    return total
+
+
+def phi_relative_gap(j: int, Q: Polynomial) -> Fraction:
+    """|Phi_j(Q)/q^j - 1| as an exact rational (bounded by sum over factors of q^-d_i)."""
+    q = Q.spec.q
+    return abs(Fraction(phi(j, Q), q ** j) - 1)

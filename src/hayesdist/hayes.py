@@ -24,22 +24,30 @@ a block of monic polynomials of one degree with it, and `class_of` is its
 one-row form; `signature` is the object-level definition the kernel is
 tested against.  `member_base_rows` is the row form of `member_base`.
 
-Phi_j(Q) counts monic degree-j polynomials coprime to Q; it is computed by
-inclusion-exclusion over the distinct irreducible factors of Q, and the same
-factorization drives the coprimality checks.
+Phi_j(Q) counts monic degree-j polynomials coprime to Q.  It lives in
+`ffield` (`phi`, `phi_relative_gap`, `distinct_irreducible_factors`, which
+factors each Q once), where the scalar subcommands reach it without numpy;
+this module re-exports the three names, and the same factorization drives
+the coprimality checks of `ClassGroup`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import check_budget
-from .ffield import FieldSpec, FqElement, Polynomial, enumerate_below_degree
+from .ffield import (  # Phi_j and the factors of Q are re-exported from here
+    FieldSpec,
+    FqElement,
+    Polynomial,
+    distinct_irreducible_factors,
+    enumerate_below_degree,
+    phi,
+    phi_relative_gap,
+)
 
 
 @dataclass(frozen=True)
@@ -94,50 +102,6 @@ def equivalent(f: Polynomial, g: Polynomial, params: HayesParams) -> bool:
     sf = signature(f, params)
     sg = signature(g, params)
     return sf is not None and sf == sg
-
-
-def distinct_irreducible_factors(Q: Polynomial) -> tuple[Polynomial, ...]:
-    """Distinct monic irreducible factors of Q, via trial division up to deg(Q)/2.
-
-    Whatever survives after dividing out every factor of degree <= t/2 has a
-    single irreducible factor left, so it is appended whole.
-    """
-    if not Q.is_monic:
-        raise ValueError("Q must be monic")
-    spec = Q.spec
-    t = Q.degree
-    out = []
-    rem = Q
-    for d in range(1, t // 2 + 1):
-        for cand in spec.monic_irreducibles(d):
-            if (rem % cand).is_zero:
-                out.append(cand)
-                while (rem % cand).is_zero:
-                    rem = rem // cand
-    if rem.degree >= 1:
-        out.append(rem)
-    return tuple(out)
-
-
-def phi(j: int, Q: Polynomial) -> int:
-    """Number of monic degree-j polynomials coprime to Q (inclusion-exclusion)."""
-    if j < 0:
-        raise ValueError("degree must be >= 0")
-    q = Q.spec.q
-    degrees = [P.degree for P in distinct_irreducible_factors(Q)]
-    total = 0
-    for size in range(len(degrees) + 1):
-        for combo in itertools.combinations(degrees, size):
-            drop = sum(combo)
-            if drop <= j:
-                total += (-1) ** size * q ** (j - drop)
-    return total
-
-
-def phi_relative_gap(j: int, Q: Polynomial) -> Fraction:
-    """|Phi_j(Q)/q^j - 1| as an exact rational (bounded by sum over factors of q^-d_i)."""
-    q = Q.spec.q
-    return abs(Fraction(phi(j, Q), q ** j) - 1)
 
 
 GROUP_CELLS = "class group cells (candidates + ladders)"

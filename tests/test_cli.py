@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -672,20 +673,25 @@ try:
     exec(sys.argv[1])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(os.path.basename(f) for f in ran if os.sep + "hayesdist" + os.sep in f)]))
+print(json.dumps([
+    code,
+    sorted(os.path.basename(f) for f in ran if os.sep + "hayesdist" + os.sep in f),
+    sorted(name for name in sys.modules if name.split(".")[0] == "numpy"),
+]))
 """
 
 
 def _executed(snippet: str, *argv: str):
-    """(exit code, hayesdist source files whose module code ran) of `snippet`
-    in a fresh interpreter, seen by an audit hook on exec."""
+    """(exit code, hayesdist source files whose module code ran, numpy
+    modules left in sys.modules) of `snippet` in a fresh interpreter, the
+    files seen by an audit hook on exec."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-c", _EXECUTED, snippet, *argv], capture_output=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    code, ran = json.loads(proc.stdout.decode().splitlines()[-1])
-    return code, set(ran)
+    code, ran, numpy = json.loads(proc.stdout.decode().splitlines()[-1])
+    return code, set(ran), set(numpy)
 
 
 _RUN_CLI = """
@@ -705,11 +711,16 @@ runpy.run_module("hayesdist.cli", run_name="__main__", alter_sys=True)
 def test_a_job_runs_only_the_layers_it_calls(tmp_path, argv, executed):
     # as `python -m hayesdist.cli` runs it: the code of dist, comb and asym
     # never runs (cli leaves them in sys.modules as lazy modules, where the
-    # benchmark's tracer looks them up)
-    code, ran = _executed(_RUN_CLI, *argv, "--out", str(tmp_path / "a.json"))
+    # benchmark's tracer looks them up); `kernels phi` runs neither hayes
+    # nor any numpy module
+    code, ran, numpy = _executed(_RUN_CLI, *argv, "--out", str(tmp_path / "a.json"))
     assert code == 0
     assert ran & {"chars.py", "dist.py", "comb.py", "asym.py"} == executed
-    assert {"cli.py", "ffield.py", "hayes.py"} <= ran
+    assert {"cli.py", "ffield.py"} <= ran
+    if argv[0] == "kernels":
+        assert "hayes.py" not in ran and not numpy
+    else:
+        assert "hayes.py" in ran and numpy
 
 
 def test_importing_the_cli_lists_every_layer_without_running_it():
@@ -717,11 +728,97 @@ def test_importing_the_cli_lists_every_layer_without_running_it():
     # after `import hayesdist.cli`
     snippet = (
         "import sys, hayesdist.cli\n"
-        "assert all(f'hayesdist.{m}' in sys.modules for m in ('chars', 'dist', 'comb', 'asym'))"
+        "assert all(f'hayesdist.{m}' in sys.modules for m in ('ffield', 'hayes', 'chars', 'dist', 'comb', 'asym'))"
     )
-    code, ran = _executed(snippet)
+    code, ran, numpy = _executed(snippet)
     assert code is None
-    assert not ran & {"chars.py", "dist.py", "comb.py", "asym.py"}
+    assert not ran & {"hayes.py", "chars.py", "dist.py", "comb.py", "asym.py"}
+    assert not numpy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernels", "phi", "--p", "2", "--a", "4", "--Q", "x^2 + x + 1", "--j", "3"],
+        ["kernels", "phi", "--p", "2", "--a", "8", "--Q", "x^3 + x + 1", "--j", "4"],
+        ["kernels", "truncated-binomial", "--m", "3", "--r", "1", "--n", "5", "--q", "3"],
+        ["kernels", "cycle-average", "--j", "4", "--a-val", "1/2", "--b-val", "1"],
+        ["regimes", "--p", "3", "--k-list", "1,2"],
+        ["weil", "--p", "three"],
+    ],
+)
+def test_scalar_jobs_never_import_numpy(tmp_path, argv):
+    code, ran, numpy = _executed(_RUN_CLI, *argv, "--out", str(tmp_path / "a.out"))
+    assert code == (1 if argv[0] == "weil" else 0)  # the weil line is a usage error
+    assert not numpy, sorted(numpy)[:5]
+
+
+def test_weil_does_not_load_numpy_ma(tmp_path):
+    # np.unique would import numpy.ma; |G| = 600 has nontrivial characters
+    argv = ["weil", "--p", "5", "--ell", "2", "--Q", "x^2 + x + 2"]
+    code, ran, numpy = _executed(_RUN_CLI, *argv, "--out", str(tmp_path / "a.json"))
+    assert code == 0
+    assert "numpy" in numpy and "numpy.ma" not in numpy
+
+
+_USAGE_TEXT = json.loads((Path(__file__).with_name("cli_usage.json")).read_text())
+
+
+@pytest.mark.parametrize("line", sorted(_USAGE_TEXT["cases"]))
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, line):
+    """`build_parser` fills in only the invoked subcommand's arguments; the
+    help texts and usage-error records stay those of the parser with all of
+    them, as recorded in cli_usage.json (exit code, stdout, stderr at 80
+    columns) under the Python version named there."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome():
+        try:
+            code = run(line.split())
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return [code, captured.out, captured.err]
+
+    got = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert got == outcome()
+    if _USAGE_TEXT["python"] == list(sys.version_info[:2]):
+        assert got == _USAGE_TEXT["cases"][line]
+
+
+@pytest.mark.parametrize("sub", ["moments-check", "bounds-check"])
+def test_oracle_budget_refuses_before_any_k_runs(capsys, monkeypatch, sub):
+    # |G| = 5, n = 5: the oracle makes 25, 125 and 625 comparisons at k = 0,
+    # 1, 2; the refusal at k = 2 comes before the oracle runs at k = 0
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the oracle ran before the refusal")
+
+    monkeypatch.setattr("hayesdist.dist.enumeration_distributions_all", enumerated)
+    argv = [sub, "--p", "5", "--ell", "1", "--Q", "1", "--k", "2", "--max-enum", "624"]
+    code, record = run_json(capsys, argv)
+    assert code == 2
+    assert record == {"error": "budget-exceeded", "what": ORACLE, "value": 625, "budget": 624}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds-check", "--p", "3", "--ell", "1", "--Q", "x^2 + 1", "--k", "1"],
+        ["exact-dist", "--p", "5", "--ell", "1", "--Q", "x^2 + x + 2", "--k", "3"],
+    ],
+)
+def test_a_job_factors_each_q_once(capsys, argv):
+    # phi, the group and the sieve's work count all ask for the factors of Q
+    from hayesdist.ffield import _factors
+
+    _factors.cache_clear()
+    code = run(argv)
+    capsys.readouterr()
+    assert code == 0
+    info = _factors.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
 
 
 _PUBLIC_NAMES = """
@@ -748,5 +845,5 @@ assert set(hayesdist.__all__) <= set(namespace)
 def test_public_names_resolve_on_first_access():
     # `import hayesdist` runs no layer; each public name resolves, from its
     # home module, and is listed by dir(); the star import still works
-    assert _executed("import hayesdist") == (None, {"__init__.py"})
+    assert _executed("import hayesdist") == (None, {"__init__.py"}, set())
     assert _executed(_PUBLIC_NAMES)[0] is None

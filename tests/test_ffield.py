@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -414,6 +417,34 @@ def test_field_construction_matches_direct_construction(p, a, modulus):
     assert np.array_equal(spec.mul_table, mul)
     assert list(spec._neg_i) == neg
     assert list(spec._inv_i) == inv
-    assert spec._add_i == add.tolist()
-    assert spec._sub_i == sub.tolist()
-    assert spec._mul_i == mul.tolist()
+    assert [list(r) for r in spec._add_i] == add.tolist()
+    assert [list(r) for r in spec._sub_i] == sub.tolist()
+    assert [list(r) for r in spec._mul_i] == mul.tolist()
+    # the numpy views are read-only and share the scalar rows' memory
+    for view, rows in ((spec.add_table, spec._add_i), (spec.sub_table, spec._sub_i), (spec.mul_table, spec._mul_i)):
+        assert not view.flags.writeable
+        assert all(np.shares_memory(view[x], np.frombuffer(row, dtype=np.uint8)) for x, row in enumerate(rows))
+    assert not spec._index_at.flags.writeable
+    assert spec._index_at.tolist() == [e.index for e in spec.elements]
+
+
+_SCALAR_FIELD_WORK = """
+import sys
+from hayesdist.ffield import FieldSpec, Polynomial, phi
+for p, a in ((2, 8), (3, 5), (251, 1)):
+    spec = FieldSpec(p, a)
+    f = Polynomial.from_text(spec, "x^3 + 2*x + 1")
+    quotient, remainder = divmod(f * f, Polynomial.from_text(spec, "x^2 + 1"))
+    assert quotient.degree == 4 and spec.mul(spec.element(2), spec.inv(spec.element(2))) == spec.one
+    assert 0 < phi(4, f) <= spec.q ** 4
+assert "numpy" not in sys.modules, "scalar field work imported numpy"
+view = FieldSpec(2, 8).mul_table
+assert "numpy" in sys.modules and view.base is not None and not view.flags.writeable
+"""
+
+
+def test_scalar_field_work_never_imports_numpy():
+    # ffield imports numpy only for its views and its row kernel
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _SCALAR_FIELD_WORK], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
