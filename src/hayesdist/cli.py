@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, _writer
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError, check_budget
 from .ffield import FieldSpec, Polynomial, _is_prime, distinct_irreducible_factors, phi, phi_relative_gap
 
 
@@ -84,8 +84,6 @@ def _output_args(sub: argparse.ArgumentParser, table: bool = False) -> None:
         help="work budget (default 10^8) on each route's own count: group and sieve cells, "
              "oracle comparisons, series evaluation cells",
     )
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    sub.add_argument("--delta0", type=float, default=0.05)
 
 
 def _build_group(args) -> tuple[FieldSpec, HayesParams, ClassGroup]:
@@ -282,16 +280,7 @@ def truncated_binomial_verdicts():
 def cmd_bounds_check(args) -> int:
     from .asym import gamma_at_most_one, log_cycle_average_bound, pmf_remainder_bound, w_remainder_bound
     from .comb import binomial_lower_bound, coordinate_sieve_check, cycle_average_series
-    from .dist import (
-        check_oracle_budgets,
-        default_point_set,
-        enumeration_comparisons,
-        enumeration_distributions_all,
-        factorization_counts,
-        factorization_pairs,
-        pmf_prediction,
-        pmf_remainder_gap,
-    )
+    from .dist import SIEVE_CELLS, default_point_set, pmf_prediction, sieve_rows, sieve_work
 
     if args.k < 0:
         raise ValidationError(f"k must be >= 0, got {args.k}")
@@ -357,22 +346,21 @@ def cmd_bounds_check(args) -> int:
         sieve_ok &= direct == sieved
     record("coordinate sieve (seeded)", sieve_ok, "direct sum", "signed cycle sum")
 
-    # factorization-count remainder and pmf remainder on this group
+    # factorization-count remainder and pmf remainder on this group, from one
+    # sieve run per k: its W_j rows (0 for j > n) and its per-class counts
     points = default_point_set(params)
     n = len(points)
-    comparisons = 0
-    pairs = 0
+    cells = []
     if ell >= 1 and gamma_at_most_one(n, q, t, ell):
-        check_oracle_budgets(group, range(0, args.k + 1), n, args.max_enum)
+        cells = [sieve_work(group, k, n) for k in range(0, args.k + 1)]
+        for c in cells:
+            check_budget(SIEVE_CELLS, sum(c.values()), args.max_enum)
         for k in range(0, args.k + 1):
-            dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
-            comparisons += enumeration_comparisons(group, k, n)
+            W, counts = sieve_rows(group, k, points, budget=args.max_enum)
             for j in range(k + 1, k + t + ell + 1):
-                W = factorization_counts(group, j, k, points, budget=args.max_enum)
-                pairs += factorization_pairs(group, j, k, n)
                 main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)
                 bound = w_remainder_bound(j, n, q, k, t, ell, group.order)
-                worst = max(abs(w - main) for w in W)
+                worst = max(abs(w - main) for w in (W[j - k - 1] if j <= n else [0]))
                 record(
                     f"factorization remainder k={k} j={j}",
                     worst <= bound,
@@ -383,9 +371,11 @@ def cmd_bounds_check(args) -> int:
             support = range(0, k + t + ell + 1)
             predictions = [pmf_prediction(params, n, r, k) for r in support]
             bounds = [pmf_remainder_bound(r, n, q, k, t, ell) for r in support]
-            for eps in range(group.order):
-                for r in support:
-                    lhs = pmf_remainder_gap(dists[eps], r, predictions[r])
+            total = q ** k
+            missing = [0] * (len(support) - len(counts))  # r > n: no member has r zeros
+            for eps, row in enumerate(counts.T.tolist()):
+                for r, count in zip(support, row + missing):
+                    lhs = abs(Fraction(count, total) - predictions[r])
                     record(
                         f"pmf remainder k={k} eps={eps} r={r}", lhs <= bounds[r], _frac(lhs), _frac(bounds[r])
                     )
@@ -399,10 +389,8 @@ def cmd_bounds_check(args) -> int:
         )
 
     all_ok = all(c["pass"] for c in checks)
-    _emit(args, {
-        "checks": checks, "pass": all_ok,
-        "engine": "enumeration", "work": {"comparisons": comparisons, "factorization_pairs": pairs},
-    })
+    work = {key: sum(c[key] for c in cells) for key in ("dp_cells", "convolution_cells")}
+    _emit(args, {"checks": checks, "pass": all_ok, "engine": "sieve", "work": work})
     return 0 if all_ok else 1
 
 
@@ -571,6 +559,7 @@ def _bounds_check_args(s: argparse.ArgumentParser) -> None:
     _field_args(s)
     s.add_argument("--k", type=int, default=2, help="largest k for the remainder suites")
     _output_args(s)
+    s.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
 
 def _rs_args(s: argparse.ArgumentParser) -> None:
@@ -596,6 +585,7 @@ def _regimes_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--k-list", type=lambda s: [int(x) for x in s.split(",")], required=True)
     _output_args(s, table=True)
+    s.add_argument("--delta0", type=float, default=0.05)
 
 
 def _series_check_args(s: argparse.ArgumentParser) -> None:

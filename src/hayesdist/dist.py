@@ -41,12 +41,14 @@ each high-coefficient evaluation vector e shifts the targets instead
 agreement counts of a block of targets against the low block (a bounded
 number of cells) are histogrammed by one `bincount`.  Its work is the
 |G| * q^k * n comparisons of `enumeration_comparisons`, and its budget
-counts them.  It uses neither the sieve nor group arithmetic, and it feeds the
-verification suites (moment identity, remainder bounds): under the sieve
-the j <= k moment identities hold by construction, so those checks never
-run on sieve output alone; the series moment slice reads the series
-check's joint table instead of the oracle.  A plain object-level brute
-force over all of M_d is kept as a third, independent route.
+counts them.  It uses neither the sieve nor group arithmetic, and it feeds
+`moments-check` and the tests only: under the sieve the j <= k moment
+identities hold by construction, so that check never runs on sieve output;
+the series moment slice reads the series check's joint table instead of
+the oracle.  The remainder suites of `bounds-check` read the sieve's rows
+(`sieve_rows`): their bounds come from Weil sums and cycle averages, which
+the sieve does not use.  A plain object-level brute force over all of M_d
+is kept as a third, independent route.
 
 The factorization counts, the series check's joint (class, zero count)
 table and the oracle's target vectors run on the field's row kernel
@@ -316,31 +318,39 @@ def subset_product_table(
     return S
 
 
+SIEVE_CELLS = "sieve cells (DP + convolution)"
+
+
+def _dp_cells(group: ClassGroup, n: int, j_lo: int, j_hi: int) -> int:
+    """Cell updates of `subset_product_table(group, points, j_lo, j_hi)` on n points."""
+    return group.order * sum(max(0, hi - lo + 1) for lo, hi in _live_rows(n, j_lo, j_hi))
+
+
 def sieve_work(group: ClassGroup, k: int, n: int) -> dict[str, int]:
     """Cells the sieve touches at degree k + t + ell on n points: DP cell
     updates, and one |G|-gather per nonzero entry of N_(d-j) for j > k."""
     params = group.params
     d = k + params.t + params.ell
     j_hi = min(n, d)
-    rows = sum(max(0, hi - lo + 1) for lo, hi in _live_rows(n, k + 1, j_hi))
     gathers = sum(phi(d - j, params.Q) for j in range(k + 1, j_hi + 1))
-    return {"dp_cells": rows * group.order, "convolution_cells": gathers * group.order}
+    return {"dp_cells": _dp_cells(group, n, k + 1, j_hi), "convolution_cells": gathers * group.order}
 
 
-def exact_distributions_all(
-    group: ClassGroup, k: int, points=None, budget: int | None = None
-) -> list[ZeroDistribution]:
-    """Zero-count distributions of every class at degree k + t + ell, by the
-    subset-product sieve (see the module docstring)."""
+def sieve_rows(
+    group: ClassGroup, k: int, pts: tuple[FqElement, ...], budget: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sieve run at degree d = k + t + ell on `pts` (no zero of Q among
+    them): the rows W_j for k < j <= min(n, d) (W_j = 0 for j > n) and the
+    counts q^k P(Y = r) of every class for r <= min(n, d), as object arrays
+    of Python integers indexed [j - k - 1, eps] and [r, eps]."""
     params = group.params
     q = params.spec.q
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    pts = _validated_points(params, points)
     n = len(pts)
     d = k + params.t + params.ell
     j_hi = min(n, d)
-    check_budget("sieve cells (DP + convolution)", sum(sieve_work(group, k, n).values()), budget)
+    check_budget(SIEVE_CELLS, sum(sieve_work(group, k, n).values()), budget)
     S = subset_product_table(group, pts, k + 1, j_hi)
     high = range(k + 1, j_hi + 1)
     W = np.zeros((len(high), group.order), dtype=object)
@@ -358,13 +368,25 @@ def exact_distributions_all(
         ],
         dtype=object,
     )
+    # (-1)^(j+r), not (-1)^(j-r): a negative power is a float, and one float
+    # term (times C(j, r) = 0 for r > j) would round the whole count
     signs = np.array(
-        [[(-1) ** (j - r) * math.comb(j, r) for j in high] for r in range(j_hi + 1)], dtype=object
+        [[(-1) ** (j + r) * math.comb(j, r) for j in high] for r in range(j_hi + 1)], dtype=object
     ).reshape(j_hi + 1, len(high))
-    counts = signs @ W + low[:, None]
-    total = q ** k
+    return W, signs @ W + low[:, None]
+
+
+def exact_distributions_all(
+    group: ClassGroup, k: int, points=None, budget: int | None = None
+) -> list[ZeroDistribution]:
+    """Zero-count distributions of every class at degree k + t + ell, from
+    the counts of one `sieve_rows` run."""
+    params = group.params
+    pts = _validated_points(params, points)
+    _, counts = sieve_rows(group, k, pts, budget)
+    total = params.spec.q ** k
     return [
-        ZeroDistribution(params, eps, k, pts, {r: int(c) for r, c in enumerate(counts[:, eps]) if c}, total)
+        ZeroDistribution(params, eps, k, pts, {r: c for r, c in enumerate(counts[:, eps]) if c}, total)
         for eps in range(group.order)
     ]
 
@@ -477,12 +499,6 @@ def pmf_prediction(params: HayesParams, n: int, r: int, k: int) -> Fraction:
     return mu_term + corr
 
 
-def pmf_remainder_gap(dist: ZeroDistribution, r: int, prediction: Fraction) -> Fraction:
-    """Exact left side of the pmf remainder inequality, |P(Y=r) - prediction|,
-    with `prediction` = pmf_prediction(params, n, r, k) for the class's (n, r, k)."""
-    return abs(dist.probability(r) - prediction)
-
-
 @dataclass(frozen=True)
 class FactorizationSplit:
     """Character-expansion evaluation of a factorization count: the exact main
@@ -565,7 +581,7 @@ class CheckRecord:
 @dataclass
 class SeriesReport:
     checks: list[CheckRecord]
-    work: dict  # polynomials enumerated, factorization pairs
+    work: dict  # polynomials enumerated, factorization pairs, DP and convolution cells
 
     @property
     def all_ok(self) -> bool:
@@ -602,9 +618,11 @@ def verify_series_identities(
     product and moment slices.  The right sides read the table only through
     N_(d-j) with j >= 1, so no slice compares the table with itself.
     Every degree's q^d (n+1) evaluation cells (n evaluations and one label
-    per polynomial) are checked against the budget before the first one;
-    the subset-product table and the convolutions (about n min(d_max, n) |G|
-    cells) are not counted.
+    per polynomial) are checked against the budget before the first one,
+    and then the cells of the subset-product table and of the convolutions:
+    one |G|-gather per nonzero class count N_(d-j), of which there are
+    exactly min(|G|, Phi_(d-j)(Q)) (a class holds at most one polynomial of
+    degree below t + ell, and every class holds one from there on).
     """
     params = group.params
     spec = params.spec
@@ -615,8 +633,17 @@ def verify_series_identities(
         raise ValidationError(f"d_max must be >= 0, got {d_max}")
     for d in range(d_max + 1):
         check_budget(f"evaluation cells q^{d} (n+1)", spec.q ** d * (n + 1), budget)
+    gathers = sum(
+        min(group.order, phi(d - j, params.Q)) for d in range(d_max + 1) for j in range(1, min(d, n) + 1)
+    )
+    work = {
+        "polynomials_checked": 0,
+        "factorization_pairs": 0,
+        "dp_cells": _dp_cells(group, n, 0, min(d_max, n)),
+        "convolution_cells": gathers * group.order,
+    }
+    check_budget(SIEVE_CELLS, work["dp_cells"] + work["convolution_cells"], budget)
     checks: list[CheckRecord] = []
-    work = {"polynomials_checked": 0, "factorization_pairs": 0}
 
     N: list[list[int]] = []  # N[d][class]
     M: list[list[list[int]]] = []  # M[d][j][class], exact Python integers

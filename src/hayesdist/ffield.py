@@ -620,11 +620,12 @@ def zeros_of(f: Polynomial) -> tuple[FqElement, ...]:
 # ---------------------------------------------------------------------------
 
 def distinct_irreducible_factors(Q: Polynomial) -> tuple[Polynomial, ...]:
-    """Distinct monic irreducible factors of Q, via trial division up to
-    deg(Q)/2, computed once per Q.
+    """Distinct monic irreducible factors of Q, via trial division by degree
+    d = 1, 2, ... while the remainder has degree >= 2d, computed once per Q.
 
-    Whatever survives after dividing out every factor of degree <= t/2 has a
-    single irreducible factor left, so it is appended whole.
+    Once every factor of degree < d is divided out, a remainder of degree
+    below 2d has at most one irreducible factor, counted with multiplicity,
+    so it is 1 or irreducible and is appended whole.
     """
     if not Q.is_monic:
         raise ValueError("Q must be monic")
@@ -636,30 +637,32 @@ def _factors(Q: Polynomial) -> tuple[Polynomial, ...]:
     spec = Q.spec
     out = []
     rem = Q
-    for d in range(1, Q.degree // 2 + 1):
+    d = 1
+    while 2 * d <= rem.degree:
         for cand in spec.monic_irreducibles(d):
             if (rem % cand).is_zero:
                 out.append(cand)
                 while (rem % cand).is_zero:
                     rem = rem // cand
+        d += 1
     if rem.degree >= 1:
         out.append(rem)
     return tuple(out)
 
 
 def phi(j: int, Q: Polynomial) -> int:
-    """Number of monic degree-j polynomials coprime to Q (inclusion-exclusion)."""
+    """Number of monic degree-j polynomials coprime to Q: sum_i c_i q^(j-i),
+    where sum_i c_i z^i is the product over the distinct irreducible factors
+    P of Q of (1 - z^deg P), truncated at z^j (inclusion-exclusion, one
+    factor at a time)."""
     if j < 0:
         raise ValueError("degree must be >= 0")
     q = Q.spec.q
-    degrees = [P.degree for P in distinct_irreducible_factors(Q)]
-    total = 0
-    for size in range(len(degrees) + 1):
-        for combo in itertools.combinations(degrees, size):
-            drop = sum(combo)
-            if drop <= j:
-                total += (-1) ** size * q ** (j - drop)
-    return total
+    c = [1] + [0] * j
+    for P in distinct_irreducible_factors(Q):
+        for i in range(j, P.degree - 1, -1):
+            c[i] -= c[i - P.degree]
+    return sum(ci * q ** (j - i) for i, ci in enumerate(c))
 
 
 def phi_relative_gap(j: int, Q: Polynomial) -> Fraction:

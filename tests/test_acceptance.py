@@ -47,7 +47,6 @@ from hayesdist.dist import (
     factorial_moments,
     factorization_counts,
     pmf_prediction,
-    pmf_remainder_gap,
     rs_census,
     rs_distance_row,
     rs_group,
@@ -293,7 +292,7 @@ def test_bound_suite(fields, groups):
                 rhs = pmf_remainder_bound(r, n, q, k, t, ell)
                 prediction = pmf_prediction(G.params, n, r, k)
                 for eps in range(G.order):
-                    lhs = pmf_remainder_gap(dists[eps], r, prediction)
+                    lhs = abs(dists[eps].probability(r) - prediction)
                     assert lhs <= rhs, (p, a, ell, q_text, k, r, eps)
                     pmf_checked += 1
     report(
@@ -301,6 +300,26 @@ def test_bound_suite(fields, groups):
         f"{sandwich} sandwich checks, {w_checked} factorization and {pmf_checked} pmf "
         f"remainders dominated, {len(skipped)} cells skipped (gamma > 1): {skipped}; "
         f"enumeration, {comparisons} comparisons",
+    )
+
+
+def test_remainder_bounds_past_the_oracle(tmp_path):
+    # q = 32, ell = 2, Q = 1 (|G| = 1024, n = 32) for k = 0..6: the oracle
+    # would need |G| q^6 n = 2^45 comparisons at k = 6; the sieve's rows run
+    # every remainder check; the worst lhs/rhs ratio is reported, not ruled
+    out = tmp_path / "bounds.json"
+    code = run(["bounds-check", "--p", "2", "--a", "5", "--ell", "2", "--Q", "1", "--k", "6", "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert code == 0 and data["pass"] is True and data["engine"] == "sieve"
+    remainders = [c for c in data["checks"] if c["name"].startswith(("factorization remainder ", "pmf remainder "))]
+    assert all(c["pass"] for c in remainders)
+    assert len({c["name"] for c in remainders if c["name"].startswith("factorization")}) == 7 * 2
+    worst = max(remainders, key=lambda c: Fraction(c["lhs"]) / Fraction(c["rhs"]))
+    report(
+        "remainder",
+        f"q=32, ell=2, Q=1, k=0..6: {len(remainders)} remainder checks, worst lhs/rhs = "
+        f"{float(Fraction(worst['lhs']) / Fraction(worst['rhs'])):.3g} ({worst['name']}); "
+        f"sieve, {data['work']['dp_cells']} DP + {data['work']['convolution_cells']} convolution cells",
     )
 
 

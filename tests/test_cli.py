@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hayesdist import cli
 from hayesdist.cli import run
+from hayesdist.ffield import Polynomial
 from hayesdist.hayes import ClassGroup
 
 
@@ -183,14 +188,24 @@ ORACLE = "enumeration comparisons |G| q^k n"
         (["moments-check", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--k-min", "3", "--k", "3"],
          GROUP, 34, {"comparisons": 0, "factorization_pairs": 0}),
         (["series-check", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--d-max", "6"],
-         "evaluation cells q^6 (n+1)", 64, {}),
+         "evaluation cells q^6 (n+1)", 64, {"dp_cells": 0, "convolution_cells": 0}),
+        # series check at |G| = 9, n = 3: its 3^2 * 4 evaluation cells are
+        # below its sieve cells, DP rows 1, 1-2, 1-2 and 1 + (3 + 1) gathers
+        # for d = 1, 2 (phi_0 = 1, phi_1 = 3)
+        (["series-check", "--p", "3", "--ell", "2", "--Q", "1", "--d-max", "2"],
+         SIEVE, 90, {"dp_cells": 45, "convolution_cells": 45}),
+        # bounds-check sums the sieve over k = 0..2 at q = 5, n = 5, |G| = 5:
+        # 25 + 5, 40 + 5 and 45 + 5 cells; the refusal names the largest
+        # k's 50 cells alone
+        (["bounds-check", "--p", "5", "--ell", "1", "--Q", "1", "--k", "2"],
+         SIEVE, 50, {"dp_cells": 110, "convolution_cells": 15}),
     ],
 )
 def test_refusal_value_is_the_work_of_the_route(capsys, argv, what, value, work):
     code, data = run_json(capsys, argv + ["--max-enum", str(value)])
     assert code == 0
     assert {key: data["work"][key] for key in work} == work
-    if what in (SIEVE, ORACLE):
+    if what in (SIEVE, ORACLE) and argv[0] != "bounds-check":
         assert sum(work.values()) == value
     code, record = run_json(capsys, argv + ["--max-enum", str(value - 1)])
     assert code == 2
@@ -222,7 +237,7 @@ def test_rs_census_budgets_only_the_sieve(capsys):
         (["rs", "--p", "3", "--k", "1", "--ell", "1", "--word", "x^2 + 1"], "sieve", "dp_cells"),
         (["rs", "--p", "3", "--k", "1", "--ell", "1", "--census"], "sieve", "dp_cells"),
         (["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], "enumeration", "comparisons"),
-        (["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"], "enumeration", "comparisons"),
+        (["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"], "sieve", "dp_cells"),
         (["weil", "--p", "3", "--ell", "1", "--Q", "x"], "characters", "character_sums"),
         (["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"], "enumeration", "polynomials_checked"),
     ],
@@ -256,9 +271,11 @@ def test_bounds_check_remainder_records(capsys, monkeypatch):
     monkeypatch.setattr("hayesdist.asym.pmf_remainder_bound", counted)
     code, data = run_json(capsys, ["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
     assert code == 0 and data["pass"]
-    # |G| = 6, t = ell = 1: r = 0..k+2 for k = 0..2, j = k+1..k+2; the same
-    # enumeration and factorization work as the moments-check case
-    assert data["work"] == {"comparisons": 6 * (1 + 3 + 9) * 2, "factorization_pairs": 7 + 3}
+    # |G| = 6, t = ell = 1, n = 2: r = 0..k+2 for k = 0..2, j = k+1..k+2; the
+    # sieve's work summed over k: k = 0 updates DP rows 1 and 1-2 and gathers
+    # phi_1 + phi_0 = 2 + 1 entries, k = 1 rows 1 and 2 and phi_1 = 2
+    # entries, k = 2 >= n nothing
+    assert data["work"] == {"dp_cells": 6 * (3 + 2), "convolution_cells": 6 * (3 + 2)}
     assert calls == [(k, r) for k in range(3) for r in range(k + 3)]
     names = [c["name"] for c in data["checks"]]
     pmf = [name for name in names if name.startswith("pmf remainder ")]
@@ -269,10 +286,105 @@ def test_bounds_check_remainder_records(capsys, monkeypatch):
     assert [name for name in names if name.startswith("factorization remainder ")] == [
         f"factorization remainder k={k} j={j}" for k in range(3) for j in (k + 1, k + 2)
     ]
-    # remainder hypotheses not met (ell = 0): no enumeration, no factorization
+    # remainder hypotheses not met (ell = 0): no sieve run
     code, data = run_json(capsys, ["bounds-check", "--p", "3", "--ell", "0", "--Q", "x", "--k", "2"])
     assert code == 0
-    assert data["work"] == {"comparisons": 0, "factorization_pairs": 0}
+    assert data["work"] == {"dp_cells": 0, "convolution_cells": 0}
+
+
+def _oracle_remainder_records(group, k_max):
+    """The remainder records of `bounds-check`, built without the sieve from
+    the enumeration oracle and the enumerated factorization counts; None
+    when the hypotheses fail."""
+    from hayesdist.asym import gamma_at_most_one, pmf_remainder_bound, w_remainder_bound
+    from hayesdist.dist import default_point_set, enumeration_distributions_all, factorization_counts, pmf_prediction
+    from hayesdist.ffield import phi
+
+    params = group.params
+    q, t, ell = params.spec.q, params.t, params.ell
+    points = default_point_set(params)
+    n = len(points)
+    if not (ell >= 1 and gamma_at_most_one(n, q, t, ell)):
+        return None
+    out = []
+    for k in range(k_max + 1):
+        dists = enumeration_distributions_all(group, k, points)
+        for j in range(k + 1, k + t + ell + 1):
+            main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)
+            bound = w_remainder_bound(j, n, q, k, t, ell, group.order)
+            worst = max(abs(w - main) for w in factorization_counts(group, j, k, points))
+            out.append({
+                "name": f"factorization remainder k={k} j={j}", "pass": worst <= bound,
+                "lhs": cli._frac(Fraction(worst)), "rhs": cli._frac(bound),
+            })
+        for eps in range(group.order):
+            for r in range(k + t + ell + 1):
+                lhs = abs(dists[eps].probability(r) - pmf_prediction(params, n, r, k))
+                bound = pmf_remainder_bound(r, n, q, k, t, ell)
+                out.append({
+                    "name": f"pmf remainder k={k} eps={eps} r={r}", "pass": lhs <= bound,
+                    "lhs": cli._frac(lhs), "rhs": cli._frac(bound),
+                })
+    return out
+
+
+def _assert_remainders_match_the_oracle(group, q_text, k_max):
+    spec = group.params.spec
+    argv = ["bounds-check", "--p", str(spec.p), "--a", str(spec.a), "--ell", str(group.params.ell),
+            "--Q", q_text, "--k", str(k_max)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    data = json.loads(out.getvalue())
+    assert code == 0 and data["pass"], argv
+    want = _oracle_remainder_records(group, k_max)
+    got = [c for c in data["checks"] if c["name"].startswith(("factorization remainder ", "pmf remainder "))]
+    if want is None:
+        assert got == [] and data["checks"][-1]["name"] == "remainder bounds"
+    else:
+        assert got == want, argv
+    return len(got)
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_bounds_check_remainders_match_the_oracle(groups, fields, p, a):
+    # every remainder record read from the sieve's rows equals the record
+    # built from the oracle and the factorization counts, where both run
+    spec = fields(p, a)
+    checked = 0
+    for ell in (1, 2):
+        for q_text in ("1", "x", "x + 1", spec.monic_irreducibles(2)[0].to_text(), "x^2 + x"):
+            G = groups(p, a, ell, q_text)
+            k_max = 2 if G.order * spec.q ** 2 <= 20_000 else 1
+            checked += _assert_remainders_match_the_oracle(G, q_text, k_max)
+    assert checked > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bounds_check_remainders_match_the_oracle_random(fields, groups, data):
+    p, a = data.draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]), label="field")
+    q = p ** a
+    t = data.draw(st.integers(0, 2), label="t")
+    ell = data.draw(st.integers(1, 2), label="ell")
+    if q ** (t + ell) > 100:  # keeps |G| and the oracle small
+        t, ell = 0, 1
+    low = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t), label="Q")
+    q_text = Polynomial(fields(p, a), (*low, 1)).to_text()
+    G = groups(p, a, ell, q_text)
+    k_max = data.draw(st.integers(0, 2 if q ** (t + ell) <= 25 else 1), label="k")
+    _assert_remainders_match_the_oracle(G, q_text, k_max)
+
+
+def test_bounds_check_runs_neither_the_oracle_nor_the_factorization_counts(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second engine ran")
+
+    for name in ("enumeration_distributions_all", "factorization_counts"):
+        monkeypatch.setattr(f"hayesdist.dist.{name}", forbidden)
+    code, data = run_json(capsys, ["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
+    assert code == 0 and data["pass"] and data["engine"] == "sieve"
+    assert any(c["name"].startswith("pmf remainder ") for c in data["checks"])
 
 
 def test_truncated_binomial_verdicts_match_fraction_form():
@@ -306,13 +418,18 @@ def test_weil_and_series_work_counts(capsys):
     # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..t+ell = 2,
     # class counts of degrees 0..2; series-check --d-max 3: degrees 0..3
     # enumerated once each into the joint table, factorization pairs as in
-    # the moments-check case
+    # the moments-check case, DP rows 1 and 1-2 over the n = 2 points, and
+    # min(|G|, phi_(d-j)) gathers for 1 <= j <= min(d, 2): phi_0..phi_2 =
+    # 1, 2, 6, so 1 (d = 1) + 2 + 1 (d = 2) + 6 + 2 (d = 3)
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
     assert code == 0
     assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9, "character_sums": 5 * 3}
     code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"])
     assert code == 0
-    assert data["work"] == {"classes": 6, "polynomials_checked": 1 + 3 + 9 + 27, "factorization_pairs": 7 + 3}
+    assert data["work"] == {
+        "classes": 6, "polynomials_checked": 1 + 3 + 9 + 27, "factorization_pairs": 7 + 3,
+        "dp_cells": 6 * 3, "convolution_cells": 6 * 12,
+    }
 
 
 def test_series_check_counts_factorization_pairs(capsys):
@@ -788,18 +905,26 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, line):
         assert got == _USAGE_TEXT["cases"][line]
 
 
-@pytest.mark.parametrize("sub", ["moments-check", "bounds-check"])
-def test_oracle_budget_refuses_before_any_k_runs(capsys, monkeypatch, sub):
-    # |G| = 5, n = 5: the oracle makes 25, 125 and 625 comparisons at k = 0,
-    # 1, 2; the refusal at k = 2 comes before the oracle runs at k = 0
-    def enumerated(*args, **kwargs):
-        raise AssertionError("the oracle ran before the refusal")
+@pytest.mark.parametrize(
+    "sub, route, what, value",
+    [
+        # |G| = 5, n = 5: the oracle makes 25, 125 and 625 comparisons at k =
+        # 0, 1, 2; the refusal at k = 2 comes before the oracle runs at k = 0
+        ("moments-check", "enumeration_distributions_all", ORACLE, 625),
+        # the sieve touches 30, 45 and 50 cells at k = 0, 1, 2
+        ("bounds-check", "sieve_rows", SIEVE, 50),
+    ],
+    ids=["moments-check", "bounds-check"],
+)
+def test_oracle_budget_refuses_before_any_k_runs(capsys, monkeypatch, sub, route, what, value):
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{route} ran before the refusal")
 
-    monkeypatch.setattr("hayesdist.dist.enumeration_distributions_all", enumerated)
-    argv = [sub, "--p", "5", "--ell", "1", "--Q", "1", "--k", "2", "--max-enum", "624"]
+    monkeypatch.setattr(f"hayesdist.dist.{route}", ran)
+    argv = [sub, "--p", "5", "--ell", "1", "--Q", "1", "--k", "2", "--max-enum", str(value - 1)]
     code, record = run_json(capsys, argv)
     assert code == 2
-    assert record == {"error": "budget-exceeded", "what": ORACLE, "value": 625, "budget": 624}
+    assert record == {"error": "budget-exceeded", "what": what, "value": value, "budget": value - 1}
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from hayesdist.dist import (
     joint_zero_counts,
     rs_census,
     rs_distance_row,
+    sieve_rows,
     sieve_work,
     subset_product_table,
     verify_series_identities,
@@ -186,6 +187,34 @@ class TestSieveDifferential:
         assert [d.counts for d in sieve] == [d.counts for d in enumeration_distributions_all(G, k, sub)]
         assert sieve[eps].counts == exact_distribution_bruteforce(G, eps, k, sub).counts
 
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    @pytest.mark.parametrize("p,a,q_text", DIFFERENTIAL_GRID)
+    def test_sieve_rows_are_the_factorization_counts(self, groups, p, a, q_text, ell):
+        # one sieve run gives both W_j (k < j <= min(n, d)), equal to the
+        # enumerated factorization counts, and the oracle's counts per class,
+        # all as Python integers: a float anywhere in the signed combination
+        # rounds the counts once they pass 2^53 (q = 128, ell = 2, k = 20)
+        G = groups(p, a, ell, q_text)
+        q, t = G.params.spec.q, G.params.t
+        pts = default_point_set(G.params)
+        n = len(pts)
+        for k in range(3):
+            if G.order * q ** k * max(n, 1) > 50_000:
+                break
+            d = k + t + ell
+            W, counts = sieve_rows(G, k, pts)
+            assert W.shape == (max(0, min(n, d) - k), G.order)
+            assert counts.shape == (min(n, d) + 1, G.order)
+            assert {type(c) for c in [*W.ravel().tolist(), *counts.ravel().tolist()]} <= {int}
+            for j, row in zip(range(k + 1, d + 1), W.tolist()):
+                assert row == factorization_counts(G, j, k, pts), (k, j)
+            for j in range(max(k, n) + 1, d + 1):  # no j-subsets of the points
+                assert factorization_counts(G, j, k, pts) == [0] * G.order
+            oracle = enumeration_distributions_all(G, k, pts)
+            assert [{r: c for r, c in enumerate(col) if c} for col in counts.T.tolist()] == [
+                dist.counts for dist in oracle
+            ], k
+
     def test_large_k(self, groups):
         G = groups(2, 6, 1, "1")  # q = 64, |G| = 64, D = GF(64)
         q, k, n = 64, 32, 64
@@ -347,6 +376,29 @@ class TestSeriesIdentities:
         d_max = G.params.t + G.params.ell + 3
         report = verify_series_identities(G, d_max)
         assert report.all_ok, report.failures()[:3]
+
+    @pytest.mark.parametrize(
+        "key", [(2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 2, "1"), (3, 1, 0, "x^2 + 1"), (2, 2, 1, "x^2 + x"), (2, 1, 0, "1")]
+    )
+    def test_work_counts_the_gathers_and_rows_it_makes(self, groups, monkeypatch, key):
+        # convolution_cells is |G| per nonzero class count that
+        # group_convolve gathers, exactly; dp_cells is the banded table's
+        # rows 1..min(i+1, min(d_max, n)) for the i-th point, times |G|
+        G = groups(*key)
+        n = len(default_point_set(G.params))
+        gathers = []
+
+        def counted(group, u, v):
+            gathers.append(sum(1 for uc in u if uc))
+            return group_convolve(group, u, v)
+
+        monkeypatch.setattr("hayesdist.dist.group_convolve", counted)
+        for d_max in range(G.params.t + G.params.ell + 3):
+            gathers.clear()
+            report = verify_series_identities(G, d_max)
+            assert report.all_ok
+            assert report.work["convolution_cells"] == G.order * sum(gathers), d_max
+            assert report.work["dp_cells"] == G.order * sum(min(i + 1, d_max) for i in range(n)), d_max
 
     def test_degenerate_single_class(self, groups):
         report = verify_series_identities(groups(2, 1, 0, "1"), 3)

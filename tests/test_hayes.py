@@ -167,6 +167,75 @@ def test_distinct_irreducible_factors(fields):
     assert distinct_irreducible_factors(Q2) == (Q2,)
 
 
+def _phi_by_subsets(j, Q):
+    """Reference: inclusion-exclusion over every subset of the distinct
+    irreducible factors of Q."""
+    q = Q.spec.q
+    degrees = [P.degree for P in distinct_irreducible_factors(Q)]
+    total = 0
+    for size in range(len(degrees) + 1):
+        for combo in itertools.combinations(degrees, size):
+            if sum(combo) <= j:
+                total += (-1) ** size * q ** (j - sum(combo))
+    return total
+
+
+def _factors_to_half_degree(Q):
+    """Reference: trial division by every monic irreducible of degree up to
+    deg(Q)/2, the leftover appended whole."""
+    out, rem = [], Q
+    for d in range(1, Q.degree // 2 + 1):
+        for cand in Q.spec.monic_irreducibles(d):
+            if (rem % cand).is_zero:
+                out.append(cand)
+                while (rem % cand).is_zero:
+                    rem = rem // cand
+    if rem.degree >= 1:
+        out.append(rem)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,a,deg", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3)])
+def test_factors_and_phi_match_the_references(fields, p, a, deg):
+    # every monic Q of degree <= deg: the same factors in the same order as
+    # trial division to deg(Q)/2, and phi equal to the subset sum
+    spec = fields(p, a)
+    for d in range(deg + 1):
+        for Q in enumerate_monic(spec, d):
+            assert distinct_irreducible_factors(Q) == _factors_to_half_degree(Q), Q
+            for j in range(7):
+                assert phi(j, Q) == _phi_by_subsets(j, Q), (Q, j)
+
+
+@pytest.mark.parametrize(
+    "p, a, q_text, j, value",
+    [
+        # x^q - x is the product of the q linear polynomials
+        (2, 4, "x^16 + x", 3, 1360),
+        (2, 8, "x^256 + x", 3, 5592320),
+    ],
+)
+def test_phi_of_a_modulus_with_many_factors(fields, monkeypatch, p, a, q_text, j, value):
+    # the remainder is 1 after the linear factors, so trial division stops
+    # at degree 1, and phi never walks the 2^q subsets of the factors
+    spec = fields(p, a)
+    Q = Polynomial.from_text(spec, q_text)
+    degrees = []
+    listed = spec.monic_irreducibles
+
+    def recorded(d):
+        degrees.append(d)
+        return listed(d)
+
+    monkeypatch.setattr(spec, "monic_irreducibles", recorded)
+    from hayesdist.ffield import _factors
+
+    _factors.cache_clear()
+    assert phi(j, Q) == value == sum((-1) ** i * math.comb(spec.q, i) * spec.q ** (j - i) for i in range(j + 1))
+    assert degrees == [1]
+    assert len(distinct_irreducible_factors(Q)) == spec.q
+
+
 class TestClassGroup:
     def test_order_examples(self, groups):
         assert groups(2, 1, 1, "1").order == 2
