@@ -78,7 +78,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _output_args(sub: argparse.ArgumentParser, table: bool = False) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv") if table else ("json",), default="json")
+    if table:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument(
         "--max-enum", type=int, default=None,
         help="work budget (default 10^8) on each route's own count: group and sieve cells, "
@@ -112,7 +113,7 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: list[str
         except OSError as exc:
             raise ValidationError(f"cannot write the artifact to --out {args.out}: {exc.strerror}") from None
     with out as fh:
-        if args.format == "csv":
+        if rows is not None and args.format == "csv":  # only the subcommands with a table have --format
             header = {key: value for key, value in payload.items() if key != "table"}
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
             writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
@@ -162,13 +163,14 @@ def cmd_exact_dist(args) -> int:
 
 def cmd_moments_check(args) -> int:
     from .dist import (
+        ENUMERATION_COMPARISONS,
+        SIEVE_CELLS,
         binomial_moments,
-        check_oracle_budgets,
         default_point_set,
         enumeration_comparisons,
         enumeration_distributions_all,
-        factorization_counts,
-        factorization_pairs,
+        sieve_rows,
+        sieve_work,
     )
 
     if args.k_min < 0:
@@ -179,24 +181,29 @@ def cmd_moments_check(args) -> int:
     t, ell = params.t, params.ell
     points = default_point_set(params)
     n = len(points)
+    ks = range(args.k_min, args.k + 1)
+    # the oracle's comparisons and the sieve's cells of every k, checked
+    # before the first k runs
+    work = {"comparisons": 0, "dp_cells": 0, "convolution_cells": 0}
+    for k in ks:
+        comparisons = enumeration_comparisons(group, k, n)
+        cells = sieve_work(group, k, n)
+        check_budget(ENUMERATION_COMPARISONS, comparisons, args.max_enum)
+        check_budget(SIEVE_CELLS, sum(cells.values()), args.max_enum)
+        work["comparisons"] += comparisons
+        for key, value in cells.items():
+            work[key] += value
     failures = []
     records = []
-    comparisons = 0
-    pairs = 0
-    check_oracle_budgets(group, range(args.k_min, args.k + 1), n, args.max_enum)
-    for k in range(args.k_min, args.k + 1):
+    for k in ks:
         dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
-        comparisons += enumeration_comparisons(group, k, n)
-        Ws = {
-            j: factorization_counts(group, j, k, points, budget=args.max_enum)
-            for j in range(k + 1, k + t + ell + 1)
-        }
-        pairs += sum(factorization_pairs(group, j, k, n) for j in Ws)
-        # q^k E[C(Y, j)] against C(n, j) q^(k-j) (j <= k) or W_j (j > k), as integers
+        W = sieve_rows(group, k, points, budget=args.max_enum)[0].tolist()
+        # the oracle's q^k E[C(Y, j)] against C(n, j) q^(k-j) (j <= k) or the
+        # sieve's W_j (j > k), as integers
         total = spec.q ** k
         for eps in range(group.order):
             for j, got in enumerate(binomial_moments(dists[eps], k + t + ell)):
-                want = math.comb(n, j) * spec.q ** (k - j) if j <= k else Ws[j][eps]
+                want = math.comb(n, j) * spec.q ** (k - j) if j <= k else W[j - k - 1][eps]
                 ok = got == want
                 records.append({
                     "k": k, "eps": eps, "j": j,
@@ -205,8 +212,7 @@ def cmd_moments_check(args) -> int:
                 if not ok:
                     failures.append(records[-1])
     _emit(args, {
-        "checks": records, "failures": failures, "pass": not failures,
-        "engine": "enumeration", "work": {"comparisons": comparisons, "factorization_pairs": pairs},
+        "checks": records, "failures": failures, "pass": not failures, "engine": "enumeration", "work": work,
     })
     return 0 if not failures else 1
 
@@ -347,7 +353,7 @@ def cmd_bounds_check(args) -> int:
     record("coordinate sieve (seeded)", sieve_ok, "direct sum", "signed cycle sum")
 
     # factorization-count remainder and pmf remainder on this group, from one
-    # sieve run per k: its W_j rows (0 for j > n) and its per-class counts
+    # sieve run per k: its W_j rows and its per-class counts
     points = default_point_set(params)
     n = len(points)
     cells = []
@@ -357,10 +363,10 @@ def cmd_bounds_check(args) -> int:
             check_budget(SIEVE_CELLS, sum(c.values()), args.max_enum)
         for k in range(0, args.k + 1):
             W, counts = sieve_rows(group, k, points, budget=args.max_enum)
-            for j in range(k + 1, k + t + ell + 1):
+            for j, row in zip(range(k + 1, k + t + ell + 1), W.tolist()):
                 main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)
                 bound = w_remainder_bound(j, n, q, k, t, ell, group.order)
-                worst = max(abs(w - main) for w in (W[j - k - 1] if j <= n else [0]))
+                worst = max(abs(w - main) for w in row)
                 record(
                     f"factorization remainder k={k} j={j}",
                     worst <= bound,
@@ -372,9 +378,8 @@ def cmd_bounds_check(args) -> int:
             predictions = [pmf_prediction(params, n, r, k) for r in support]
             bounds = [pmf_remainder_bound(r, n, q, k, t, ell) for r in support]
             total = q ** k
-            missing = [0] * (len(support) - len(counts))  # r > n: no member has r zeros
             for eps, row in enumerate(counts.T.tolist()):
-                for r, count in zip(support, row + missing):
+                for r, count in enumerate(row):
                     lhs = abs(Fraction(count, total) - predictions[r])
                     record(
                         f"pmf remainder k={k} eps={eps} r={r}", lhs <= bounds[r], _frac(lhs), _frac(bounds[r])

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .errors import ValidationError, check_budget
+from .errors import check_budget
 
 RationalLike = Fraction | int
 
@@ -201,32 +201,6 @@ def coordinate_sieve_check(
             sub += Fraction(hf(tuple(xs)))
         sieved += sign * sub
     return direct, sieved
-
-
-def probs_from_moments(moments: Sequence[RationalLike], M: int) -> list[Fraction]:
-    """Recover P(Y = r), r = 0..M, from the binomial moments E[C(Y, j)].
-
-    Uses the inversion P(Y=r) = sum_{j>=r} (-1)^(j-r) C(j, r) E[C(Y, j)],
-    exactly.  Raises ValidationError when the inputs are not the moments of
-    any distribution on {0..M} (a negative mass or a bad total is produced).
-    """
-    if len(moments) < M + 1:
-        raise ValidationError("need moments for j = 0..M")
-    ms = [Fraction(m) for m in moments[: M + 1]]
-    probs = []
-    for r in range(M + 1):
-        p_r = sum((-1) ** (j - r) * math.comb(j, r) * ms[j] for j in range(r, M + 1))
-        if p_r < 0:
-            raise ValidationError(f"inconsistent moments: P(Y={r}) = {p_r} < 0")
-        probs.append(p_r)
-    if sum(probs) != ms[0]:
-        raise ValidationError("inconsistent moments: masses do not sum to moment 0")
-    return probs
-
-
-def truncation_gap(moments: Sequence[RationalLike], m: int, r: int) -> Fraction:
-    """Envelope C(m, r) * E[C(Y, m)] for stopping the inversion at j = m-1."""
-    return math.comb(m, r) * Fraction(moments[m])
 
 
 def binomial_lower_bound(M: int, m: int) -> float:

@@ -42,16 +42,21 @@ agreement counts of a block of targets against the low block (a bounded
 number of cells) are histogrammed by one `bincount`.  Its work is the
 |G| * q^k * n comparisons of `enumeration_comparisons`, and its budget
 counts them.  It uses neither the sieve nor group arithmetic, and it feeds
-`moments-check` and the tests only: under the sieve the j <= k moment
-identities hold by construction, so that check never runs on sieve output;
-the series moment slice reads the series check's joint table instead of
-the oracle.  The remainder suites of `bounds-check` read the sieve's rows
-(`sieve_rows`): their bounds come from Weil sums and cycle averages, which
-the sieve does not use.  A plain object-level brute force over all of M_d
-is kept as a third, independent route.
+`moments-check` and the tests only.  Under the sieve the j <= k moment
+identities hold by construction, so `moments-check` measures
+q^k E[C(Y, j)] on the oracle and compares it with C(n, j) q^(k-j) for
+j <= k and with the W_j rows of `sieve_rows` for j > k: the identity is
+checked on the rows that the other commands print.  The series check's
+moment slice compares its joint (class, zero count) table with the same
+rows.  The remainder suites of `bounds-check` read the sieve's rows too:
+their bounds come from Weil sums and cycle averages, which the sieve does
+not use.  A plain object-level brute force over all of M_d is kept as a
+third, independent route.
 
-The factorization counts, the series check's joint (class, zero count)
-table and the oracle's target vectors run on the field's row kernel
+`factorization_counts` enumerates the pairs (g, S) behind W_j, a second
+route to the sieve's rows that no command calls: the tests compare the
+rows with it.  It, the series check's joint table and the oracle's target
+vectors run on the field's row kernel
 (`FieldSpec.monic_rows` / `mul_rows` / `eval_rows`): every polynomial is
 still formed, labelled with `ClassGroup.classes_of` and evaluated
 explicitly, a block of at most _BLOCK_ROWS (factorization products) or
@@ -72,7 +77,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -86,9 +90,6 @@ from .ffield import (
     enumerate_monic,
 )
 from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, phi
-
-if TYPE_CHECKING:
-    from .chars import CharacterTable
 
 _BLOCK_ROWS = 1 << 16  # factorization product blocks: at most this many rows at once
 _AGREEMENT_CELLS = 1 << 14  # oracle blocks: low evaluation vectors, (target, low row) agreement counts
@@ -239,17 +240,6 @@ def enumeration_comparisons(group: ClassGroup, k: int, n: int) -> int:
     return group.order * group.params.spec.q ** k * n
 
 
-def check_oracle_budgets(group: ClassGroup, ks: range, n: int, budget: int | None = None) -> None:
-    """The budget checks of `enumeration_distributions_all` at each k in ks
-    and of `factorization_counts` at each j in (k, k+t+ell], on n points, in
-    the order a loop over ks makes them, before any of that work starts."""
-    params = group.params
-    for k in ks:
-        check_budget(ENUMERATION_COMPARISONS, enumeration_comparisons(group, k, n), budget)
-        for j in range(k + 1, k + params.t + params.ell + 1):
-            check_budget(FACTORIZATION_PAIRS, factorization_pairs(group, j, k, n), budget)
-
-
 def enumeration_distributions_all(
     group: ClassGroup, k: int, points=None, budget: int | None = None
 ) -> list[ZeroDistribution]:
@@ -340,39 +330,36 @@ def sieve_rows(
     group: ClassGroup, k: int, pts: tuple[FqElement, ...], budget: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sieve run at degree d = k + t + ell on `pts` (no zero of Q among
-    them): the rows W_j for k < j <= min(n, d) (W_j = 0 for j > n) and the
-    counts q^k P(Y = r) of every class for r <= min(n, d), as object arrays
-    of Python integers indexed [j - k - 1, eps] and [r, eps]."""
+    them): the rows W_j for k < j <= d and the counts q^k P(Y = r) of every
+    class for r <= d, as object arrays of Python integers indexed
+    [j - k - 1, eps] and [r, eps].  Rows past n = len(pts) are 0: no
+    j-subset of the points exists, and no member has r zeros among them."""
     params = group.params
     q = params.spec.q
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     n = len(pts)
     d = k + params.t + params.ell
-    j_hi = min(n, d)
     check_budget(SIEVE_CELLS, sum(sieve_work(group, k, n).values()), budget)
-    S = subset_product_table(group, pts, k + 1, j_hi)
-    high = range(k + 1, j_hi + 1)
+    S = subset_product_table(group, pts, k + 1, min(n, d))
+    high = range(k + 1, d + 1)
     W = np.zeros((len(high), group.order), dtype=object)
-    for row, j in zip(W, high):
+    for row, j in zip(W, range(k + 1, min(n, d) + 1)):
         row[:] = group_convolve(group, group.monic_class_counts(d - j), S[j])
-    # q^k P(Y = r): the class-free j <= k terms, plus the j > k rows as one
-    # integer matrix product
+    # q^k P(Y = r): the class-free j <= k terms (C(n, j) = 0 for j > n), plus
+    # the j > k rows as one integer matrix product
     low = np.array(
         [
-            sum(
-                (-1) ** (j - r) * math.comb(j, r) * math.comb(n, j) * q ** (k - j)
-                for j in range(r, min(k, j_hi) + 1)
-            )
-            for r in range(j_hi + 1)
+            sum((-1) ** (j - r) * math.comb(j, r) * math.comb(n, j) * q ** (k - j) for j in range(r, k + 1))
+            for r in range(d + 1)
         ],
         dtype=object,
     )
     # (-1)^(j+r), not (-1)^(j-r): a negative power is a float, and one float
     # term (times C(j, r) = 0 for r > j) would round the whole count
     signs = np.array(
-        [[(-1) ** (j + r) * math.comb(j, r) for j in high] for r in range(j_hi + 1)], dtype=object
-    ).reshape(j_hi + 1, len(high))
+        [[(-1) ** (j + r) * math.comb(j, r) for j in high] for r in range(d + 1)], dtype=object
+    ).reshape(d + 1, len(high))
     return W, signs @ W + low[:, None]
 
 
@@ -447,7 +434,10 @@ def factorization_counts(
     k+t+ell-j, S a j-subset of D, and <g * prod_{a in S} (x - a)> = class.
 
     These counts are q^k times the factorial moments E[C(Y, j)] for
-    k+1 <= j <= k+t+ell."""
+    k+1 <= j <= k+t+ell, the W_j rows of `sieve_rows` found by
+    enumeration.  No command calls this route: the tests compare the
+    sieve's rows with it, and the benchmark's tracer (bench/shim.py) looks
+    it up by name, so it keeps this name."""
     params = group.params
     spec = params.spec
     pts = _validated_points(params, points)
@@ -499,48 +489,6 @@ def pmf_prediction(params: HayesParams, n: int, r: int, k: int) -> Fraction:
     return mu_term + corr
 
 
-@dataclass(frozen=True)
-class FactorizationSplit:
-    """Character-expansion evaluation of a factorization count: the exact main
-    term Phi_(k+t+ell-j)(Q)/|E| * C(n, j) plus the character remainder."""
-
-    value: complex
-    main_term: Fraction
-    remainder: float
-
-
-def factorization_count_by_characters(
-    group: ClassGroup,
-    table: CharacterTable,
-    j: int,
-    eps: int,
-    k: int,
-    points=None,
-    budget: int | None = None,
-) -> FactorizationSplit:
-    """Evaluate the factorization count by character orthogonality:
-
-    W_j(eps) = Phi/|E| * C(n,j)
-             + (1/|E|) sum over nontrivial chi of
-               conj(chi(eps)) * (sum over monic g of chi(g)) * e_j(chi(x - a)).
-    """
-    params = group.params
-    pts = _validated_points(params, points)
-    deg_g = k + params.t + params.ell - j
-    if not k + 1 <= j <= k + params.t + params.ell:
-        raise ValueError("need k+1 <= j <= k+t+ell")
-    n = len(pts)
-    main = Fraction(phi(deg_g, params.Q) * math.comb(n, j), group.order)
-    # e_0..e_j of the values chi(x - a) over the points, for all characters at once
-    e = np.zeros((j + 1, table.order), dtype=np.complex128)
-    e[0] = 1
-    for vals in table.values_at(_point_classes(group, pts)).T:
-        e[1:] += e[:-1] * vals
-    terms = table.values_at([eps])[:, 0].conj() * table.sums(deg_g, budget) * e[j]
-    value = complex(main) + complex(terms[1:].sum()) / group.order  # character 0 is trivial
-    return FactorizationSplit(value, main, abs(value - complex(main)))
-
-
 # ---------------------------------------------------------------------------
 # Group-algebra series identities
 # ---------------------------------------------------------------------------
@@ -581,7 +529,7 @@ class CheckRecord:
 @dataclass
 class SeriesReport:
     checks: list[CheckRecord]
-    work: dict  # polynomials enumerated, factorization pairs, DP and convolution cells
+    work: dict  # polynomials enumerated, DP and convolution cells
 
     @property
     def all_ok(self) -> bool:
@@ -609,8 +557,10 @@ def verify_series_identities(
       d >= t+ell, and below t+ell against a 0/1 vector (a class holds at
       most one polynomial of such a degree) with total Phi_d(Q);
     * moment slice: for each k with k+t+ell <= d_max, the degree-(k+t+ell)
-      slice matches C(n,j) q^(k-j) for j <= k and the factorization counts
-      for j > k; it reads the joint table, not the enumeration oracle.
+      slice matches C(n,j) q^(k-j) for j <= k and, for j > k, the W_j rows
+      of one `sieve_rows` run (its banded DP, against the unbanded table of
+      the product slices); it reads the joint table, not the enumeration
+      oracle.
 
     Each degree is enumerated once, into the joint (class, zero count)
     table: its row sums are the class counts N_d, and its binomial moments
@@ -619,10 +569,11 @@ def verify_series_identities(
     N_(d-j) with j >= 1, so no slice compares the table with itself.
     Every degree's q^d (n+1) evaluation cells (n evaluations and one label
     per polynomial) are checked against the budget before the first one,
-    and then the cells of the subset-product table and of the convolutions:
-    one |G|-gather per nonzero class count N_(d-j), of which there are
-    exactly min(|G|, Phi_(d-j)(Q)) (a class holds at most one polynomial of
-    degree below t + ell, and every class holds one from there on).
+    and then, as one sum, the cells of the subset-product table, of the
+    convolutions (one |G|-gather per nonzero class count N_(d-j), of which
+    there are exactly min(|G|, Phi_(d-j)(Q)): a class holds at most one
+    polynomial of degree below t + ell, and every class holds one from
+    there on) and of the moment slices' sieve runs (`sieve_work`).
     """
     params = group.params
     spec = params.spec
@@ -636,11 +587,12 @@ def verify_series_identities(
     gathers = sum(
         min(group.order, phi(d - j, params.Q)) for d in range(d_max + 1) for j in range(1, min(d, n) + 1)
     )
+    ks = range(0, d_max - t - ell + 1)  # the moment slices, one sieve run each
+    slice_cells = [sieve_work(group, k, n) for k in ks]
     work = {
         "polynomials_checked": 0,
-        "factorization_pairs": 0,
-        "dp_cells": _dp_cells(group, n, 0, min(d_max, n)),
-        "convolution_cells": gathers * group.order,
+        "dp_cells": _dp_cells(group, n, 0, min(d_max, n)) + sum(c["dp_cells"] for c in slice_cells),
+        "convolution_cells": gathers * group.order + sum(c["convolution_cells"] for c in slice_cells),
     }
     check_budget(SIEVE_CELLS, work["dp_cells"] + work["convolution_cells"], budget)
     checks: list[CheckRecord] = []
@@ -680,14 +632,13 @@ def verify_series_identities(
                 )
             )
 
-    for k in range(0, d_max - t - ell + 1):
+    for k in ks:
         d = k + t + ell
-        Ws = {j: factorization_counts(group, j, k, pts, budget) for j in range(k + 1, d + 1)}
-        work["factorization_pairs"] += sum(factorization_pairs(group, j, k, n) for j in Ws)
+        W = sieve_rows(group, k, pts, budget)[0].tolist()
         for eps in range(group.order):
             for j in range(0, d + 1):
                 got = M[d][j][eps]
-                want = math.comb(n, j) * spec.q ** (k - j) if j <= k else Ws[j][eps]
+                want = math.comb(n, j) * spec.q ** (k - j) if j <= k else W[j - k - 1][eps]
                 checks.append(
                     CheckRecord(
                         f"moment slice k={k} eps={eps} (u-1)^{j}",

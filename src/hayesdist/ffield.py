@@ -47,8 +47,10 @@ search stops there.  Irreducibility is trial division by the monic
 irreducibles of degree at most a/2, in the same `Polynomial` arithmetic as
 everything else (``(0, 1)`` when a = 1), and an explicit modulus must pass
 that one test.  The same trial division gives the distinct irreducible
-factors of a modulus Q, once per Q, and with them Phi_j(Q), the number of
-monic degree-j polynomials coprime to Q (`phi`).
+factors of a modulus Q, once per Q, which the class group needs.
+Phi_j(Q), the number of monic degree-j polynomials coprime to Q (`phi`),
+needs only their degrees, which distinct-degree factorization finds, once
+per Q, without listing any irreducible.
 """
 
 from __future__ import annotations
@@ -650,18 +652,63 @@ def _factors(Q: Polynomial) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
+@functools.cache
+def _factor_degrees(Q: Polynomial) -> tuple[int, ...]:
+    """Degrees of the distinct monic irreducible factors of Q, ascending, by
+    distinct-degree factorization, computed once per Q.
+
+    With h = x^(q^i) mod rem, gcd(rem, h - x) is the product of the distinct
+    factors of rem of degree dividing i; those of smaller degree are already
+    stripped from rem, so it holds deg/i factors of degree i.  Each gcd is
+    stripped from rem completely (repeated factors too), and h stays valid
+    modulo the new rem, which divides the old one.  Once deg rem < 2(i+1),
+    rem is 1 or one irreducible, as in `distinct_irreducible_factors`."""
+    spec = Q.spec
+    x = Polynomial.x(spec)
+    out: list[int] = []
+    rem = Q
+    h = x
+    i = 0
+    while 2 * (i + 1) <= rem.degree:
+        i += 1
+        h = _power_mod(h, spec.q, rem)
+        g = rem.gcd(h - x)
+        out += [i] * (g.degree // i)
+        while g.degree:
+            rem = rem // g
+            g = rem.gcd(g)
+        h = h % rem
+    if rem.degree >= 1:
+        out.append(rem.degree)
+    return tuple(out)
+
+
+def _power_mod(h: Polynomial, e: int, m: Polynomial) -> Polynomial:
+    """h^e mod m by repeated squaring."""
+    out = Polynomial.one(h.spec) % m
+    while e:
+        if e & 1:
+            out = out * h % m
+        h = h * h % m
+        e >>= 1
+    return out
+
+
 def phi(j: int, Q: Polynomial) -> int:
     """Number of monic degree-j polynomials coprime to Q: sum_i c_i q^(j-i),
     where sum_i c_i z^i is the product over the distinct irreducible factors
     P of Q of (1 - z^deg P), truncated at z^j (inclusion-exclusion, one
-    factor at a time)."""
+    factor at a time).  It needs only the degrees of the factors
+    (`_factor_degrees`), never the factors themselves."""
     if j < 0:
         raise ValueError("degree must be >= 0")
+    if not Q.is_monic:
+        raise ValueError("Q must be monic")
     q = Q.spec.q
     c = [1] + [0] * j
-    for P in distinct_irreducible_factors(Q):
-        for i in range(j, P.degree - 1, -1):
-            c[i] -= c[i - P.degree]
+    for deg in _factor_degrees(Q):
+        for i in range(j, deg - 1, -1):
+            c[i] -= c[i - deg]
     return sum(ci * q ** (j - i) for i, ci in enumerate(c))
 
 

@@ -27,8 +27,8 @@ tested against.  `member_base_rows` is the row form of `member_base`.
 Phi_j(Q) counts monic degree-j polynomials coprime to Q.  It lives in
 `ffield` (`phi`, `phi_relative_gap`, `distinct_irreducible_factors`, which
 factors each Q once), where the scalar subcommands reach it without numpy;
-this module re-exports the three names, and the same factorization drives
-the coprimality checks of `ClassGroup`.
+this module re-exports the three names, and the factors drive the
+coprimality checks of `ClassGroup`.
 """
 
 from __future__ import annotations

@@ -32,24 +32,69 @@ def test_moments_check_worked_example(capsys):
     assert half[0]["moment"] == "1/2"
 
 
+def _corrupt_sieve_row(monkeypatch, k, eps, j, by):
+    """Add `by` to the W_j(eps) that sieve_rows returns at k."""
+    from hayesdist.dist import sieve_rows
+
+    def corrupt(group, k_, pts, budget=None):
+        W, counts = sieve_rows(group, k_, pts, budget)
+        if k_ == k:
+            W[j - k - 1, eps] += by
+        return W, counts
+
+    monkeypatch.setattr("hayesdist.dist.sieve_rows", corrupt)
+
+
 def test_moments_check_failure_record(capsys, monkeypatch):
-    # one wrong factorization count fails exactly its (k, eps, j) cell, with
-    # both sides written as reduced fractions of q^k
-    from hayesdist.dist import factorization_counts
-
-    def corrupt(group, j, k, points=None, budget=None):
-        out = factorization_counts(group, j, k, points, budget)
-        if (j, k) == (3, 1):
-            out[2] += 3
-        return out
-
-    monkeypatch.setattr("hayesdist.dist.factorization_counts", corrupt)
+    # one wrong W_j(eps) of the sieve fails exactly its (k, eps, j) cell,
+    # with both sides written as reduced fractions of q^k
+    _corrupt_sieve_row(monkeypatch, 1, 2, 3, 3)
     code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"])
     assert code == 1 and not data["pass"]
     (bad,) = data["failures"]
     assert (bad["k"], bad["eps"], bad["j"]) == (1, 2, 3)
     moment = Fraction(*map(int, bad["moment"].split("/")))
     assert bad["expected"] == cli._frac(moment + 1)  # (W + 3) / 3
+
+
+@pytest.mark.parametrize(
+    "argv, failed",
+    [
+        # |G| = 6, t = ell = 1, n = 2: W_3 of class 2 at k = 1
+        (["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], [(1, 2, 3)]),
+        # the moment slice k = 1 reads the same row; k = 0, 1 run at d-max 3
+        (["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"],
+         ["moment slice k=1 eps=2 (u-1)^3"]),
+    ],
+    ids=["moments-check", "series-check"],
+)
+def test_a_corrupt_sieve_row_fails_exactly_its_cell(capsys, monkeypatch, argv, failed):
+    # both checks of the moment identity read the sieve's W_j rows, so one
+    # wrong W_j(eps) fails that (k, eps, j) cell and nothing else
+    _corrupt_sieve_row(monkeypatch, 1, 2, 3, 1)
+    code, data = run_json(capsys, argv)
+    assert code == 1 and not data["pass"]
+    if argv[0] == "moments-check":
+        assert [(c["k"], c["eps"], c["j"]) for c in data["failures"]] == failed
+    else:
+        assert [c["name"] for c in data["checks"] if not c["pass"]] == failed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"],
+        ["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "4"],
+    ],
+    ids=["moments-check", "series-check"],
+)
+def test_moment_checks_never_call_the_factorization_counts(capsys, monkeypatch, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factorization_counts ran")
+
+    monkeypatch.setattr("hayesdist.dist.factorization_counts", forbidden)
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["pass"]
 
 
 @pytest.mark.parametrize("num, den", [(0, 1), (0, 27), (6, 9), (5, 25), (81, 27), (2 ** 70, 3 ** 40 * 2 ** 9)])
@@ -162,20 +207,22 @@ ORACLE = "enumeration comparisons |G| q^k n"
         # of 5; the group takes 5 * 2 candidate cells and 2 rungs of 5
         (["exact-dist", "--p", "5", "--ell", "1", "--Q", "1", "--k", "1"],
          SIEVE, 45, {"dp_cells": 40, "convolution_cells": 5}),
-        # oracle at k = 2: |G| q^k n = 5 * 25 * 5; the factorization count
-        # at j = 3 takes C(5, 3) pairs
+        # oracle at k = 2: |G| q^k n = 5 * 25 * 5, above the sieve's 45 + 5
+        # cells there
         (["moments-check", "--p", "5", "--ell", "1", "--Q", "1", "--k-min", "2", "--k", "2"],
-         ORACLE, 625, {"comparisons": 625}),
+         ORACLE, 625, {"comparisons": 625, "dp_cells": 45, "convolution_cells": 5}),
         # series check: q^d (n+1) = 3^4 * 4 at the top degree
         (["series-check", "--p", "3", "--ell", "1", "--Q", "1", "--d-max", "4"],
          "evaluation cells q^4 (n+1)", 324, {}),
         # weil's own count, q^(t+ell) = 9, is below the group's 3^2 * 3
         # candidate cells plus 2 rungs of |G| = 6, so the group binds
         (["weil", "--p", "3", "--ell", "1", "--Q", "x"], GROUP, 39, {}),
-        # group: 3^2 * 3 candidate cells plus floor(log2 9) = 3 rungs of
-        # |G| = 9, above the oracle's 9 * 1 * 3 comparisons
-        (["moments-check", "--p", "3", "--ell", "2", "--Q", "1", "--k", "0"],
-         GROUP, 54, {"comparisons": 27, "factorization_pairs": 12}),
+        # group: Q = x (x + 2) leaves n = 1 and |G| = 3 * phi_2 = 12, so its
+        # 3^3 * 4 candidate cells plus floor(log2 12) = 3 rungs of 12 are
+        # above the oracle's 12 * 1 * 1 comparisons and the sieve's one DP
+        # row and phi_2 = 4 gathers
+        (["moments-check", "--p", "3", "--ell", "1", "--Q", "x^2 + 2*x", "--k", "0"],
+         GROUP, 144, {"comparisons": 12, "dp_cells": 12, "convolution_cells": 48}),
         # rs builds its Q = 1 group too: 2 * 2 candidate cells plus 1 rung of
         # |G| = 2; at k >= n = q the sieve has no rows
         (["rs", "--p", "2", "--k", "2", "--ell", "1", "--census"],
@@ -186,27 +233,35 @@ ORACLE = "enumeration comparisons |G| q^k n"
         (["exact-dist", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--k", "1"],
          GROUP, 34, {"dp_cells": 0, "convolution_cells": 0}),
         (["moments-check", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--k-min", "3", "--k", "3"],
-         GROUP, 34, {"comparisons": 0, "factorization_pairs": 0}),
+         GROUP, 34, {"comparisons": 0, "dp_cells": 0, "convolution_cells": 0}),
         (["series-check", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--d-max", "6"],
          "evaluation cells q^6 (n+1)", 64, {"dp_cells": 0, "convolution_cells": 0}),
         # series check at |G| = 9, n = 3: its 3^2 * 4 evaluation cells are
         # below its sieve cells, DP rows 1, 1-2, 1-2 and 1 + (3 + 1) gathers
-        # for d = 1, 2 (phi_0 = 1, phi_1 = 3)
+        # for d = 1, 2 (phi_0 = 1, phi_1 = 3) in the product slices, plus
+        # the moment slice's sieve run at k = 0, as in moments-check
         (["series-check", "--p", "3", "--ell", "2", "--Q", "1", "--d-max", "2"],
-         SIEVE, 90, {"dp_cells": 45, "convolution_cells": 45}),
+         SIEVE, 171, {"dp_cells": 45 + 45, "convolution_cells": 45 + 36}),
         # bounds-check sums the sieve over k = 0..2 at q = 5, n = 5, |G| = 5:
         # 25 + 5, 40 + 5 and 45 + 5 cells; the refusal names the largest
         # k's 50 cells alone
         (["bounds-check", "--p", "5", "--ell", "1", "--Q", "1", "--k", "2"],
          SIEVE, 50, {"dp_cells": 110, "convolution_cells": 15}),
+        # moments-check's sieve at |G| = 9, n = 3, d = 2: DP rows 1, 1-2,
+        # 1-2 and phi_1 + phi_0 = 3 + 1 gathers, above the group's 3^2 * 3
+        # candidate cells plus floor(log2 9) = 3 rungs of |G| = 9 and the
+        # oracle's 9 * 1 * 3 comparisons
+        (["moments-check", "--p", "3", "--ell", "2", "--Q", "1", "--k", "0"],
+         SIEVE, 81, {"comparisons": 27, "dp_cells": 45, "convolution_cells": 36}),
     ],
 )
 def test_refusal_value_is_the_work_of_the_route(capsys, argv, what, value, work):
     code, data = run_json(capsys, argv + ["--max-enum", str(value)])
     assert code == 0
     assert {key: data["work"][key] for key in work} == work
-    if what in (SIEVE, ORACLE) and argv[0] != "bounds-check":
-        assert sum(work.values()) == value
+    route = {SIEVE: ("dp_cells", "convolution_cells"), ORACLE: ("comparisons",)}.get(what, ())
+    if route and argv[0] != "bounds-check":  # bounds-check sums the cells over k
+        assert sum(work[key] for key in route) == value
     code, record = run_json(capsys, argv + ["--max-enum", str(value - 1)])
     assert code == 2
     assert record == {"error": "budget-exceeded", "what": what, "value": value, "budget": value - 1}
@@ -251,11 +306,14 @@ def test_artifact_names_engine_and_work(capsys, argv, engine, unit):
 
 def test_moments_check_work_count(capsys):
     # |G| * q^k * n comparisons summed over k = 0..2: 6 classes, 2 points;
-    # factorization pairs C(n, j) q^(k+t+ell-j) for j = k+1..k+2 (t = ell = 1):
-    # k = 0: 2*3 + 1*1, k = 1: 1*3 + 0*1, k = 2: none
+    # the sieve's cells summed over k as in bounds-check: k = 0 updates DP
+    # rows 1 and 1-2 and gathers phi_1 + phi_0 = 2 + 1 entries, k = 1 rows
+    # 1 and 2 and phi_1 = 2 entries, k = 2 >= n nothing
     code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
     assert code == 0
-    assert data["work"] == {"comparisons": 6 * (1 + 3 + 9) * 2, "factorization_pairs": 7 + 3}
+    assert data["work"] == {
+        "comparisons": 6 * (1 + 3 + 9) * 2, "dp_cells": 6 * (3 + 2), "convolution_cells": 6 * (3 + 2),
+    }
 
 
 def test_bounds_check_remainder_records(capsys, monkeypatch):
@@ -417,27 +475,36 @@ def test_truncated_binomial_verdicts_match_fraction_form():
 def test_weil_and_series_work_counts(capsys):
     # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..t+ell = 2,
     # class counts of degrees 0..2; series-check --d-max 3: degrees 0..3
-    # enumerated once each into the joint table, factorization pairs as in
-    # the moments-check case, DP rows 1 and 1-2 over the n = 2 points, and
-    # min(|G|, phi_(d-j)) gathers for 1 <= j <= min(d, 2): phi_0..phi_2 =
-    # 1, 2, 6, so 1 (d = 1) + 2 + 1 (d = 2) + 6 + 2 (d = 3)
+    # enumerated once each into the joint table, DP rows 1 and 1-2 over the
+    # n = 2 points, and min(|G|, phi_(d-j)) gathers for 1 <= j <= min(d, 2):
+    # phi_0..phi_2 = 1, 2, 6, so 1 (d = 1) + 2 + 1 (d = 2) + 6 + 2 (d = 3);
+    # the moment slices k = 0, 1 add the sieve's 3 + 2 DP rows and 3 + 2
+    # gathers, as in the moments-check case
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
     assert code == 0
     assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9, "character_sums": 5 * 3}
     code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "1", "--Q", "x", "--d-max", "3"])
     assert code == 0
     assert data["work"] == {
-        "classes": 6, "polynomials_checked": 1 + 3 + 9 + 27, "factorization_pairs": 7 + 3,
-        "dp_cells": 6 * 3, "convolution_cells": 6 * 12,
+        "classes": 6, "polynomials_checked": 1 + 3 + 9 + 27,
+        "dp_cells": 6 * (3 + 5), "convolution_cells": 6 * (12 + 5),
     }
 
 
 def test_series_check_counts_factorization_pairs(capsys):
-    # Q = x^2 + 1 has no root in GF(3), so n = 3; d-max 4 = t + ell leaves
-    # k = 0 alone: C(3, j) * 3^(4 - j) pairs for j = 1..4
+    # the moment slice's W_j, the counts of the factorization pairs (g, S),
+    # come from the sieve, so its work is the sieve's cells, not the pairs.
+    # Q = x^2 + 1 has no root in GF(3), so n = 3 and |G| = 9 * phi_2 = 72;
+    # d-max 4 = t + ell leaves the moment slice k = 0 alone, one sieve run
+    # at d = 4: DP rows 1, 1-2, 1-3 over the three points and
+    # phi_3 + phi_2 + phi_1 = 24 + 8 + 3 gathers.  The product slices' table
+    # has the same 6 rows, and 1 + (3 + 1) + (8 + 3 + 1) + (24 + 8 + 3)
+    # gathers for d = 1..4
     code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "2", "--Q", "x^2 + 1", "--d-max", "4"])
     assert code == 0 and data["pass"]
-    assert data["work"]["factorization_pairs"] == 3 * 27 + 3 * 9 + 1 * 3 == 111
+    assert "factorization_pairs" not in data["work"]
+    assert data["work"]["dp_cells"] == 72 * (6 + 6)
+    assert data["work"]["convolution_cells"] == 72 * (52 + 35)
 
 
 def test_csv_header_carries_engine(capsys):
@@ -935,14 +1002,18 @@ def test_oracle_budget_refuses_before_any_k_runs(capsys, monkeypatch, sub, route
     ],
 )
 def test_a_job_factors_each_q_once(capsys, argv):
-    # phi, the group and the sieve's work count all ask for the factors of Q
-    from hayesdist.ffield import _factors
+    # phi (through the group and the sieve's work count) asks for the factor
+    # degrees of Q many times, the group for its factors; each is found once
+    from hayesdist.ffield import _factor_degrees, _factors
 
     _factors.cache_clear()
+    _factor_degrees.cache_clear()
     code = run(argv)
     capsys.readouterr()
     assert code == 0
     info = _factors.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    info = _factor_degrees.cache_info()
     assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
 
 

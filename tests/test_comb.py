@@ -13,9 +13,7 @@ from hayesdist.comb import (
     cycle_average_closed,
     cycle_average_series,
     partitions,
-    probs_from_moments,
     truncated_binomial_sum,
-    truncation_gap,
 )
 from hayesdist.errors import BudgetExceededError, ValidationError
 
@@ -197,44 +195,6 @@ class TestCoordinateSieve:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             coordinate_sieve_check(4, list(range(5)), lambda xs: 1, budget=100)
-
-
-class TestProbsFromMoments:
-    def test_point_mass_at_zero(self):
-        assert probs_from_moments([1, 0, 0], 2) == [1, 0, 0]
-
-    def test_uniform_on_two_points(self):
-        assert probs_from_moments([1, Fraction(1, 2)], 1) == [Fraction(1, 2), Fraction(1, 2)]
-
-    def test_binomial_two_half(self):
-        got = probs_from_moments([1, 1, Fraction(1, 4)], 2)
-        assert got == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
-
-    def test_round_trip_random_distributions(self):
-        rng = random.Random(99)
-        for _ in range(25):
-            weights = [Fraction(rng.randint(0, 8)) for _ in range(7)]
-            total = sum(weights) or Fraction(1)
-            masses = [w / total for w in weights]
-            moments = [
-                sum(math.comb(y, j) * masses[y] for y in range(7)) for j in range(7)
-            ]
-            assert probs_from_moments(moments, 6) == masses
-
-    def test_inconsistent_moments_rejected(self):
-        with pytest.raises(ValidationError):
-            probs_from_moments([1, 2, 0], 2)  # would give P(1) = 2, P(0) = -1
-
-    def test_truncation_gap_bounds_partial_sums(self):
-        # binomial(2, 1/2) moments; stopping at m leaves an error <= C(m,r) E C(Y,m)
-        moments = [Fraction(1), Fraction(1), Fraction(1, 4)]
-        exact = probs_from_moments(moments, 2)
-        for r in range(3):
-            for m in range(r, 3):
-                partial = sum(
-                    (-1) ** (j - r) * math.comb(j, r) * moments[j] for j in range(r, m)
-                )
-                assert abs(exact[r] - partial) <= truncation_gap(moments, m, r)
 
 
 class TestBinomialLowerBound:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hayesdist.chars import CharacterTable
 from hayesdist.dist import (
     classify_row,
     classify_word,
@@ -18,7 +17,6 @@ from hayesdist.dist import (
     exact_distribution_bruteforce,
     exact_distributions_all,
     factorial_moments,
-    factorization_count_by_characters,
     factorization_counts,
     group_convolve,
     joint_zero_counts,
@@ -190,30 +188,34 @@ class TestSieveDifferential:
     @pytest.mark.parametrize("ell", [0, 1, 2])
     @pytest.mark.parametrize("p,a,q_text", DIFFERENTIAL_GRID)
     def test_sieve_rows_are_the_factorization_counts(self, groups, p, a, q_text, ell):
-        # one sieve run gives both W_j (k < j <= min(n, d)), equal to the
-        # enumerated factorization counts, and the oracle's counts per class,
+        # one sieve run gives both W_j (k < j <= d), equal to the enumerated
+        # factorization counts, and the oracle's counts per class for r <= d,
         # all as Python integers: a float anywhere in the signed combination
-        # rounds the counts once they pass 2^53 (q = 128, ell = 2, k = 20)
+        # rounds the counts once they pass 2^53 (q = 128, ell = 2, k = 20).
+        # The first point alone makes n <= 1 < d once d >= 2: the rows past
+        # n are there, and 0
         G = groups(p, a, ell, q_text)
         q, t = G.params.spec.q, G.params.t
         pts = default_point_set(G.params)
-        n = len(pts)
         for k in range(3):
-            if G.order * q ** k * max(n, 1) > 50_000:
+            if G.order * q ** k * max(len(pts), 1) > 50_000:
                 break
             d = k + t + ell
-            W, counts = sieve_rows(G, k, pts)
-            assert W.shape == (max(0, min(n, d) - k), G.order)
-            assert counts.shape == (min(n, d) + 1, G.order)
-            assert {type(c) for c in [*W.ravel().tolist(), *counts.ravel().tolist()]} <= {int}
-            for j, row in zip(range(k + 1, d + 1), W.tolist()):
-                assert row == factorization_counts(G, j, k, pts), (k, j)
-            for j in range(max(k, n) + 1, d + 1):  # no j-subsets of the points
-                assert factorization_counts(G, j, k, pts) == [0] * G.order
-            oracle = enumeration_distributions_all(G, k, pts)
-            assert [{r: c for r, c in enumerate(col) if c} for col in counts.T.tolist()] == [
-                dist.counts for dist in oracle
-            ], k
+            for sub in (pts, pts[:1]):
+                n = len(sub)
+                W, counts = sieve_rows(G, k, sub)
+                assert W.shape == (d - k, G.order)
+                assert counts.shape == (d + 1, G.order)
+                assert {type(c) for c in [*W.ravel().tolist(), *counts.ravel().tolist()]} <= {int}
+                for j, row in zip(range(k + 1, d + 1), W.tolist()):
+                    assert row == factorization_counts(G, j, k, sub), (k, j, n)
+                zero = [0] * G.order
+                assert W.tolist()[max(n, k) - k:] == [zero] * (d - max(n, k))  # no j-subsets, j > n
+                assert counts.tolist()[n + 1:] == [zero] * max(0, d - n)  # no member has r > n zeros
+                oracle = enumeration_distributions_all(G, k, sub)
+                assert [{r: c for r, c in enumerate(col) if c} for col in counts.T.tolist()] == [
+                    dist.counts for dist in oracle
+                ], (k, n)
 
     def test_large_k(self, groups):
         G = groups(2, 6, 1, "1")  # q = 64, |G| = 64, D = GF(64)
@@ -293,58 +295,6 @@ class TestFactorizationCounts:
                         else:
                             assert m == Fraction(Ws[j][eps], q ** k), (key, k, eps, j)
 
-    def test_character_route_matches_direct(self, groups):
-        for key in [(2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 2, "1"), (2, 2, 1, "1")]:
-            G = groups(*key)
-            q = G.params.spec.q
-            t, ell = G.params.t, G.params.ell
-            table = CharacterTable(G)
-            pts = default_point_set(G.params)
-            for k in (1, 2):
-                Ws = {j: factorization_counts(G, j, k, pts) for j in range(k + 1, k + t + ell + 1)}
-                for j in range(k + 1, k + t + ell + 1):
-                    for eps in range(G.order):
-                        split = factorization_count_by_characters(G, table, j, eps, k, pts)
-                        assert abs(split.value - Ws[j][eps]) <= 1e-6 * q ** k
-                        assert abs(split.value.imag) <= 1e-6 * q ** k
-
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_character_route_random_configurations(self, fields, groups, data):
-        p, a = data.draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]), label="field")
-        q = p ** a
-        t = data.draw(st.integers(0, 2), label="t")
-        ell = data.draw(st.integers(0 if t else 1, 2), label="ell")  # t + ell >= 1: some j > k
-        if q ** (t + ell) > 64:  # keeps |G| and the character table small
-            ell = 0
-        low = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t), label="Q")
-        G = groups(p, a, ell, Polynomial(fields(p, a), (*low, 1)).to_text())
-        pts = default_point_set(G.params)
-        keep = data.draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)), label="D")
-        sub = tuple(x for x, kept in zip(pts, keep) if kept)
-        k = data.draw(st.integers(0, 2 if q ** (t + ell) <= 16 else 1), label="k")
-        j = data.draw(st.integers(k + 1, k + t + ell), label="j")
-        W = factorization_counts(G, j, k, sub)
-        table = CharacterTable(G)
-        for eps in range(G.order):
-            split = factorization_count_by_characters(G, table, j, eps, k, sub)
-            assert abs(split.value - W[eps]) <= 1e-6 * q ** k, eps
-            # the main term is the class average of the counts
-            assert split.main_term == Fraction(sum(W), G.order)
-
-    def test_character_route_trivial_group_has_no_remainder(self, groups):
-        # the only order-1 group with a nonempty j-range: ell = 0, Q = x^2 + x
-        G = groups(2, 1, 0, "x^2 + x")
-        assert G.order == 1
-        table = CharacterTable(G)
-        for j in (2, 3):
-            split = factorization_count_by_characters(G, table, j, 0, 1)
-            n = len(default_point_set(G.params))
-            assert split.remainder == 0
-            assert split.main_term == math.comb(n, j) * phi(3 - j, G.params.Q)
-            assert split.value == complex(split.main_term)
-
-
 class TestFactorialMoments:
     def test_zeroth_moment_is_one(self, groups):
         d = exact_distributions_all(groups(3, 1, 1, "1"), 2)[0]
@@ -382,9 +332,12 @@ class TestSeriesIdentities:
     )
     def test_work_counts_the_gathers_and_rows_it_makes(self, groups, monkeypatch, key):
         # convolution_cells is |G| per nonzero class count that
-        # group_convolve gathers, exactly; dp_cells is the banded table's
-        # rows 1..min(i+1, min(d_max, n)) for the i-th point, times |G|
+        # group_convolve gathers, exactly, the moment slices' sieve runs
+        # included; dp_cells is the product slices' table, rows
+        # 1..min(i+1, min(d_max, n)) for the i-th point, times |G|, plus the
+        # DP cells of one sieve run per moment slice k <= d_max - t - ell
         G = groups(*key)
+        t, ell = G.params.t, G.params.ell
         n = len(default_point_set(G.params))
         gathers = []
 
@@ -393,34 +346,45 @@ class TestSeriesIdentities:
             return group_convolve(group, u, v)
 
         monkeypatch.setattr("hayesdist.dist.group_convolve", counted)
-        for d_max in range(G.params.t + G.params.ell + 3):
+        for d_max in range(t + ell + 3):
             gathers.clear()
             report = verify_series_identities(G, d_max)
             assert report.all_ok
             assert report.work["convolution_cells"] == G.order * sum(gathers), d_max
-            assert report.work["dp_cells"] == G.order * sum(min(i + 1, d_max) for i in range(n)), d_max
+            slices = sum(sieve_work(G, k, n)["dp_cells"] for k in range(d_max - t - ell + 1))
+            assert report.work["dp_cells"] == G.order * sum(min(i + 1, d_max) for i in range(n)) + slices, d_max
 
     def test_degenerate_single_class(self, groups):
         report = verify_series_identities(groups(2, 1, 0, "1"), 3)
         assert report.all_ok
 
     def test_one_enumeration_per_degree(self, groups, monkeypatch):
-        # the joint table is the only enumeration: no oracle, no class counts
+        # the joint table is the only enumeration of each degree: no oracle,
+        # no factorization counts; the group's class counts are read only by
+        # the moment slices' sieve runs, and only below degree t + ell = 2
         degrees = []
+        class_count_degrees = []
+        class_counts = ClassGroup.monic_class_counts
 
         def spy(group, d, points=None):
             degrees.append(d)
             return joint_zero_counts(group, d, points)
+
+        def low_degree(group, d, budget=None):
+            class_count_degrees.append(d)
+            return class_counts(group, d, budget)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a second enumeration ran")
 
         monkeypatch.setattr("hayesdist.dist.joint_zero_counts", spy)
         monkeypatch.setattr("hayesdist.dist.enumeration_distributions_all", forbidden)
-        monkeypatch.setattr(ClassGroup, "monic_class_counts", forbidden)
+        monkeypatch.setattr("hayesdist.dist.factorization_counts", forbidden)
+        monkeypatch.setattr(ClassGroup, "monic_class_counts", low_degree)
         report = verify_series_identities(groups(3, 1, 1, "x"), 4)
         assert report.all_ok
         assert degrees == [0, 1, 2, 3, 4]
+        assert set(class_count_degrees) == {0, 1}
 
     def test_budget_refused_before_any_enumeration(self, groups, monkeypatch):
         def spy(*args, **kwargs):
@@ -435,12 +399,13 @@ class TestSeriesIdentities:
 
 
 def _corrupt_factorization_counts(monkeypatch):
-    def corrupt(group, j, k, points=None, budget=None):
-        out = factorization_counts(group, j, k, points, budget)
-        out[0] += 1
-        return out
+    # class 0 of every W_j row that the sieve returns
+    def corrupt(group, k, pts, budget=None):
+        W, counts = sieve_rows(group, k, pts, budget)
+        W[:, 0] += 1
+        return W, counts
 
-    monkeypatch.setattr("hayesdist.dist.factorization_counts", corrupt)
+    monkeypatch.setattr("hayesdist.dist.sieve_rows", corrupt)
 
 
 def _corrupt_group_convolve(monkeypatch):
@@ -479,7 +444,7 @@ def _corrupt_linear_class_count(monkeypatch):
     "corrupt, expected",
     [
         # |G| = 6, t = ell = 1, n = 2, d_max = 4: moment slices k = 0..2 use
-        # factorization counts for j = k+1..k+2
+        # the sieve's W_j rows for j = k+1..k+2
         (_corrupt_factorization_counts, {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2)}),
         (_corrupt_group_convolve, {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(1, min(d, 2) + 1)}),
         (_corrupt_joint_zero_counts, {"product slice z^3 (u-1)^1"}),

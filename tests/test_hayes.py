@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hayesdist.errors import BudgetExceededError
-from hayesdist.ffield import Polynomial, enumerate_monic
+from hayesdist.ffield import Polynomial, _factor_degrees, enumerate_monic
 from hayesdist.hayes import (
     ClassGroup,
     HayesParams,
@@ -203,6 +203,7 @@ def test_factors_and_phi_match_the_references(fields, p, a, deg):
     for d in range(deg + 1):
         for Q in enumerate_monic(spec, d):
             assert distinct_irreducible_factors(Q) == _factors_to_half_degree(Q), Q
+            assert _factor_degrees(Q) == tuple(sorted(P.degree for P in _factors_to_half_degree(Q))), Q
             for j in range(7):
                 assert phi(j, Q) == _phi_by_subsets(j, Q), (Q, j)
 
@@ -216,8 +217,9 @@ def test_factors_and_phi_match_the_references(fields, p, a, deg):
     ],
 )
 def test_phi_of_a_modulus_with_many_factors(fields, monkeypatch, p, a, q_text, j, value):
-    # the remainder is 1 after the linear factors, so trial division stops
-    # at degree 1, and phi never walks the 2^q subsets of the factors
+    # phi lists no irreducibles at all and never walks the 2^q subsets of
+    # the factors; the factors themselves need trial division at degree 1
+    # only, as the remainder is 1 after the linear factors
     spec = fields(p, a)
     Q = Polynomial.from_text(spec, q_text)
     degrees = []
@@ -232,8 +234,32 @@ def test_phi_of_a_modulus_with_many_factors(fields, monkeypatch, p, a, q_text, j
 
     _factors.cache_clear()
     assert phi(j, Q) == value == sum((-1) ** i * math.comb(spec.q, i) * spec.q ** (j - i) for i in range(j + 1))
-    assert degrees == [1]
+    assert degrees == []
     assert len(distinct_irreducible_factors(Q)) == spec.q
+    assert degrees == [1]
+
+
+@pytest.mark.parametrize(
+    "q_text, degrees, value",
+    [
+        # irreducible over GF(2), with 2^31 - 1 and 2^61 - 1 prime: trial
+        # division of Q takes seconds for the first and does not finish for
+        # the second, while phi reads only the factor degrees
+        ("x^31 + x^3 + 1", (31,), 8),
+        ("x^61 + x^5 + x^2 + x + 1", (61,), 8),
+        # x (x^2 + x + 1) (x^31 + x^3 + 1)^2: (1 - z)(1 - z^2) truncated at
+        # z^3 is 1 - z - z^2 + z^3, so phi_3 = 8 - 4 - 2 + 1
+        ("x^65 + x^64 + x^63 + x^9 + x^8 + x^7 + x^3 + x^2 + x", (1, 2, 31), 3),
+    ],
+)
+def test_phi_of_large_moduli_by_distinct_degree_factorization(fields, q_text, degrees, value):
+    F2 = fields(2)
+    Q = Polynomial.from_text(F2, q_text)
+    if len(degrees) > 1:
+        big = Polynomial.from_text(F2, "x^31 + x^3 + 1")
+        assert Q == Polynomial.x(F2) * Polynomial.from_text(F2, "x^2 + x + 1") * big * big
+    assert _factor_degrees(Q) == degrees
+    assert phi(3, Q) == value
 
 
 class TestClassGroup:
