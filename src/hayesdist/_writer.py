@@ -4,13 +4,17 @@
 ``json.dumps(obj, sort_keys=True, indent=2)``, without json's pure-Python
 indenting encoder and without building the whole text: dicts and lists are
 written item by item down to the items of each list, which are encoded
-whole, so the largest string held is one record.  Dicts with string keys
+whole, so the largest string held is one record.  An iterator (such as a
+generator) in place of one of those lists, that is as `obj` or as a value
+of the dicts written key by key, is written as the list of its items, each
+made only when it is written, so the list is never held either.  Dicts with string keys
 (the records of the `checks`, `table` and `coeffs` lists) are written from
 one ``%`` template per key set and depth, whose keys were sorted once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 
@@ -52,7 +56,8 @@ _SCALARS = {
 
 
 def dump(obj, fh) -> None:
-    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` to the text file `fh`."""
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` to the text file
+    `fh`, with the iterators of the streamed lists turned into lists."""
     write = fh.write
     scalar_of = _SCALARS.get
     # (keys in insertion order, indent) -> (template, getter), None if a key is not a str
@@ -103,12 +108,12 @@ def dump(obj, fh) -> None:
     def stream(o, nl: str) -> None:
         """Write `o`, item by item down to the items of its lists."""
         inner = nl + _INDENT
-        if isinstance(o, (list, tuple)) and o:
+        if isinstance(o, (list, tuple, Iterator)):
             sep = "[" + inner
             for v in o:
                 write(sep + encode(v, inner))
                 sep = "," + inner
-            write(nl + "]")
+            write("[]" if sep[0] == "[" else nl + "]")
         elif isinstance(o, dict) and o:
             sep = "{" + inner
             for k, v in sorted(o.items()):

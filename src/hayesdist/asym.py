@@ -17,9 +17,10 @@ therefore machine-checked, not float-trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
+from ._record import FrozenRecord
 from .comb import cycle_average_series, truncated_binomial_sum
 from .errors import HypothesisError
 
@@ -93,17 +94,6 @@ def mu_binomial_pmf(r: int, n: int, q: int, k: int, t: int, ell: int) -> Fractio
     if r > n:
         return Fraction(0)  # the C(n, r) factor vanishes
     return truncated_binomial_sum(k + t + ell - r, r, n, q) * Fraction(math.comb(n, r), q ** r)
-
-
-def rs_count_asymptotic(r: int, q: int, k: int, ell: int) -> Fraction:
-    """Asymptotic N(f, r) for Reed-Solomon rows: mu_(k+ell-r)(r) C(q, r) q^(k-r).
-
-    This is the t = 0, n = q specialization of mu_binomial_pmf scaled by q^k;
-    it is strictly positive at r = k + ell, which is what forces every
-    received word to be ordinary once the asymptotics take hold."""
-    if not 0 <= r <= k + ell:
-        raise ValueError("need 0 <= r <= k+ell")
-    return q ** k * mu_binomial_pmf(r, q, q, k, 0, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +208,22 @@ def log_cycle_average_bound(j: int, n: int, gamma, p: int, variant: str) -> floa
 # Regime predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(FrozenRecord):
     """Finite parameters and the derived regime coordinates c and gamma."""
 
-    q: int
-    k: int
-    t: int
-    ell: int
-    n: int
-    delta0: float = 0.05
+    __slots__ = ("q", "k", "t", "ell", "n", "delta0")
 
-    def __post_init__(self):
-        if self.delta0 <= 0:
+    def __init__(self, q: int, k: int, t: int, ell: int, n: int, delta0: float = 0.05):
+        if delta0 <= 0:
             raise ValueError("delta0 must be positive")
-        if not 0 < self.k < self.q:
+        if not 0 < k < q:
             raise ValueError("regime evaluation needs 0 < c = k/q < 1")
-        if self.t < 0 or self.ell < 0:
-            raise ValueError(f"need t >= 0 and ell >= 0, got t={self.t}, ell={self.ell}")
-        if not 1 <= self.n <= self.q:
-            raise ValueError(f"need 1 <= n <= q = {self.q}, got n={self.n}")
+        if t < 0 or ell < 0:
+            raise ValueError(f"need t >= 0 and ell >= 0, got t={t}, ell={ell}")
+        if not 1 <= n <= q:
+            raise ValueError(f"need 1 <= n <= q = {q}, got n={n}")
+        for name, value in zip(self.__slots__, (q, k, t, ell, n, delta0)):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -252,14 +238,13 @@ class Regime:
         return (self.t + self.ell - 1) * math.sqrt(self.q) / self.n
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     """Truth value of a regime inequality plus its two sides and advisories."""
 
     holds: bool
     lhs: float
     rhs: float
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.holds

@@ -43,7 +43,7 @@ eigenvalue call per effective degree on the stacked companion matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +152,7 @@ def character_sum(table: CharacterTable, chi: int, j: int, budget: int | None = 
     return complex(table.sums(j, budget)[chi])
 
 
-@dataclass(frozen=True)
-class LPolynomials:
+class LPolynomials(NamedTuple):
     """P(z, chi) of every character of a table, as read-only arrays.
 
     `coeffs[chi, j]` is the character sum over monic degree-j polynomials,
@@ -171,8 +170,7 @@ class LPolynomials:
     q: int
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(NamedTuple):
     """Coefficients c_j of P(z, chi) with diagnostics.
 
     `coeffs` runs j = 0..t+ell: one degree past the guaranteed bound, the

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
 import importlib.util
 import itertools
@@ -27,11 +26,14 @@ import math
 import os
 import random
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__, _writer
 from .errors import BudgetExceededError, ValidationError, check_budget
 from .ffield import FieldSpec, Polynomial, _is_prime, distinct_irreducible_factors, phi, phi_relative_gap
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _defer(name: str) -> None:
@@ -76,6 +78,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+class _SubParser(_Parser):
+    """A subcommand's parser reports the arguments it does not know itself,
+    under its own usage, where argparse would pass them up to the top level."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _output_args(sub: argparse.ArgumentParser, table: bool = False) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     if table:
@@ -114,6 +127,8 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: list[str
             raise ValidationError(f"cannot write the artifact to --out {args.out}: {exc.strerror}") from None
     with out as fh:
         if rows is not None and args.format == "csv":  # only the subcommands with a table have --format
+            import csv
+
             header = {key: value for key, value in payload.items() if key != "table"}
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
             writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
@@ -224,15 +239,18 @@ def cmd_weil(args) -> int:
     table = CharacterTable(group)
     q, t, ell = spec.q, params.t, params.ell
     exponents = table.exponents.tolist()
-    out = [{"chi": 0, "exponents": exponents[0], "trivial": True}]
     character_sums = 0
     if table.order > 1:
         L = table.l_polynomials(budget=args.max_enum)
         bounds = [weil_bound(j, t, ell, q) for j in range(L.coeffs.shape[1])]
         character_sums = (table.order - 1) * len(bounds)
         degrees = L.degrees.tolist()
+
+    def characters():
+        """The character records, each made as `_emit` writes it."""
+        yield {"chi": 0, "exponents": exponents[0], "trivial": True}
         for chi in range(1, table.order):
-            out.append({
+            yield {
                 "chi": chi, "exponents": exponents[chi],
                 # abs of a Python complex: np.abs can differ in the last bit
                 "coeffs": [
@@ -242,10 +260,11 @@ def cmd_weil(args) -> int:
                 "degree": degrees[chi],
                 "degree_bound": L.degree_bound,
                 "root_moduli": [abs(z) for z in L.roots[chi, :degrees[chi]].tolist()],
-            })
+            }
+
     # a sum above its Weil bound has already raised ArithmeticError
     _emit(args, {
-        "characters": out, "orders": list(table.orders), "pass": True,
+        "characters": characters(), "orders": list(table.orders), "pass": True,
         "engine": "characters",
         "work": {
             "classes": group.order,
@@ -284,6 +303,8 @@ def truncated_binomial_verdicts():
 
 
 def cmd_bounds_check(args) -> int:
+    from fractions import Fraction
+
     from .asym import gamma_at_most_one, log_cycle_average_bound, pmf_remainder_bound, w_remainder_bound
     from .comb import binomial_lower_bound, coordinate_sieve_check, cycle_average_series
     from .dist import SIEVE_CELLS, default_point_set, pmf_prediction, sieve_rows, sieve_work
@@ -496,6 +517,8 @@ def cmd_kernels(args) -> int:
         value = truncated_binomial_sum(args.m, args.r, args.n, args.q)
         _emit(args, {"kernel": args.kernel, "value": _frac(value)})
     elif args.kernel == "cycle-average":
+        from fractions import Fraction
+
         from .comb import cycle_average_bruteforce, cycle_average_closed, cycle_average_series
 
         try:
@@ -637,7 +660,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         prog="hayesdist",
         description="Exact zero-count distributions over Hayes classes, with verification suites.",
     )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+    subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubParser)
     # the top level has no option that takes a value: the first word is the subcommand
     invoked = next((word for word in argv or () if not word.startswith("-")), None)
     names = [name for name, *_ in _SUBCOMMANDS]

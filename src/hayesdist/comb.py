@@ -21,19 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import check_budget
 
 RationalLike = Fraction | int
-
-
-class CycleStats(NamedTuple):
-    """Cycle counts of a permutation: all cycles, and those whose length is
-    not a multiple of the characteristic p.  Always 0 <= off_p <= total <= j."""
-
-    total: int
-    off_p: int
 
 
 def binom_frac(x: RationalLike, m: int) -> Fraction:
@@ -160,12 +152,6 @@ def _cycles_of(perm: Sequence[int]) -> list[list[int]]:
             i = perm[i]
         cycles.append(cyc)
     return cycles
-
-
-def cycle_stats(perm: Sequence[int], p: int) -> CycleStats:
-    """CycleStats of a permutation given in one-line notation (perm[i] = image of i)."""
-    cycles = _cycles_of(perm)
-    return CycleStats(len(cycles), sum(1 for c in cycles if len(c) % p != 0))
 
 
 def coordinate_sieve_check(

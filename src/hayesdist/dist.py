@@ -50,8 +50,8 @@ checked on the rows that the other commands print.  The series check's
 moment slice compares its joint (class, zero count) table with the same
 rows.  The remainder suites of `bounds-check` read the sieve's rows too:
 their bounds come from Weil sums and cycle averages, which the sieve does
-not use.  A plain object-level brute force over all of M_d is kept as a
-third, independent route.
+not use.  A plain object-level brute force over all of M_d, a third
+independent route, lives in the tests.
 
 `factorization_counts` enumerates the pairs (g, S) behind W_j, a second
 route to the sieve's rows that no command calls: the tests compare the
@@ -61,9 +61,9 @@ vectors run on the field's row kernel
 still formed, labelled with `ClassGroup.classes_of` and evaluated
 explicitly, a block of at most _BLOCK_ROWS (factorization products) or
 `MONIC_BLOCK_ROWS` (monic enumeration) rows at a time, and none of them
-touches the group multiplication, `group_convolve` or the sieve.  The brute
-force and the census word list stay object-level: they multiply and
-evaluate `Polynomial` objects, labelled a block of _LABEL_ROWS per call.
+touches the group multiplication, `group_convolve` or the sieve.  The
+census word list stays object-level: `Polynomial` objects, labelled a block
+of _LABEL_ROWS per call.
 `group_convolve` is the one group-algebra product: the sieve's W_j and the
 series check's product slices both use it, so that check exercises it
 against enumeration.
@@ -75,18 +75,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .comb import truncated_binomial_sum
 from .errors import ValidationError, check_budget
 from .ffield import (
     FieldSpec,
     FqElement,
     Polynomial,
-    distinct_roots_in,
     enumerate_monic,
 )
 from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, phi
@@ -199,16 +199,20 @@ def _agreement_histograms(
 # Distributions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ZeroDistribution:
+class ZeroDistribution(Record):
     """Exact histogram of the number of distinct zeros in D over one class."""
 
-    params: HayesParams
-    eps: int
-    k: int
-    points: tuple[FqElement, ...]
-    counts: dict[int, int]
-    total: int
+    __slots__ = ("params", "eps", "k", "points", "counts", "total")
+
+    def __init__(
+        self, params: HayesParams, eps: int, k: int, points: tuple[FqElement, ...], counts: dict[int, int], total: int
+    ):
+        self.params = params
+        self.eps = eps
+        self.k = k
+        self.points = points
+        self.counts = counts
+        self.total = total
 
     def probability(self, r: int) -> Fraction:
         return Fraction(self.counts.get(r, 0), self.total)
@@ -386,24 +390,6 @@ def exact_distribution(
     return exact_distributions_all(group, k, points, budget)[eps]
 
 
-def exact_distribution_bruteforce(
-    group: ClassGroup, eps: int, k: int, points=None, budget: int | None = None
-) -> ZeroDistribution:
-    """Independent oracle: filter all of M_(k+t+ell) by class, count roots."""
-    params = group.params
-    spec = params.spec
-    pts = _validated_points(params, points)
-    d = k + params.t + params.ell
-    check_budget("monic enumeration q^d", spec.q ** d, budget)
-    counts: dict[int, int] = {}
-    for block, classes in _labelled_blocks(group, enumerate_monic(spec, d)):
-        for f, cls in zip(block, classes.tolist()):
-            if cls == eps:
-                r = distinct_roots_in(f, pts)
-                counts[r] = counts.get(r, 0) + 1
-    return ZeroDistribution(params, eps, k, pts, counts, spec.q ** k)
-
-
 def binomial_moments(dist: ZeroDistribution, j_max: int) -> list[int]:
     """sum_r C(r, j) counts[r] for j = 0..j_max, as exact integers: the pairs
     (f, S) of a member f and a j-subset S of D on which f vanishes, that is
@@ -519,15 +505,13 @@ def joint_zero_counts(group: ClassGroup, d: int, points=None) -> np.ndarray:
     return joint.reshape(group.order + 1, width)[1:]
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class SeriesReport:
+class SeriesReport(NamedTuple):
     checks: list[CheckRecord]
     work: dict  # polynomials enumerated, DP and convolution cells
 
@@ -653,16 +637,18 @@ def verify_series_identities(
 # Reed-Solomon distance rows
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RSDistanceRow:
+class RSDistanceRow(Record):
     """N(f, r): how many of the q^k codewords agree with the received word f
     on exactly r evaluation points (distance q - r)."""
 
-    word: Polynomial
-    k: int
-    ell: int
-    counts: dict[int, int]
-    total: int
+    __slots__ = ("word", "k", "ell", "counts", "total")
+
+    def __init__(self, word: Polynomial, k: int, ell: int, counts: dict[int, int], total: int):
+        self.word = word
+        self.k = k
+        self.ell = ell
+        self.counts = counts
+        self.total = total
 
     def count(self, r: int) -> int:
         return self.counts.get(r, 0)
@@ -702,20 +688,6 @@ def rs_distance_row(
     eps = group.class_of(f)
     dist = exact_distribution(group, eps, k, spec.elements, budget)
     return RSDistanceRow(f, k, ell, dict(dist.counts), dist.total)
-
-
-def codeword_agreement_row(f: Polynomial, k: int, budget: int | None = None) -> dict[int, int]:
-    """Independent oracle: enumerate all q^k codewords g (deg < k) and
-    histogram #{x in GF(q) : g(x) = f(x)} directly."""
-    spec = f.spec
-    check_budget("codeword enumeration q^k", spec.q ** k, budget)
-    f_vals = [f(a) for a in spec.elements]
-    counts: dict[int, int] = {}
-    for combo in itertools.product(spec.elements, repeat=k):
-        g = Polynomial(spec, combo)
-        agree = sum(1 for a, fv in zip(spec.elements, f_vals) if g(a) == fv)
-        counts[agree] = counts.get(agree, 0) + 1
-    return counts
 
 
 DEEP_HOLE = "deep-hole"

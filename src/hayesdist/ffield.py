@@ -43,7 +43,8 @@ irreducible of degree a over GF(p) (ordered by coefficient tuple
 ``(c_0, ..., c_{a-1})``), which makes enumeration orders and class labels
 reproducible across runs.  It is the first irreducible in `enumerate_monic`
 order, so the first entry of ``FieldSpec(p).monic_irreducibles(a)``; the
-search stops there.  Irreducibility is trial division by the monic
+search skips the candidates with a zero constant term, which x divides, and
+stops at the first irreducible.  Irreducibility is trial division by the monic
 irreducibles of degree at most a/2, in the same `Polynomial` arithmetic as
 everything else (``(0, 1)`` when a = 1), and an explicit modulus must pass
 that one test.  The same trial division gives the distinct irreducible
@@ -57,11 +58,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 MAX_Q = 256  # lookup tables are dense q x q; full-enumeration work stays far below this
@@ -89,20 +90,44 @@ def _is_prime(n: int) -> bool:
 # Elements and the field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
 class FqElement:
     """A field element: coordinates in the power basis, plus its table index.
 
-    Comparison (and the enumeration order) is lexicographic on `coeffs`;
-    `index` is excluded from comparisons but always consistent with them.
+    Comparison (and the enumeration order) is lexicographic on `coeffs`, and
+    the hash is that of ``(coeffs,)``; `index` is excluded from both but
+    always consistent with them.  Elements are read-only.
     """
 
-    coeffs: tuple[int, ...]
-    index: int = field(compare=False)
+    __slots__ = ("coeffs", "index")
+
+    def __init__(self, coeffs: tuple[int, ...], index: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def is_zero(self) -> bool:
         return self.index == 0
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is FqElement else NotImplemented
+
+    def __lt__(self, other):
+        return self.coeffs < other.coeffs if other.__class__ is FqElement else NotImplemented
+
+    def __le__(self, other):
+        return self.coeffs <= other.coeffs if other.__class__ is FqElement else NotImplemented
+
+    def __gt__(self, other):
+        return self.coeffs > other.coeffs if other.__class__ is FqElement else NotImplemented
+
+    def __ge__(self, other):
+        return self.coeffs >= other.coeffs if other.__class__ is FqElement else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     def __repr__(self) -> str:
         return f"Fq({self.index})"
@@ -141,7 +166,10 @@ class FieldSpec(metaclass=_Shared):
             # the moduli are the monic irreducibles of degree a over the prime field
             prime = FieldSpec(p)
             if modulus is None:
-                first = next(f for f in enumerate_monic(prime, a) if prime.is_irreducible(f))
+                # x divides every candidate with a zero constant term (a >= 2)
+                first = next(
+                    f for f in enumerate_monic(prime, a) if not f.coeffs[0].is_zero and prime.is_irreducible(f)
+                )
                 modulus = first.index_coeffs()
             else:
                 modulus = tuple(int(c) % p for c in modulus)
@@ -609,14 +637,6 @@ def distinct_roots_in(f: Polynomial, points: Iterable[FqElement]) -> int:
     return sum(1 for alpha in points if f(alpha) == zero)
 
 
-def zeros_of(f: Polynomial) -> tuple[FqElement, ...]:
-    """The roots of f in the base field, in element order."""
-    if f.is_zero:
-        return f.spec.elements
-    zero = f.spec.zero
-    return tuple(alpha for alpha in f.spec.elements if f(alpha) == zero)
-
-
 # ---------------------------------------------------------------------------
 # Factoring Q and Phi_j(Q)
 # ---------------------------------------------------------------------------
@@ -714,5 +734,7 @@ def phi(j: int, Q: Polynomial) -> int:
 
 def phi_relative_gap(j: int, Q: Polynomial) -> Fraction:
     """|Phi_j(Q)/q^j - 1| as an exact rational (bounded by sum over factors of q^-d_i)."""
+    from fractions import Fraction
+
     q = Q.spec.q
     return abs(Fraction(phi(j, Q), q ** j) - 1)

@@ -34,10 +34,11 @@ coprimality checks of `ClassGroup`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import check_budget
 from .ffield import (  # Phi_j and the factors of Q are re-exported from here
     FieldSpec,
@@ -50,18 +51,18 @@ from .ffield import (  # Phi_j and the factors of Q are re-exported from here
 )
 
 
-@dataclass(frozen=True)
-class HayesParams:
+class HayesParams(FrozenRecord):
     """The pair (ell, Q) defining the equivalence; t = deg Q is derived."""
 
-    ell: int
-    Q: Polynomial
+    __slots__ = ("ell", "Q")
 
-    def __post_init__(self):
-        if self.ell < 0:
+    def __init__(self, ell: int, Q: Polynomial):
+        if ell < 0:
             raise ValueError("ell must be >= 0")
-        if not self.Q.is_monic:
+        if not Q.is_monic:
             raise ValueError("Q must be monic (and nonzero)")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "Q", Q)
 
     @property
     def t(self) -> int:
@@ -77,8 +78,7 @@ class HayesParams:
         return self.ell == 0 and self.t == 0
 
 
-@dataclass(frozen=True)
-class HayesSignature:
+class HayesSignature(NamedTuple):
     """Class label: ell reciprocal coefficients and the residue mod Q."""
 
     leading: tuple[FqElement, ...]

@@ -1,0 +1,88 @@
+"""Object-level reference routes that only the tests use.
+
+Each is an independent way to a quantity the library computes by another
+route, or a formula the tests check the library's formulas against: a
+brute force over all monic polynomials of one degree, the codeword
+enumeration behind a Reed-Solomon distance row, the roots of a polynomial by
+evaluation, the cycle counts of a literal permutation, and the Reed-Solomon
+specialization of the mu-corrected mass.
+"""
+
+import itertools
+from fractions import Fraction
+from typing import NamedTuple, Sequence
+
+from hayesdist.asym import mu_binomial_pmf
+from hayesdist.dist import ZeroDistribution, default_point_set
+from hayesdist.ffield import FqElement, Polynomial, distinct_roots_in, enumerate_monic
+
+
+def exact_distribution_bruteforce(group, eps: int, k: int, points=None) -> ZeroDistribution:
+    """Filter all of M_(k+t+ell) by class and count the roots of each member of eps."""
+    params = group.params
+    spec = params.spec
+    pts = default_point_set(params) if points is None else tuple(sorted(set(points)))
+    polys = list(enumerate_monic(spec, k + params.t + params.ell))
+    classes = group.classes_of([f.index_coeffs() for f in polys]).tolist()
+    counts: dict[int, int] = {}
+    for f, cls in zip(polys, classes):
+        if cls == eps:
+            r = distinct_roots_in(f, pts)
+            counts[r] = counts.get(r, 0) + 1
+    return ZeroDistribution(params, eps, k, pts, counts, spec.q ** k)
+
+
+def codeword_agreement_row(f: Polynomial, k: int) -> dict[int, int]:
+    """Enumerate all q^k codewords g (deg < k) and histogram
+    #{x in GF(q) : g(x) = f(x)} directly."""
+    spec = f.spec
+    f_vals = [f(a) for a in spec.elements]
+    counts: dict[int, int] = {}
+    for combo in itertools.product(spec.elements, repeat=k):
+        g = Polynomial(spec, combo)
+        agree = sum(1 for a, fv in zip(spec.elements, f_vals) if g(a) == fv)
+        counts[agree] = counts.get(agree, 0) + 1
+    return counts
+
+
+def zeros_of(f: Polynomial) -> tuple[FqElement, ...]:
+    """The roots of f in the base field, in element order."""
+    if f.is_zero:
+        return f.spec.elements
+    zero = f.spec.zero
+    return tuple(alpha for alpha in f.spec.elements if f(alpha) == zero)
+
+
+class CycleStats(NamedTuple):
+    """Cycle counts of a permutation: all cycles, and those whose length is
+    not a multiple of the characteristic p.  Always 0 <= off_p <= total <= j."""
+
+    total: int
+    off_p: int
+
+
+def cycle_stats(perm: Sequence[int], p: int) -> CycleStats:
+    """CycleStats of a permutation given in one-line notation (perm[i] = image of i)."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            i = perm[i]
+        if length:
+            lengths.append(length)
+    return CycleStats(len(lengths), sum(1 for n in lengths if n % p != 0))
+
+
+def rs_count_asymptotic(r: int, q: int, k: int, ell: int) -> Fraction:
+    """Asymptotic N(f, r) for Reed-Solomon rows: mu_(k+ell-r)(r) C(q, r) q^(k-r).
+
+    This is the t = 0, n = q specialization of mu_binomial_pmf scaled by q^k;
+    it is strictly positive at r = k + ell, which is what forces every
+    received word to be ordinary once the asymptotics take hold."""
+    if not 0 <= r <= k + ell:
+        raise ValueError("need 0 <= r <= k+ell")
+    return q ** k * mu_binomial_pmf(r, q, q, k, 0, ell)

@@ -39,7 +39,6 @@ from hayesdist.comb import (
     truncated_binomial_sum,
 )
 from hayesdist.dist import (
-    codeword_agreement_row,
     default_point_set,
     enumeration_comparisons,
     enumeration_distributions_all,
@@ -54,6 +53,7 @@ from hayesdist.dist import (
 )
 from hayesdist.ffield import FieldSpec, Polynomial, enumerate_monic
 from hayesdist.hayes import distinct_irreducible_factors, phi
+from references import codeword_agreement_row
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]  # q = 2, 3, 4, 5
 

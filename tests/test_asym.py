@@ -18,12 +18,12 @@ from hayesdist.asym import (
     mu_binomial_pmf,
     pmf_remainder_bound,
     poisson_pmf,
-    rs_count_asymptotic,
     sqrt_upper,
     w_remainder_bound,
 )
 from hayesdist.comb import cycle_average_series, truncated_binomial_sum
 from hayesdist.errors import HypothesisError
+from references import rs_count_asymptotic
 
 
 class TestLimitShapes:

@@ -860,7 +860,7 @@ except SystemExit as exc:
 print(json.dumps([
     code,
     sorted(os.path.basename(f) for f in ran if os.sep + "hayesdist" + os.sep in f),
-    sorted(name for name in sys.modules if name.split(".")[0] == "numpy"),
+    sorted(sys.modules),
 ]))
 """
 
@@ -869,13 +869,19 @@ def _executed(snippet: str, *argv: str):
     """(exit code, hayesdist source files whose module code ran, numpy
     modules left in sys.modules) of `snippet` in a fresh interpreter, the
     files seen by an audit hook on exec."""
+    code, ran, modules = _executed_with_modules(snippet, *argv)
+    return code, ran, {name for name in modules if name.split(".")[0] == "numpy"}
+
+
+def _executed_with_modules(snippet: str, *argv: str):
+    """As `_executed`, with every module left in sys.modules."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-c", _EXECUTED, snippet, *argv], capture_output=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    code, ran, numpy = json.loads(proc.stdout.decode().splitlines()[-1])
-    return code, set(ran), set(numpy)
+    code, ran, modules = json.loads(proc.stdout.decode().splitlines()[-1])
+    return code, set(ran), set(modules)
 
 
 _RUN_CLI = """
@@ -935,6 +941,30 @@ def test_scalar_jobs_never_import_numpy(tmp_path, argv):
     code, ran, numpy = _executed(_RUN_CLI, *argv, "--out", str(tmp_path / "a.out"))
     assert code == (1 if argv[0] == "weil" else 0)  # the weil line is a usage error
     assert not numpy, sorted(numpy)[:5]
+
+
+# standard-library modules that only some jobs use, and what pulls them in:
+# dataclasses (with inspect) nothing in the package any more, csv the CSV
+# tables, fractions (with decimal) the exact rationals of comb, asym and dist
+_HEAVY = {"dataclasses", "inspect", "csv", "fractions", "decimal", "numpy"}
+
+
+@pytest.mark.parametrize(
+    "snippet, argv, absent",
+    [
+        ("import hayesdist.cli", [], _HEAVY),
+        (_RUN_CLI, ["kernels", "phi", "--p", "2", "--a", "4", "--Q", "x^2 + x + 1", "--j", "3"], _HEAVY),
+        (_RUN_CLI, ["weil", "--p", "5", "--ell", "2", "--Q", "x^2 + x + 2"], {"dataclasses", "csv"}),
+        (_RUN_CLI, ["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], {"dataclasses", "csv"}),
+    ],
+    ids=["import", "kernels-phi", "weil", "exact-dist"],
+)
+def test_a_job_imports_only_the_standard_library_it_runs(tmp_path, snippet, argv, absent):
+    if argv:
+        argv = [*argv, "--out", str(tmp_path / "a.json")]
+    code, ran, modules = _executed_with_modules(snippet, *argv)
+    assert code == (0 if argv else None)
+    assert not modules & absent, sorted(modules & absent)
 
 
 def test_weil_does_not_load_numpy_ma(tmp_path):

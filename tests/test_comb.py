@@ -152,7 +152,7 @@ def test_partitions_and_class_sizes():
 def test_cycle_stats_invariant_and_permutation_sum():
     # summing a^total b^off_p over literal permutations reproduces the
     # cycle-type average (an independent j! route, viable only for small j)
-    from hayesdist.comb import cycle_stats
+    from references import cycle_stats
 
     a, b = Fraction(7, 2), Fraction(1, 2)
     for j in range(0, 6):

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from hayesdist.dist import (
     classify_row,
     classify_word,
-    codeword_agreement_row,
     default_point_set,
     enumeration_distributions_all,
     exact_distribution,
-    exact_distribution_bruteforce,
     exact_distributions_all,
     factorial_moments,
     factorization_counts,
@@ -30,6 +28,7 @@ from hayesdist.dist import (
 from hayesdist.errors import BudgetExceededError, ValidationError
 from hayesdist.ffield import Polynomial, enumerate_monic
 from hayesdist.hayes import ClassGroup, phi
+from references import codeword_agreement_row, exact_distribution_bruteforce
 
 
 class TestExactDistribution:

@@ -15,8 +15,8 @@ from hayesdist.ffield import (
     distinct_roots_in,
     enumerate_below_degree,
     enumerate_monic,
-    zeros_of,
 )
+from references import zeros_of
 
 
 def test_rejects_bad_characteristic():
@@ -50,6 +50,36 @@ def test_default_modulus_is_smallest_irreducible(p, a):
         if cand == spec.modulus:
             break
         assert not sympy_irreducible(cand, p)
+
+
+def _first_irreducible_by_trial_division(p, a):
+    """The default modulus by the rule that tries every candidate: the first
+    monic degree-a polynomial over GF(p), with the low coefficients in
+    `itertools.product` order (as `enumerate_monic` lists them), that no
+    monic polynomial of degree 1..a/2 divides, in integer arithmetic mod p."""
+
+    def divides(g, f):
+        rem = list(f)
+        for i in range(len(f) - 1, len(g) - 2, -1):
+            c = rem[i]
+            for j, gj in enumerate(g):
+                rem[i - len(g) + 1 + j] = (rem[i - len(g) + 1 + j] - c * gj) % p
+        return not any(rem)
+
+    divisors = [(*low, 1) for d in range(1, a // 2 + 1) for low in itertools.product(range(p), repeat=d)]
+    for low in itertools.product(range(p), repeat=a):
+        if not any(divides(g, (*low, 1)) for g in divisors):
+            return (*low, 1)
+
+
+def test_default_modulus_is_the_first_irreducible_of_every_candidate():
+    # the search skips the candidates with a zero constant term; the modulus
+    # it finds is the one that trying every candidate finds, for every q <= 256
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in range(1, 9):
+            if p ** a <= 256:
+                assert FieldSpec(p, a).modulus == _first_irreducible_by_trial_division(p, a), (p, a)
+    assert _first_irreducible_by_trial_division(2, 8) == (1, 0, 0, 0, 1, 1, 0, 1, 1)  # x^8 + x^7 + x^5 + x^4 + 1
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -72,6 +72,32 @@ def test_writer_matches_json_dumps_on_records_in_any_key_order(record):
     assert written(obj) == expected(obj)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(_KEYS, _PAYLOADS, max_size=6) | st.lists(_PAYLOADS, max_size=4))
+def test_writer_writes_streamed_iterators_as_lists(obj):
+    # an iterator where a streamed list may stand: the whole object, or a
+    # value of the dicts written key by key (empty ones too)
+    if isinstance(obj, list):
+        assert written(iter(obj)) == expected(obj)
+        return
+    def streamed():
+        return {k: iter(v) if isinstance(v, list) else v for k, v in obj.items()}
+
+    assert written({"top": streamed(), **streamed()}) == expected({"top": obj, **obj})
+
+
+def test_writer_makes_each_item_of_an_iterator_as_it_writes_it():
+    buf = io.StringIO()
+
+    def items():
+        for i in range(3):
+            assert buf.getvalue().count('"i"') == i  # the items before this one are written
+            yield {"i": i}
+
+    _writer.dump({"a": items(), "b": iter(())}, buf)
+    assert buf.getvalue() == expected({"a": [{"i": i} for i in range(3)], "b": []})
+
+
 class _Level(enum.IntEnum):
     LOW = 1
 
