@@ -214,6 +214,8 @@ class Regime(FrozenRecord):
     __slots__ = ("q", "k", "t", "ell", "n", "delta0")
 
     def __init__(self, q: int, k: int, t: int, ell: int, n: int, delta0: float = 0.05):
+        if not math.isfinite(delta0):
+            raise ValueError(f"delta0 must be finite, got {delta0}")
         if delta0 <= 0:
             raise ValueError("delta0 must be positive")
         if not 0 < k < q:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, _writer
 from .errors import BudgetExceededError, ValidationError, check_budget
-from .ffield import FieldSpec, Polynomial, _is_prime, distinct_irreducible_factors, phi, phi_relative_gap
+from .ffield import FieldSpec, Polynomial, _factor_degrees, _is_prime, phi, phi_relative_gap
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -188,6 +188,8 @@ def cmd_moments_check(args) -> int:
         sieve_work,
     )
 
+    if args.k < 0:
+        raise ValidationError(f"k must be >= 0, got {args.k}")
     if args.k_min < 0:
         raise ValidationError(f"k_min must be >= 0, got {args.k_min}")
     if args.k_min > args.k:
@@ -321,13 +323,13 @@ def cmd_bounds_check(args) -> int:
         checks.append({"name": name, "pass": bool(ok), "lhs": lhs, "rhs": rhs})
 
     # coprime-count sandwich and relative gap
-    factors = distinct_irreducible_factors(params.Q)
-    drop = sum(Fraction(1, q ** P.degree) for P in factors)
+    drop = sum(Fraction(1, q ** d) for d in _factor_degrees(params.Q))
     for j in range(0, 7):
         val = phi(j, params.Q)
         low = q ** j * (1 - drop)
         record(f"phi sandwich j={j}", low <= val <= q ** j, f"{float(low)} <= {val}", f"{q ** j}")
-        record(f"phi relative gap j={j}", phi_relative_gap(j, params.Q) <= drop, _frac(phi_relative_gap(j, params.Q)), _frac(Fraction(drop)))
+        gap = phi_relative_gap(j, params.Q)
+        record(f"phi relative gap j={j}", gap <= drop, _frac(gap), _frac(Fraction(drop)))
 
     # binomial lower bound
     ok = all(

@@ -85,10 +85,17 @@ def cycle_type_class_size(parts: Sequence[int], j: int) -> int:
     return math.factorial(j) // denom
 
 
-def cycle_average_bruteforce(j: int, a: RationalLike, b: RationalLike, p: int, budget: int = 9) -> Fraction:
-    """A_j(a, b) summed over cycle types (partitions), weighted by class size."""
+def _check_cycle_args(j: int, p: int) -> None:
+    """The degree j and the cycle-length modulus p of a cycle average."""
     if j < 0:
         raise ValueError("need j >= 0")
+    if p < 1:
+        raise ValueError(f"need p >= 1, got p={p}")
+
+
+def cycle_average_bruteforce(j: int, a: RationalLike, b: RationalLike, p: int, budget: int = 9) -> Fraction:
+    """A_j(a, b) summed over cycle types (partitions), weighted by class size."""
+    _check_cycle_args(j, p)
     check_budget("cycle-type enumeration degree", j, budget)
     a = Fraction(a)
     b = Fraction(b)
@@ -102,8 +109,7 @@ def cycle_average_bruteforce(j: int, a: RationalLike, b: RationalLike, p: int, b
 
 def cycle_average_series(j: int, a: RationalLike, b: RationalLike, p: int) -> Fraction:
     """A_j(a, b) as [z^j] (1-z)^(-ab) (1-z^p)^(-(a-ab)/p), by series convolution."""
-    if j < 0:
-        raise ValueError("need j >= 0")
+    _check_cycle_args(j, p)
     a = Fraction(a)
     b = Fraction(b)
     ab = a * b
@@ -126,8 +132,7 @@ def cycle_average_series(j: int, a: RationalLike, b: RationalLike, p: int) -> Fr
 def cycle_average_closed(j: int, a: RationalLike, b: RationalLike, p: int) -> Fraction:
     """A_j(a, b) by the closed double sum
     sum_{0 <= i <= j/p} C(ab+j-ip-1, j-ip) * C((a-ab)/p + i - 1, i)."""
-    if j < 0:
-        raise ValueError("need j >= 0")
+    _check_cycle_args(j, p)
     a = Fraction(a)
     b = Fraction(b)
     ab = a * b

@@ -47,11 +47,14 @@ search skips the candidates with a zero constant term, which x divides, and
 stops at the first irreducible.  Irreducibility is trial division by the monic
 irreducibles of degree at most a/2, in the same `Polynomial` arithmetic as
 everything else (``(0, 1)`` when a = 1), and an explicit modulus must pass
-that one test.  The same trial division gives the distinct irreducible
-factors of a modulus Q, once per Q, which the class group needs.
-Phi_j(Q), the number of monic degree-j polynomials coprime to Q (`phi`),
-needs only their degrees, which distinct-degree factorization finds, once
-per Q, without listing any irreducible.
+that one test.
+
+A modulus Q of a Hayes class group is factored one way: one distinct-degree
+factorization pass per Q (`_ddf`), which keeps the product g_i of the
+distinct factors of each degree i and lists no irreducible.  Phi_j(Q), the
+number of monic degree-j polynomials coprime to Q (`phi`), reads only the
+factor degrees; `distinct_irreducible_factors`, which the class group's unit
+mask needs, splits each g_i that holds more than one factor.
 """
 
 from __future__ import annotations
@@ -621,14 +624,6 @@ def enumerate_monic(spec: FieldSpec, d: int) -> Iterator[Polynomial]:
         yield Polynomial(spec, (*low, spec.one))
 
 
-def enumerate_below_degree(spec: FieldSpec, k: int) -> Iterator[Polynomial]:
-    """All q^k polynomials of degree < k (the zero polynomial included)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    for cs in itertools.product(spec.elements, repeat=k):
-        yield Polynomial(spec, cs)
-
-
 def distinct_roots_in(f: Polynomial, points: Iterable[FqElement]) -> int:
     """Number of alpha in `points` with f(alpha) = 0; multiplicity ignored."""
     if f.is_zero:
@@ -641,51 +636,21 @@ def distinct_roots_in(f: Polynomial, points: Iterable[FqElement]) -> int:
 # Factoring Q and Phi_j(Q)
 # ---------------------------------------------------------------------------
 
-def distinct_irreducible_factors(Q: Polynomial) -> tuple[Polynomial, ...]:
-    """Distinct monic irreducible factors of Q, via trial division by degree
-    d = 1, 2, ... while the remainder has degree >= 2d, computed once per Q.
-
-    Once every factor of degree < d is divided out, a remainder of degree
-    below 2d has at most one irreducible factor, counted with multiplicity,
-    so it is 1 or irreducible and is appended whole.
-    """
-    if not Q.is_monic:
-        raise ValueError("Q must be monic")
-    return _factors(Q)
-
-
 @functools.cache
-def _factors(Q: Polynomial) -> tuple[Polynomial, ...]:
-    spec = Q.spec
-    out = []
-    rem = Q
-    d = 1
-    while 2 * d <= rem.degree:
-        for cand in spec.monic_irreducibles(d):
-            if (rem % cand).is_zero:
-                out.append(cand)
-                while (rem % cand).is_zero:
-                    rem = rem // cand
-        d += 1
-    if rem.degree >= 1:
-        out.append(rem)
-    return tuple(out)
-
-
-@functools.cache
-def _factor_degrees(Q: Polynomial) -> tuple[int, ...]:
-    """Degrees of the distinct monic irreducible factors of Q, ascending, by
-    distinct-degree factorization, computed once per Q.
+def _ddf(Q: Polynomial) -> tuple[tuple[int, Polynomial], ...]:
+    """Distinct-degree factorization of Q, computed once per Q: pairs
+    (i, g_i), i ascending, with g_i != 1 the product of the distinct monic
+    irreducible factors of Q of degree i.
 
     With h = x^(q^i) mod rem, gcd(rem, h - x) is the product of the distinct
     factors of rem of degree dividing i; those of smaller degree are already
-    stripped from rem, so it holds deg/i factors of degree i.  Each gcd is
-    stripped from rem completely (repeated factors too), and h stays valid
-    modulo the new rem, which divides the old one.  Once deg rem < 2(i+1),
-    rem is 1 or one irreducible, as in `distinct_irreducible_factors`."""
+    stripped from rem, so it is g_i.  Each g_i is stripped from rem completely
+    (repeated factors too), and h stays valid modulo the new rem, which
+    divides the old one.  Once deg rem < 2(i+1), rem has no factor of degree
+    <= i, so it is 1 or one irreducible, the last pair (deg rem, rem)."""
     spec = Q.spec
     x = Polynomial.x(spec)
-    out: list[int] = []
+    out = []
     rem = Q
     h = x
     i = 0
@@ -693,13 +658,38 @@ def _factor_degrees(Q: Polynomial) -> tuple[int, ...]:
         i += 1
         h = _power_mod(h, spec.q, rem)
         g = rem.gcd(h - x)
-        out += [i] * (g.degree // i)
+        if g.degree:
+            out.append((i, g))
         while g.degree:
             rem = rem // g
             g = rem.gcd(g)
         h = h % rem
     if rem.degree >= 1:
-        out.append(rem.degree)
+        out.append((rem.degree, rem))
+    return tuple(out)
+
+
+def _factor_degrees(Q: Polynomial) -> tuple[int, ...]:
+    """Degrees of the distinct monic irreducible factors of Q, ascending."""
+    return tuple(i for i, g in _ddf(Q) for _ in range(g.degree // i))
+
+
+def distinct_irreducible_factors(Q: Polynomial) -> tuple[Polynomial, ...]:
+    """Distinct monic irreducible factors of Q, by degree, split from `_ddf`.
+
+    A product g_i of degree i is one factor.  Otherwise every factor of g_i
+    has degree i, so each monic degree-i divisor of g_i is one of them: they
+    are listed in `enumerate_monic` order, by trial division of g_i that
+    stops at the deg(g_i)/i-th, which arises only when 2i <= deg Q."""
+    if not Q.is_monic:
+        raise ValueError("Q must be monic")
+    out = []
+    for i, g in _ddf(Q):
+        if g.degree == i:
+            out.append(g)
+        else:
+            divisors = (f for f in enumerate_monic(Q.spec, i) if (g % f).is_zero)
+            out += itertools.islice(divisors, g.degree // i)
     return tuple(out)
 
 

@@ -25,10 +25,10 @@ one-row form; `signature` is the object-level definition the kernel is
 tested against.  `member_base_rows` is the row form of `member_base`.
 
 Phi_j(Q) counts monic degree-j polynomials coprime to Q.  It lives in
-`ffield` (`phi`, `phi_relative_gap`, `distinct_irreducible_factors`, which
-factors each Q once), where the scalar subcommands reach it without numpy;
-this module re-exports the three names, and the factors drive the
-coprimality checks of `ClassGroup`.
+`ffield` (`phi`), where the scalar subcommands reach it without numpy, as do
+the distinct irreducible factors of Q that the unit mask of `ClassGroup`
+reads (`distinct_irreducible_factors`); both come from one distinct-degree
+factorization pass per Q.
 """
 
 from __future__ import annotations
@@ -40,15 +40,7 @@ import numpy as np
 
 from ._record import FrozenRecord
 from .errors import check_budget
-from .ffield import (  # Phi_j and the factors of Q are re-exported from here
-    FieldSpec,
-    FqElement,
-    Polynomial,
-    distinct_irreducible_factors,
-    enumerate_below_degree,
-    phi,
-    phi_relative_gap,
-)
+from .ffield import FieldSpec, FqElement, Polynomial, distinct_irreducible_factors, phi
 
 
 class HayesParams(FrozenRecord):
@@ -301,19 +293,6 @@ class ClassGroup:
             spec.mod_rows(base, self._Q_idx),
         ]
         return base
-
-    def members(self, eps: int, d: int):
-        """All q^(d - t - ell) monic degree-d members of class eps.
-
-        The members are exactly base + h*Q over all h of degree < k: adding
-        h*Q (degree <= d - ell - 1) touches neither the ell leading
-        coefficients nor the residue mod Q.
-        """
-        base = self.member_base(eps, d)
-        k = d - self._t - self._ell
-        Q = self.params.Q
-        for h in enumerate_below_degree(self._spec, k):
-            yield base + h * Q
 
     def _class_counts_entry(self, d: int, budget: int | None) -> tuple[list[int], int]:
         """Cached (per-class counts, non-coprime count) of degree d."""

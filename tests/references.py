@@ -3,14 +3,15 @@
 Each is an independent way to a quantity the library computes by another
 route, or a formula the tests check the library's formulas against: a
 brute force over all monic polynomials of one degree, the codeword
-enumeration behind a Reed-Solomon distance row, the roots of a polynomial by
+enumeration behind a Reed-Solomon distance row, the members of a Hayes
+class listed one polynomial at a time, the roots of a polynomial by
 evaluation, the cycle counts of a literal permutation, and the Reed-Solomon
 specialization of the mu-corrected mass.
 """
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from hayesdist.asym import mu_binomial_pmf
 from hayesdist.dist import ZeroDistribution, default_point_set
@@ -30,6 +31,27 @@ def exact_distribution_bruteforce(group, eps: int, k: int, points=None) -> ZeroD
             r = distinct_roots_in(f, pts)
             counts[r] = counts.get(r, 0) + 1
     return ZeroDistribution(params, eps, k, pts, counts, spec.q ** k)
+
+
+def enumerate_below_degree(spec, k: int) -> Iterator[Polynomial]:
+    """All q^k polynomials of degree < k (the zero polynomial included)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    for cs in itertools.product(spec.elements, repeat=k):
+        yield Polynomial(spec, cs)
+
+
+def members(group, eps: int, d: int) -> Iterator[Polynomial]:
+    """All q^(d - t - ell) monic degree-d members of class eps.
+
+    The members are exactly base + h*Q over all h of degree < d - t - ell, with
+    base = `group.member_base(eps, d)`: adding h*Q (degree <= d - ell - 1)
+    touches neither the ell leading coefficients nor the residue mod Q.
+    """
+    base = group.member_base(eps, d)
+    params = group.params
+    for h in enumerate_below_degree(params.spec, d - params.t - params.ell):
+        yield base + h * params.Q
 
 
 def codeword_agreement_row(f: Polynomial, k: int) -> dict[int, int]:

@@ -51,8 +51,7 @@ from hayesdist.dist import (
     rs_group,
     verify_series_identities,
 )
-from hayesdist.ffield import FieldSpec, Polynomial, enumerate_monic
-from hayesdist.hayes import distinct_irreducible_factors, phi
+from hayesdist.ffield import FieldSpec, Polynomial, distinct_irreducible_factors, enumerate_monic, phi
 from references import codeword_agreement_row
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]  # q = 2, 3, 4, 5

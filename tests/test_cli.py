@@ -135,6 +135,24 @@ def test_kernels_cycle_average_routes_agree(capsys):
     assert routes["series"] == routes["closed"] == routes["cycle_types"] == data["value"]
 
 
+def test_kernels_cycle_average_routes_agree_at_p_one(capsys):
+    # p = 1 divides every cycle length: A_j(a, b) = C(a + j - 1, j) for any b
+    code, data = run_json(
+        capsys,
+        ["kernels", "cycle-average", "--j", "4", "--a-val", "7/2", "--b-val", "1/2", "--p-char", "1"],
+    )
+    assert code == 0
+    routes = data["routes"]
+    assert routes["series"] == routes["closed"] == routes["cycle_types"] == data["value"] == "3003/128"
+
+
+@pytest.mark.parametrize("p_char", ["-1", "0"])
+def test_kernels_cycle_average_rejects_p_below_one(capsys, p_char):
+    code, data = run_json(capsys, ["kernels", "cycle-average", "--j", "3", "--p-char", p_char])
+    assert code == 1
+    assert data == {"error": "validation", "message": f"need p >= 1, got p={p_char}"}
+
+
 def test_kernels_phi(capsys):
     code, data = run_json(capsys, ["kernels", "phi", "--p", "2", "--Q", "x^2 + x", "--j", "2"])
     assert code == 0 and data["value"] == "1"
@@ -626,6 +644,7 @@ def test_negative_degree_is_a_validation_record(capsys, argv):
         (["moments-check", "--p", "3", "--ell", "1", "--Q", "1", "--k", "2", "--k-min", "5"], "k_min must be <= k"),
         (["moments-check", "--p", "3", "--ell", "1", "--Q", "1", "--k", "2", "--k-min", "-1"], "k_min must be >= 0"),
         (["bounds-check", "--p", "3", "--ell", "1", "--Q", "1", "--k", "-1"], "k must be >= 0"),
+        (["moments-check", "--p", "3", "--ell", "1", "--Q", "1", "--k", "-1"], "k must be >= 0, got -1"),
     ],
 )
 def test_suites_that_would_check_nothing_are_validation_records(capsys, argv, message):
@@ -840,6 +859,8 @@ def test_unwritable_out_is_a_validation_record(capsys, tmp_path, argv, where):
         (["--p", "3", "--ell", "-2"], "ell="),
         (["--p", "4"], "not prime"),
         (["--p", "3", "--a", "0"], "extension degree"),
+        (["--p", "5", "--delta0", "nan"], "delta0 must be finite"),
+        (["--p", "5", "--delta0", "inf"], "delta0 must be finite"),
     ],
 )
 def test_regimes_input_validation(capsys, extra, needle):
@@ -1033,17 +1054,15 @@ def test_oracle_budget_refuses_before_any_k_runs(capsys, monkeypatch, sub, route
 )
 def test_a_job_factors_each_q_once(capsys, argv):
     # phi (through the group and the sieve's work count) asks for the factor
-    # degrees of Q many times, the group for its factors; each is found once
-    from hayesdist.ffield import _factor_degrees, _factors
+    # degrees of Q many times, the group for its factors and bounds-check for
+    # the degrees again; all read one distinct-degree pass, run once
+    from hayesdist.ffield import _ddf
 
-    _factors.cache_clear()
-    _factor_degrees.cache_clear()
+    _ddf.cache_clear()
     code = run(argv)
     capsys.readouterr()
     assert code == 0
-    info = _factors.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    info = _factor_degrees.cache_info()
+    info = _ddf.cache_info()
     assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
 
 

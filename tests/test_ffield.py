@@ -13,10 +13,9 @@ from hayesdist.ffield import (
     FieldSpec,
     Polynomial,
     distinct_roots_in,
-    enumerate_below_degree,
     enumerate_monic,
 )
-from references import zeros_of
+from references import enumerate_below_degree, zeros_of
 
 
 def test_rejects_bad_characteristic():

@@ -8,17 +8,16 @@ import numpy as np
 import pytest
 
 from hayesdist.errors import BudgetExceededError
-from hayesdist.ffield import Polynomial, _factor_degrees, enumerate_monic
-from hayesdist.hayes import (
-    ClassGroup,
-    HayesParams,
-    _prime_powers,
+from hayesdist.ffield import (
+    Polynomial,
+    _factor_degrees,
     distinct_irreducible_factors,
-    equivalent,
+    enumerate_monic,
     phi,
     phi_relative_gap,
-    signature,
 )
+from hayesdist.hayes import ClassGroup, HayesParams, _prime_powers, equivalent, signature
+from references import members
 
 
 GROUP_CELLS = "class group cells (candidates + ladders)"
@@ -217,26 +216,53 @@ def test_factors_and_phi_match_the_references(fields, p, a, deg):
     ],
 )
 def test_phi_of_a_modulus_with_many_factors(fields, monkeypatch, p, a, q_text, j, value):
-    # phi lists no irreducibles at all and never walks the 2^q subsets of
-    # the factors; the factors themselves need trial division at degree 1
-    # only, as the remainder is 1 after the linear factors
+    # phi lists no polynomials at all and never walks the 2^q subsets of the
+    # factors; the factors split the one product of degree 1, x^q - x itself,
+    # so the monic linear polynomials are the only candidates listed, and no
+    # irreducible is listed
+    from hayesdist import ffield
+
     spec = fields(p, a)
     Q = Polynomial.from_text(spec, q_text)
-    degrees = []
-    listed = spec.monic_irreducibles
+    listed = []
+    monic, irreducibles = ffield.enumerate_monic, spec.monic_irreducibles
 
-    def recorded(d):
-        degrees.append(d)
-        return listed(d)
+    def recorded_monic(field, d):
+        listed.append(("enumerate_monic", d))
+        return monic(field, d)
 
-    monkeypatch.setattr(spec, "monic_irreducibles", recorded)
-    from hayesdist.ffield import _factors
+    def recorded_irreducibles(d):
+        listed.append(("monic_irreducibles", d))
+        return irreducibles(d)
 
-    _factors.cache_clear()
+    monkeypatch.setattr(ffield, "enumerate_monic", recorded_monic)
+    monkeypatch.setattr(spec, "monic_irreducibles", recorded_irreducibles)
+    ffield._ddf.cache_clear()
     assert phi(j, Q) == value == sum((-1) ** i * math.comb(spec.q, i) * spec.q ** (j - i) for i in range(j + 1))
-    assert degrees == []
-    assert len(distinct_irreducible_factors(Q)) == spec.q
-    assert degrees == [1]
+    assert listed == []
+    assert distinct_irreducible_factors(Q) == tuple(Polynomial(spec, (c, spec.one)) for c in spec.elements)
+    assert listed == [("enumerate_monic", 1)]
+
+
+def test_a_product_of_factors_of_one_degree_is_split(fields):
+    # Q = x (x^2 + x + 1)^2 (x^3 + x + 1) (x^3 + x^2 + 1) over GF(2): the
+    # distinct-degree pass keeps the two cubics as one product g_3, which the
+    # split lists in enumerate_monic order, as trial division does
+    from hayesdist.ffield import _ddf
+
+    F2 = fields(2)
+    x, f2, f3, g3 = (Polynomial.from_text(F2, s) for s in ("x", "x^2 + x + 1", "x^3 + x + 1", "x^3 + x^2 + 1"))
+    Q = x * f2 * f2 * f3 * g3
+    reference = _factors_to_half_degree(Q)
+    assert reference == (x, f2, g3, f3)
+    assert _ddf(Q) == ((1, x), (2, f2), (3, f3 * g3))
+    assert distinct_irreducible_factors(Q) == reference
+    assert _factor_degrees(Q) == tuple(P.degree for P in reference) == (1, 2, 3, 3)
+    t = Q.degree
+    units = 2 ** t * math.prod(1 - Fraction(1, 2 ** P.degree) for P in reference)
+    assert phi(t, Q) == units == 588
+    # the unit mask, from the split, counts q^ell Phi_t(Q) classes
+    assert ClassGroup(HayesParams(1, Q)).order == 2 * 588
 
 
 @pytest.mark.parametrize(
@@ -343,7 +369,7 @@ class TestClassMembers:
         F2 = fields(2)
         G = groups(2, 1, 1, "1")
         eps = G.class_of(Polynomial.from_text(F2, "x^2"))
-        got = {m.to_text() for m in G.members(eps, 2)}
+        got = {m.to_text() for m in members(G, eps, 2)}
         assert got == {"x^2", "x^2 + 1"}
 
     def test_base_degree_is_single_member(self, groups):
@@ -351,8 +377,7 @@ class TestClassMembers:
             G = groups(*key)
             d = G.params.t + G.params.ell
             for eps in range(G.order):
-                members = list(G.members(eps, d))
-                assert members == [G.rep(eps)]
+                assert list(members(G, eps, d)) == [G.rep(eps)]
 
     def test_count_against_exhaustive_filter(self, fields, groups):
         # every class has exactly q^(d-t-ell) members of degree d
@@ -369,19 +394,19 @@ class TestClassMembers:
                     if eps is not None:
                         by_filter[eps].add(f)
                 for eps in range(G.order):
-                    members = set(G.members(eps, d))
-                    assert members == by_filter[eps]
-                    assert len(members) == spec.q ** (d - t_ell)
+                    got = set(members(G, eps, d))
+                    assert got == by_filter[eps]
+                    assert len(got) == spec.q ** (d - t_ell)
 
     def test_count_example_q2_leading_one_degree_three(self, fields, groups):
         F2 = fields(2)
         G = groups(2, 1, 1, "1")
         eps = G.class_of(Polynomial.from_text(F2, "x^2 + x"))
-        assert len(list(G.members(eps, 3))) == 4
+        assert len(list(members(G, eps, 3))) == 4
 
     def test_degree_below_base_rejected(self, groups):
         with pytest.raises(ValueError):
-            next(groups(2, 1, 1, "x").members(0, 1))
+            next(members(groups(2, 1, 1, "x"), 0, 1))
 
 
 def test_monic_class_counts_consistency(groups):

@@ -85,6 +85,8 @@ def test_hayes_params_validation(ell, q_text, message):
         ({"ell": -2}, "need t >= 0 and ell >= 0, got t=1, ell=-2"),
         ({"n": 0}, "need 1 <= n <= q = 16, got n=0"),
         ({"n": 17}, "need 1 <= n <= q = 16, got n=17"),
+        ({"delta0": math.nan}, "delta0 must be finite, got nan"),
+        ({"delta0": math.inf}, "delta0 must be finite, got inf"),
     ],
 )
 def test_regime_validation(kwargs, message):
