@@ -16,6 +16,7 @@ _HOMES = {
     "chars": ("CharacterTable", "l_polynomial"),
     "dist": (
         "ZeroDistribution",
+        "ZeroDistributions",
         "classify_word",
         "default_point_set",
         "enumeration_distributions_all",

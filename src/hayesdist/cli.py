@@ -114,9 +114,11 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit(args, payload: dict, rows: list[dict] | None = None, columns: list[str] | None = None) -> None:
-    """Write the artifact: JSON object, or CSV rows with a comment line that
-    carries everything but the table (version, config, engine, work)."""
+def _emit(args, payload: dict, columns: list[str] | None = None) -> None:
+    """Write the artifact: JSON object, or the CSV rows of the payload's
+    `table` with a comment line that carries everything else (version,
+    config, engine, work).  A list in the payload may be an iterator, whose
+    records are then made one at a time as they are written."""
     payload = {"version": __version__, "config": _config_dict(args), **payload}
     # written piece by piece, so the whole artifact text is never held in memory
     out = contextlib.nullcontext(sys.stdout)
@@ -126,14 +128,14 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, columns: list[str
         except OSError as exc:
             raise ValidationError(f"cannot write the artifact to --out {args.out}: {exc.strerror}") from None
     with out as fh:
-        if rows is not None and args.format == "csv":  # only the subcommands with a table have --format
+        if columns is not None and args.format == "csv":  # only the subcommands with a table have --format
             import csv
 
             header = {key: value for key, value in payload.items() if key != "table"}
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
             writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(payload["table"])
         else:
             _writer.dump(payload, fh)  # the bytes of json.dumps(payload, sort_keys=True, indent=2)
             fh.write("\n")
@@ -166,13 +168,12 @@ def cmd_exact_dist(args) -> int:
     spec, params, group = _build_group(args)
     points = _parse_points(spec, args.points)
     dists = exact_distributions_all(group, args.k, points, budget=args.max_enum)
-    payload = {
+    _emit(args, {
         "classes": group.export_classes(),
-        "distributions": [d.to_json() for d in dists],
+        "distributions": dists.json_records(),
         "engine": "sieve",
-        "work": sieve_work(group, args.k, len(dists[0].points)),
-    }
-    _emit(args, payload)
+        "work": sieve_work(group, args.k, len(dists.points)),
+    })
     return 0
 
 
@@ -210,28 +211,37 @@ def cmd_moments_check(args) -> int:
         work["comparisons"] += comparisons
         for key, value in cells.items():
             work[key] += value
-    failures = []
-    records = []
+    # per k, the oracle's q^k E[C(Y, j)] of every class (j <= k + t + ell)
+    # and the sieve's W_j rows, as integers
+    runs = []
     for k in ks:
         dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
-        W = sieve_rows(group, k, points, budget=args.max_enum)[0].tolist()
-        # the oracle's q^k E[C(Y, j)] against C(n, j) q^(k-j) (j <= k) or the
-        # sieve's W_j (j > k), as integers
-        total = spec.q ** k
-        for eps in range(group.order):
-            for j, got in enumerate(binomial_moments(dists[eps], k + t + ell)):
-                want = math.comb(n, j) * spec.q ** (k - j) if j <= k else W[j - k - 1][eps]
-                ok = got == want
-                records.append({
-                    "k": k, "eps": eps, "j": j,
-                    "moment": _ratio(got, total), "expected": _ratio(want, total), "pass": ok,
-                })
-                if not ok:
-                    failures.append(records[-1])
+        moments = [binomial_moments(dist, k + t + ell) for dist in dists]
+        runs.append((k, moments, sieve_rows(group, k, points, budget=args.max_enum)[0].tolist()))
+
+    def cells(k, moments, W):
+        """(eps, j, measured, expected): C(n, j) q^(k-j) for j <= k, W_j(eps) for j > k."""
+        closed = [math.comb(n, j) * spec.q ** (k - j) for j in range(k + 1)]
+        for eps, row in enumerate(moments):
+            for j, got in enumerate(row):
+                yield eps, j, got, closed[j] if j <= k else W[j - k - 1][eps]
+
+    def records(failures_only: bool):
+        """The check records, each made as it is written."""
+        for k, moments, W in runs:
+            total = spec.q ** k
+            for eps, j, got, want in cells(k, moments, W):
+                if got != want or not failures_only:
+                    yield {
+                        "k": k, "eps": eps, "j": j,
+                        "moment": _ratio(got, total), "expected": _ratio(want, total), "pass": got == want,
+                    }
+
+    passed = all(got == want for run in runs for _, _, got, want in cells(*run))
     _emit(args, {
-        "checks": records, "failures": failures, "pass": not failures, "engine": "enumeration", "work": work,
+        "checks": records(False), "failures": records(True), "pass": passed, "engine": "enumeration", "work": work,
     })
-    return 0 if not failures else 1
+    return 0 if passed else 1
 
 
 def cmd_weil(args) -> int:
@@ -376,37 +386,41 @@ def cmd_bounds_check(args) -> int:
     record("coordinate sieve (seeded)", sieve_ok, "direct sum", "signed cycle sum")
 
     # factorization-count remainder and pmf remainder on this group, from one
-    # sieve run per k: its W_j rows and its per-class counts
+    # sieve run per k: its W_j rows and its per-class counts.  The pmf
+    # records are made from the count rows as they are written; the verdict
+    # comes first from the integers, as |count/q^k - prediction_r| <= bound_r
+    # holds exactly when count lies in [ceil(q^k (prediction_r - bound_r)),
+    # floor(q^k (prediction_r + bound_r))]
     points = default_point_set(params)
     n = len(points)
     cells = []
+    remainders = []  # per k: the factorization records, the count rows, the pmf predictions and bounds
+    remainders_ok = True
     if ell >= 1 and gamma_at_most_one(n, q, t, ell):
         cells = [sieve_work(group, k, n) for k in range(0, args.k + 1)]
         for c in cells:
             check_budget(SIEVE_CELLS, sum(c.values()), args.max_enum)
         for k in range(0, args.k + 1):
             W, counts = sieve_rows(group, k, points, budget=args.max_enum)
+            factorization = []
             for j, row in zip(range(k + 1, k + t + ell + 1), W.tolist()):
                 main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)
                 bound = w_remainder_bound(j, n, q, k, t, ell, group.order)
                 worst = max(abs(w - main) for w in row)
-                record(
-                    f"factorization remainder k={k} j={j}",
-                    worst <= bound,
-                    _frac(Fraction(worst)),
-                    _frac(bound),
-                )
+                factorization.append({
+                    "name": f"factorization remainder k={k} j={j}", "pass": bool(worst <= bound),
+                    "lhs": _frac(Fraction(worst)), "rhs": _frac(bound),
+                })
             # the prediction and its bound depend on (k, r) alone, not on the class
             support = range(0, k + t + ell + 1)
             predictions = [pmf_prediction(params, n, r, k) for r in support]
             bounds = [pmf_remainder_bound(r, n, q, k, t, ell) for r in support]
-            total = q ** k
-            for eps, row in enumerate(counts.T.tolist()):
-                for r, count in enumerate(row):
-                    lhs = abs(Fraction(count, total) - predictions[r])
-                    record(
-                        f"pmf remainder k={k} eps={eps} r={r}", lhs <= bounds[r], _frac(lhs), _frac(bounds[r])
-                    )
+            rows = counts.tolist()
+            remainders.append((k, factorization, rows, predictions, bounds))
+            for row, prediction, bound in zip(rows, predictions, bounds):
+                low, high = math.ceil(q ** k * (prediction - bound)), math.floor(q ** k * (prediction + bound))
+                remainders_ok &= all(low <= count <= high for count in row)
+            remainders_ok &= all(c["pass"] for c in factorization)
     else:
         checks.append(
             {
@@ -416,9 +430,24 @@ def cmd_bounds_check(args) -> int:
             }
         )
 
-    all_ok = all(c["pass"] for c in checks)
+    def remainder_checks():
+        for k, factorization, rows, predictions, bounds in remainders:
+            yield from factorization
+            total = q ** k
+            rhs = [_frac(bound) for bound in bounds]
+            for eps, column in enumerate(zip(*rows)):
+                for r, count in enumerate(column):
+                    lhs = abs(Fraction(count, total) - predictions[r])
+                    yield {
+                        "name": f"pmf remainder k={k} eps={eps} r={r}", "pass": bool(lhs <= bounds[r]),
+                        "lhs": _frac(lhs), "rhs": rhs[r],
+                    }
+
+    all_ok = remainders_ok and all(c["pass"] for c in checks)
     work = {key: sum(c[key] for c in cells) for key in ("dp_cells", "convolution_cells")}
-    _emit(args, {"checks": checks, "pass": all_ok, "engine": "sieve", "work": work})
+    _emit(args, {
+        "checks": itertools.chain(checks, remainder_checks()), "pass": all_ok, "engine": "sieve", "work": work,
+    })
     return 0 if all_ok else 1
 
 
@@ -458,26 +487,28 @@ def cmd_approx(args) -> int:
             "mu_mass": float(mu_mass),
             "envelope": float(binomial_envelope(r, n, q, args.k)) if r < args.k else "",
         }))
-    rows = []
-    for eps in range(group.order):
-        for r in sorted(dists[eps].counts):
-            exact = dists[eps].probability(r)
-            mu_mass, shape = shapes[r]
-            rows.append({
-                "eps": eps,
-                "r": r,
-                "count": str(dists[eps].counts[r]),
-                "exact": _frac(exact),
-                "exact_float": float(exact),
-                "ratio_to_mu": float(exact / mu_mass) if mu_mass else float("inf"),
-                **shape,
-            })
+
+    def table():
+        """A row per class and nonzero count, made as it is written."""
+        for d in dists:
+            for r in sorted(d.counts):
+                exact = d.probability(r)
+                mu_mass, shape = shapes[r]
+                yield {
+                    "eps": d.eps,
+                    "r": r,
+                    "count": str(d.counts[r]),
+                    "exact": _frac(exact),
+                    "exact_float": float(exact),
+                    "ratio_to_mu": float(exact / mu_mass) if mu_mass else float("inf"),
+                    **shape,
+                }
+
     columns = [
         "eps", "r", "count", "exact", "exact_float", "binomial", "poisson",
         "mu_mass", "ratio_to_mu", "envelope",
     ]
-    payload = {"table": rows, "engine": "sieve", "work": sieve_work(group, args.k, n)}
-    _emit(args, payload, rows=rows, columns=columns)
+    _emit(args, {"table": table(), "engine": "sieve", "work": sieve_work(group, args.k, n)}, columns=columns)
     return 0
 
 
@@ -508,7 +539,7 @@ def cmd_regimes(args) -> int:
         "condition_a", "condition_a_lhs", "condition_a_rhs",
         "condition_b", "condition_b_notes",
     ]
-    _emit(args, {"table": rows}, rows=rows, columns=columns)
+    _emit(args, {"table": rows}, columns=columns)
     return 0
 
 
@@ -521,12 +552,19 @@ def cmd_kernels(args) -> int:
     elif args.kernel == "cycle-average":
         from fractions import Fraction
 
-        from .comb import cycle_average_bruteforce, cycle_average_closed, cycle_average_series
+        from .comb import (
+            CYCLE_AVERAGE_WORDS,
+            cycle_average_bruteforce,
+            cycle_average_closed,
+            cycle_average_series,
+            cycle_average_work,
+        )
 
         try:
             a, b = Fraction(args.a_val), Fraction(args.b_val)
         except ZeroDivisionError:
             raise ValidationError(f"zero denominator in --a-val {args.a_val} or --b-val {args.b_val}") from None
+        check_budget(CYCLE_AVERAGE_WORDS, cycle_average_work(args.j, a, b, args.p_char), args.max_enum)
         series = cycle_average_series(args.j, a, b, args.p_char)
         routes = {
             "series": _frac(series),
@@ -705,6 +743,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # No BLAS call here is threaded (the one LAPACK call is `eigvals` on
+    # companion matrices of size at most t + ell - 1), so numpy's OpenBLAS,
+    # which loads after this, starts no worker thread unless asked to
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = run()
     # The artifact is closed and what is still alive dies with the process:
     # frozen, it is skipped by the interpreter's exit-time collections, while

@@ -93,6 +93,37 @@ def _check_cycle_args(j: int, p: int) -> None:
         raise ValueError(f"need p >= 1, got p={p}")
 
 
+CYCLE_AVERAGE_WORDS = "cycle-average operand words"
+
+
+def cycle_average_work(j: int, a: RationalLike, b: RationalLike, p: int) -> int:
+    """The operand words (64 bits) that the series and closed routes of
+    A_j(a, b) multiply: the work that `kernels cycle-average` budgets.
+
+    Both routes build running products of rational factors such as
+    (ab + m)/(m + 1), one per step; after m steps the product has at most
+    m * h bits, with h the bits of a, b and p plus twice those of j + 1, and
+    a step is counted as the size of its running operand.  The series route
+    makes j steps for its first list and j // p for its second, then j + 1
+    products of full-size (j h bits) coefficients; the closed route makes
+    j - ip and i steps for each i <= I = j // p, then one full-size product."""
+    _check_cycle_args(j, p)
+    a, b = Fraction(a), Fraction(b)
+    h = sum(x.bit_length() for x in (a.numerator, a.denominator, b.numerator, b.denominator, p))
+    h += 2 * (j + 1).bit_length()
+    big_i = j // p
+
+    def steps(m: int) -> int:  # 1 + 2 + ... + m
+        return m * (m + 1) // 2
+
+    series = steps(j) + steps(big_i) + (j + 1) * j
+    # sum_{i <= I} steps(j - ip) = (s2 + s1) / 2 with s_e = sum_{i <= I} (j - ip)^e
+    s1 = (big_i + 1) * j - p * steps(big_i)
+    s2 = (big_i + 1) * j * j - 2 * j * p * steps(big_i) + p * p * big_i * (big_i + 1) * (2 * big_i + 1) // 6
+    closed = (s2 + s1) // 2 + big_i * (big_i + 1) * (big_i + 2) // 6 + (big_i + 1) * j
+    return h * (series + closed) // 64
+
+
 def cycle_average_bruteforce(j: int, a: RationalLike, b: RationalLike, p: int, budget: int = 9) -> Fraction:
     """A_j(a, b) summed over cycle types (partitions), weighted by class size."""
     _check_cycle_args(j, p)

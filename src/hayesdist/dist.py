@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -235,6 +236,48 @@ class ZeroDistribution(Record):
         }
 
 
+class ZeroDistributions(Sequence):
+    """The zero-count distributions of every class, read from one count
+    matrix: `rows[r][eps]` is q^k P(Y = r) in class eps, a Python integer.
+
+    Indexing and iteration make each class's `ZeroDistribution` when it is
+    read, so |G| of them are never held at once.  `points` and `total` are
+    those of every class; `json_records` streams the classes' `to_json`."""
+
+    __slots__ = ("params", "k", "points", "rows", "total")
+
+    def __init__(
+        self, params: HayesParams, k: int, points: tuple[FqElement, ...], rows: list[list[int]], total: int
+    ):
+        self.params = params
+        self.k = k
+        self.points = points
+        self.rows = rows
+        self.total = total
+
+    def __len__(self) -> int:
+        return len(self.rows[0])
+
+    def __getitem__(self, eps):
+        if isinstance(eps, slice):
+            return [self[i] for i in range(len(self))[eps]]
+        eps = range(len(self))[eps]  # negative indices; IndexError past the end
+        return self._distribution(eps, [row[eps] for row in self.rows])
+
+    def __iter__(self):
+        for eps, column in enumerate(zip(*self.rows)):
+            yield self._distribution(eps, column)
+
+    def _distribution(self, eps: int, column) -> ZeroDistribution:
+        counts = {r: c for r, c in enumerate(column) if c}
+        return ZeroDistribution(self.params, eps, self.k, self.points, counts, self.total)
+
+    def json_records(self):
+        """`ZeroDistribution.to_json` of every class in turn, each made as it
+        is read."""
+        return (d.to_json() for d in self)
+
+
 ENUMERATION_COMPARISONS = "enumeration comparisons |G| q^k n"
 FACTORIZATION_PAIRS = "factorization enumeration"
 
@@ -246,9 +289,10 @@ def enumeration_comparisons(group: ClassGroup, k: int, n: int) -> int:
 
 def enumeration_distributions_all(
     group: ClassGroup, k: int, points=None, budget: int | None = None
-) -> list[ZeroDistribution]:
+) -> ZeroDistributions:
     """Enumeration oracle: the zero-count distribution of every class at
-    degree k + t + ell, by enumerating the q^k members of each class."""
+    degree k + t + ell, by enumerating the q^k members of each class, read
+    from its histograms."""
     params = group.params
     spec = params.spec
     if k < 0:
@@ -261,12 +305,8 @@ def enumeration_distributions_all(
     base = group.member_base_rows(k + params.t + params.ell)
     targets = spec.mul_table[spec.eval_rows(base, point_idx), scale]
     hists = _agreement_histograms(spec, k, point_idx, targets)
-    counts: list[dict[int, int]] = [{} for _ in range(group.order)]
-    eps_of, r_of = np.nonzero(hists)  # row-major, so each class's r ascend
-    for eps, r, c in zip(eps_of.tolist(), r_of.tolist(), hists[eps_of, r_of].tolist()):
-        counts[eps][r] = c
-    total = spec.q ** k
-    return [ZeroDistribution(params, eps, k, pts, c, total) for eps, c in enumerate(counts)]
+    d = k + params.t + params.ell  # no member has more than d zeros
+    return ZeroDistributions(params, k, pts, hists[:, :d + 1].T.tolist(), spec.q ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +409,13 @@ def sieve_rows(
 
 def exact_distributions_all(
     group: ClassGroup, k: int, points=None, budget: int | None = None
-) -> list[ZeroDistribution]:
-    """Zero-count distributions of every class at degree k + t + ell, from
-    the counts of one `sieve_rows` run."""
+) -> ZeroDistributions:
+    """Zero-count distributions of every class at degree k + t + ell, read
+    from the counts of one `sieve_rows` run."""
     params = group.params
     pts = _validated_points(params, points)
     _, counts = sieve_rows(group, k, pts, budget)
-    total = params.spec.q ** k
-    return [
-        ZeroDistribution(params, eps, k, pts, {r: c for r, c in enumerate(counts[:, eps]) if c}, total)
-        for eps in range(group.order)
-    ]
+    return ZeroDistributions(params, k, pts, counts.tolist(), params.spec.q ** k)
 
 
 def exact_distribution(
@@ -699,10 +735,14 @@ def classify_row(row: RSDistanceRow) -> str:
     """deep-hole: no codeword agrees on more than k points; ordinary: some
     codeword agrees on all k + ell possible points; neither can occur only
     for ell >= 2."""
-    k, ell = row.k, row.ell
-    if all(row.count(r) == 0 for r in range(k + 1, k + ell + 1)):
+    return _kind(row.counts, row.k, row.ell)
+
+
+def _kind(counts: dict[int, int], k: int, ell: int) -> str:
+    """`classify_row` of the row with these nonzero counts."""
+    if all(counts.get(r, 0) == 0 for r in range(k + 1, k + ell + 1)):
         return DEEP_HOLE
-    if row.count(k + ell) > 0:
+    if counts.get(k + ell, 0) > 0:
         return ORDINARY
     return NEITHER
 
@@ -726,38 +766,30 @@ def rs_census(
     Words in the same class share a distance row, so rows come from one
     sieve run over all classes and the budget covers that run (and the
     group, when built here); explicit word lists are included while
-    q^(k+ell) <= list_words_up_to.
+    q^(k+ell) <= list_words_up_to.  The kinds and `word_totals` come from
+    the distributions; `classes` and `words` are iterators whose records
+    are made as they are read.
     """
     if group is None:
         group = rs_group(spec, ell, budget)
     dists = exact_distributions_all(group, k, spec.elements, budget)
-    per_class = []
+    kinds = [_kind(d.counts, k, ell) for d in dists]
     tallies = {DEEP_HOLE: 0, ORDINARY: 0, NEITHER: 0}
-    for eps in range(group.order):
-        rep = group.rep(eps)
-        row = RSDistanceRow(rep, k, ell, dict(dists[eps].counts), dists[eps].total)
-        per_class.append(
-            {
-                "eps": eps,
-                "rep": rep.to_text(),
-                "kind": classify_row(row),
-                "counts": {str(r): str(c) for r, c in sorted(row.counts.items())},
-            }
-        )
     words_per_class = spec.q ** k
-    for entry in per_class:
-        tallies[entry["kind"]] += words_per_class
-    out = {
-        "q": spec.q,
-        "k": k,
-        "ell": ell,
-        "classes": per_class,
-        "word_totals": tallies,
-    }
+    for kind in kinds:
+        tallies[kind] += words_per_class
+
+    def classes():
+        for d, kind in zip(dists, kinds):
+            counts = {str(r): str(c) for r, c in d.counts.items()}
+            yield {"eps": d.eps, "rep": group.rep(d.eps).to_text(), "kind": kind, "counts": counts}
+
+    def words():
+        for block, labels in _labelled_blocks(group, enumerate_monic(spec, k + ell)):
+            for f, eps in zip(block, labels.tolist()):
+                yield {"word": f.to_text(), "eps": eps, "kind": kinds[eps]}
+
+    out = {"q": spec.q, "k": k, "ell": ell, "classes": classes(), "word_totals": tallies}
     if spec.q ** (k + ell) <= list_words_up_to:
-        words = []
-        for block, classes in _labelled_blocks(group, enumerate_monic(spec, k + ell)):
-            for f, eps in zip(block, classes.tolist()):
-                words.append({"word": f.to_text(), "eps": eps, "kind": per_class[eps]["kind"]})
-        out["words"] = words
+        out["words"] = words()
     return out

@@ -15,8 +15,9 @@ used everywhere: classes are numbered by the enumeration order of their
 representatives.
 
 The group is a direct product of cyclic factors with generators g_1..g_m of
-orders n_1..n_m; a class is stored by its exponent tuple (its *dlog*), and
-products, inverses and translations are index arithmetic on those tuples.
+orders n_1..n_m; a class is stored by its exponent tuple (its *dlog*),
+products and inverses are index arithmetic on those tuples, and a
+translation rolls the classes laid out on the grid of tuples.
 
 Codes come from `ClassGroup._codes` on rows of index coefficients, on the
 field's row kernel (`FieldSpec.mod_rows`).  `ClassGroup.classes_of` labels
@@ -34,6 +35,7 @@ factorization pass per Q.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -120,7 +122,8 @@ class ClassGroup:
         q, ell, t = spec.q, params.ell, params.t
         # q^(t+ell) candidate rows of t+ell+1 cells, checked before Q is
         # factored; then one row of |G| cells per rung of the ladders of
-        # _decompose, at most log2 |G| of them (sum_p v_p <= log2 |G|)
+        # _decompose, at most log2 |G| of them (sum_p v_p <= log2 |G|; the
+        # ladders stop early in a group of small exponent)
         cells = q ** (t + ell) * (t + ell + 1)
         check_budget(GROUP_CELLS, cells, budget)
         expected = q ** ell * phi(t, params.Q)
@@ -188,10 +191,15 @@ class ClassGroup:
         everything = np.arange(n)
         ladders = []
         for p, v in _prime_powers(n):
+            # a rung of identities lies in every H, as do the rungs after it
+            # (powers of the identity), so a ladder stops before the first one
             rung = self._power(everything, n // p ** v)
             ladder = [rung]
             for _ in range(v - 1):
-                ladder.append(rung := self._power(rung, p))
+                rung = self._power(rung, p)
+                if (rung == self.identity).all():
+                    break
+                ladder.append(rung)
             ladders.append((p, np.array(ladder)))
         member = everything == self.identity
         order = _orders_mod(ladders, member)
@@ -218,6 +226,9 @@ class ClassGroup:
         self._radix = np.array(orders, dtype=np.int64)
         self._strides = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
         self._eps_of = elements
+        self._grid = elements.reshape(self.orders or (1,))  # the classes laid out by exponent tuple
+        self._position = np.empty(n, dtype=np.intp)  # each class's place in the grid, the inverse of _eps_of
+        self._position[elements] = everything
         self.dlog = np.empty((n, len(orders)), dtype=np.int64)
         self.dlog[elements] = everything[:, None] // self._strides % self._radix
         self.dlog.flags.writeable = False
@@ -247,8 +258,13 @@ class ClassGroup:
 
     def translation(self, c: int) -> np.ndarray:
         """Index array of i -> i*c over all classes, so that v[translation(c)]
-        is the class function eps -> v(eps * c)."""
-        return self._class_at(self.dlog + self.dlog[c])
+        is the class function eps -> v(eps * c): the grid of classes rolled
+        back by c's exponents, read at each class's place.  (Exponent
+        arithmetic on `dlog` would make |G| x m temporaries, which at
+        |G| = 65536 cost twice the time whenever the allocator maps them
+        afresh.)"""
+        shifts = [-e for e in self.dlog[c].tolist()]
+        return np.roll(self._grid, shifts, axis=tuple(range(len(shifts)))).ravel()[self._position]
 
     def classes_of(self, rows) -> np.ndarray:
         """Class indices of monic polynomials of one degree, given as rows of
@@ -317,9 +333,10 @@ class ClassGroup:
         """Number of monic degree-d polynomials with gcd(f, Q) != 1."""
         return self._class_counts_entry(d, None)[1]
 
-    def export_classes(self) -> list[dict]:
-        """Stable class-index <-> canonical-representative mapping."""
-        return [{"eps": i, "rep": self.rep(i).to_text()} for i in range(self.order)]
+    def export_classes(self) -> Iterator[dict]:
+        """Stable class-index <-> canonical-representative mapping, one
+        record per class, each made as it is read."""
+        return ({"eps": i, "rep": self.rep(i).to_text()} for i in range(self.order))
 
     def __repr__(self) -> str:
         return (
@@ -347,9 +364,10 @@ def _orders_mod(ladders: list[tuple[int, np.ndarray]], member: np.ndarray) -> np
     """Order of every class modulo the subgroup H marked by `member`.
 
     For each prime power p^v exactly dividing |G| a ladder holds the rows
-    x^(|G|/p^v), x^(p |G|/p^v), ..., x^(|G|/p) over all classes x.  The p-part
-    of the order of xH is p^a for the least a whose row lies in H; once a row
-    lies in H so do the later ones, so a is the number of rows outside H."""
+    x^(|G|/p^v), x^(p |G|/p^v), ..., x^(|G|/p) over all classes x, up to its
+    first row of identities.  The p-part of the order of xH is p^a for the
+    least a whose row lies in H; once a row lies in H so do the later ones
+    (the identity rows too), so a is the number of rows outside H."""
     order = np.ones(len(member), dtype=np.int64)
     for p, ladder in ladders:
         order *= p ** (~member[ladder]).sum(axis=0)

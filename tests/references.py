@@ -6,16 +6,21 @@ brute force over all monic polynomials of one degree, the codeword
 enumeration behind a Reed-Solomon distance row, the members of a Hayes
 class listed one polynomial at a time, the roots of a polynomial by
 evaluation, the cycle counts of a literal permutation, and the Reed-Solomon
-specialization of the mu-corrected mass.
+specialization of the mu-corrected mass, and the class-group decomposition
+with its power ladders run to the end.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from hayesdist.asym import mu_binomial_pmf
 from hayesdist.dist import ZeroDistribution, default_point_set
 from hayesdist.ffield import FqElement, Polynomial, distinct_roots_in, enumerate_monic
+from hayesdist.hayes import _orders_mod, _prime_powers
 
 
 def exact_distribution_bruteforce(group, eps: int, k: int, points=None) -> ZeroDistribution:
@@ -108,3 +113,38 @@ def rs_count_asymptotic(r: int, q: int, k: int, ell: int) -> Fraction:
     if not 0 <= r <= k + ell:
         raise ValueError("need 0 <= r <= k+ell")
     return q ** k * mu_binomial_pmf(r, q, q, k, 0, ell)
+
+
+def decompose_uncut(group):
+    """`ClassGroup._decompose` with every ladder run to all of its v rungs
+    x^(|G|/p^v), ..., x^(|G|/p), the rows of identities included: the
+    (generators, orders, position -> class, dlog) it finds, from the group's
+    batched products of representatives alone."""
+    n = group.order
+    everything = np.arange(n)
+    ladders = []
+    for p, v in _prime_powers(n):
+        rung = group._power(everything, n // p ** v)
+        ladder = [rung]
+        for _ in range(v - 1):
+            ladder.append(rung := group._power(rung, p))
+        ladders.append((p, np.array(ladder)))
+    member = everything == group.identity
+    order = _orders_mod(ladders, member)
+    elements = np.array([group.identity])
+    generators, orders = [], []
+    while len(elements) < n:
+        quotient = _orders_mod(ladders, member)
+        m = int(quotient.max())
+        g = int(np.flatnonzero((quotient == m) & (order == m))[0])
+        powers = np.array([group.identity, g])
+        while len(powers) < m:  # g^0..g^(2L-1) from g^0..g^(L-1) and g^L
+            powers = np.concatenate([powers, group._products(powers, group._products(powers[-1:], g))])
+        elements = group._products(np.repeat(elements, m), np.tile(powers[:m], len(elements)))
+        member[elements] = True
+        generators.append(g)
+        orders.append(m)
+    strides = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
+    dlog = np.empty((n, len(orders)), dtype=np.int64)
+    dlog[elements] = everything[:, None] // strides % np.array(orders, dtype=np.int64)
+    return tuple(generators), tuple(orders), elements, dlog

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hayesdist import cli
+from hayesdist import cli, comb
 from hayesdist.cli import run
 from hayesdist.ffield import Polynomial
 from hayesdist.hayes import ClassGroup
@@ -151,6 +152,27 @@ def test_kernels_cycle_average_rejects_p_below_one(capsys, p_char):
     code, data = run_json(capsys, ["kernels", "cycle-average", "--j", "3", "--p-char", p_char])
     assert code == 1
     assert data == {"error": "validation", "message": f"need p >= 1, got p={p_char}"}
+
+
+@pytest.mark.parametrize(
+    "j, slack, code",
+    [
+        (500, None, 0),  # under the default budget
+        (10000, None, 2),  # 3.8 * 10^10 words, refused before the first product
+        (4, 0, 0),  # a budget of exactly the count admits the job
+        (4, -1, 2),
+    ],
+)
+def test_kernels_cycle_average_budgets_its_operand_words(capsys, j, slack, code):
+    argv = ["kernels", "cycle-average", "--j", str(j), "--a-val", "7/3", "--b-val", "1/5", "--p-char", "3"]
+    words = comb.cycle_average_work(j, Fraction(7, 3), Fraction(1, 5), 3)
+    limit = 10 ** 8 if slack is None else words + slack
+    got, data = run_json(capsys, argv + ([] if slack is None else ["--max-enum", str(limit)]))
+    assert got == code
+    if code == 2:
+        assert data == {"error": "budget-exceeded", "what": comb.CYCLE_AVERAGE_WORDS, "value": words, "budget": limit}
+    else:
+        assert data["routes"]["series"] == data["routes"]["closed"] == data["value"]
 
 
 def test_kernels_phi(capsys):
@@ -366,6 +388,33 @@ def test_bounds_check_remainder_records(capsys, monkeypatch):
     code, data = run_json(capsys, ["bounds-check", "--p", "3", "--ell", "0", "--Q", "x", "--k", "2"])
     assert code == 0
     assert data["work"] == {"dp_cells": 0, "convolution_cells": 0}
+
+
+def test_bounds_check_pass_agrees_with_its_pmf_records_at_the_bound(capsys, monkeypatch):
+    # `pass` and the exit code come from the integer counts before any pmf
+    # record is made; with each (k, r) bound set to the largest |P - prediction|
+    # over the classes every cell passes (the bound is inclusive), and with it
+    # set just below, exactly the cells that attain it fail
+    argv = ["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"]
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["pass"]
+    worst, lhs = {}, {}
+    for c in data["checks"]:
+        if c["name"].startswith("pmf remainder "):
+            k, eps, r = (int(part.split("=")[1]) for part in c["name"].split()[2:])
+            lhs[(k, eps, r)] = Fraction(c["lhs"])
+            worst[(k, r)] = max(worst.get((k, r), Fraction(0)), lhs[(k, eps, r)])
+    assert any(worst.values())
+    for below, code_want in ((Fraction(0), 0), (Fraction(1, 10 ** 12), 1)):
+        monkeypatch.setattr("hayesdist.asym.pmf_remainder_bound", lambda r, n, q, k, t, ell: worst[(k, r)] - below)
+        code, data = run_json(capsys, argv)
+        failed = {
+            tuple(int(part.split("=")[1]) for part in c["name"].split()[2:])
+            for c in data["checks"] if not c["pass"]
+        }
+        want = {cell for cell, value in lhs.items() if below and value == worst[(cell[0], cell[2])]}
+        assert failed == want
+        assert (code, data["pass"]) == (code_want, not want)
 
 
 def _oracle_remainder_records(group, k_max):
@@ -815,6 +864,22 @@ def test_main_keeps_the_failure_record(capsys, argv, code):
     assert record.endswith("}\n") and json.loads(record)["error"]
 
 
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("4", "4")])
+def test_main_leaves_openblas_one_thread_unless_told_otherwise(monkeypatch, preset, seen):
+    # numpy loads inside run(), after main() has set the default
+    events = []
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    monkeypatch.setattr(cli, "run", lambda: events.append(os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+    monkeypatch.setattr(cli.gc, "collect", lambda generation=2: None)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    with pytest.raises(SystemExit):
+        cli.main()
+    assert events == [seen]
+
+
 def test_main_freezes_the_heap_only_after_run_returns(monkeypatch):
     events = []
 
@@ -829,6 +894,31 @@ def test_main_freezes_the_heap_only_after_run_returns(monkeypatch):
         cli.main()
     assert events == ["run", "collect(1)", "freeze"]
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "--p", "2", "--a", "5", "--ell", "2", "--Q", "1", "--k", "4"],
+        ["moments-check", "--p", "2", "--a", "3", "--ell", "2", "--Q", "x + 1", "--k", "3"],
+        ["bounds-check", "--p", "2", "--a", "4", "--ell", "2", "--Q", "1", "--k", "3"],
+    ],
+    ids=["approx", "moments-check", "bounds-check"],
+)
+def test_an_artifact_is_written_without_holding_its_records(tmp_path, argv):
+    # the records are made one at a time as they are written, so the job's
+    # traced allocations peak below the size of the artifact (2.3, 1.2 and
+    # 0.6 MB here; holding the records took the peak to 4.0, 4.1 and 1.9 MB)
+    out = tmp_path / "artifact"
+    argv = argv + ["--out", str(out)]
+    assert run(argv) == 0  # imports and field tables
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
 
 
 # ---------------------------------------------------------------------------

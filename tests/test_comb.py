@@ -12,6 +12,7 @@ from hayesdist.comb import (
     cycle_average_bruteforce,
     cycle_average_closed,
     cycle_average_series,
+    cycle_average_work,
     partitions,
     truncated_binomial_sum,
 )
@@ -221,3 +222,33 @@ def test_binom_frac_generalized():
     assert binom_frac(5, 2) == 10
     assert binom_frac(Fraction(1, 2), 0) == 1
     assert binom_frac(3, -1) == 0
+
+
+def _cycle_average_work_by_steps(j, a, b, p):
+    """`cycle_average_work` as a sum over the routes' steps: one per factor
+    of a running product, the m-th counted as m * h bits, and one of j * h
+    bits per product of full-size coefficients."""
+    a, b = Fraction(a), Fraction(b)
+    h = sum(x.bit_length() for x in (a.numerator, a.denominator, b.numerator, b.denominator, p))
+    h += 2 * (j + 1).bit_length()
+    series = sum(range(j + 1)) + sum(range(j // p + 1)) + (j + 1) * j
+    closed = sum(sum(range(j - i * p + 1)) + sum(range(i + 1)) + j for i in range(j // p + 1))
+    return h * (series + closed) // 64
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+@pytest.mark.parametrize("j", [0, 1, 4, 9, 37, 500])
+@pytest.mark.parametrize("a, b", [(Fraction(7, 3), Fraction(1, 5)), (1, 1), (Fraction(123456789, 1000003), 5)])
+def test_cycle_average_work_sums_the_steps(j, a, b, p):
+    assert cycle_average_work(j, a, b, p) == _cycle_average_work_by_steps(j, a, b, p)
+
+
+def test_cycle_average_work_grows_with_the_operands():
+    # the default budget (10^8 words) admits j = 500 and refuses j = 1500 here
+    assert cycle_average_work(500, Fraction(7, 3), Fraction(1, 5), 3) == 3750676
+    assert cycle_average_work(1500, Fraction(7, 3), Fraction(1, 5), 3) == 110066988
+    assert cycle_average_work(500, Fraction(7, 3), Fraction(1, 5), 3) < cycle_average_work(
+        500, Fraction(7 ** 9, 3), Fraction(1, 5), 3
+    )
+    with pytest.raises(ValueError, match="need p >= 1"):
+        cycle_average_work(4, 1, 1, 0)

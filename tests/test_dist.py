@@ -20,6 +20,7 @@ from hayesdist.dist import (
     joint_zero_counts,
     rs_census,
     rs_distance_row,
+    rs_group,
     sieve_rows,
     sieve_work,
     subset_product_table,
@@ -142,6 +143,23 @@ DIFFERENTIAL_GRID = [
     (2, 1, "x^2 + x + 1"),
     (2, 1, "x^3 + x + 1"),
 ]
+
+
+@pytest.mark.parametrize("route", [exact_distributions_all, enumeration_distributions_all])
+def test_distributions_are_made_as_they_are_read(groups, route):
+    # both engines hand back a sequence over their count matrix: each
+    # class's ZeroDistribution is made when it is read, equal to the
+    # brute force's, and so are the JSON records
+    G = groups(3, 1, 1, "x")
+    dists = route(G, 2)
+    listed = [exact_distribution_bruteforce(G, eps, 2) for eps in range(G.order)]
+    assert len(dists) == G.order and list(dists) == listed
+    assert dists[-1] == listed[-1] and dists[1:4:2] == listed[1:4:2]
+    assert dists[0] is not dists[0]
+    with pytest.raises(IndexError):
+        dists[G.order]
+    assert (dists.total, dists.points) == (9, default_point_set(G.params))
+    assert list(dists.json_records()) == [d.to_json() for d in listed]
 
 
 class TestSieveDifferential:
@@ -505,6 +523,27 @@ class TestReedSolomon:
         assert census["word_totals"] == {"deep-hole": 2, "ordinary": 2, "neither": 0}
         deep = {w["word"] for w in census["words"] if w["kind"] == "deep-hole"}
         assert deep == {"x^2", "x^2 + 1"}
+
+    def test_census_records_match_the_distance_rows(self, fields):
+        # the census streams its class and word records from the count rows;
+        # each equals the record made from that class's own distance row
+        spec, k, ell = fields(2, 2), 1, 2
+        G = rs_group(spec, ell)
+        census = rs_census(spec, k, ell, group=G)
+        classes = list(census["classes"])
+        assert [c["eps"] for c in classes] == list(range(G.order))
+        totals = {"deep-hole": 0, "ordinary": 0, "neither": 0}
+        for entry in classes:
+            row = rs_distance_row(G.member_base(entry["eps"], k + ell), k, ell, G)
+            kind = classify_row(row)
+            assert entry == {"eps": entry["eps"], "rep": G.rep(entry["eps"]).to_text(), "kind": kind,
+                             "counts": row.to_json()["counts"]}
+            totals[kind] += spec.q ** k
+        assert census["word_totals"] == totals and totals["neither"] > 0
+        words = list(census["words"])
+        assert [w["word"] for w in words] == [f.to_text() for f in enumerate_monic(spec, k + ell)]
+        for w, f in zip(words, enumerate_monic(spec, k + ell)):
+            assert (w["eps"], w["kind"]) == (G.class_of(f), classify_word(f, k, ell, G))
 
     def test_word_validation(self, fields):
         F2 = fields(2)

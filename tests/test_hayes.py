@@ -17,7 +17,7 @@ from hayesdist.ffield import (
     phi_relative_gap,
 )
 from hayesdist.hayes import ClassGroup, HayesParams, _prime_powers, equivalent, signature
-from references import members
+from references import decompose_uncut, members
 
 
 GROUP_CELLS = "class group cells (candidates + ladders)"
@@ -288,6 +288,22 @@ def test_phi_of_large_moduli_by_distinct_degree_factorization(fields, q_text, de
     assert phi(3, Q) == value
 
 
+_DECOMPOSITION_GRID = [
+    (2, 1, 0, "1"),  # the trivial group: no generator
+    (2, 3, 2, "1"),  # 2-groups whose exponent is below |G|: the ladders stop early
+    (2, 4, 2, "1"),
+    (2, 5, 2, "1"),
+    (3, 2, 2, "1"),
+    (2, 2, 3, "1"),
+    (5, 1, 2, "x^2 + 2"),
+    (3, 1, 1, "x^2 + 1"),
+    (2, 2, 1, "x^2 + x"),
+    (3, 1, 2, "x^2"),
+    (2, 1, 3, "x^3 + x + 1"),
+    (7, 1, 1, "x^2 + 1"),
+]
+
+
 class TestClassGroup:
     def test_order_examples(self, groups):
         assert groups(2, 1, 1, "1").order == 2
@@ -354,6 +370,19 @@ class TestClassGroup:
         assert (info.value.what, info.value.value) == (GROUP_CELLS, 175)
         assert ClassGroup(params, budget=175).order == 25
 
+    @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
+    def test_translation_is_exponent_arithmetic(self, groups, key):
+        G = groups(*key)
+        for c in range(G.order):
+            assert np.array_equal(G.translation(c), G._class_at(G.dlog + G.dlog[c]))
+
+    @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
+    def test_decomposition_matches_the_uncut_ladders(self, groups, key):
+        G = groups(*key)
+        generators, orders, eps_of, dlog = decompose_uncut(G)
+        assert (G.generators, G.orders) == (generators, orders)
+        assert np.array_equal(G._eps_of, eps_of) and np.array_equal(G.dlog, dlog)
+
     def test_degenerate_flag(self, fields, groups):
         assert groups(2, 1, 0, "1").degenerate
         assert groups(2, 1, 0, "1").order == 1
@@ -361,7 +390,7 @@ class TestClassGroup:
 
     def test_export_classes(self, groups):
         G = groups(2, 1, 1, "1")
-        assert G.export_classes() == [{"eps": 0, "rep": "x"}, {"eps": 1, "rep": "x + 1"}]
+        assert list(G.export_classes()) == [{"eps": 0, "rep": "x"}, {"eps": 1, "rep": "x + 1"}]
 
 
 class TestClassMembers:
