@@ -586,15 +586,9 @@ def cmd_series_check(args) -> int:
     from .dist import verify_series_identities
 
     spec, params, group = _build_group(args)
-    report = verify_series_identities(group, args.d_max, budget=args.max_enum)
-    payload = {
-        "pass": report.all_ok,
-        "checks": [{"name": c.name, "pass": c.ok, "detail": c.detail} for c in report.checks],
-        "engine": "enumeration",
-        "work": {"classes": group.order, **report.work},
-    }
-    _emit(args, payload)
-    return 0 if report.all_ok else 1
+    passed, checks, work = verify_series_identities(group, args.d_max, budget=args.max_enum)
+    _emit(args, {"pass": passed, "checks": checks, "engine": "enumeration", "work": {"classes": group.order, **work}})
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,12 @@ identities hold by construction, so `moments-check` measures
 q^k E[C(Y, j)] on the oracle and compares it with C(n, j) q^(k-j) for
 j <= k and with the W_j rows of `sieve_rows` for j > k: the identity is
 checked on the rows that the other commands print.  The series check's
-moment slice compares its joint (class, zero count) table with the same
-rows.  The remainder suites of `bounds-check` read the sieve's rows too:
-their bounds come from Weil sums and cycle averages, which the sieve does
-not use.  A plain object-level brute force over all of M_d, a third
-independent route, lives in the tests.
+moment slice compares its joint (class, zero count) table with W_j rows of
+`moment_rows`, the function behind `sieve_rows`.  The remainder suites of
+`bounds-check` read the sieve's rows too: their bounds come from Weil sums
+and cycle averages, which the sieve does not use.  A plain object-level
+brute force over all of M_d, a third independent route, lives in the
+tests.
 
 `factorization_counts` enumerates the pairs (g, S) behind W_j, a second
 route to the sieve's rows that no command calls: the tests compare the
@@ -64,9 +65,14 @@ explicitly, a block of at most _BLOCK_ROWS (factorization products) or
 touches the group multiplication, `group_convolve` or the sieve.  The
 census word list stays object-level: `Polynomial` objects, labelled a block
 of _LABEL_ROWS per call.
-`group_convolve` is the one group-algebra product: the sieve's W_j and the
-series check's product slices both use it, so that check exercises it
-against enumeration.
+
+`moment_rows` is the one place where W_j is formed: the only caller of
+`subset_product_table` and of `group_convolve`, the one group-algebra
+product.  `sieve_rows` calls it at j_lo = k + 1 on the group's class
+counts; the series check calls it once per degree at j_lo = 1 on the class
+counts of its own joint tables, and its product and moment slices compare
+those rows with enumeration, so the check exercises the code that the other
+commands run.
 
 Counts are arbitrary-precision integers; probabilities are exact rationals.
 """
@@ -75,9 +81,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +101,7 @@ _BLOCK_ROWS = 1 << 16  # factorization product blocks: at most this many rows at
 _AGREEMENT_CELLS = 1 << 14  # oracle blocks: low evaluation vectors, (target, low row) agreement counts
 _HISTOGRAM_CELLS = 1 << 16  # oracle blocks: (target, count) cells per histogram
 _LABEL_ROWS = 1 << 10  # polynomials labelled per ClassGroup.classes_of call
+_CENSUS_WORDS = 1 << 12  # rs census: received words listed only while q^(k+ell) is at most this
 
 
 # ---------------------------------------------------------------------------
@@ -352,44 +358,73 @@ def subset_product_table(
     return S
 
 
+def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray:
+    """Group-algebra product of the class functions u and v (an object array),
+    out[eps] = sum_c u[c] v[eps c^-1]: one |G|-gather of v per nonzero u[c].
+    An object array of Python integers."""
+    out = np.zeros(group.order, dtype=object)
+    for c, uc in enumerate(u):
+        if uc:
+            out += uc * v[group.translation(group.inv(c))]
+    return out
+
+
 SIEVE_CELLS = "sieve cells (DP + convolution)"
 
 
-def _dp_cells(group: ClassGroup, n: int, j_lo: int, j_hi: int) -> int:
-    """Cell updates of `subset_product_table(group, points, j_lo, j_hi)` on n points."""
-    return group.order * sum(max(0, hi - lo + 1) for lo, hi in _live_rows(n, j_lo, j_hi))
+def moment_work(group: ClassGroup, n: int, d: int, j_lo: int) -> dict[str, int]:
+    """Cells `moment_rows` touches at degree d on n points for j_lo <= j <= d:
+    the DP cell updates of its subset-product table, and one |G|-gather per
+    nonzero class count N_(d-j) for j <= min(n, d), of which there are
+    min(|G|, Phi_(d-j)(Q)): a class holds at most one polynomial of degree
+    below t + ell, and every class holds one from there on."""
+    j_hi = min(n, d)
+    dp_rows = sum(max(0, hi - lo + 1) for lo, hi in _live_rows(n, j_lo, j_hi))
+    gathers = sum(min(group.order, phi(d - j, group.params.Q)) for j in range(j_lo, j_hi + 1))
+    return {"dp_cells": dp_rows * group.order, "convolution_cells": gathers * group.order}
 
 
 def sieve_work(group: ClassGroup, k: int, n: int) -> dict[str, int]:
-    """Cells the sieve touches at degree k + t + ell on n points: DP cell
-    updates, and one |G|-gather per nonzero entry of N_(d-j) for j > k."""
+    """Cells one `sieve_rows` run touches at degree k + t + ell on n points."""
     params = group.params
-    d = k + params.t + params.ell
-    j_hi = min(n, d)
-    gathers = sum(phi(d - j, params.Q) for j in range(k + 1, j_hi + 1))
-    return {"dp_cells": _dp_cells(group, n, k + 1, j_hi), "convolution_cells": gathers * group.order}
+    return moment_work(group, n, k + params.t + params.ell, k + 1)
+
+
+def moment_rows(
+    group: ClassGroup, pts: tuple[FqElement, ...], counts, d: int, j_lo: int, budget: int | None = None
+) -> np.ndarray:
+    """W_j(eps) = sum_c S_j(c) N_(d-j)(eps c^-1) at degree d for
+    j_lo <= j <= d, with the class counts N_e = counts(e), as an object array
+    of Python integers indexed [j - j_lo, eps].  Rows past n = len(pts) are
+    0: no j-subset of the points exists.  The one place where the
+    subset-product table and the group-algebra product run; its cells
+    (`moment_work`) are checked against the budget first."""
+    n = len(pts)
+    check_budget(SIEVE_CELLS, sum(moment_work(group, n, d, j_lo).values()), budget)
+    S = subset_product_table(group, pts, j_lo, min(n, d))
+    W = np.zeros((d - j_lo + 1, group.order), dtype=object)
+    for row, j in zip(W, range(j_lo, min(n, d) + 1)):
+        row[:] = group_convolve(group, counts(d - j), S[j])
+    return W
 
 
 def sieve_rows(
     group: ClassGroup, k: int, pts: tuple[FqElement, ...], budget: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sieve run at degree d = k + t + ell on `pts` (no zero of Q among
-    them): the rows W_j for k < j <= d and the counts q^k P(Y = r) of every
-    class for r <= d, as object arrays of Python integers indexed
-    [j - k - 1, eps] and [r, eps].  Rows past n = len(pts) are 0: no
-    j-subset of the points exists, and no member has r zeros among them."""
+    them): the rows W_j for k < j <= d, from `moment_rows` on the group's
+    class counts, and the counts q^k P(Y = r) of every class for r <= d, as
+    object arrays of Python integers indexed [j - k - 1, eps] and [r, eps].
+    Rows past n = len(pts) are 0: no j-subset of the points exists, and no
+    member has r zeros among them."""
     params = group.params
     q = params.spec.q
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     n = len(pts)
     d = k + params.t + params.ell
-    check_budget(SIEVE_CELLS, sum(sieve_work(group, k, n).values()), budget)
-    S = subset_product_table(group, pts, k + 1, min(n, d))
+    W = moment_rows(group, pts, group.monic_class_counts, d, k + 1, budget)
     high = range(k + 1, d + 1)
-    W = np.zeros((len(high), group.order), dtype=object)
-    for row, j in zip(W, range(k + 1, min(n, d) + 1)):
-        row[:] = group_convolve(group, group.monic_class_counts(d - j), S[j])
     # q^k P(Y = r): the class-free j <= k terms (C(n, j) = 0 for j > n), plus
     # the j > k rows as one integer matrix product
     low = np.array(
@@ -515,17 +550,6 @@ def pmf_prediction(params: HayesParams, n: int, r: int, k: int) -> Fraction:
 # Group-algebra series identities
 # ---------------------------------------------------------------------------
 
-def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray:
-    """Group-algebra product of the class functions u and v (an object array),
-    out[eps] = sum_c u[c] v[eps c^-1]: one |G|-gather of v per nonzero u[c].
-    An object array of Python integers."""
-    out = np.zeros(group.order, dtype=object)
-    for c, uc in enumerate(u):
-        if uc:
-            out += uc * v[group.translation(group.inv(c))]
-    return out
-
-
 def joint_zero_counts(group: ClassGroup, d: int, points=None) -> np.ndarray:
     """Per class and r, the number of monic degree-d polynomials of that class
     with exactly r distinct zeros in D: an (|G|, n+1) int64 array, by
@@ -541,27 +565,9 @@ def joint_zero_counts(group: ClassGroup, d: int, points=None) -> np.ndarray:
     return joint.reshape(group.order + 1, width)[1:]
 
 
-class CheckRecord(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-class SeriesReport(NamedTuple):
-    checks: list[CheckRecord]
-    work: dict  # polynomials enumerated, DP and convolution cells
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[CheckRecord]:
-        return [c for c in self.checks if not c.ok]
-
-
 def verify_series_identities(
     group: ClassGroup, d_max: int, points=None, budget: int | None = None
-) -> SeriesReport:
+) -> tuple[bool, Iterator[dict], dict]:
     """Check the group-algebra series identities slice by slice, exactly.
 
     * geometric tail: each class holds exactly q^(d-t-ell) monic polynomials
@@ -570,103 +576,90 @@ def verify_series_identities(
     * product form: tagging monic polynomials by class and zero count agrees
       with the monic series multiplied by prod over alpha in D of
       (<1> + (u-1) z <x - alpha>), compared per degree and per power of (u-1);
-      for j >= 1 the (u-1)^j factor is the sieve's subset-product table and
-      the product is the sieve's `group_convolve`, so this checks both
-      against enumeration; the (u-1)^0 factor is <1>, so that slice is the
-      class counts N_d and is checked against q^(d-t-ell) per class at
-      d >= t+ell, and below t+ell against a 0/1 vector (a class holds at
-      most one polynomial of such a degree) with total Phi_d(Q);
+      for j >= 1 the (u-1)^j slice of degree d is the row W_j of
+      `moment_rows`, the sieve's own subset-product table and group-algebra
+      product, so this checks both against enumeration; the (u-1)^0 factor
+      is <1>, so that slice is the class counts N_d and is checked against
+      q^(d-t-ell) per class at d >= t+ell, and below t+ell against a 0/1
+      vector (a class holds at most one polynomial of such a degree) with
+      total Phi_d(Q);
     * moment slice: for each k with k+t+ell <= d_max, the degree-(k+t+ell)
-      slice matches C(n,j) q^(k-j) for j <= k and, for j > k, the W_j rows
-      of one `sieve_rows` run (its banded DP, against the unbanded table of
-      the product slices); it reads the joint table, not the enumeration
-      oracle.
+      slice matches C(n,j) q^(k-j) for j <= k and, for j > k, the same W_j
+      rows; it reads the joint table, not the enumeration oracle.
 
     Each degree is enumerated once, into the joint (class, zero count)
     table: its row sums are the class counts N_d, and its binomial moments
     M_d[j][c] = sum_r C(r, j) joint_d[c][r] are the left side of the
-    product and moment slices.  The right sides read the table only through
-    N_(d-j) with j >= 1, so no slice compares the table with itself.
+    product and moment slices.  The right sides are one `moment_rows` call
+    per degree at j_lo = 1 on those class counts, which read the table only
+    through N_(d-j) with j >= 1, so no slice compares the table with itself.
     Every degree's q^d (n+1) evaluation cells (n evaluations and one label
     per polynomial) are checked against the budget before the first one,
-    and then, as one sum, the cells of the subset-product table, of the
-    convolutions (one |G|-gather per nonzero class count N_(d-j), of which
-    there are exactly min(|G|, Phi_(d-j)(Q)): a class holds at most one
-    polynomial of degree below t + ell, and every class holds one from
-    there on) and of the moment slices' sieve runs (`sieve_work`).
+    and then the sum over the degrees of `moment_work`.
+
+    Returns the verdict, the check records ({"name", "pass", "detail"}
+    dicts, each made as it is read) and the work counts.  Every table is
+    built before this returns, so a budget refusal comes before any record.
     """
     params = group.params
-    spec = params.spec
+    q = params.spec.q
     pts = _validated_points(params, points)
     n = len(pts)
     t, ell = params.t, params.ell
     if d_max < 0:
         raise ValidationError(f"d_max must be >= 0, got {d_max}")
     for d in range(d_max + 1):
-        check_budget(f"evaluation cells q^{d} (n+1)", spec.q ** d * (n + 1), budget)
-    gathers = sum(
-        min(group.order, phi(d - j, params.Q)) for d in range(d_max + 1) for j in range(1, min(d, n) + 1)
-    )
-    ks = range(0, d_max - t - ell + 1)  # the moment slices, one sieve run each
-    slice_cells = [sieve_work(group, k, n) for k in ks]
+        check_budget(f"evaluation cells q^{d} (n+1)", q ** d * (n + 1), budget)
+    cells = [moment_work(group, n, d, 1) for d in range(d_max + 1)]
     work = {
-        "polynomials_checked": 0,
-        "dp_cells": _dp_cells(group, n, 0, min(d_max, n)) + sum(c["dp_cells"] for c in slice_cells),
-        "convolution_cells": gathers * group.order + sum(c["convolution_cells"] for c in slice_cells),
+        "polynomials_checked": sum(q ** d for d in range(d_max + 1)),
+        "dp_cells": sum(c["dp_cells"] for c in cells),
+        "convolution_cells": sum(c["convolution_cells"] for c in cells),
     }
     check_budget(SIEVE_CELLS, work["dp_cells"] + work["convolution_cells"], budget)
-    checks: list[CheckRecord] = []
 
     N: list[list[int]] = []  # N[d][class]
     M: list[list[list[int]]] = []  # M[d][j][class], exact Python integers
+    W: list[list[list[int]]] = []  # W[d][j - 1][class]
+    zeros = [0] * group.order  # M[d][j] for j > n: no polynomial has more than n zeros in D
     for d in range(d_max + 1):
         joint = joint_zero_counts(group, d, pts).tolist()
-        work["polynomials_checked"] += spec.q ** d
         N.append([sum(row) for row in joint])
-        M.append([[sum(math.comb(r, j) * c for r, c in enumerate(row)) for row in joint] for j in range(d + 1)])
+        j_hi = min(d, n)
+        M.append([[sum(math.comb(r, j) * c for r, c in enumerate(row)) for row in joint] for j in range(j_hi + 1)])
+        M[d] += [zeros] * (d - j_hi)
+        W.append(moment_rows(group, pts, N.__getitem__, d, 1, budget).tolist())
 
-    for d in range(t + ell, d_max + 1):
-        want = spec.q ** (d - t - ell)
-        ok = all(c == want for c in N[d])
-        checks.append(CheckRecord(f"geometric tail, degree {d}", ok, f"expected q^{d - t - ell} per class"))
+    def checks():
+        """(name, pass, detail) of every slice, in order."""
+        for d in range(t + ell, d_max + 1):
+            ok = all(c == q ** (d - t - ell) for c in N[d])
+            yield f"geometric tail, degree {d}", ok, f"expected q^{d - t - ell} per class"
+        for d in range(d_max + 1):
+            for j in range(min(d, n) + 1):
+                lhs = M[d][j]
+                if j:
+                    rhs = W[d][j - 1]
+                    ok = lhs == rhs
+                elif d >= t + ell:  # (u-1)^0: the class counts, whose convolution with <1> is themselves
+                    rhs = [q ** (d - t - ell)] * group.order
+                    ok = lhs == rhs
+                else:  # below t + ell a class holds at most one polynomial of degree d
+                    rhs = f"0 or 1 per class, phi_{d}(Q) = {phi(d, params.Q)} in all"
+                    ok = set(lhs) <= {0, 1} and sum(lhs) == phi(d, params.Q)
+                yield f"product slice z^{d} (u-1)^{j}", ok, "" if ok else f"lhs={lhs} rhs={rhs}"
+        for k in range(0, d_max - t - ell + 1):
+            d = k + t + ell
+            for eps in range(group.order):
+                for j in range(0, d + 1):
+                    got = M[d][j][eps]
+                    want = math.comb(n, j) * q ** (k - j) if j <= k else W[d][j - 1][eps]
+                    ok = got == want
+                    yield f"moment slice k={k} eps={eps} (u-1)^{j}", ok, "" if ok else f"got={got} want={want}"
 
-    sub = subset_product_table(group, pts, 0, min(d_max, n))  # the slices read j <= min(d, n)
-
-    for d in range(d_max + 1):
-        for j in range(min(d, n) + 1):
-            lhs = M[d][j]
-            if j:
-                rhs = group_convolve(group, N[d - j], sub[j]).tolist()
-                ok = lhs == rhs
-            elif d >= t + ell:  # (u-1)^0: the class counts, whose convolution with <1> is themselves
-                rhs = [spec.q ** (d - t - ell)] * group.order
-                ok = lhs == rhs
-            else:  # below t + ell a class holds at most one polynomial of degree d
-                rhs = f"0 or 1 per class, phi_{d}(Q) = {phi(d, params.Q)} in all"
-                ok = set(lhs) <= {0, 1} and sum(lhs) == phi(d, params.Q)
-            checks.append(
-                CheckRecord(
-                    f"product slice z^{d} (u-1)^{j}",
-                    ok,
-                    "" if ok else f"lhs={lhs} rhs={rhs}",
-                )
-            )
-
-    for k in ks:
-        d = k + t + ell
-        W = sieve_rows(group, k, pts, budget)[0].tolist()
-        for eps in range(group.order):
-            for j in range(0, d + 1):
-                got = M[d][j][eps]
-                want = math.comb(n, j) * spec.q ** (k - j) if j <= k else W[j - k - 1][eps]
-                checks.append(
-                    CheckRecord(
-                        f"moment slice k={k} eps={eps} (u-1)^{j}",
-                        got == want,
-                        "" if got == want else f"got={got} want={want}",
-                    )
-                )
-    return SeriesReport(checks, work)
+    passed = all(ok for _, ok, _ in checks())
+    records = ({"name": name, "pass": ok, "detail": detail} for name, ok, detail in checks())
+    return passed, records, work
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +751,6 @@ def rs_census(
     k: int,
     ell: int,
     budget: int | None = None,
-    list_words_up_to: int = 4096,
     group: ClassGroup | None = None,
 ) -> dict:
     """Classify every received word of degree k + ell, grouped by class.
@@ -766,7 +758,7 @@ def rs_census(
     Words in the same class share a distance row, so rows come from one
     sieve run over all classes and the budget covers that run (and the
     group, when built here); explicit word lists are included while
-    q^(k+ell) <= list_words_up_to.  The kinds and `word_totals` come from
+    q^(k+ell) <= _CENSUS_WORDS.  The kinds and `word_totals` come from
     the distributions; `classes` and `words` are iterators whose records
     are made as they are read.
     """
@@ -790,6 +782,6 @@ def rs_census(
                 yield {"word": f.to_text(), "eps": eps, "kind": kinds[eps]}
 
     out = {"q": spec.q, "k": k, "ell": ell, "classes": classes(), "word_totals": tallies}
-    if spec.q ** (k + ell) <= list_words_up_to:
+    if spec.q ** (k + ell) <= _CENSUS_WORDS:
         out["words"] = words()
     return out

@@ -150,7 +150,7 @@ class ClassGroup:
         self._rows = cands[keep]
         self.identity = self.class_of(Polynomial.one(spec))
         self._decompose()
-        self._counts_cache: dict[int, tuple[list[int], int]] = {}
+        self._counts_cache: dict[int, list[int]] = {}
 
     # -- class codes -------------------------------------------------------------
 
@@ -310,19 +310,16 @@ class ClassGroup:
         ]
         return base
 
-    def _class_counts_entry(self, d: int, budget: int | None) -> tuple[list[int], int]:
-        """Cached (per-class counts, non-coprime count) of degree d."""
+    def monic_class_counts(self, d: int, budget: int | None = None) -> list[int]:
+        """Counts of monic degree-d polynomials per class (coprime ones only),
+        enumerated once per degree and cached; each call returns a copy."""
         if d not in self._counts_cache:
             check_budget(f"monic enumeration q^{d}", self._q ** d, budget)
             counts = np.zeros(self.order + 1, dtype=np.int64)  # slot 0: not coprime
             for rows in self._spec.monic_row_blocks(d, MONIC_BLOCK_ROWS):
                 counts += np.bincount(self.classes_of(rows) + 1, minlength=len(counts))
-            self._counts_cache[d] = (counts[1:].tolist(), int(counts[0]))
-        return self._counts_cache[d]
-
-    def monic_class_counts(self, d: int, budget: int | None = None) -> list[int]:
-        """Counts of monic degree-d polynomials per class (coprime ones only)."""
-        return list(self._class_counts_entry(d, budget)[0])
+            self._counts_cache[d] = counts[1:].tolist()
+        return list(self._counts_cache[d])
 
     @property
     def monic_enumerated(self) -> int:
@@ -331,7 +328,7 @@ class ClassGroup:
 
     def noncoprime_count(self, d: int) -> int:
         """Number of monic degree-d polynomials with gcd(f, Q) != 1."""
-        return self._class_counts_entry(d, None)[1]
+        return self._q ** d - sum(self.monic_class_counts(d))
 
     def export_classes(self) -> Iterator[dict]:
         """Stable class-index <-> canonical-representative mapping, one

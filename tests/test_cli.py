@@ -33,23 +33,23 @@ def test_moments_check_worked_example(capsys):
     assert half[0]["moment"] == "1/2"
 
 
-def _corrupt_sieve_row(monkeypatch, k, eps, j, by):
-    """Add `by` to the W_j(eps) that sieve_rows returns at k."""
-    from hayesdist.dist import sieve_rows
+def _corrupt_moment_row(monkeypatch, d, eps, j, by):
+    """Add `by` to the W_j(eps) of degree d that the row function returns."""
+    from hayesdist.dist import moment_rows
 
-    def corrupt(group, k_, pts, budget=None):
-        W, counts = sieve_rows(group, k_, pts, budget)
-        if k_ == k:
-            W[j - k - 1, eps] += by
-        return W, counts
+    def corrupt(group, pts, counts, d_, j_lo, budget=None):
+        W = moment_rows(group, pts, counts, d_, j_lo, budget)
+        if d_ == d:
+            W[j - j_lo, eps] += by
+        return W
 
-    monkeypatch.setattr("hayesdist.dist.sieve_rows", corrupt)
+    monkeypatch.setattr("hayesdist.dist.moment_rows", corrupt)
 
 
 def test_moments_check_failure_record(capsys, monkeypatch):
     # one wrong W_j(eps) of the sieve fails exactly its (k, eps, j) cell,
-    # with both sides written as reduced fractions of q^k
-    _corrupt_sieve_row(monkeypatch, 1, 2, 3, 3)
+    # with both sides written as reduced fractions of q^k; d = k + t + ell
+    _corrupt_moment_row(monkeypatch, 3, 2, 3, 3)
     code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"])
     assert code == 1 and not data["pass"]
     (bad,) = data["failures"]
@@ -70,9 +70,10 @@ def test_moments_check_failure_record(capsys, monkeypatch):
     ids=["moments-check", "series-check"],
 )
 def test_a_corrupt_sieve_row_fails_exactly_its_cell(capsys, monkeypatch, argv, failed):
-    # both checks of the moment identity read the sieve's W_j rows, so one
-    # wrong W_j(eps) fails that (k, eps, j) cell and nothing else
-    _corrupt_sieve_row(monkeypatch, 1, 2, 3, 1)
+    # both checks of the moment identity read the W_j rows of the one row
+    # function, so one wrong W_j(eps) fails that (k, eps, j) cell and
+    # nothing else (j = 3 > n, so no product slice reads it)
+    _corrupt_moment_row(monkeypatch, 3, 2, 3, 1)
     code, data = run_json(capsys, argv)
     assert code == 1 and not data["pass"]
     if argv[0] == "moments-check":
@@ -277,11 +278,11 @@ ORACLE = "enumeration comparisons |G| q^k n"
         (["series-check", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--d-max", "6"],
          "evaluation cells q^6 (n+1)", 64, {"dp_cells": 0, "convolution_cells": 0}),
         # series check at |G| = 9, n = 3: its 3^2 * 4 evaluation cells are
-        # below its sieve cells, DP rows 1, 1-2, 1-2 and 1 + (3 + 1) gathers
-        # for d = 1, 2 (phi_0 = 1, phi_1 = 3) in the product slices, plus
-        # the moment slice's sieve run at k = 0, as in moments-check
+        # below its sieve cells, one row run per degree: DP rows 1, 1, 1 and
+        # phi_0 = 1 gather at d = 1; DP rows 1, 1-2, 1-2 and phi_1 + phi_0 =
+        # 3 + 1 gathers at d = 2
         (["series-check", "--p", "3", "--ell", "2", "--Q", "1", "--d-max", "2"],
-         SIEVE, 171, {"dp_cells": 45 + 45, "convolution_cells": 45 + 36}),
+         SIEVE, 117, {"dp_cells": 27 + 45, "convolution_cells": 9 + 36}),
         # bounds-check sums the sieve over k = 0..2 at q = 5, n = 5, |G| = 5:
         # 25 + 5, 40 + 5 and 45 + 5 cells; the refusal names the largest
         # k's 50 cells alone
@@ -542,11 +543,10 @@ def test_truncated_binomial_verdicts_match_fraction_form():
 def test_weil_and_series_work_counts(capsys):
     # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..t+ell = 2,
     # class counts of degrees 0..2; series-check --d-max 3: degrees 0..3
-    # enumerated once each into the joint table, DP rows 1 and 1-2 over the
-    # n = 2 points, and min(|G|, phi_(d-j)) gathers for 1 <= j <= min(d, 2):
-    # phi_0..phi_2 = 1, 2, 6, so 1 (d = 1) + 2 + 1 (d = 2) + 6 + 2 (d = 3);
-    # the moment slices k = 0, 1 add the sieve's 3 + 2 DP rows and 3 + 2
-    # gathers, as in the moments-check case
+    # enumerated once each into the joint table, and one row run per degree
+    # d = 1..3 over the n = 2 points: DP rows 1, 1 (d = 1) and 1, 1-2
+    # (d = 2, 3), and min(|G|, phi_(d-j)) gathers for 1 <= j <= min(d, 2):
+    # phi_0..phi_2 = 1, 2, 6, so 1 (d = 1) + 2 + 1 (d = 2) + 6 + 2 (d = 3)
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
     assert code == 0
     assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9, "character_sums": 5 * 3}
@@ -554,24 +554,23 @@ def test_weil_and_series_work_counts(capsys):
     assert code == 0
     assert data["work"] == {
         "classes": 6, "polynomials_checked": 1 + 3 + 9 + 27,
-        "dp_cells": 6 * (3 + 5), "convolution_cells": 6 * (12 + 5),
+        "dp_cells": 6 * (2 + 3 + 3), "convolution_cells": 6 * 12,
     }
 
 
 def test_series_check_counts_factorization_pairs(capsys):
     # the moment slice's W_j, the counts of the factorization pairs (g, S),
-    # come from the sieve, so its work is the sieve's cells, not the pairs.
-    # Q = x^2 + 1 has no root in GF(3), so n = 3 and |G| = 9 * phi_2 = 72;
-    # d-max 4 = t + ell leaves the moment slice k = 0 alone, one sieve run
-    # at d = 4: DP rows 1, 1-2, 1-3 over the three points and
-    # phi_3 + phi_2 + phi_1 = 24 + 8 + 3 gathers.  The product slices' table
-    # has the same 6 rows, and 1 + (3 + 1) + (8 + 3 + 1) + (24 + 8 + 3)
-    # gathers for d = 1..4
+    # come from the row function, so its work is the sieve's cells, not the
+    # pairs.  Q = x^2 + 1 has no root in GF(3), so n = 3 and
+    # |G| = 9 * phi_2 = 72; one row run per degree d = 1..4 over the three
+    # points: DP rows 1, 1, 1 (d = 1), 1, 1-2, 1-2 (d = 2) and 1, 1-2, 1-3
+    # (d = 3, 4), so 3 + 5 + 6 + 6 rows, and 1 + (3 + 1) + (8 + 3 + 1) +
+    # (24 + 8 + 3) gathers
     code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "2", "--Q", "x^2 + 1", "--d-max", "4"])
     assert code == 0 and data["pass"]
     assert "factorization_pairs" not in data["work"]
-    assert data["work"]["dp_cells"] == 72 * (6 + 6)
-    assert data["work"]["convolution_cells"] == 72 * (52 + 35)
+    assert data["work"]["dp_cells"] == 72 * (3 + 5 + 6 + 6)
+    assert data["work"]["convolution_cells"] == 72 * 52
 
 
 def test_csv_header_carries_engine(capsys):
@@ -902,13 +901,15 @@ def test_main_freezes_the_heap_only_after_run_returns(monkeypatch):
         ["approx", "--p", "2", "--a", "5", "--ell", "2", "--Q", "1", "--k", "4"],
         ["moments-check", "--p", "2", "--a", "3", "--ell", "2", "--Q", "x + 1", "--k", "3"],
         ["bounds-check", "--p", "2", "--a", "4", "--ell", "2", "--Q", "1", "--k", "3"],
+        ["series-check", "--p", "2", "--ell", "1", "--Q", "x^5 + x^2 + 1", "--d-max", "8"],
     ],
-    ids=["approx", "moments-check", "bounds-check"],
+    ids=["approx", "moments-check", "bounds-check", "series-check"],
 )
 def test_an_artifact_is_written_without_holding_its_records(tmp_path, argv):
     # the records are made one at a time as they are written, so the job's
-    # traced allocations peak below the size of the artifact (2.3, 1.2 and
-    # 0.6 MB here; holding the records took the peak to 4.0, 4.1 and 1.9 MB)
+    # traced allocations peak below the size of the artifact (2.3, 1.2, 0.6
+    # and 0.15 MB here; holding the records took the peak to 4.0, 4.1, 1.9
+    # and 0.78 MB)
     out = tmp_path / "artifact"
     argv = argv + ["--out", str(out)]
     assert run(argv) == 0  # imports and field tables

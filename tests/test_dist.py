@@ -18,6 +18,7 @@ from hayesdist.dist import (
     factorization_counts,
     group_convolve,
     joint_zero_counts,
+    moment_rows,
     rs_census,
     rs_distance_row,
     rs_group,
@@ -259,9 +260,31 @@ class TestSieveDifferential:
                     prod = prod * Polynomial(F5, (F5.neg(a), F5.one))
                 want[G.class_of(prod)] += 1
             assert full[j].tolist() == want, j
-        # the banded table drops rows that cannot reach j_lo, and keeps the rest exact
-        banded = subset_product_table(G, pts, 3, 4)
-        assert banded[3:].tolist() == full[3:5].tolist()
+
+    @pytest.mark.parametrize(
+        "key, d",
+        [
+            ((5, 1, 1, "x^2 + x + 1"), 5),  # one cyclic factor of order 120; n = 5 = d
+            ((3, 1, 1, "x^2 + 1"), 5),  # one cyclic factor of order 24; n = 3 < d
+            ((7, 1, 1, "x^3 + x + 1"), 3),  # one cyclic factor of order 2394 = 2 3^2 7 19; n = 7 > d
+            ((2, 2, 1, "x^2 + x"), 3),  # two cyclic factors of order 6; n = 2 < d
+            ((5, 1, 0, "x^2"), 4),  # ell = 0, one cyclic factor of order 20; n = 4 = d
+            ((3, 1, 0, "x^2 + 1"), 4),  # ell = 0, one cyclic factor of order 8; n = 3 < d
+            ((2, 1, 0, "1"), 3),  # the trivial group; n = 2 < d
+            ((5, 1, 0, "1"), 2),  # the trivial group; n = 5 > d
+        ],
+    )
+    def test_banded_rows_equal_the_unbanded_rows(self, groups, key, d):
+        # the k + 1 banding of sieve_rows: the table drops rows that cannot
+        # reach j_lo, and rows j >= j_lo of the row function are the
+        # unbanded rows (j_lo = 1) for every j_lo in 1..min(n, d)
+        G = groups(*key)
+        pts = default_point_set(G.params)
+        n = len(pts)
+        full = moment_rows(G, pts, G.monic_class_counts, d, 1).tolist()
+        assert len(full) == d and all(not any(row) for row in full[n:])
+        for j_lo in range(1, min(n, d) + 1):
+            assert moment_rows(G, pts, G.monic_class_counts, d, j_lo).tolist() == full[j_lo - 1:], j_lo
 
     def test_sieve_work(self, groups):
         # q = 5, n = 5, |G| = 5, d = 2: the DP updates rows 1, 1-2, 1-2, 1-2
@@ -341,18 +364,16 @@ class TestSeriesIdentities:
     def test_all_identities_hold(self, groups, key):
         G = groups(*key)
         d_max = G.params.t + G.params.ell + 3
-        report = verify_series_identities(G, d_max)
-        assert report.all_ok, report.failures()[:3]
+        passed, checks, _ = verify_series_identities(G, d_max)
+        assert passed, [c for c in checks if not c["pass"]][:3]
 
     @pytest.mark.parametrize(
         "key", [(2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 2, "1"), (3, 1, 0, "x^2 + 1"), (2, 2, 1, "x^2 + x"), (2, 1, 0, "1")]
     )
     def test_work_counts_the_gathers_and_rows_it_makes(self, groups, monkeypatch, key):
         # convolution_cells is |G| per nonzero class count that
-        # group_convolve gathers, exactly, the moment slices' sieve runs
-        # included; dp_cells is the product slices' table, rows
-        # 1..min(i+1, min(d_max, n)) for the i-th point, times |G|, plus the
-        # DP cells of one sieve run per moment slice k <= d_max - t - ell
+        # group_convolve gathers, exactly; dp_cells is one unbanded table per
+        # degree d <= d_max, rows 1..min(i+1, d) for the i-th point, times |G|
         G = groups(*key)
         t, ell = G.params.t, G.params.ell
         n = len(default_point_set(G.params))
@@ -365,43 +386,43 @@ class TestSeriesIdentities:
         monkeypatch.setattr("hayesdist.dist.group_convolve", counted)
         for d_max in range(t + ell + 3):
             gathers.clear()
-            report = verify_series_identities(G, d_max)
-            assert report.all_ok
-            assert report.work["convolution_cells"] == G.order * sum(gathers), d_max
-            slices = sum(sieve_work(G, k, n)["dp_cells"] for k in range(d_max - t - ell + 1))
-            assert report.work["dp_cells"] == G.order * sum(min(i + 1, d_max) for i in range(n)) + slices, d_max
+            passed, _, work = verify_series_identities(G, d_max)
+            assert passed
+            assert work["convolution_cells"] == G.order * sum(gathers), d_max
+            rows = sum(min(i + 1, d) for d in range(d_max + 1) for i in range(n))
+            assert work["dp_cells"] == G.order * rows, d_max
 
     def test_degenerate_single_class(self, groups):
-        report = verify_series_identities(groups(2, 1, 0, "1"), 3)
-        assert report.all_ok
+        passed, _, _ = verify_series_identities(groups(2, 1, 0, "1"), 3)
+        assert passed
 
     def test_one_enumeration_per_degree(self, groups, monkeypatch):
         # the joint table is the only enumeration of each degree: no oracle,
-        # no factorization counts; the group's class counts are read only by
-        # the moment slices' sieve runs, and only below degree t + ell = 2
+        # no factorization counts, no class counts of the group; the rows
+        # come from the row function, once per degree, not from sieve_rows
         degrees = []
-        class_count_degrees = []
-        class_counts = ClassGroup.monic_class_counts
+        row_degrees = []
 
         def spy(group, d, points=None):
             degrees.append(d)
             return joint_zero_counts(group, d, points)
 
-        def low_degree(group, d, budget=None):
-            class_count_degrees.append(d)
-            return class_counts(group, d, budget)
+        def rows(group, pts, counts, d, j_lo, budget=None):
+            row_degrees.append((d, j_lo))
+            return moment_rows(group, pts, counts, d, j_lo, budget)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a second enumeration ran")
 
         monkeypatch.setattr("hayesdist.dist.joint_zero_counts", spy)
-        monkeypatch.setattr("hayesdist.dist.enumeration_distributions_all", forbidden)
-        monkeypatch.setattr("hayesdist.dist.factorization_counts", forbidden)
-        monkeypatch.setattr(ClassGroup, "monic_class_counts", low_degree)
-        report = verify_series_identities(groups(3, 1, 1, "x"), 4)
-        assert report.all_ok
+        monkeypatch.setattr("hayesdist.dist.moment_rows", rows)
+        for name in ("enumeration_distributions_all", "factorization_counts", "sieve_rows"):
+            monkeypatch.setattr(f"hayesdist.dist.{name}", forbidden)
+        monkeypatch.setattr(ClassGroup, "monic_class_counts", forbidden)
+        passed, _, _ = verify_series_identities(groups(3, 1, 1, "x"), 4)
+        assert passed
         assert degrees == [0, 1, 2, 3, 4]
-        assert set(class_count_degrees) == {0, 1}
+        assert row_degrees == [(d, 1) for d in range(5)]
 
     def test_budget_refused_before_any_enumeration(self, groups, monkeypatch):
         def spy(*args, **kwargs):
@@ -416,13 +437,13 @@ class TestSeriesIdentities:
 
 
 def _corrupt_factorization_counts(monkeypatch):
-    # class 0 of every W_j row that the sieve returns
-    def corrupt(group, k, pts, budget=None):
-        W, counts = sieve_rows(group, k, pts, budget)
+    # class 0 of every W_j row that the row function returns, rows past n included
+    def corrupt(group, pts, counts, d, j_lo, budget=None):
+        W = moment_rows(group, pts, counts, d, j_lo, budget)
         W[:, 0] += 1
-        return W, counts
+        return W
 
-    monkeypatch.setattr("hayesdist.dist.sieve_rows", corrupt)
+    monkeypatch.setattr("hayesdist.dist.moment_rows", corrupt)
 
 
 def _corrupt_group_convolve(monkeypatch):
@@ -460,10 +481,20 @@ def _corrupt_linear_class_count(monkeypatch):
 @pytest.mark.parametrize(
     "corrupt, expected",
     [
-        # |G| = 6, t = ell = 1, n = 2, d_max = 4: moment slices k = 0..2 use
-        # the sieve's W_j rows for j = k+1..k+2
-        (_corrupt_factorization_counts, {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2)}),
-        (_corrupt_group_convolve, {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(1, min(d, 2) + 1)}),
+        # |G| = 6, t = ell = 1, n = 2, d_max = 4: the product slices read
+        # the rows W_j for 1 <= j <= min(d, n), and the moment slices
+        # k = 0..2 the rows for j = k+1..k+2; a row past n is formed without
+        # a convolution
+        (
+            _corrupt_factorization_counts,
+            {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(1, min(d, 2) + 1)}
+            | {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2)},
+        ),
+        (
+            _corrupt_group_convolve,
+            {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(1, min(d, 2) + 1)}
+            | {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2) if j <= 2},
+        ),
         (_corrupt_joint_zero_counts, {"product slice z^3 (u-1)^1"}),
         # the (u-1)^0 slice is the class counts: q^(d-t-ell) each, or 0/1 with total Phi_d(Q)
         (_corrupt_cubic_class_count, {"product slice z^3 (u-1)^0", "geometric tail, degree 3"}),
@@ -474,9 +505,9 @@ def test_series_check_catches_a_corrupt_cell(groups, monkeypatch, corrupt, expec
     # each side of the series identities comes from its own route, so one
     # wrong cell on any route fails a slice with the expected name
     corrupt(monkeypatch)
-    report = verify_series_identities(groups(3, 1, 1, "x"), 4)
-    failed = {c.name for c in report.failures()}
-    assert expected <= failed
+    passed, checks, _ = verify_series_identities(groups(3, 1, 1, "x"), 4)
+    failed = {c["name"] for c in checks if not c["pass"]}
+    assert not passed and expected <= failed
 
 
 class TestReedSolomon:

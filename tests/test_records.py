@@ -8,7 +8,7 @@ import pytest
 
 from hayesdist.asym import ConditionResult, Regime
 from hayesdist.chars import LPolynomial, LPolynomials
-from hayesdist.dist import CheckRecord, RSDistanceRow, SeriesReport, ZeroDistribution
+from hayesdist.dist import RSDistanceRow, ZeroDistribution
 from hayesdist.ffield import FieldSpec, FqElement, Polynomial
 from hayesdist.hayes import HayesParams, HayesSignature
 
@@ -123,6 +123,3 @@ def test_mutable_records_compare_by_fields_and_are_unhashable():
     for value in (dist, row):
         with pytest.raises(TypeError):
             hash(value)
-    report = SeriesReport([CheckRecord("a", True), CheckRecord("b", False, "why")], {"dp_cells": 0})
-    assert not report.all_ok and report.failures() == [CheckRecord("b", False, "why")]
-    assert CheckRecord("a", True).detail == ""
