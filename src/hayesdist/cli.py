@@ -288,12 +288,14 @@ def cmd_weil(args) -> int:
 
 
 def truncated_binomial_verdicts():
-    """Exact verdicts of the truncated-binomial floor and proximity checks,
-    one per cell (n, qq, r, m) with n <= 12, 2 <= qq <= 9, r <= n and
-    m <= 12, yielded as (n, qq, r, m, floor, close).
+    """Exact verdicts of the truncated-binomial floor and proximity checks
+    on the cells (n, qq, r, m) with n <= 12, 2 <= qq <= 9, r <= n and
+    m <= 12.  Both verdicts depend on n and r only through N = n - r, so
+    they are yielded once per (N, qq, m), as (N, qq, m, floor, close).
 
-    With N = n - r, mu_m(r) = num_m / qq^m for the running integer numerator
-    num_m = num_(m-1) qq + (-1)^m C(N, m), so both checks are integer ones:
+    mu_m(r) = num_m / qq^m for the running integer numerator
+    num_m = num_(m-1) qq + (-1)^m C(N, m), computed once per (N, qq), so
+    both checks are integer ones:
 
       floor:  mu_m >= (qq - N)/qq            iff  num_m >= (qq - N) qq^(m-1)
       close:  |mu_m - (1-1/qq)^N| <= C(N, m+1) qq^-(m+1)
@@ -301,17 +303,15 @@ def truncated_binomial_verdicts():
 
     `floor` is None at m = 0 and is reported for every other cell, also
     where N > qq and the alternating floor need not hold."""
-    for n in range(13):
+    for N in range(13):
         for qq in range(2, 10):
-            for r in range(n + 1):
-                N = n - r
-                full = (qq - 1) ** N
-                num = 0
-                for m in range(13):
-                    num = num * qq + (-1) ** m * math.comb(N, m)
-                    floor = num >= (qq - N) * qq ** (m - 1) if m >= 1 else None
-                    close = abs(num * qq ** (N + 1) - full * qq ** (m + 1)) <= math.comb(N, m + 1) * qq ** N
-                    yield n, qq, r, m, floor, close
+            full = (qq - 1) ** N
+            num = 0
+            for m in range(13):
+                num = num * qq + (-1) ** m * math.comb(N, m)
+                floor = num >= (qq - N) * qq ** (m - 1) if m >= 1 else None
+                close = abs(num * qq ** (N + 1) - full * qq ** (m + 1)) <= math.comb(N, m + 1) * qq ** N
+                yield N, qq, m, floor, close
 
 
 def cmd_bounds_check(args) -> int:
@@ -353,8 +353,8 @@ def cmd_bounds_check(args) -> int:
     # and proximity to (1-1/q)^(n-r)
     mu_ok = True
     close_ok = True
-    for n, qq, r, m, floor, close in truncated_binomial_verdicts():
-        if m >= 1 and n - r <= qq:
+    for N, qq, m, floor, close in truncated_binomial_verdicts():
+        if m >= 1 and N <= qq:
             mu_ok &= floor
         close_ok &= close
     record("truncated binomial floor", mu_ok, "mu_m(r)", "(q-n+r)/q on n-r <= q")

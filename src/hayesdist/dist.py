@@ -21,8 +21,9 @@ once per point -- and N_e counts monic degree-e polynomials per class.
 Here e < t + ell, and a class holds at most one polynomial of such a
 degree, so N_e has Phi_e(Q) nonzero entries.  The work is polynomial in q:
 at most n * (min(n, d) + 1) * |G| DP cells plus |G| per nonzero N_e entry,
-where enumeration costs |G| * q^k * n comparisons.  All arithmetic is on
-Python integers (numpy object arrays).
+where enumeration costs |G| * q^k * n comparisons.  Counts are Python
+integers (numpy object arrays); `group_convolve` gathers a block of
+translations at once and sums them in int64 where no sum can reach 2^63.
 
 Enumeration oracle.  The monic degree-d members of a class are exactly
 base + h*Q where base is any one member and h runs over all q^k
@@ -56,15 +57,19 @@ tests.
 
 `factorization_counts` enumerates the pairs (g, S) behind W_j, a second
 route to the sieve's rows that no command calls: the tests compare the
-rows with it.  It, the series check's joint table and the oracle's target
-vectors run on the field's row kernel
-(`FieldSpec.monic_rows` / `mul_rows` / `eval_rows`): every polynomial is
-still formed, labelled with `ClassGroup.classes_of` and evaluated
-explicitly, a block of at most _BLOCK_ROWS (factorization products) or
-`MONIC_BLOCK_ROWS` (monic enumeration) rows at a time, and none of them
-touches the group multiplication, `group_convolve` or the sieve.  The
-census word list stays object-level: `Polynomial` objects, labelled a block
-of _LABEL_ROWS per call.
+rows with it.  It and the oracle's target vectors run on the field's row
+kernel (`FieldSpec.monic_rows` / `mul_rows` / `eval_rows`): every product
+is formed, labelled with `ClassGroup.classes_of` and evaluated explicitly,
+a block of at most _BLOCK_ROWS rows at a time.  The series check's joint
+table reads the monic-enumeration kernel through
+`ClassGroup.monic_class_blocks`: each monic f of degree d is low + x^s g,
+the g's of degree F (q^F <= `MONIC_BLOCK_ROWS`) are tabulated once (values
+at the points, residues mod Q, leading digits), and a block of one low
+prefix costs O(n + t + ell) lookups per polynomial, with no row of
+coefficients formed.  None of these routes touches the group
+multiplication, `group_convolve` or the sieve.  The census word list stays
+object-level: `Polynomial` objects, labelled a block of _LABEL_ROWS per
+call.
 
 `moment_rows` is the one place where W_j is formed: the only caller of
 `subset_product_table` and of `group_convolve`, the one group-algebra
@@ -82,12 +87,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._record import Record
-from .comb import truncated_binomial_sum
 from .errors import ValidationError, check_budget
 from .ffield import (
     FieldSpec,
@@ -97,9 +101,14 @@ from .ffield import (
 )
 from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, phi
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 _BLOCK_ROWS = 1 << 16  # factorization product blocks: at most this many rows at once
 _AGREEMENT_CELLS = 1 << 14  # oracle blocks: low evaluation vectors, (target, low row) agreement counts
 _HISTOGRAM_CELLS = 1 << 16  # oracle blocks: (target, count) cells per histogram
+_GATHER_ROWS = 16  # group convolution: classes c gathered at once ...
+_GATHER_CELLS = 1 << 14  # ... and (c, class) cells
 _LABEL_ROWS = 1 << 10  # polynomials labelled per ClassGroup.classes_of call
 _CENSUS_WORDS = 1 << 12  # rs census: received words listed only while q^(k+ell) is at most this
 
@@ -222,9 +231,13 @@ class ZeroDistribution(Record):
         self.total = total
 
     def probability(self, r: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.counts.get(r, 0), self.total)
 
     def probabilities(self) -> dict[int, Fraction]:
+        from fractions import Fraction
+
         return {r: Fraction(c, self.total) for r, c in sorted(self.counts.items())}
 
     def to_json(self) -> dict:
@@ -360,13 +373,21 @@ def subset_product_table(
 
 def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray:
     """Group-algebra product of the class functions u and v (an object array),
-    out[eps] = sum_c u[c] v[eps c^-1]: one |G|-gather of v per nonzero u[c].
-    An object array of Python integers."""
-    out = np.zeros(group.order, dtype=object)
-    for c, uc in enumerate(u):
-        if uc:
-            out += uc * v[group.translation(group.inv(c))]
-    return out
+    out[eps] = sum_c u[c] v[eps c^-1]: one |G|-gather of v per nonzero u[c],
+    made for a block of at most _GATHER_ROWS classes c and _GATHER_CELLS
+    cells at a time (`ClassGroup.quotients`) and summed by one vector-matrix
+    product per block.  The products run in int64 when
+    max |u| * sum |v| < 2^63, which bounds every partial sum, and on Python
+    integers otherwise.  An object array of Python integers."""
+    cs = [c for c, uc in enumerate(u) if uc]
+    weights = [u[c] for c in cs]
+    dtype = np.int64 if max(map(abs, weights), default=0) * sum(map(abs, v)) < 1 << 63 else object
+    v = np.asarray(v).astype(dtype)
+    out = np.zeros(group.order, dtype=dtype)
+    per_block = max(1, min(_GATHER_ROWS, _GATHER_CELLS // group.order))
+    for lo in range(0, len(cs), per_block):
+        out += np.array(weights[lo:lo + per_block], dtype=dtype) @ v[group.quotients(cs[lo:lo + per_block])]
+    return out.astype(object)
 
 
 SIEVE_CELLS = "sieve cells (DP + convolution)"
@@ -470,6 +491,8 @@ def binomial_moments(dist: ZeroDistribution, j_max: int) -> list[int]:
 
 def factorial_moments(dist: ZeroDistribution, j_max: int) -> list[Fraction]:
     """E[C(Y, j)] for j = 0..j_max, exactly from the counts."""
+    from fractions import Fraction
+
     return [Fraction(w, dist.total) for w in binomial_moments(dist, j_max)]
 
 
@@ -525,6 +548,10 @@ def pmf_prediction(params: HayesParams, n: int, r: int, k: int) -> Fraction:
 
     with the sum over k+1 <= j <= k+t+ell.  It depends on the class group
     only through (q, t, ell, Q), so one value serves every class."""
+    from fractions import Fraction
+
+    from .comb import truncated_binomial_sum
+
     q = params.spec.q
     t, ell = params.t, params.ell
     if r > n:
@@ -554,14 +581,11 @@ def joint_zero_counts(group: ClassGroup, d: int, points=None) -> np.ndarray:
     """Per class and r, the number of monic degree-d polynomials of that class
     with exactly r distinct zeros in D: an (|G|, n+1) int64 array, by
     enumerating, labelling and evaluating every monic polynomial of degree d."""
-    spec = group.params.spec
     pts = _validated_points(group.params, points)
-    point_idx = [a.index for a in pts]
     width = len(pts) + 1
     joint = np.zeros((group.order + 1) * width, dtype=np.int64)  # class row 0: not coprime
-    for rows in spec.monic_row_blocks(d, MONIC_BLOCK_ROWS):
-        zeros = (spec.eval_rows(rows, point_idx) == 0).sum(axis=1)
-        joint += np.bincount((group.classes_of(rows) + 1) * width + zeros, minlength=len(joint))
+    for classes, zeros in group.monic_class_blocks(d, [a.index for a in pts], MONIC_BLOCK_ROWS):
+        joint += np.bincount((classes + 1) * width + zeros, minlength=len(joint))
     return joint.reshape(group.order + 1, width)[1:]
 
 
@@ -599,7 +623,8 @@ def verify_series_identities(
 
     Returns the verdict, the check records ({"name", "pass", "detail"}
     dicts, each made as it is read) and the work counts.  Every table is
-    built before this returns, so a budget refusal comes before any record.
+    built before this returns, so a budget refusal comes before any record,
+    and the verdict compares the tables row by row, formatting no record.
     """
     params = group.params
     q = params.spec.q
@@ -623,43 +648,68 @@ def verify_series_identities(
     W: list[list[list[int]]] = []  # W[d][j - 1][class]
     zeros = [0] * group.order  # M[d][j] for j > n: no polynomial has more than n zeros in D
     for d in range(d_max + 1):
-        joint = joint_zero_counts(group, d, pts).tolist()
-        N.append([sum(row) for row in joint])
         j_hi = min(d, n)
-        M.append([[sum(math.comb(r, j) * c for r, c in enumerate(row)) for row in joint] for j in range(j_hi + 1)])
-        M[d] += [zeros] * (d - j_hi)
+        binomials = np.array([[math.comb(r, j) for j in range(j_hi + 1)] for r in range(n + 1)], dtype=object)
+        moments = joint_zero_counts(group, d, pts).astype(object) @ binomials
+        M.append(moments.T.tolist() + [zeros] * (d - j_hi))
+        N.append(M[d][0])  # the (u-1)^0 moment: the row sums of the joint table
         W.append(moment_rows(group, pts, N.__getitem__, d, 1, budget).tolist())
 
-    def checks():
-        """(name, pass, detail) of every slice, in order."""
-        for d in range(t + ell, d_max + 1):
-            ok = all(c == q ** (d - t - ell) for c in N[d])
-            yield f"geometric tail, degree {d}", ok, f"expected q^{d - t - ell} per class"
-        for d in range(d_max + 1):
-            for j in range(min(d, n) + 1):
-                lhs = M[d][j]
-                if j:
-                    rhs = W[d][j - 1]
-                    ok = lhs == rhs
-                elif d >= t + ell:  # (u-1)^0: the class counts, whose convolution with <1> is themselves
-                    rhs = [q ** (d - t - ell)] * group.order
-                    ok = lhs == rhs
-                else:  # below t + ell a class holds at most one polynomial of degree d
-                    rhs = f"0 or 1 per class, phi_{d}(Q) = {phi(d, params.Q)} in all"
-                    ok = set(lhs) <= {0, 1} and sum(lhs) == phi(d, params.Q)
-                yield f"product slice z^{d} (u-1)^{j}", ok, "" if ok else f"lhs={lhs} rhs={rhs}"
-        for k in range(0, d_max - t - ell + 1):
+    tails = range(t + ell, d_max + 1)
+    products = [(d, j) for d in range(d_max + 1) for j in range(min(d, n) + 1)]
+    ks = range(d_max - t - ell + 1)
+
+    def tail_ok(d: int) -> bool:
+        return N[d] == [q ** (d - t - ell)] * group.order
+
+    def product_rhs(d: int, j: int) -> list[int] | None:
+        """The right side of the (u-1)^j slice of degree d, or None below t + ell at j = 0."""
+        if j:
+            return W[d][j - 1]
+        if d >= t + ell:  # (u-1)^0: the class counts, whose convolution with <1> is themselves
+            return [q ** (d - t - ell)] * group.order
+        return None  # below t + ell a class holds at most one polynomial of degree d
+
+    def product_ok(d: int, j: int) -> bool:
+        lhs, rhs = M[d][j], product_rhs(d, j)
+        if rhs is None:
+            return set(lhs) <= {0, 1} and sum(lhs) == phi(d, params.Q)
+        return lhs == rhs
+
+    def moment_slice(k: int) -> list[list[int]]:
+        """The expected rows j = 0..d of the degree-d slice, d = k + t + ell:
+        C(n, j) q^(k-j) per class for j <= k, the rows W_j above."""
+        d = k + t + ell
+        return [[math.comb(n, j) * q ** (k - j)] * group.order for j in range(k + 1)] + W[d][k:]
+
+    passed = (
+        all(tail_ok(d) for d in tails)
+        and all(product_ok(d, j) for d, j in products)
+        and all(M[k + t + ell] == moment_slice(k) for k in ks)
+    )
+
+    def records():
+        """The check record of every slice, in order, each made as it is read."""
+        for d in tails:
+            detail = f"expected q^{d - t - ell} per class"
+            yield {"name": f"geometric tail, degree {d}", "pass": tail_ok(d), "detail": detail}
+        for d, j in products:
+            ok, rhs = product_ok(d, j), product_rhs(d, j)
+            if rhs is None:
+                rhs = f"0 or 1 per class, phi_{d}(Q) = {phi(d, params.Q)} in all"
+            detail = "" if ok else f"lhs={M[d][j]} rhs={rhs}"
+            yield {"name": f"product slice z^{d} (u-1)^{j}", "pass": ok, "detail": detail}
+        for k in ks:
             d = k + t + ell
+            expected = moment_slice(k)
             for eps in range(group.order):
                 for j in range(0, d + 1):
-                    got = M[d][j][eps]
-                    want = math.comb(n, j) * q ** (k - j) if j <= k else W[d][j - 1][eps]
+                    got, want = M[d][j][eps], expected[j][eps]
                     ok = got == want
-                    yield f"moment slice k={k} eps={eps} (u-1)^{j}", ok, "" if ok else f"got={got} want={want}"
+                    detail = "" if ok else f"got={got} want={want}"
+                    yield {"name": f"moment slice k={k} eps={eps} (u-1)^{j}", "pass": ok, "detail": detail}
 
-    passed = all(ok for _, ok, _ in checks())
-    records = ({"name": name, "pass": ok, "detail": detail} for name, ok, detail in checks())
-    return passed, records, work
+    return passed, records(), work
 
 
 # ---------------------------------------------------------------------------

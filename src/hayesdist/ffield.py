@@ -18,12 +18,17 @@ triple, so the tables are built once per process.
 The same tables drive the package's one array polynomial kernel: blocks of
 polynomials as uint8 rows of index coefficients, with `FieldSpec.monic_rows`
 (enumeration), `mul_rows` (row-wise products), `mod_rows` (remainders) and
-`eval_rows` (Horner evaluation at a vector of points).  The kernel reads
-`add_table`, `sub_table` and `mul_table`: read-only numpy views of the
-tables' buffers, made without a copy on first use.  Numpy is imported only
-there, in the view properties and in the row kernel, so scalar work (the
-tables, `Polynomial`, factoring Q and Phi_j(Q)) never loads it.
-`Polynomial` is the object-level form the kernel is tested against.
+`eval_rows` (Horner evaluation at a vector of points).  Its enumeration
+form, `monic_blocks`, forms no rows: it gives the zero counts at a vector
+of points, the residues mod a monic modulus and the leading digits of all
+monic polynomials of one degree, by prefix extension from a table of
+their high parts, at O(n + deg mod + ell) lookups per polynomial.  The
+kernel reads `add_table`, `sub_table` and `mul_table`: read-only numpy
+views of the tables' buffers, made without a copy on first use.  Numpy is
+imported only there, in the view properties and in the row kernel, so
+scalar work (the tables, `Polynomial`, factoring Q and Phi_j(Q)) never
+loads it.  `Polynomial` is the object-level form the kernel is tested
+against.
 
 Three encodings are used throughout:
 
@@ -340,6 +345,83 @@ class FieldSpec(metaclass=_Shared):
             free -= 1
         for prefix in itertools.product(range(self.q), repeat=d - free):
             yield self.monic_rows(d, prefix)
+
+    def monic_blocks(
+        self, d: int, points, mod: tuple[int, ...], ell: int, max_rows: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The monic degree-d polynomials f in `enumerate_monic` order, in
+        blocks of at most max_rows, each block as three arrays with one
+        column per polynomial: how many of the elements with indices `points`
+        are zeros of f (R), the coefficients of f modulo the monic `mod`
+        (index coefficients; deg mod rows of R, uint8) and f's leading
+        digits, the coefficients of x^(d-1), ..., x^(d-ell), zero below x^0
+        (ell rows of R, uint8).  No row of coefficients is formed.
+
+        Each f is low + x^s g with g monic of degree F, the largest F <= d
+        with q^F <= max_rows, and deg low < s = d - F; a block holds the g's
+        of one low, which `enumerate_monic` lists together.  A table of the
+        g's (values at the points, residues, digits) is built degree by
+        degree, g = c + x h from the table of the h's, and then multiplied by
+        x^s once: values times alpha^s, residues times x mod `mod` s times.
+        A block compares the table's values with -low(alpha), adds low's
+        residue to the table's, and takes the digits of x^(F+1)..x^ell from
+        low: O(n + deg mod + ell) operations per polynomial."""
+        import numpy as np
+
+        q = self.q
+        add, sub, mul = self.add_table, self.sub_table, self.mul_table
+        order = self._index_at  # element indices in element order
+        pts = np.asarray(points, dtype=np.intp)
+        n, t = len(pts), len(mod) - 1
+        mod_low = np.array(mod[:-1], dtype=np.intp)[:, None]  # m_0..m_{t-1}, one per residue digit
+
+        def times_x(res: np.ndarray) -> np.ndarray:
+            """x * res mod `mod`: the digits shifted up, the top one folded back."""
+            if not t:
+                return res
+            out = np.zeros_like(res)
+            out[1:] = res[:-1]
+            return sub[out, mul[mod_low, res[-1]]]
+
+        F = 0
+        while F < d and q ** (F + 1) <= max_rows:
+            F += 1
+        vals = np.ones((n, 1), dtype=np.uint8)  # the polynomial 1
+        res = np.zeros((t, 1), dtype=np.uint8)
+        res[:1] = 1
+        lead = np.zeros((ell, 1), dtype=np.uint8)
+        for e in range(1, F + 1):
+            # g = c + x h, c slowest in element order, h over the last table
+            rows = vals.shape[1]
+            const = np.repeat(order, rows)
+            vals = add[order[:, None], mul[pts[:, None], vals][:, None, :]].reshape(n, q * rows)
+            res = np.tile(times_x(res), q)
+            res[:1] = add[const, res[:1]]
+            lead = np.tile(lead, q)  # digit j of g is digit j of h for j < e
+            if e <= ell:
+                lead[e - 1] = const
+        s = d - F
+        if s:
+            power = np.ones(n, dtype=np.uint8)  # alpha^s at each point
+            for _ in range(s):
+                power = mul[power, pts]
+                res = times_x(res)
+            vals = mul[power[:, None], vals]
+        for prefix in itertools.product(range(q), repeat=s):
+            low = order[list(prefix)]  # index coefficients of x^0..x^(s-1)
+            at = np.zeros(n, dtype=np.uint8)
+            for c in low[::-1]:
+                at = add[mul[at, pts], c]
+            block_res = np.empty_like(res)
+            for row, r, c in zip(block_res, res, self.mod_rows(low[None, :], mod)[0].tolist()):
+                row[:] = add[c][r]
+            block_lead = lead
+            if F < min(ell, d):
+                block_lead = lead.copy()
+                for j in range(F + 1, min(ell, d) + 1):
+                    block_lead[j - 1] = low[d - j]
+            # f(alpha) = 0 where (x^s g)(alpha) = -low(alpha)
+            yield (vals == sub[0, at][:, None]).sum(axis=0), block_res, block_lead
 
     def mul_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Row-wise products A_i * B_i of two arrays with the same number of rows."""

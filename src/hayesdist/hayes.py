@@ -19,11 +19,17 @@ orders n_1..n_m; a class is stored by its exponent tuple (its *dlog*),
 products and inverses are index arithmetic on those tuples, and a
 translation rolls the classes laid out on the grid of tuples.
 
-Codes come from `ClassGroup._codes` on rows of index coefficients, on the
-field's row kernel (`FieldSpec.mod_rows`).  `ClassGroup.classes_of` labels
-a block of monic polynomials of one degree with it, and `class_of` is its
-one-row form; `signature` is the object-level definition the kernel is
+Codes come from `ClassGroup._code` on residue and leading digits: from
+rows of index coefficients, on the field's row kernel (`FieldSpec.mod_rows`,
+in `_codes`), or straight from the field's monic-enumeration kernel
+(`FieldSpec.monic_blocks`).  `ClassGroup.classes_of` labels a block of
+monic polynomials of one degree with it, and `class_of` is its one-row
+form; `monic_class_blocks` labels every monic polynomial of one degree
+through the same lookup, without forming a row, and `monic_class_counts`
+counts them.  `signature` is the object-level definition the kernel is
 tested against.  `member_base_rows` is the row form of `member_base`.
+`quotients` gives the translations i -> i c^-1 of a block of classes at
+once, for the group-algebra product.
 
 Phi_j(Q) counts monic degree-j polynomials coprime to Q.  It lives in
 `ffield` (`phi`), where the scalar subcommands reach it without numpy, as do
@@ -108,8 +114,9 @@ class ClassGroup:
     Classes are indexed 0..n-1 in the enumeration order of their canonical
     representatives; a dense lookup maps each of the q^(ell+t) codes to its
     class, or to -1 when the residue is not coprime to Q.  Construction,
-    class counts and labels all go through `classes_of`, on arrays of
-    polynomials with the field's numpy tables.  Representatives are kept
+    class counts and labels all go through that lookup (`_code`), on
+    arrays of polynomials or of their residues and leading digits, with the
+    field's numpy tables.  Representatives are kept
     as rows of index coefficients; `rep(eps)` makes one a `Polynomial`.
     `generators` and `orders` give the decomposition, `dlog[i]` the
     exponent tuple of class i, and the memory is O(|G| m).  Construction is
@@ -154,16 +161,27 @@ class ClassGroup:
 
     # -- class codes -------------------------------------------------------------
 
+    def _code(self, residues: np.ndarray, leading: np.ndarray) -> np.ndarray:
+        """Codes of the signatures with these residue digits (t rows) and
+        leading digits (ell rows, the coefficients of x^(d-1)..x^(d-ell)),
+        one column per polynomial."""
+        q = self._q
+        code = np.zeros(residues.shape[1], dtype=np.int64)
+        for c in residues[::-1]:
+            code *= q
+            code += c
+        for c in leading[::-1]:
+            code *= q
+            code += c
+        return code
+
     def _codes(self, f: np.ndarray) -> np.ndarray:
         """Codes of the monic polynomials in the rows of f (as from `FieldSpec.monic_rows`)."""
-        q, ell = self._q, self._ell
         d = f.shape[1] - 1
-        code = np.zeros(len(f), dtype=np.int64)
-        for c in self._spec.mod_rows(f, self._Q_idx).T[::-1]:
-            code = code * q + c
-        for j in range(ell, 0, -1):
-            code = code * q + (f[:, d - j] if j <= d else 0)
-        return code
+        leading = np.zeros((self._ell, len(f)), dtype=np.uint8)
+        for j in range(1, min(self._ell, d) + 1):
+            leading[j - 1] = f[:, d - j]
+        return self._code(self._spec.mod_rows(f, self._Q_idx).T, leading)
 
     def _products(self, a, b) -> np.ndarray:
         """Classes of rep(a_i) * rep(b_i) for index arrays a and b (either
@@ -266,6 +284,20 @@ class ClassGroup:
         shifts = [-e for e in self.dlog[c].tolist()]
         return np.roll(self._grid, shifts, axis=tuple(range(len(shifts)))).ravel()[self._position]
 
+    def quotients(self, cs) -> np.ndarray:
+        """Classes i * c^-1 for each class c in cs (rows) and every class i
+        (columns): the rows translation(inv(c)) of a block of classes at
+        once.  On the grid, the place of i * c^-1 is a sum over the factors
+        of ((e_i - e_c) mod n) * stride, built by broadcasting one factor at
+        a time, and read at each class's place."""
+        k, m = len(cs), len(self.orders)
+        pos = np.zeros((k,) + (1,) * m, dtype=np.intp)
+        for axis, (shift, n, stride) in enumerate(zip(self.dlog[cs].T, self.orders, self._strides.tolist())):
+            shape = [k] + [1] * m
+            shape[axis + 1] = n
+            pos = pos + ((np.arange(n) - shift[:, None]) % n * stride).reshape(shape)
+        return self._eps_of[pos.reshape(k, self.order)][:, self._position]
+
     def classes_of(self, rows) -> np.ndarray:
         """Class indices of monic polynomials of one degree, given as rows of
         index coefficients (constant term first, leading one last): an int32
@@ -316,10 +348,20 @@ class ClassGroup:
         if d not in self._counts_cache:
             check_budget(f"monic enumeration q^{d}", self._q ** d, budget)
             counts = np.zeros(self.order + 1, dtype=np.int64)  # slot 0: not coprime
-            for rows in self._spec.monic_row_blocks(d, MONIC_BLOCK_ROWS):
-                counts += np.bincount(self.classes_of(rows) + 1, minlength=len(counts))
+            for classes, _ in self.monic_class_blocks(d, (), MONIC_BLOCK_ROWS):
+                counts += np.bincount(classes + 1, minlength=len(counts))
             self._counts_cache[d] = counts[1:].tolist()
         return list(self._counts_cache[d])
+
+    def monic_class_blocks(self, d: int, points, max_rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The monic degree-d polynomials in `enumerate_monic` order, in
+        blocks of at most max_rows, each as (classes, zeros): what
+        `classes_of` gives for the block's polynomials, and how many of the
+        elements with indices `points` each vanishes at.  The field's
+        enumeration kernel (`FieldSpec.monic_blocks`) gives the residues and
+        leading digits, and the code lookup of `classes_of` the classes."""
+        for zeros, residues, leading in self._spec.monic_blocks(d, points, self._Q_idx, self._ell, max_rows):
+            yield self._lookup[self._code(residues, leading)], zeros
 
     @property
     def monic_enumerated(self) -> int:

@@ -6,8 +6,9 @@ brute force over all monic polynomials of one degree, the codeword
 enumeration behind a Reed-Solomon distance row, the members of a Hayes
 class listed one polynomial at a time, the roots of a polynomial by
 evaluation, the cycle counts of a literal permutation, and the Reed-Solomon
-specialization of the mu-corrected mass, and the class-group decomposition
-with its power ladders run to the end.
+specialization of the mu-corrected mass, the class-group decomposition
+with its power ladders run to the end, and the truncated-binomial verdicts
+of `bounds-check` cell by cell.
 """
 
 import itertools
@@ -148,3 +149,22 @@ def decompose_uncut(group):
     dlog = np.empty((n, len(orders)), dtype=np.int64)
     dlog[elements] = everything[:, None] // strides % np.array(orders, dtype=np.int64)
     return tuple(generators), tuple(orders), elements, dlog
+
+
+def truncated_binomial_verdicts_per_cell():
+    """The truncated-binomial floor and proximity verdicts of every cell
+    (n, qq, r, m) with n <= 12, 2 <= qq <= 9, r <= n and m <= 12, one
+    running numerator per (n, qq, r), yielded as (n, qq, r, m, floor, close):
+    the per-cell loop that `cli.truncated_binomial_verdicts` folds to one
+    cell per (n - r, qq, m)."""
+    for n in range(13):
+        for qq in range(2, 10):
+            for r in range(n + 1):
+                N = n - r
+                full = (qq - 1) ** N
+                num = 0
+                for m in range(13):
+                    num = num * qq + (-1) ** m * math.comb(N, m)
+                    floor = num >= (qq - N) * qq ** (m - 1) if m >= 1 else None
+                    close = abs(num * qq ** (N + 1) - full * qq ** (m + 1)) <= math.comb(N, m + 1) * qq ** N
+                    yield n, qq, r, m, floor, close

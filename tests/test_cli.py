@@ -18,6 +18,7 @@ from hayesdist import cli, comb
 from hayesdist.cli import run
 from hayesdist.ffield import Polynomial
 from hayesdist.hayes import ClassGroup
+from references import truncated_binomial_verdicts_per_cell
 
 
 def run_json(capsys, argv):
@@ -514,30 +515,36 @@ def test_bounds_check_runs_neither_the_oracle_nor_the_factorization_counts(capsy
 
 
 def test_truncated_binomial_verdicts_match_fraction_form():
-    # every (n, q, r, m) cell of the integer-form floor and proximity verdicts
-    # against the same inequality on the Fraction mu_m(r) = sum_{j<=m} (-1)^j C(n-r, j) q^-j,
-    # including floor cells with n - r > q, which the suite skips
+    # every (N, q, m) cell of the integer-form floor and proximity verdicts
+    # against the same inequality on the Fraction mu_m = sum_{j<=m} (-1)^j C(N, j) q^-j,
+    # including floor cells with N > q, which the suite skips
     cells = 0
     floor_false = 0
-    expected = iter(
-        (n, q, r, m)
-        for n in range(13) for q in range(2, 10) for r in range(n + 1) for m in range(13)
-    )
+    expected = iter((N, q, m) for N in range(13) for q in range(2, 10) for m in range(13))
     mu = None
-    for n, q, r, m, floor, close in cli.truncated_binomial_verdicts():
-        assert (n, q, r, m) == next(expected)
-        N = n - r
+    for N, q, m, floor, close in cli.truncated_binomial_verdicts():
+        assert (N, q, m) == next(expected)
         mu = Fraction(1) if m == 0 else mu + Fraction((-1) ** m * math.comb(N, m), q ** m)
         if m == 0:
             assert floor is None
         else:
-            assert floor == (mu >= Fraction(q - N, q)), (n, q, r, m)
+            assert floor == (mu >= Fraction(q - N, q)), (N, q, m)
             floor_false += not floor
         target = Fraction(q - 1, q) ** N
-        assert close == (abs(mu - target) <= Fraction(math.comb(N, m + 1), q ** (m + 1))), (n, q, r, m)
+        assert close == (abs(mu - target) <= Fraction(math.comb(N, m + 1), q ** (m + 1))), (N, q, m)
         cells += 1
-    assert cells == 9464
-    assert floor_false > 0  # the Fraction-form floor fails on some n - r > q cells
+    assert cells == 1352
+    assert floor_false > 0  # the Fraction-form floor fails on some N > q cells
+
+
+def test_truncated_binomial_verdicts_cover_every_cell():
+    # the 9464 cells (n, q, r, m) of the per-cell loop give exactly the
+    # verdicts of the 1352 cells (n - r, q, m), so the two bounds-check
+    # records are unchanged
+    per_cell = list(truncated_binomial_verdicts_per_cell())
+    assert len(per_cell) == 9464
+    folded = {(n - r, q, m, floor, close) for n, q, r, m, floor, close in per_cell}
+    assert folded == set(cli.truncated_binomial_verdicts())
 
 
 def test_weil_and_series_work_counts(capsys):
@@ -1057,8 +1064,11 @@ def test_scalar_jobs_never_import_numpy(tmp_path, argv):
 
 # standard-library modules that only some jobs use, and what pulls them in:
 # dataclasses (with inspect) nothing in the package any more, csv the CSV
-# tables, fractions (with decimal) the exact rationals of comb, asym and dist
+# tables, fractions (with decimal) the exact rationals of comb, asym and dist,
+# which the integer-only subcommands (exact-dist, rs, moments-check,
+# series-check) never build
 _HEAVY = {"dataclasses", "inspect", "csv", "fractions", "decimal", "numpy"}
+_INTEGER_JOB = {"dataclasses", "csv", "fractions", "decimal"}  # numpy loads inspect
 
 
 @pytest.mark.parametrize(
@@ -1067,9 +1077,12 @@ _HEAVY = {"dataclasses", "inspect", "csv", "fractions", "decimal", "numpy"}
         ("import hayesdist.cli", [], _HEAVY),
         (_RUN_CLI, ["kernels", "phi", "--p", "2", "--a", "4", "--Q", "x^2 + x + 1", "--j", "3"], _HEAVY),
         (_RUN_CLI, ["weil", "--p", "5", "--ell", "2", "--Q", "x^2 + x + 2"], {"dataclasses", "csv"}),
-        (_RUN_CLI, ["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], {"dataclasses", "csv"}),
+        (_RUN_CLI, ["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], _INTEGER_JOB),
+        (_RUN_CLI, ["rs", "--p", "5", "--k", "2", "--ell", "1"], _INTEGER_JOB),
+        (_RUN_CLI, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], _INTEGER_JOB),
+        (_RUN_CLI, ["series-check", "--p", "3", "--ell", "1", "--Q", "x^2 + 1", "--d-max", "4"], _INTEGER_JOB),
     ],
-    ids=["import", "kernels-phi", "weil", "exact-dist"],
+    ids=["import", "kernels-phi", "weil", "exact-dist", "rs", "moments-check", "series-check"],
 )
 def test_a_job_imports_only_the_standard_library_it_runs(tmp_path, snippet, argv, absent):
     if argv:

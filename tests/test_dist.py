@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,6 +263,30 @@ class TestSieveDifferential:
             assert full[j].tolist() == want, j
 
     @pytest.mark.parametrize(
+        "key", [(2, 1, 0, "1"), (3, 1, 1, "x"), (5, 1, 2, "x^2 + 2"), (2, 2, 3, "1"), (2, 1, 3, "x^3 + x + 1")]
+    )
+    @pytest.mark.parametrize("scale", [1, 1 << 61, -(1 << 70)])
+    @pytest.mark.parametrize("rows, cells", [(16, 1 << 14), (3, 1 << 14), (16, 1)])
+    def test_group_convolve_is_the_sum_of_translations(self, groups, monkeypatch, key, scale, rows, cells):
+        # int64 blocks while max |u| sum |v| < 2^63 (scale 1), Python
+        # integers beyond it (the larger scales), the same sums in any block
+        # split: blocks of 16 or 3 classes, or of one class (one cell)
+        G = groups(*key)
+        rng = random.Random(repr((key, scale)))
+        u = [rng.choice([0, 0, 1, 7]) * scale for _ in range(G.order)]
+        v = np.array([rng.randrange(3) * scale + rng.randrange(5) for _ in range(G.order)], dtype=object)
+        want = [0] * G.order
+        for c, uc in enumerate(u):
+            if uc:
+                for eps, x in enumerate(G.translation(G.inv(c)).tolist()):
+                    want[eps] += uc * v[x]
+        monkeypatch.setattr("hayesdist.dist._GATHER_ROWS", rows)
+        monkeypatch.setattr("hayesdist.dist._GATHER_CELLS", cells)
+        got = group_convolve(G, u, v)
+        assert got.dtype == object and all(type(x) is int for x in got)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize(
         "key, d",
         [
             ((5, 1, 1, "x^2 + x + 1"), 5),  # one cyclic factor of order 120; n = 5 = d
@@ -506,8 +531,10 @@ def test_series_check_catches_a_corrupt_cell(groups, monkeypatch, corrupt, expec
     # wrong cell on any route fails a slice with the expected name
     corrupt(monkeypatch)
     passed, checks, _ = verify_series_identities(groups(3, 1, 1, "x"), 4)
+    checks = list(checks)
     failed = {c["name"] for c in checks if not c["pass"]}
     assert not passed and expected <= failed
+    assert passed == all(c["pass"] for c in checks)  # the verdict is read from the tables, not the records
 
 
 class TestReedSolomon:

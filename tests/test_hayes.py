@@ -377,6 +377,16 @@ class TestClassGroup:
             assert np.array_equal(G.translation(c), G._class_at(G.dlog + G.dlog[c]))
 
     @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
+    def test_quotients_are_the_inverse_translations(self, groups, key):
+        # one row per class c of a block, i -> i * c^-1, in any block split
+        G = groups(*key)
+        rows = [G.translation(G.inv(c)).tolist() for c in range(G.order)]
+        assert G.quotients(list(range(G.order))).tolist() == rows
+        cs = random.Random(G.order).sample(range(G.order), min(G.order, 5))
+        assert G.quotients(cs).tolist() == [rows[c] for c in cs]
+        assert G.quotients([]).shape == (0, G.order)
+
+    @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
     def test_decomposition_matches_the_uncut_ladders(self, groups, key):
         G = groups(*key)
         generators, orders, eps_of, dlog = decompose_uncut(G)

@@ -23,7 +23,7 @@ from hayesdist.dist import (
     joint_zero_counts,
 )
 from hayesdist.ffield import FieldSpec, Polynomial, distinct_roots_in, enumerate_monic
-from hayesdist.hayes import ClassGroup, HayesParams
+from hayesdist.hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams
 
 # (p, a, modulus): q = 2, 3, 4, 8, 9, 25; GF(8) with its non-default modulus
 FIELDS = [(2, 1, None), (3, 1, None), (2, 2, None), (2, 3, (1, 1, 0, 1)), (3, 2, None), (5, 2, None)]
@@ -234,6 +234,92 @@ class TestRowKernel:
 
 
 # ---------------------------------------------------------------------------
+# The monic-enumeration kernel against the row kernel
+# ---------------------------------------------------------------------------
+
+# (field, ell, Q): ell = 0; Q = 1, x^2 (a repeated factor), irreducible of
+# degree 2 and 3; the trivial group; t + ell up to 5
+ENUMERATION_GRID = [
+    ((3, 1, None), 0, "x^2 + 1"),
+    ((2, 1, None), 1, "1"),
+    ((3, 1, None), 1, "x^2"),
+    ((2, 1, None), 2, "x^3 + x + 1"),
+    ((5, 1, None), 1, "x^2 + 2"),
+    ((2, 2, None), 2, "1"),
+    ((3, 1, None), 0, "1"),
+]
+
+
+def enumeration_blocks_reference(G, d, point_idx, max_rows):
+    """Per block of `monic_row_blocks`: the zero counts by `eval_rows`, the
+    residues by `mod_rows`, the leading digits read off the rows, and the
+    classes by `classes_of`."""
+    spec = G.params.spec
+    ell = G.params.ell
+    for rows in spec.monic_row_blocks(d, max_rows):
+        zeros = (spec.eval_rows(rows, point_idx) == 0).sum(axis=1)
+        residues = spec.mod_rows(rows, G.params.Q.index_coeffs()).T
+        leading = np.array([rows[:, d - j] if j <= d else np.zeros(len(rows)) for j in range(1, ell + 1)])
+        yield zeros, residues, leading.reshape(ell, len(rows)), G.classes_of(rows)
+
+
+def assert_enumeration_matches(G, d, pts, max_rows):
+    """`FieldSpec.monic_blocks` and `ClassGroup.monic_class_blocks` block by
+    block against the reference, rows in the same order."""
+    spec, params = G.params.spec, G.params
+    point_idx = [a.index for a in pts]
+    want = list(enumeration_blocks_reference(G, d, point_idx, max_rows))
+    got = list(spec.monic_blocks(d, point_idx, params.Q.index_coeffs(), params.ell, max_rows))
+    labelled = list(G.monic_class_blocks(d, point_idx, max_rows))
+    assert len(got) == len(labelled) == len(want), (d, max_rows)
+    for (zeros, residues, leading), (classes, zeros_again), (z, r, lead, c) in zip(got, labelled, want):
+        assert zeros.tolist() == zeros_again.tolist() == z.tolist(), (d, max_rows)
+        assert residues.tolist() == r.tolist(), (d, max_rows)
+        assert leading.tolist() == lead.tolist(), (d, max_rows)
+        assert classes.tolist() == c.tolist(), (d, max_rows)
+
+
+@pytest.mark.parametrize("field, ell, q_text", ENUMERATION_GRID)
+def test_enumeration_kernel_matches_the_row_kernel(monkeypatch, field, ell, q_text):
+    # d below and above t + ell; one block (q^d <= max_rows), several blocks
+    # of the largest F with q^F <= max_rows, and F < ell (q^ell above the
+    # block size); the default points, none, and a random subset; the joint
+    # table in each block size against the object-level reference
+    G = grid_group(field, ell, q_text)
+    q = G.params.spec.q
+    rng = random.Random(repr((field, ell, q_text)))
+    default = default_point_set(G.params)
+    for pts in (default, (), random_subset(default, rng)):
+        for d in range(G.params.t + ell + 3):
+            if q ** d > 800:
+                break
+            want = joint_zero_counts_reference(G, d, pts)
+            for max_rows in (MONIC_BLOCK_ROWS, q ** d, q ** 2 - 1, q, 1):
+                assert_enumeration_matches(G, d, pts, max_rows)
+                monkeypatch.setattr(dist, "MONIC_BLOCK_ROWS", max_rows)
+                assert joint_zero_counts(G, d, pts).tolist() == want, (d, max_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_enumeration_kernel_random(data):
+    field = data.draw(st.sampled_from(FIELDS), label="field")
+    spec = FieldSpec(*field)
+    q = spec.q
+    t, ell = data.draw(
+        st.sampled_from([(t, ell) for t in range(4) for ell in range(3) if q ** (t + ell) <= 125]), label="t, ell"
+    )
+    low = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t), label="Q")
+    G = ClassGroup(HayesParams(ell, Polynomial(spec, (*low, 1))))
+    default = default_point_set(G.params)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(default), max_size=len(default)), label="D")
+    pts = tuple(a for a, kept in zip(default, keep) if kept)
+    d = data.draw(st.integers(0, max(d for d in range(8) if q ** d <= 700)), label="d")
+    max_rows = data.draw(st.sampled_from([1, 2, 5, 64, MONIC_BLOCK_ROWS]), label="max_rows")
+    assert_enumeration_matches(G, d, pts, max_rows)
+
+
+# ---------------------------------------------------------------------------
 # The oracles on the kernel against their object-level routes
 # ---------------------------------------------------------------------------
 
@@ -410,19 +496,27 @@ def test_agreement_kernel_memory():
 def test_blocks_are_bounded(monkeypatch):
     """Small block sizes split the products (several cofactor blocks per
     subset, several subsets per block) and the monic enumeration; every
-    `classes_of` call stays within its block and the counts do not change."""
+    `classes_of` call and every enumeration block stays within its block and
+    the counts do not change."""
     G = grid_group((3, 1, None), 2, "x")  # q = 3, t = 1, ell = 2
     pts = default_point_set(G.params)
     want_W = {(j, k): factorization_counts(G, j, k, pts) for k in (0, 1) for j in range(k + 1, k + 4)}
     want_joint = [joint_zero_counts(G, d, pts).tolist() for d in range(5)]
     sizes = []
     classes_of = ClassGroup.classes_of
+    monic_blocks = FieldSpec.monic_blocks
 
     def recorded(self, rows):
         sizes.append(len(rows))
         return classes_of(self, rows)
 
+    def recorded_blocks(self, *args):
+        for block in monic_blocks(self, *args):
+            sizes.append(len(block[0]))
+            yield block
+
     monkeypatch.setattr(ClassGroup, "classes_of", recorded)
+    monkeypatch.setattr(FieldSpec, "monic_blocks", recorded_blocks)
     for block in (1, 2, 8):
         monkeypatch.setattr(dist, "_BLOCK_ROWS", block)
         monkeypatch.setattr(dist, "MONIC_BLOCK_ROWS", block)
@@ -446,7 +540,7 @@ def test_array_routes_never_use_group_arithmetic(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the array routes must not use group arithmetic or the sieve")
 
-    for name in ("mul", "inv", "translation", "_products"):
+    for name in ("mul", "inv", "translation", "quotients", "_products"):
         monkeypatch.setattr(ClassGroup, name, forbidden)
     for name in ("group_convolve", "subset_product_table", "exact_distributions_all"):
         monkeypatch.setattr(dist, name, forbidden)
