@@ -4,7 +4,9 @@ Identities and envelopes that are exactly rational (binomial pmf, the
 mu-corrected pmf, the 2/(k-r)! envelope) are returned as Fractions so the
 verification layer can compare them with zero tolerance.  Quantities that
 are genuinely irrational (Poisson masses, the log bounds on the cycle
-averages) are floats.
+averages) are floats; the log bounds also come in an exact
+integer-exponent form (`cycle_average_bound_power`), which is what the
+verification layer compares.
 
 The certified upper bounds for the factorization-count remainder and the
 pmf remainder round every non-exact ingredient upward: sqrt(q) is replaced
@@ -172,6 +174,20 @@ def pmf_remainder_bound(r: int, n: int, q: int, k: int, t: int, ell: int) -> Fra
     return total / Fraction(q) ** k
 
 
+def _check_cycle_bound(j: int, n: int, g, p: int, variant: str) -> None:
+    """The hypotheses of the variant of the log cycle-average bound."""
+    if n < 1 or j < 1:
+        raise HypothesisError("need n >= 1 and j >= 1")
+    if variant == "a":
+        if j > n or not 0 <= g <= 1:
+            raise HypothesisError("variant a requires 1 <= j <= n and gamma in [0, 1]")
+    elif variant == "b":
+        if not 0 < g <= 1 or j > 2 * p * n * g:
+            raise HypothesisError("variant b requires gamma in (0, 1] and j <= 2 p n gamma")
+    else:
+        raise ValueError("variant must be 'a' or 'b'")
+
+
 def log_cycle_average_bound(j: int, n: int, gamma, p: int, variant: str) -> float:
     """Upper bound on ln A_j(n, gamma).
 
@@ -182,26 +198,41 @@ def log_cycle_average_bound(j: int, n: int, gamma, p: int, variant: str) -> floa
         + n(1-gamma)/p ln 3
     """
     g = float(gamma)
-    if n < 1 or j < 1:
-        raise HypothesisError("need n >= 1 and j >= 1")
+    _check_cycle_bound(j, n, g, p, variant)
     if variant == "a":
-        if j > n or not 0 <= g <= 1:
-            raise HypothesisError("variant a requires 1 <= j <= n and gamma in [0, 1]")
         return (
             j / p * math.log((n + j) / j)
             + n * (1 - g) / p * math.log((n + j) / n)
             + n * g * math.log(2 * p)
         )
-    if variant == "b":
-        if not 0 < g <= 1 or j > 2 * p * n * g:
-            raise HypothesisError("variant b requires gamma in (0, 1] and j <= 2 p n gamma")
-        ng = n * g
-        return (
-            j * math.log((ng + j) / j)
-            + ng * math.log((ng + j) / ng)
-            + n * (1 - g) / p * math.log(3)
-        )
-    raise ValueError("variant must be 'a' or 'b'")
+    ng = n * g
+    return (
+        j * math.log((ng + j) / j)
+        + ng * math.log((ng + j) / ng)
+        + n * (1 - g) / p * math.log(3)
+    )
+
+
+def cycle_average_bound_power(j: int, n: int, gamma, p: int, variant: str) -> tuple[int, Fraction]:
+    """`log_cycle_average_bound` in integer-exponent form, exactly: (L, R)
+    with R = exp(L * bound), a product of rational bases raised to the
+    integers L * exponent, for the least L >= 1 that makes every exponent an
+    integer (gamma rational).  For A > 0, ln A <= bound exactly when
+    A^L <= R, a comparison of rationals with no rounding."""
+    g = Fraction(gamma)
+    _check_cycle_bound(j, n, g, p, variant)
+    a, b = g.numerator, g.denominator
+    # (exponent numerator, exponent denominator, base numerator, base denominator)
+    if variant == "a":  # exponents j/p, n(1-gamma)/p, n gamma
+        terms = [(j, p, n + j, j), (n * (b - a), p * b, n + j, n), (n * a, b, 2 * p, 1)]
+    else:  # exponents j, n gamma, n(1-gamma)/p; n gamma + j = (n a + j b)/b
+        terms = [(j, 1, n * a + j * b, j * b), (n * a, b, n * a + j * b, n * a), (n * (b - a), p * b, 3, 1)]
+    L = math.lcm(*(den // math.gcd(num, den) for num, den, _, _ in terms))
+    top = bottom = 1
+    for num, den, base_num, base_den in terms:
+        top *= base_num ** (num * L // den)
+        bottom *= base_den ** (num * L // den)
+    return L, Fraction(top, bottom)
 
 
 # ---------------------------------------------------------------------------

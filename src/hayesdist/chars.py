@@ -82,7 +82,7 @@ class CharacterTable:
         `classes` (columns), from the exact phase sum_i e_i d_i N/n_i mod N."""
         N = math.lcm(*self.orders)
         weights = np.array([N // n for n in self.orders], dtype=np.int64)
-        d = self._group.dlog[np.asarray(classes, dtype=np.int64)] * weights
+        d = self._group.dlog[np.asarray(classes, dtype=np.int64)].astype(np.int64) * weights
         return np.exp(2j * np.pi * ((self.exponents @ d.T) % N / N))
 
     def sums(self, j: int, budget: int | None = None) -> np.ndarray:

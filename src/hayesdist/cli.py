@@ -5,8 +5,9 @@ tables of `approx` and `regimes`) that embeds the run configuration and the
 library version; identical configuration and seed give byte-identical output.
 
 Artifacts of the distribution commands, `weil` and `series-check` name the
-engine that produced their numbers ("sieve", "enumeration" or "characters")
-and its deterministic work counts.
+engine that produced their numbers ("sieve" or "transform" for the rows W_j,
+joined by "+" where the runs of one command differ; "enumeration" or
+"characters") and its deterministic work counts.
 
 Exit codes: 0 when all asserted checks pass, 1 for validation or check
 failures (usage errors on the command line included), arithmetic-check
@@ -163,30 +164,32 @@ def _parse_points(spec: FieldSpec, text: str | None):
 
 
 def cmd_exact_dist(args) -> int:
-    from .dist import exact_distributions_all, sieve_work
+    from .dist import exact_distributions_all, sieve_plan
 
     spec, params, group = _build_group(args)
     points = _parse_points(spec, args.points)
     dists = exact_distributions_all(group, args.k, points, budget=args.max_enum)
+    engine, work = sieve_plan(group, args.k, len(dists.points))
     _emit(args, {
         "classes": group.export_classes(),
         "distributions": dists.json_records(),
-        "engine": "sieve",
-        "work": sieve_work(group, args.k, len(dists.points)),
+        "engine": engine,
+        "work": work,
     })
     return 0
 
 
 def cmd_moments_check(args) -> int:
     from .dist import (
+        ENGINE_CELLS,
         ENUMERATION_COMPARISONS,
-        SIEVE_CELLS,
         binomial_moments,
         default_point_set,
         enumeration_comparisons,
         enumeration_distributions_all,
+        merged_plan,
+        sieve_plan,
         sieve_rows,
-        sieve_work,
     )
 
     if args.k < 0:
@@ -202,15 +205,16 @@ def cmd_moments_check(args) -> int:
     ks = range(args.k_min, args.k + 1)
     # the oracle's comparisons and the sieve's cells of every k, checked
     # before the first k runs
-    work = {"comparisons": 0, "dp_cells": 0, "convolution_cells": 0}
+    work = {"comparisons": 0}
+    plans = []
     for k in ks:
         comparisons = enumeration_comparisons(group, k, n)
-        cells = sieve_work(group, k, n)
+        engine, cells = sieve_plan(group, k, n)
         check_budget(ENUMERATION_COMPARISONS, comparisons, args.max_enum)
-        check_budget(SIEVE_CELLS, sum(cells.values()), args.max_enum)
+        check_budget(ENGINE_CELLS[engine], sum(cells.values()), args.max_enum)
         work["comparisons"] += comparisons
-        for key, value in cells.items():
-            work[key] += value
+        plans.append((engine, cells))
+    work.update(merged_plan(plans)[1])
     # per k, the oracle's q^k E[C(Y, j)] of every class (j <= k + t + ell)
     # and the sieve's W_j rows, as integers
     runs = []
@@ -317,9 +321,9 @@ def truncated_binomial_verdicts():
 def cmd_bounds_check(args) -> int:
     from fractions import Fraction
 
-    from .asym import gamma_at_most_one, log_cycle_average_bound, pmf_remainder_bound, w_remainder_bound
+    from .asym import cycle_average_bound_power, gamma_at_most_one, pmf_remainder_bound, w_remainder_bound
     from .comb import binomial_lower_bound, coordinate_sieve_check, cycle_average_series
-    from .dist import SIEVE_CELLS, default_point_set, pmf_prediction, sieve_rows, sieve_work
+    from .dist import ENGINE_CELLS, default_point_set, merged_plan, pmf_prediction, sieve_plan, sieve_rows
 
     if args.k < 0:
         raise ValidationError(f"k must be >= 0, got {args.k}")
@@ -360,16 +364,17 @@ def cmd_bounds_check(args) -> int:
     record("truncated binomial floor", mu_ok, "mu_m(r)", "(q-n+r)/q on n-r <= q")
     record("truncated binomial proximity", close_ok, "|mu_m - (1-1/q)^(n-r)|", "C(n-r, m+1) q^-(m+1)")
 
-    # log bounds on the cycle average
+    # log bounds on the cycle average: ln A <= bound exactly when A^L <= R
+    # for the integer-exponent form (L, R) of the bound
     lb_ok = True
     for n in (4, 8, 12):
         for j in range(1, 9):
             for g in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-                exact = math.log(cycle_average_series(j, n, g, p))
-                if j <= n and exact > log_cycle_average_bound(j, n, g, p, "a"):
-                    lb_ok = False
-                if j <= 2 * p * n * g and exact > log_cycle_average_bound(j, n, g, p, "b"):
-                    lb_ok = False
+                exact = cycle_average_series(j, n, g, p)
+                for variant, applies in (("a", j <= n), ("b", j <= 2 * p * n * g)):
+                    if applies:
+                        L, bound = cycle_average_bound_power(j, n, g, p, variant)
+                        lb_ok &= exact ** L <= bound
     record("log cycle-average bounds", lb_ok, "ln A_j(n, gamma)", "variant a/b bounds")
 
     # coordinate sieve on seeded random tables
@@ -393,13 +398,13 @@ def cmd_bounds_check(args) -> int:
     # floor(q^k (prediction_r + bound_r))]
     points = default_point_set(params)
     n = len(points)
-    cells = []
+    plans = []
     remainders = []  # per k: the factorization records, the count rows, the pmf predictions and bounds
     remainders_ok = True
     if ell >= 1 and gamma_at_most_one(n, q, t, ell):
-        cells = [sieve_work(group, k, n) for k in range(0, args.k + 1)]
-        for c in cells:
-            check_budget(SIEVE_CELLS, sum(c.values()), args.max_enum)
+        plans = [sieve_plan(group, k, n) for k in range(0, args.k + 1)]
+        for engine, cells in plans:
+            check_budget(ENGINE_CELLS[engine], sum(cells.values()), args.max_enum)
         for k in range(0, args.k + 1):
             W, counts = sieve_rows(group, k, points, budget=args.max_enum)
             factorization = []
@@ -444,19 +449,20 @@ def cmd_bounds_check(args) -> int:
                     }
 
     all_ok = remainders_ok and all(c["pass"] for c in checks)
-    work = {key: sum(c[key] for c in cells) for key in ("dp_cells", "convolution_cells")}
+    engine, work = merged_plan(plans)
     _emit(args, {
-        "checks": itertools.chain(checks, remainder_checks()), "pass": all_ok, "engine": "sieve", "work": work,
+        "checks": itertools.chain(checks, remainder_checks()), "pass": all_ok, "engine": engine, "work": work,
     })
     return 0 if all_ok else 1
 
 
 def cmd_rs(args) -> int:
-    from .dist import classify_row, rs_census, rs_distance_row, rs_group, sieve_work
+    from .dist import classify_row, rs_census, rs_distance_row, rs_group, sieve_plan
 
     spec = FieldSpec(args.p, args.a)
     group = rs_group(spec, args.ell, args.max_enum)
-    engine = {"engine": "sieve", "work": sieve_work(group, args.k, spec.q)}
+    engine, work = sieve_plan(group, args.k, spec.q)
+    engine = {"engine": engine, "work": work}
     if args.word:
         f = Polynomial.from_text(spec, args.word)
         row = rs_distance_row(f, args.k, args.ell, group, budget=args.max_enum)
@@ -469,7 +475,7 @@ def cmd_rs(args) -> int:
 
 def cmd_approx(args) -> int:
     from .asym import binomial_envelope, binomial_pmf, mu_binomial_pmf, poisson_pmf
-    from .dist import default_point_set, exact_distributions_all, sieve_work
+    from .dist import default_point_set, exact_distributions_all, sieve_plan
 
     spec, params, group = _build_group(args)
     q, t, ell = spec.q, params.t, params.ell
@@ -508,7 +514,8 @@ def cmd_approx(args) -> int:
         "eps", "r", "count", "exact", "exact_float", "binomial", "poisson",
         "mu_mass", "ratio_to_mu", "envelope",
     ]
-    _emit(args, {"table": table(), "engine": "sieve", "work": sieve_work(group, args.k, n)}, columns=columns)
+    engine, work = sieve_plan(group, args.k, n)
+    _emit(args, {"table": table(), "engine": engine, "work": work}, columns=columns)
     return 0
 
 

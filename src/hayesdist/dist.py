@@ -16,14 +16,29 @@ each such f is g * prod_{a in S} (x - a) with g monic of degree d - j, so
     W_j(eps) = sum_c S_j(c) N_(d-j)(eps c^-1),
 
 where S_j(c) counts the j-subsets of D whose product of (x - a) lies in
-class c -- a dynamic programme that translates every class by <x - a>
-once per point -- and N_e counts monic degree-e polynomials per class.
-Here e < t + ell, and a class holds at most one polynomial of such a
-degree, so N_e has Phi_e(Q) nonzero entries.  The work is polynomial in q:
-at most n * (min(n, d) + 1) * |G| DP cells plus |G| per nonzero N_e entry,
-where enumeration costs |G| * q^k * n comparisons.  Counts are Python
-integers (numpy object arrays); `group_convolve` gathers a block of
-translations at once and sums them in int64 where no sum can reach 2^63.
+class c, and N_e counts monic degree-e polynomials per class.  Here
+e < t + ell, and a class holds at most one polynomial of such a degree, so
+N_e has Phi_e(Q) nonzero entries.  Two engines form these rows, and
+`moment_plan` picks, per call, the one with fewer counted cells:
+
+* the DP ("sieve"): a dynamic programme that translates every class by
+  <x - a> once per point, at most n * (min(n, d) + 1) * |G| DP cells, then
+  |G| per nonzero N_e entry for the group-algebra product
+  (`moment_work`); `group_convolve` gathers a block of translations at once
+  and sums them in int64 where no sum can reach 2^63;
+* the transform ("transform", `hayesdist.transform`, imported only when it
+  runs): one transform of the point classes gives the power sums of the
+  point characters, Newton's identities (an order-N recurrence past the
+  group exponent N) their elementary symmetric functions S^_j, and one
+  inverse transform of S^_j N^_(d-j) per row gives W_j, modulo primes
+  P = 1 (mod N) in (2^24, 2^25) joined by CRT; primes * |G| * (sum of
+  axis sizes * transforms + min(n, d) min(N, min(n, d))) cells
+  (`transform_work`).  A row whose class counts are constant is the closed
+  form C(n, j) N_(d-j) and costs nothing.
+
+Either way the work is polynomial in q, where enumeration costs
+|G| * q^k * n comparisons.  Counts are Python integers (numpy object
+arrays).
 
 Enumeration oracle.  The monic degree-d members of a class are exactly
 base + h*Q where base is any one member and h runs over all q^k
@@ -64,20 +79,22 @@ a block of at most _BLOCK_ROWS rows at a time.  The series check's joint
 table reads the monic-enumeration kernel through
 `ClassGroup.monic_class_blocks`: each monic f of degree d is low + x^s g,
 the g's of degree F (q^F <= `MONIC_BLOCK_ROWS`) are tabulated once (values
-at the points, residues mod Q, leading digits), and a block of one low
-prefix costs O(n + t + ell) lookups per polynomial, with no row of
-coefficients formed.  None of these routes touches the group
-multiplication, `group_convolve` or the sieve.  The census word list stays
+at the points, residues mod Q, leading digits), and a block of
+consecutive low prefixes (up to `MONIC_BLOCK_ROWS` polynomials) costs
+O(n + t + ell) lookups per polynomial, with no row of coefficients formed.
+None of these routes touches the group multiplication, `group_convolve`,
+the transform or the sieve.  The census word list stays
 object-level: `Polynomial` objects, labelled a block of _LABEL_ROWS per
 call.
 
-`moment_rows` is the one place where W_j is formed: the only caller of
-`subset_product_table` and of `group_convolve`, the one group-algebra
-product.  `sieve_rows` calls it at j_lo = k + 1 on the group's class
-counts; the series check calls it once per degree at j_lo = 1 on the class
-counts of its own joint tables, and its product and moment slices compare
-those rows with enumeration, so the check exercises the code that the other
-commands run.
+`moment_rows` is the one place where W_j is formed, by either engine: the
+only caller of `subset_product_table`, of `group_convolve` (the one
+group-algebra product) and of the transform.  `sieve_rows` calls it at
+j_lo = k + 1 on the group's class counts; the series check calls it once
+per degree at j_lo = 1 on the class counts of its own joint tables, and its
+product and moment slices compare those rows with enumeration, so the
+check exercises the code that the other commands run, with the engine
+that the same sizes pick there.
 
 Counts are arbitrary-precision integers; probabilities are exact rationals.
 """
@@ -99,7 +116,7 @@ from .ffield import (
     Polynomial,
     enumerate_monic,
 )
-from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, phi
+from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, _prime_powers, phi
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -390,25 +407,103 @@ def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray
     return out.astype(object)
 
 
+SIEVE = "sieve"  # the engines of `moment_rows`: the subset-product DP ...
+TRANSFORM = "transform"  # ... and the character-domain transform
 SIEVE_CELLS = "sieve cells (DP + convolution)"
+TRANSFORM_CELLS = "sieve cells (character transform)"
+ENGINE_CELLS = {SIEVE: SIEVE_CELLS, TRANSFORM: TRANSFORM_CELLS}  # refusal `what` of each engine
+_PRIME_BITS = 24  # the transform's primes lie in (2^24, 2^25) ...
+_MAX_PRIMES = 128  # ... at most this many of them ...
+_MAX_EXPONENT = 1 << 12  # ... each 1 mod the group exponent N, at most this
 
 
 def moment_work(group: ClassGroup, n: int, d: int, j_lo: int) -> dict[str, int]:
-    """Cells `moment_rows` touches at degree d on n points for j_lo <= j <= d:
-    the DP cell updates of its subset-product table, and one |G|-gather per
-    nonzero class count N_(d-j) for j <= min(n, d), of which there are
-    min(|G|, Phi_(d-j)(Q)): a class holds at most one polynomial of degree
-    below t + ell, and every class holds one from there on."""
+    """Cells the DP engine of `moment_rows` touches at degree d on n points
+    for j_lo <= j <= d: the DP cell updates of its subset-product table, and
+    one |G|-gather per nonzero class count N_(d-j) for j <= min(n, d), of
+    which there are min(|G|, Phi_(d-j)(Q)): a class holds at most one
+    polynomial of degree below t + ell, and every class holds one from there
+    on."""
     j_hi = min(n, d)
     dp_rows = sum(max(0, hi - lo + 1) for lo, hi in _live_rows(n, j_lo, j_hi))
     gathers = sum(min(group.order, phi(d - j, group.params.Q)) for j in range(j_lo, j_hi + 1))
     return {"dp_cells": dp_rows * group.order, "convolution_cells": gathers * group.order}
 
 
-def sieve_work(group: ClassGroup, k: int, n: int) -> dict[str, int]:
-    """Cells one `sieve_rows` run touches at degree k + t + ell on n points."""
+def _transformed_rows(group: ClassGroup, n: int, d: int, j_lo: int) -> list[int]:
+    """The rows j_lo <= j <= min(n, d) whose class counts N_(d-j) are not
+    constant, as counted from Phi: below t + ell each class holds 0 or 1
+    polynomial of degree d - j, from there on every class q^(d-j-t-ell)."""
     params = group.params
-    return moment_work(group, n, k + params.t + params.ell, k + 1)
+    return [
+        j for j in range(j_lo, min(n, d) + 1)
+        if d - j < params.t + params.ell and 0 < phi(d - j, params.Q) < group.order
+    ]
+
+
+def _prime_count(bound: int) -> int:
+    """Primes above 2^_PRIME_BITS whose product exceeds bound >= 0."""
+    return max(1, -(-bound.bit_length() // _PRIME_BITS))
+
+
+def transform_work(group: ClassGroup, n: int, d: int, j_lo: int) -> int | None:
+    """Cells the transform engine of `moment_rows` touches at degree d on n
+    points for j_lo <= j <= d, or None where it cannot run (the group
+    exponent N above _MAX_EXPONENT, or more than _MAX_PRIMES primes):
+    primes * |G| * (sum of axis sizes * transforms + j_hi min(N, j_hi)),
+    with j_hi = min(n, d), one forward transform of the point classes and a
+    forward and an inverse one per row with non-constant class counts, and
+    the primes those rows' bound W_j <= C(n, j) calls for (N_(d-j) is a 0/1
+    vector there).  0 when every row is constant: those rows are closed forms."""
+    rows = _transformed_rows(group, n, d, j_lo)
+    if not rows:
+        return 0
+    j_hi = min(n, d)
+    N = math.lcm(*group.orders)
+    primes = _prime_count(max(math.comb(n, j) for j in rows))
+    if N > _MAX_EXPONENT or primes > _MAX_PRIMES or j_hi >> _PRIME_BITS:
+        return None
+    axes = sum(p ** v for order in group.orders for p, v in _prime_powers(order))
+    return primes * group.order * (axes * (1 + 2 * len(rows)) + j_hi * min(N, j_hi))
+
+
+def moment_plan(group: ClassGroup, n: int, d: int, j_lo: int) -> tuple[str, dict[str, int]]:
+    """The engine `moment_rows` runs at degree d on n points for
+    j_lo <= j <= d, and its cells: the transform where it counts fewer cells
+    than the DP, the DP otherwise."""
+    dp = moment_work(group, n, d, j_lo)
+    cells = transform_work(group, n, d, j_lo)
+    if cells is not None and cells < sum(dp.values()):
+        return TRANSFORM, {"transform_cells": cells}
+    return SIEVE, dp
+
+
+def sieve_plan(group: ClassGroup, k: int, n: int) -> tuple[str, dict[str, int]]:
+    """`moment_plan` of one `sieve_rows` run at degree k + t + ell on n points."""
+    params = group.params
+    return moment_plan(group, n, k + params.t + params.ell, k + 1)
+
+
+def merged_plan(plans) -> tuple[str, dict[str, int]]:
+    """The engines of several runs, joined by "+" in order of first use, and
+    their cells summed key by key; the DP with no cells when there is no run."""
+    engines, work = [], {}
+    for engine, cells in plans:
+        if engine not in engines:
+            engines.append(engine)
+        for key, value in cells.items():
+            work[key] = work.get(key, 0) + value
+    return ("+".join(engines), work) if engines else (SIEVE, {"dp_cells": 0, "convolution_cells": 0})
+
+
+def check_plans(plans, budget: int | None) -> None:
+    """Refuse when the cells that one engine spends over these runs exceed
+    the budget: each engine's total is checked under its own name."""
+    totals: dict[str, int] = {}
+    for engine, cells in plans:
+        totals[engine] = totals.get(engine, 0) + sum(cells.values())
+    for engine, total in totals.items():
+        check_budget(ENGINE_CELLS[engine], total, budget)
 
 
 def moment_rows(
@@ -417,15 +512,49 @@ def moment_rows(
     """W_j(eps) = sum_c S_j(c) N_(d-j)(eps c^-1) at degree d for
     j_lo <= j <= d, with the class counts N_e = counts(e), as an object array
     of Python integers indexed [j - j_lo, eps].  Rows past n = len(pts) are
-    0: no j-subset of the points exists.  The one place where the
-    subset-product table and the group-algebra product run; its cells
-    (`moment_work`) are checked against the budget first."""
+    0: no j-subset of the points exists.  The one place where W_j is formed:
+    by the engine of `moment_plan`, whose cells are checked against the
+    budget first."""
+    engine, work = moment_plan(group, len(pts), d, j_lo)
+    check_budget(ENGINE_CELLS[engine], sum(work.values()), budget)
+    rows = moment_rows_dp if engine == SIEVE else moment_rows_transform
+    return rows(group, pts, counts, d, j_lo)
+
+
+def moment_rows_dp(group: ClassGroup, pts: tuple[FqElement, ...], counts, d: int, j_lo: int) -> np.ndarray:
+    """`moment_rows` by the subset-product table and the group-algebra product."""
     n = len(pts)
-    check_budget(SIEVE_CELLS, sum(moment_work(group, n, d, j_lo).values()), budget)
     S = subset_product_table(group, pts, j_lo, min(n, d))
     W = np.zeros((d - j_lo + 1, group.order), dtype=object)
     for row, j in zip(W, range(j_lo, min(n, d) + 1)):
         row[:] = group_convolve(group, counts(d - j), S[j])
+    return W
+
+
+def moment_rows_transform(
+    group: ClassGroup, pts: tuple[FqElement, ...], counts, d: int, j_lo: int
+) -> np.ndarray:
+    """`moment_rows` in the character domain (`hayesdist.transform`, imported
+    only here).  A row with constant class counts c is the closed form
+    C(n, j) c: the transform of a constant lives on the trivial character,
+    where S_j^ is C(n, j)."""
+    n = len(pts)
+    W = np.zeros((d - j_lo + 1, group.order), dtype=object)
+    wanted = {}
+    for j in range(j_lo, min(n, d) + 1):
+        N = counts(d - j)
+        if len(set(N)) == 1:
+            W[j - j_lo] = math.comb(n, j) * N[0]
+        else:
+            wanted[j] = N
+    if wanted:
+        from .transform import character_rows
+
+        bound = max(math.comb(n, j) * max(N) for j, N in wanted.items())
+        classes = _point_classes(group, pts)
+        rows = character_rows(group, classes, wanted, min(n, d), _prime_count(bound), _PRIME_BITS)
+        for j, row in rows.items():
+            W[j - j_lo] = row
     return W
 
 
@@ -619,7 +748,8 @@ def verify_series_identities(
     through N_(d-j) with j >= 1, so no slice compares the table with itself.
     Every degree's q^d (n+1) evaluation cells (n evaluations and one label
     per polynomial) are checked against the budget before the first one,
-    and then the sum over the degrees of `moment_work`.
+    and then, for each engine, the sum over the degrees of the cells of
+    the `moment_rows` calls it runs (`moment_plan`).
 
     Returns the verdict, the check records ({"name", "pass", "detail"}
     dicts, each made as it is read) and the work counts.  Every table is
@@ -635,13 +765,9 @@ def verify_series_identities(
         raise ValidationError(f"d_max must be >= 0, got {d_max}")
     for d in range(d_max + 1):
         check_budget(f"evaluation cells q^{d} (n+1)", q ** d * (n + 1), budget)
-    cells = [moment_work(group, n, d, 1) for d in range(d_max + 1)]
-    work = {
-        "polynomials_checked": sum(q ** d for d in range(d_max + 1)),
-        "dp_cells": sum(c["dp_cells"] for c in cells),
-        "convolution_cells": sum(c["convolution_cells"] for c in cells),
-    }
-    check_budget(SIEVE_CELLS, work["dp_cells"] + work["convolution_cells"], budget)
+    plans = [moment_plan(group, n, d, 1) for d in range(d_max + 1)]
+    work = {"polynomials_checked": sum(q ** d for d in range(d_max + 1)), **merged_plan(plans)[1]}
+    check_plans(plans, budget)
 
     N: list[list[int]] = []  # N[d][class]
     M: list[list[list[int]]] = []  # M[d][j][class], exact Python integers

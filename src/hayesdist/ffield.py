@@ -359,13 +359,15 @@ class FieldSpec(metaclass=_Shared):
 
         Each f is low + x^s g with g monic of degree F, the largest F <= d
         with q^F <= max_rows, and deg low < s = d - F; a block holds the g's
-        of one low, which `enumerate_monic` lists together.  A table of the
+        of max_rows // q^F consecutive lows (fewer in the last block), which
+        `enumerate_monic` lists together.  A table of the
         g's (values at the points, residues, digits) is built degree by
         degree, g = c + x h from the table of the h's, and then multiplied by
         x^s once: values times alpha^s, residues times x mod `mod` s times.
-        A block compares the table's values with -low(alpha), adds low's
-        residue to the table's, and takes the digits of x^(F+1)..x^ell from
-        low: O(n + deg mod + ell) operations per polynomial."""
+        A block compares the table's values with -low(alpha) for each of its
+        lows, adds each low's residue to the table's, and takes the digits of
+        x^(F+1)..x^ell from the lows: O(n + deg mod + ell) operations per
+        polynomial, in a bounded number of array operations per block."""
         import numpy as np
 
         q = self.q
@@ -407,21 +409,21 @@ class FieldSpec(metaclass=_Shared):
                 power = mul[power, pts]
                 res = times_x(res)
             vals = mul[power[:, None], vals]
-        for prefix in itertools.product(range(q), repeat=s):
-            low = order[list(prefix)]  # index coefficients of x^0..x^(s-1)
-            at = np.zeros(n, dtype=np.uint8)
-            for c in low[::-1]:
-                at = add[mul[at, pts], c]
-            block_res = np.empty_like(res)
-            for row, r, c in zip(block_res, res, self.mod_rows(low[None, :], mod)[0].tolist()):
-                row[:] = add[c][r]
-            block_lead = lead
-            if F < min(ell, d):
-                block_lead = lead.copy()
-                for j in range(F + 1, min(ell, d) + 1):
-                    block_lead[j - 1] = low[d - j]
+        rows = vals.shape[1]
+        prefixes = itertools.product(range(q), repeat=s)
+        while chunk := list(itertools.islice(prefixes, max(1, max_rows // rows))):
+            low = order[np.array(chunk, dtype=np.intp).reshape(len(chunk), s)]  # row i: coefficients of x^0..x^(s-1)
+            m = len(low)
+            at = np.zeros((m, n), dtype=np.uint8)
+            for c in low.T[::-1]:
+                at = add[mul[at, pts], c[:, None]]
+            block_res = add[self.mod_rows(low, mod).T[:, :, None], res[:, None, :]].reshape(t, m * rows)
+            block_lead = np.tile(lead, m)
+            for j in range(F + 1, min(ell, d) + 1):
+                block_lead[j - 1] = np.repeat(low[:, d - j], rows)
             # f(alpha) = 0 where (x^s g)(alpha) = -low(alpha)
-            yield (vals == sub[0, at][:, None]).sum(axis=0), block_res, block_lead
+            zeros = (vals[:, None, :] == sub[0, at].T[:, :, None]).sum(axis=0)
+            yield zeros.reshape(m * rows), block_res, block_lead
 
     def mul_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Row-wise products A_i * B_i of two arrays with the same number of rows."""

@@ -106,6 +106,7 @@ def equivalent(f: Polynomial, g: Polynomial, params: HayesParams) -> bool:
 
 GROUP_CELLS = "class group cells (candidates + ladders)"
 MONIC_BLOCK_ROWS = 1 << 14  # monic polynomials per array block when enumerating a degree
+_COUNT_BLOCK_ROWS = 1 << 16  # ... when only counting them per class (no values at points)
 
 
 class ClassGroup:
@@ -119,7 +120,8 @@ class ClassGroup:
     field's numpy tables.  Representatives are kept
     as rows of index coefficients; `rep(eps)` makes one a `Polynomial`.
     `generators` and `orders` give the decomposition, `dlog[i]` the
-    exponent tuple of class i, and the memory is O(|G| m).  Construction is
+    exponent tuple of class i (in the narrowest unsigned type that holds
+    every exponent), and the memory is O(|G| m).  Construction is
     refused before it allocates anything when its cells exceed the budget.
     The whole structure is immutable after construction; queries are pure.
     """
@@ -247,8 +249,12 @@ class ClassGroup:
         self._grid = elements.reshape(self.orders or (1,))  # the classes laid out by exponent tuple
         self._position = np.empty(n, dtype=np.intp)  # each class's place in the grid, the inverse of _eps_of
         self._position[elements] = everything
-        self.dlog = np.empty((n, len(orders)), dtype=np.int64)
-        self.dlog[elements] = everything[:, None] // self._strides % self._radix
+        # the narrowest unsigned type that holds every exponent, one column
+        # at a time from each class's place; it is widened before any
+        # arithmetic (uint8 + uint8 wraps at 256)
+        self.dlog = np.empty((n, len(orders)), dtype=np.min_scalar_type(max(orders, default=1) - 1))
+        for i, (stride, order) in enumerate(zip(self._strides.tolist(), orders)):
+            self.dlog[:, i] = self._position // stride % order
         self.dlog.flags.writeable = False
 
     # -- queries ----------------------------------------------------------------
@@ -269,10 +275,10 @@ class ClassGroup:
         return self._eps_of[dlog % self._radix @ self._strides]
 
     def mul(self, i: int, j: int) -> int:
-        return int(self._class_at(self.dlog[i] + self.dlog[j]))
+        return int(self._class_at(self.dlog[i].astype(np.int64) + self.dlog[j]))
 
     def inv(self, i: int) -> int:
-        return int(self._class_at(-self.dlog[i]))
+        return int(self._class_at(-self.dlog[i].astype(np.int64)))
 
     def translation(self, c: int) -> np.ndarray:
         """Index array of i -> i*c over all classes, so that v[translation(c)]
@@ -292,7 +298,8 @@ class ClassGroup:
         a time, and read at each class's place."""
         k, m = len(cs), len(self.orders)
         pos = np.zeros((k,) + (1,) * m, dtype=np.intp)
-        for axis, (shift, n, stride) in enumerate(zip(self.dlog[cs].T, self.orders, self._strides.tolist())):
+        shifts = self.dlog[cs].astype(np.intp).T
+        for axis, (shift, n, stride) in enumerate(zip(shifts, self.orders, self._strides.tolist())):
             shape = [k] + [1] * m
             shape[axis + 1] = n
             pos = pos + ((np.arange(n) - shift[:, None]) % n * stride).reshape(shape)
@@ -348,7 +355,7 @@ class ClassGroup:
         if d not in self._counts_cache:
             check_budget(f"monic enumeration q^{d}", self._q ** d, budget)
             counts = np.zeros(self.order + 1, dtype=np.int64)  # slot 0: not coprime
-            for classes, _ in self.monic_class_blocks(d, (), MONIC_BLOCK_ROWS):
+            for classes, _ in self.monic_class_blocks(d, (), _COUNT_BLOCK_ROWS):
                 counts += np.bincount(classes + 1, minlength=len(counts))
             self._counts_cache[d] = counts[1:].tolist()
         return list(self._counts_cache[d])

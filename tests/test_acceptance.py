@@ -306,11 +306,13 @@ def test_bound_suite(fields, groups):
 def test_remainder_bounds_past_the_oracle(tmp_path):
     # q = 32, ell = 2, Q = 1 (|G| = 1024, n = 32) for k = 0..6: the oracle
     # would need |G| q^6 n = 2^45 comparisons at k = 6; the sieve's rows run
-    # every remainder check; the worst lhs/rhs ratio is reported, not ruled
+    # every remainder check; the worst lhs/rhs ratio is reported, not ruled.
+    # The DP forms the rows at k = 0 and the transform at k = 1..6, where it
+    # counts fewer cells
     out = tmp_path / "bounds.json"
     code = run(["bounds-check", "--p", "2", "--a", "5", "--ell", "2", "--Q", "1", "--k", "6", "--out", str(out)])
     data = json.loads(out.read_text())
-    assert code == 0 and data["pass"] is True and data["engine"] == "sieve"
+    assert code == 0 and data["pass"] is True and data["engine"] == "sieve+transform"
     remainders = [c for c in data["checks"] if c["name"].startswith(("factorization remainder ", "pmf remainder "))]
     assert all(c["pass"] for c in remainders)
     assert len({c["name"] for c in remainders if c["name"].startswith("factorization")}) == 7 * 2
@@ -319,7 +321,7 @@ def test_remainder_bounds_past_the_oracle(tmp_path):
         "remainder",
         f"q=32, ell=2, Q=1, k=0..6: {len(remainders)} remainder checks, worst lhs/rhs = "
         f"{float(Fraction(worst['lhs']) / Fraction(worst['rhs'])):.3g} ({worst['name']}); "
-        f"sieve, {data['work']['dp_cells']} DP + {data['work']['convolution_cells']} convolution cells",
+        f"{data['engine']}, " + ", ".join(f"{value} {key}" for key, value in data["work"].items()),
     )
 
 

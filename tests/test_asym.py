@@ -12,6 +12,7 @@ from hayesdist.asym import (
     characteristic_of,
     condition_a,
     condition_b,
+    cycle_average_bound_power,
     gamma_at_most_one,
     gamma_upper,
     log_cycle_average_bound,
@@ -175,6 +176,31 @@ class TestLogCycleBounds:
             for n in (3, 10):
                 assert log_cycle_average_bound(1, n, 1, p, "a") >= math.log(n)
                 assert log_cycle_average_bound(1, n, 1, p, "b") >= math.log(n)
+
+    def test_integer_exponent_form_is_the_float_bound(self):
+        # ln(R) / L is the float bound, and the exact verdict A^L <= R is the
+        # float verdict ln A <= bound on the bounds-check grid at several p
+        for p in (2, 3, 5, 7, 11, 251):
+            for n in (4, 8, 12):
+                for j in range(1, 9):
+                    for g in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+                        A = cycle_average_series(j, n, g, p)
+                        for variant, applies in (("a", j <= n), ("b", j <= 2 * p * n * g)):
+                            if not applies:
+                                continue
+                            L, R = cycle_average_bound_power(j, n, g, p, variant)
+                            bound = log_cycle_average_bound(j, n, g, p, variant)
+                            assert L >= 1
+                            log_R = math.log(R.numerator) - math.log(R.denominator)
+                            assert math.isclose(log_R / L, bound, rel_tol=1e-12, abs_tol=1e-12)
+                            assert (A ** L <= R) == (math.log(A) <= bound), (p, n, j, g, variant)
+
+    def test_integer_exponent_form_worked_value(self):
+        # variant a at j = 2, n = 4, gamma = 1/2, p = 3: exponents 2/3, 2/3
+        # and 2, so L = 3 and R = (6/2)^2 (6/4)^2 6^6
+        assert cycle_average_bound_power(2, 4, Fraction(1, 2), 3, "a") == (3, Fraction(3) ** 2 * Fraction(3, 2) ** 2 * 6 ** 6)
+        with pytest.raises(HypothesisError):
+            cycle_average_bound_power(5, 4, Fraction(1, 2), 2, "a")  # j > n
 
     def test_hypothesis_validation(self):
         with pytest.raises(HypothesisError):

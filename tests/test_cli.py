@@ -514,6 +514,39 @@ def test_bounds_check_runs_neither_the_oracle_nor_the_factorization_counts(capsy
     assert any(c["name"].startswith("pmf remainder ") for c in data["checks"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "1"],
+    ["bounds-check", "--p", "7", "--ell", "1", "--Q", "x + 3", "--k", "0"],
+])
+def test_log_cycle_average_verdict_is_exact(capsys, monkeypatch, argv):
+    # the record passes with the exact bounds; lowering one cell's bound to
+    # just below A^L (j = 8, n = 8, gamma = 1/4, variant b) flips it, and
+    # only it: the verdict compares A^L with the integer-exponent form
+    from hayesdist import asym
+    from hayesdist.comb import cycle_average_series
+
+    def cycle_record():
+        data = json.loads(capsys.readouterr().out)
+        (record,) = [c for c in data["checks"] if c["name"] == "log cycle-average bounds"]
+        return record
+
+    assert run(argv) == 0
+    assert cycle_record() == {
+        "name": "log cycle-average bounds", "pass": True, "lhs": "ln A_j(n, gamma)", "rhs": "variant a/b bounds",
+    }
+    real = asym.cycle_average_bound_power
+
+    def lowered(j, n, gamma, p, variant):
+        L, R = real(j, n, gamma, p, variant)
+        if (j, n, gamma, variant) == (8, 8, Fraction(1, 4), "b"):
+            R = cycle_average_series(j, n, gamma, p) ** L - Fraction(1, 10 ** 9)
+        return L, R
+
+    monkeypatch.setattr(asym, "cycle_average_bound_power", lowered)
+    assert run(argv) == 1
+    assert cycle_record()["pass"] is False
+
+
 def test_truncated_binomial_verdicts_match_fraction_form():
     # every (N, q, m) cell of the integer-form floor and proximity verdicts
     # against the same inequality on the Fraction mu_m = sum_{j<=m} (-1)^j C(N, j) q^-j,

@@ -19,13 +19,15 @@ from hayesdist.dist import (
     factorization_counts,
     group_convolve,
     joint_zero_counts,
+    moment_plan,
     moment_rows,
     rs_census,
     rs_distance_row,
     rs_group,
     sieve_rows,
-    sieve_work,
+    sieve_plan,
     subset_product_table,
+    transform_work,
     verify_series_identities,
 )
 from hayesdist.errors import BudgetExceededError, ValidationError
@@ -311,13 +313,16 @@ class TestSieveDifferential:
         for j_lo in range(1, min(n, d) + 1):
             assert moment_rows(G, pts, G.monic_class_counts, d, j_lo).tolist() == full[j_lo - 1:], j_lo
 
-    def test_sieve_work(self, groups):
+    def test_sieve_plan(self, groups):
         # q = 5, n = 5, |G| = 5, d = 2: the DP updates rows 1, 1-2, 1-2, 1-2
-        # and 2 over the five points (8 rows), and N_0 has one nonzero entry
+        # and 2 over the five points (8 rows), and N_0 has one nonzero entry;
+        # the transform would take 1 prime * 5 * (one axis of 5 * 3
+        # transforms + 2 * min(5, 2)) = 95 cells
         G = groups(5, 1, 1, "1")
-        assert sieve_work(G, 1, 5) == {"dp_cells": 40, "convolution_cells": 5}
+        assert sieve_plan(G, 1, 5) == ("sieve", {"dp_cells": 40, "convolution_cells": 5})
+        assert transform_work(G, 5, 2, 2) == 95
         # k >= n: every W_j is the closed form C(n, j) q^(k-j), no DP at all
-        assert sieve_work(G, 5, 5) == {"dp_cells": 0, "convolution_cells": 0}
+        assert sieve_plan(G, 5, 5) == ("sieve", {"dp_cells": 0, "convolution_cells": 0})
         with pytest.raises(BudgetExceededError) as info:
             exact_distributions_all(G, 1, budget=44)
         assert info.value.value == 45
@@ -398,7 +403,8 @@ class TestSeriesIdentities:
     def test_work_counts_the_gathers_and_rows_it_makes(self, groups, monkeypatch, key):
         # convolution_cells is |G| per nonzero class count that
         # group_convolve gathers, exactly; dp_cells is one unbanded table per
-        # degree d <= d_max, rows 1..min(i+1, d) for the i-th point, times |G|
+        # degree d <= d_max that the DP runs, rows 1..min(i+1, d) for the
+        # i-th point, times |G|; the other degrees count transform cells
         G = groups(*key)
         t, ell = G.params.t, G.params.ell
         n = len(default_point_set(G.params))
@@ -413,9 +419,13 @@ class TestSeriesIdentities:
             gathers.clear()
             passed, _, work = verify_series_identities(G, d_max)
             assert passed
-            assert work["convolution_cells"] == G.order * sum(gathers), d_max
-            rows = sum(min(i + 1, d) for d in range(d_max + 1) for i in range(n))
-            assert work["dp_cells"] == G.order * rows, d_max
+            plans = [moment_plan(G, n, d, 1) for d in range(d_max + 1)]
+            dp = [d for d, (engine, _) in enumerate(plans) if engine == "sieve"]
+            assert work.get("convolution_cells", 0) == G.order * sum(gathers), d_max
+            rows = sum(min(i + 1, d) for d in dp for i in range(n))
+            assert work.get("dp_cells", 0) == G.order * rows, d_max
+            cells = sum(transform_work(G, n, d, 1) for d in range(d_max + 1) if d not in dp)
+            assert work.get("transform_cells", 0) == cells, d_max
 
     def test_degenerate_single_class(self, groups):
         passed, _, _ = verify_series_identities(groups(2, 1, 0, "1"), 3)
@@ -515,10 +525,12 @@ def _corrupt_linear_class_count(monkeypatch):
             {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(1, min(d, 2) + 1)}
             | {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2)},
         ),
+        # the DP forms the rows of degrees 1..3; at degree 4 every class
+        # count N_(4-j) is constant and the transform's closed form runs
         (
             _corrupt_group_convolve,
-            {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(1, min(d, 2) + 1)}
-            | {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2) if j <= 2},
+            {f"product slice z^{d} (u-1)^{j}" for d in range(4) for j in range(1, min(d, 2) + 1)}
+            | {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(2) for j in (k + 1, k + 2) if j <= 2},
         ),
         (_corrupt_joint_zero_counts, {"product slice z^3 (u-1)^1"}),
         # the (u-1)^0 slice is the class counts: q^(d-t-ell) each, or 0/1 with total Phi_d(Q)

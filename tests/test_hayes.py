@@ -374,7 +374,7 @@ class TestClassGroup:
     def test_translation_is_exponent_arithmetic(self, groups, key):
         G = groups(*key)
         for c in range(G.order):
-            assert np.array_equal(G.translation(c), G._class_at(G.dlog + G.dlog[c]))
+            assert np.array_equal(G.translation(c), G._class_at(G.dlog.astype(np.int64) + G.dlog[c]))
 
     @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
     def test_quotients_are_the_inverse_translations(self, groups, key):
@@ -548,6 +548,33 @@ def test_coordinates_beyond_the_class_cap(fields):
         row = G.translation(c)
         for i in rng.sample(range(G.order), 20):
             assert row[i] == G.class_of(G.rep(i) * G.rep(c))
+
+
+def test_exponents_near_the_dtype_limit(fields):
+    """q = 256, ell = 0, Q = x: one cyclic factor of order 255, so dlog is
+    uint8; products, inverses and quotients of classes of exponent 200 and
+    the character values there widen it first (200 + 200 wraps to 144 in
+    uint8, and -200 to 56, where the exponents are 145 and 55 mod 255)."""
+    from hayesdist.chars import CharacterTable
+
+    spec = fields(2, 8)
+    G = ClassGroup(HayesParams(0, Polynomial.x(spec)))
+    assert G.orders == (255,) and G.dlog.dtype == np.uint8
+    at = {e: c for c, (e,) in enumerate(G.dlog.tolist())}
+    a = at[200]
+    assert G.mul(a, a) == at[145] == G.class_of(G.rep(a) * G.rep(a))
+    assert G.inv(a) == at[55]
+    assert G.class_of(G.rep(a) * G.rep(G.inv(a))) == G.identity
+    assert G.quotients([a]).tolist() == [G.translation(G.inv(a)).tolist()]
+    assert G.quotients([a])[0, at[254]] == at[54]
+    table = CharacterTable(G)
+    values = table.values_at([a])[:, 0]
+    assert np.allclose(values, np.exp(2j * np.pi * table.exponents[:, 0] * 200 / 255))
+
+
+def test_dlog_is_the_narrowest_unsigned_type(groups):
+    assert groups(2, 1, 0, "1").dlog.dtype == np.uint8  # the trivial group
+    assert groups(7, 1, 1, "x^3 + x + 1").dlog.dtype == np.uint16  # order 2394
 
 
 def test_paper_regime_group_builds_under_the_default_budget(fields):

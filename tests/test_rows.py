@@ -264,19 +264,38 @@ def enumeration_blocks_reference(G, d, point_idx, max_rows):
 
 
 def assert_enumeration_matches(G, d, pts, max_rows):
-    """`FieldSpec.monic_blocks` and `ClassGroup.monic_class_blocks` block by
-    block against the reference, rows in the same order."""
+    """`FieldSpec.monic_blocks` and `ClassGroup.monic_class_blocks` against
+    the reference, rows in the same order.  The reference has one block per
+    low prefix, q^F rows each; a block of the kernel joins max_rows // q^F
+    of them in turn (the last block may hold fewer)."""
     spec, params = G.params.spec, G.params
     point_idx = [a.index for a in pts]
     want = list(enumeration_blocks_reference(G, d, point_idx, max_rows))
     got = list(spec.monic_blocks(d, point_idx, params.Q.index_coeffs(), params.ell, max_rows))
     labelled = list(G.monic_class_blocks(d, point_idx, max_rows))
-    assert len(got) == len(labelled) == len(want), (d, max_rows)
-    for (zeros, residues, leading), (classes, zeros_again), (z, r, lead, c) in zip(got, labelled, want):
-        assert zeros.tolist() == zeros_again.tolist() == z.tolist(), (d, max_rows)
-        assert residues.tolist() == r.tolist(), (d, max_rows)
-        assert leading.tolist() == lead.tolist(), (d, max_rows)
-        assert classes.tolist() == c.tolist(), (d, max_rows)
+    per = max(1, max_rows // len(want[0][0]))
+    sizes = [sum(len(block[0]) for block in want[i:i + per]) for i in range(0, len(want), per)]
+    assert [len(block[0]) for block in got] == [len(block[0]) for block in labelled] == sizes, (d, max_rows)
+    assert max(sizes) <= max(max_rows, 1)
+
+    def joined(blocks, i):
+        return np.concatenate([np.asarray(block[i]).reshape(-1, len(block[0])) for block in blocks], axis=1).tolist()
+
+    assert joined(got, 0) == joined(labelled, 1) == joined(want, 0), (d, max_rows)
+    assert joined(got, 1) == joined(want, 1), (d, max_rows)
+    assert joined(got, 2) == joined(want, 2), (d, max_rows)
+    assert joined(labelled, 0) == joined(want, 3), (d, max_rows)
+
+
+def test_consecutive_prefixes_share_a_block():
+    # q = 3, ell = 1, Q = x^2: at d = 4 and max_rows = 20 the table holds the
+    # 9 monic quadratics g (F = 2), and a block joins the g's of two of the
+    # 9 low prefixes: 81 polynomials in 4 blocks of 18 rows and one of 9
+    G = grid_group((3, 1, None), 1, "x^2")
+    pts = default_point_set(G.params)
+    blocks = list(G.params.spec.monic_blocks(4, [a.index for a in pts], G.params.Q.index_coeffs(), 1, 20))
+    assert [len(zeros) for zeros, _, _ in blocks] == [18] * 4 + [9]
+    assert_enumeration_matches(G, 4, pts, 20)
 
 
 @pytest.mark.parametrize("field, ell, q_text", ENUMERATION_GRID)
