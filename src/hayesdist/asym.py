@@ -25,6 +25,7 @@ from typing import NamedTuple
 from ._record import FrozenRecord
 from .comb import cycle_average_series, truncated_binomial_sum
 from .errors import HypothesisError
+from .ffield import _is_prime
 
 SQRT_BITS = 60
 
@@ -44,22 +45,18 @@ def sqrt_upper(value: int, bits: int = SQRT_BITS) -> Fraction:
 
 
 def characteristic_of(q: int) -> int:
-    """The prime p with q = p^a; rejects non-prime-powers."""
+    """The prime p with q = p^a; rejects non-prime-powers.  Each a-th root
+    is floor(q^(1/a)) by Newton's method from above, and p is tested by
+    `ffield._is_prime`, so a prime q near 2^64 takes microseconds."""
     if q < 2:
         raise ValueError("need q >= 2")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    m = q
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p
+    for a in range(1, q.bit_length()):
+        p = 1 << -(-q.bit_length() // a)
+        while (root := ((a - 1) * p + q // p ** (a - 1)) // a) < p:
+            p = root
+        if p ** a == q and _is_prime(p):
+            return p
+    raise ValueError(f"{q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------

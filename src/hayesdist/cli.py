@@ -7,7 +7,13 @@ library version; identical configuration and seed give byte-identical output.
 Artifacts of the distribution commands, `weil` and `series-check` name the
 engine that produced their numbers ("sieve" or "transform" for the rows W_j,
 joined by "+" where the runs of one command differ; "enumeration" or
-"characters") and its deterministic work counts.
+"characters") and its deterministic work counts.  Each distribution
+command takes its row engines and cells from one `dist.sieve_plan` call
+(the planner `dist.plan_rows`), and none re-plans: `moments-check` and
+`bounds-check` check the sums over their k, of the oracle's comparisons
+and of each engine's cells, before the first k runs, so a refusal reports
+the totals that the artifact would.  Both row engines stay; the `dist`
+docstring says why.
 
 Exit codes: 0 when all asserted checks pass, 1 for validation or check
 failures (usage errors on the command line included), arithmetic-check
@@ -169,7 +175,7 @@ def cmd_exact_dist(args) -> int:
     spec, params, group = _build_group(args)
     points = _parse_points(spec, args.points)
     dists = exact_distributions_all(group, args.k, points, budget=args.max_enum)
-    engine, work = sieve_plan(group, args.k, len(dists.points))
+    engine, work = sieve_plan(group, [args.k], len(dists.points))
     _emit(args, {
         "classes": group.export_classes(),
         "distributions": dists.json_records(),
@@ -181,13 +187,11 @@ def cmd_exact_dist(args) -> int:
 
 def cmd_moments_check(args) -> int:
     from .dist import (
-        ENGINE_CELLS,
         ENUMERATION_COMPARISONS,
         binomial_moments,
         default_point_set,
         enumeration_comparisons,
         enumeration_distributions_all,
-        merged_plan,
         sieve_plan,
         sieve_rows,
     )
@@ -203,18 +207,11 @@ def cmd_moments_check(args) -> int:
     points = default_point_set(params)
     n = len(points)
     ks = range(args.k_min, args.k + 1)
-    # the oracle's comparisons and the sieve's cells of every k, checked
-    # before the first k runs
-    work = {"comparisons": 0}
-    plans = []
-    for k in ks:
-        comparisons = enumeration_comparisons(group, k, n)
-        engine, cells = sieve_plan(group, k, n)
-        check_budget(ENUMERATION_COMPARISONS, comparisons, args.max_enum)
-        check_budget(ENGINE_CELLS[engine], sum(cells.values()), args.max_enum)
-        work["comparisons"] += comparisons
-        plans.append((engine, cells))
-    work.update(merged_plan(plans)[1])
+    # the oracle's comparisons and then the sieve's cells, each summed over
+    # the k of the run and checked before the first k runs
+    comparisons = sum(enumeration_comparisons(group, k, n) for k in ks)
+    check_budget(ENUMERATION_COMPARISONS, comparisons, args.max_enum)
+    work = {"comparisons": comparisons, **sieve_plan(group, ks, n, args.max_enum)[1]}
     # per k, the oracle's q^k E[C(Y, j)] of every class (j <= k + t + ell)
     # and the sieve's W_j rows, as integers
     runs = []
@@ -323,7 +320,7 @@ def cmd_bounds_check(args) -> int:
 
     from .asym import cycle_average_bound_power, gamma_at_most_one, pmf_remainder_bound, w_remainder_bound
     from .comb import binomial_lower_bound, coordinate_sieve_check, cycle_average_series
-    from .dist import ENGINE_CELLS, default_point_set, merged_plan, pmf_prediction, sieve_plan, sieve_rows
+    from .dist import default_point_set, pmf_prediction, sieve_plan, sieve_rows
 
     if args.k < 0:
         raise ValidationError(f"k must be >= 0, got {args.k}")
@@ -398,42 +395,36 @@ def cmd_bounds_check(args) -> int:
     # floor(q^k (prediction_r + bound_r))]
     points = default_point_set(params)
     n = len(points)
-    plans = []
     remainders = []  # per k: the factorization records, the count rows, the pmf predictions and bounds
     remainders_ok = True
-    if ell >= 1 and gamma_at_most_one(n, q, t, ell):
-        plans = [sieve_plan(group, k, n) for k in range(0, args.k + 1)]
-        for engine, cells in plans:
-            check_budget(ENGINE_CELLS[engine], sum(cells.values()), args.max_enum)
-        for k in range(0, args.k + 1):
-            W, counts = sieve_rows(group, k, points, budget=args.max_enum)
-            factorization = []
-            for j, row in zip(range(k + 1, k + t + ell + 1), W.tolist()):
-                main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)
-                bound = w_remainder_bound(j, n, q, k, t, ell, group.order)
-                worst = max(abs(w - main) for w in row)
-                factorization.append({
-                    "name": f"factorization remainder k={k} j={j}", "pass": bool(worst <= bound),
-                    "lhs": _frac(Fraction(worst)), "rhs": _frac(bound),
-                })
-            # the prediction and its bound depend on (k, r) alone, not on the class
-            support = range(0, k + t + ell + 1)
-            predictions = [pmf_prediction(params, n, r, k) for r in support]
-            bounds = [pmf_remainder_bound(r, n, q, k, t, ell) for r in support]
-            rows = counts.tolist()
-            remainders.append((k, factorization, rows, predictions, bounds))
-            for row, prediction, bound in zip(rows, predictions, bounds):
-                low, high = math.ceil(q ** k * (prediction - bound)), math.floor(q ** k * (prediction + bound))
-                remainders_ok &= all(low <= count <= high for count in row)
-            remainders_ok &= all(c["pass"] for c in factorization)
-    else:
+    ks = range(args.k + 1) if ell >= 1 and gamma_at_most_one(n, q, t, ell) else range(0)
+    # the sieve's cells, summed over the k of the run, checked before the first k runs
+    engine, work = sieve_plan(group, ks, n, args.max_enum)
+    if not ks:
         checks.append(
-            {
-                "name": "remainder bounds",
-                "pass": True,
-                "skipped": "hypotheses ell >= 1 and gamma <= 1 not met",
-            }
+            {"name": "remainder bounds", "pass": True, "skipped": "hypotheses ell >= 1 and gamma <= 1 not met"}
         )
+    for k in ks:
+        W, counts = sieve_rows(group, k, points, budget=args.max_enum)
+        factorization = []
+        for j, row in zip(range(k + 1, k + t + ell + 1), W.tolist()):
+            main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)
+            bound = w_remainder_bound(j, n, q, k, t, ell, group.order)
+            worst = max(abs(w - main) for w in row)
+            factorization.append({
+                "name": f"factorization remainder k={k} j={j}", "pass": bool(worst <= bound),
+                "lhs": _frac(Fraction(worst)), "rhs": _frac(bound),
+            })
+        # the prediction and its bound depend on (k, r) alone, not on the class
+        support = range(0, k + t + ell + 1)
+        predictions = [pmf_prediction(params, n, r, k) for r in support]
+        bounds = [pmf_remainder_bound(r, n, q, k, t, ell) for r in support]
+        rows = counts.tolist()
+        remainders.append((k, factorization, rows, predictions, bounds))
+        for row, prediction, bound in zip(rows, predictions, bounds):
+            low, high = math.ceil(q ** k * (prediction - bound)), math.floor(q ** k * (prediction + bound))
+            remainders_ok &= all(low <= count <= high for count in row)
+        remainders_ok &= all(c["pass"] for c in factorization)
 
     def remainder_checks():
         for k, factorization, rows, predictions, bounds in remainders:
@@ -449,7 +440,6 @@ def cmd_bounds_check(args) -> int:
                     }
 
     all_ok = remainders_ok and all(c["pass"] for c in checks)
-    engine, work = merged_plan(plans)
     _emit(args, {
         "checks": itertools.chain(checks, remainder_checks()), "pass": all_ok, "engine": engine, "work": work,
     })
@@ -461,7 +451,7 @@ def cmd_rs(args) -> int:
 
     spec = FieldSpec(args.p, args.a)
     group = rs_group(spec, args.ell, args.max_enum)
-    engine, work = sieve_plan(group, args.k, spec.q)
+    engine, work = sieve_plan(group, [args.k], spec.q)
     engine = {"engine": engine, "work": work}
     if args.word:
         f = Polynomial.from_text(spec, args.word)
@@ -514,7 +504,7 @@ def cmd_approx(args) -> int:
         "eps", "r", "count", "exact", "exact_float", "binomial", "poisson",
         "mu_mass", "ratio_to_mu", "envelope",
     ]
-    engine, work = sieve_plan(group, args.k, n)
+    engine, work = sieve_plan(group, [args.k], n)
     _emit(args, {"table": table(), "engine": engine, "work": work}, columns=columns)
     return 0
 
@@ -522,6 +512,8 @@ def cmd_approx(args) -> int:
 def cmd_regimes(args) -> int:
     from .asym import Regime, condition_a, condition_b
 
+    if args.p >= 1 << 64:
+        raise ValidationError(f"characteristic {args.p} is not below 2^64")
     if not _is_prime(args.p):
         raise ValidationError(f"characteristic {args.p} is not prime")
     if args.a < 1:

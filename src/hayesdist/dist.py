@@ -18,23 +18,40 @@ each such f is g * prod_{a in S} (x - a) with g monic of degree d - j, so
 where S_j(c) counts the j-subsets of D whose product of (x - a) lies in
 class c, and N_e counts monic degree-e polynomials per class.  Here
 e < t + ell, and a class holds at most one polynomial of such a degree, so
-N_e has Phi_e(Q) nonzero entries.  Two engines form these rows, and
-`moment_plan` picks, per call, the one with fewer counted cells:
+N_e has Phi_e(Q) nonzero entries.  `moment_rows` forms these rows.  A row
+whose class counts are one constant c (Phi_(d-j)(Q) = 0, or d - j >= t + ell
+in the series check) is the closed form C(n, j) c; one of two engines
+forms the others (`_transformed_rows`, which both cost formulas count):
 
 * the DP ("sieve"): a dynamic programme that translates every class by
-  <x - a> once per point, at most n * (min(n, d) + 1) * |G| DP cells, then
-  |G| per nonzero N_e entry for the group-algebra product
-  (`moment_work`); `group_convolve` gathers a block of translations at once
-  and sums them in int64 where no sum can reach 2^63;
+  <x - a> once per point over the band of those rows, at most
+  n * (min(n, d) + 1) * |G| DP cells, then |G| per nonzero N_e entry for
+  the group-algebra product (`moment_work`); `group_convolve` gathers a
+  block of translations at once and sums them in int64 where no sum can
+  reach 2^63;
 * the transform ("transform", `hayesdist.transform`, imported only when it
   runs): one transform of the point classes gives the power sums of the
   point characters, Newton's identities (an order-N recurrence past the
   group exponent N) their elementary symmetric functions S^_j, and one
   inverse transform of S^_j N^_(d-j) per row gives W_j, modulo primes
   P = 1 (mod N) in (2^24, 2^25) joined by CRT; primes * |G| * (sum of
-  axis sizes * transforms + min(n, d) min(N, min(n, d))) cells
-  (`transform_work`).  A row whose class counts are constant is the closed
-  form C(n, j) N_(d-j) and costs nothing.
+  axis sizes * transforms + j_hi min(N, j_hi)) cells, j_hi the highest
+  row (`transform_work`).
+
+`plan_rows` is the one planner: over a list of runs (d, j_lo) it picks each
+run's engine by `moment_plan` (fewer counted cells, the DP on a tie),
+checks each engine's cells, summed over the runs, against the budget
+before the first run starts, and returns the artifact's `engine` (joined by
+"+") and summed `work`.  `sieve_plan` is its form for `sieve_rows` runs,
+so a command that runs several k refuses on the sum it reports.  Both
+engines stay, since neither serves the paper's regime t <= sqrt(q) alone
+(transform figures with the exponent cap lifted): at q = 27, Q an
+irreducible cubic, ell = k = 0, the transform counts 1.07e8 cells, over
+the default budget, for a call the DP runs in 1.6e7; at q = 2, Q
+irreducible of degree 13 (a prime axis of 8191), `exact-dist --ell 0 --k 0`
+takes 1.4-1.7 s and 33 MB on the DP and 4.4 s and 2.1 GB on the transform;
+at q = 243, ell = 1, k = 2 the transform counts 13122 cells where the DP
+counts 175932.
 
 Either way the work is polynomial in q, where enumeration costs
 |G| * q^k * n comparisons.  Counts are Python integers (numpy object
@@ -413,32 +430,32 @@ SIEVE_CELLS = "sieve cells (DP + convolution)"
 TRANSFORM_CELLS = "sieve cells (character transform)"
 ENGINE_CELLS = {SIEVE: SIEVE_CELLS, TRANSFORM: TRANSFORM_CELLS}  # refusal `what` of each engine
 _PRIME_BITS = 24  # the transform's primes lie in (2^24, 2^25) ...
-_MAX_PRIMES = 128  # ... at most this many of them ...
 _MAX_EXPONENT = 1 << 12  # ... each 1 mod the group exponent N, at most this
 
 
-def moment_work(group: ClassGroup, n: int, d: int, j_lo: int) -> dict[str, int]:
-    """Cells the DP engine of `moment_rows` touches at degree d on n points
-    for j_lo <= j <= d: the DP cell updates of its subset-product table, and
-    one |G|-gather per nonzero class count N_(d-j) for j <= min(n, d), of
-    which there are min(|G|, Phi_(d-j)(Q)): a class holds at most one
-    polynomial of degree below t + ell, and every class holds one from there
-    on."""
-    j_hi = min(n, d)
-    dp_rows = sum(max(0, hi - lo + 1) for lo, hi in _live_rows(n, j_lo, j_hi))
-    gathers = sum(min(group.order, phi(d - j, group.params.Q)) for j in range(j_lo, j_hi + 1))
-    return {"dp_cells": dp_rows * group.order, "convolution_cells": gathers * group.order}
-
-
 def _transformed_rows(group: ClassGroup, n: int, d: int, j_lo: int) -> list[int]:
-    """The rows j_lo <= j <= min(n, d) whose class counts N_(d-j) are not
-    constant, as counted from Phi: below t + ell each class holds 0 or 1
-    polynomial of degree d - j, from there on every class q^(d-j-t-ell)."""
+    """The rows j_lo <= j <= min(n, d) that an engine of `moment_rows` forms:
+    those whose class counts N_(d-j) are not constant, as counted from Phi.
+    Below t + ell each class holds 0 or 1 polynomial of degree d - j, from
+    there on every class q^(d-j-t-ell); the constant rows are closed forms."""
     params = group.params
     return [
         j for j in range(j_lo, min(n, d) + 1)
         if d - j < params.t + params.ell and 0 < phi(d - j, params.Q) < group.order
     ]
+
+
+def moment_work(group: ClassGroup, n: int, d: int, j_lo: int) -> dict[str, int]:
+    """Cells the DP engine of `moment_rows` touches at degree d on n points
+    for the rows of `_transformed_rows`: the DP cell updates of its
+    subset-product table, which runs from their lowest row to their highest,
+    and one |G|-gather per nonzero class count N_(d-j) of each row, of which
+    there are Phi_(d-j)(Q)."""
+    rows = _transformed_rows(group, n, d, j_lo)
+    live = _live_rows(n, rows[0], rows[-1]) if rows else []
+    dp_rows = sum(max(0, hi - lo + 1) for lo, hi in live)
+    gathers = sum(phi(d - j, group.params.Q) for j in rows)
+    return {"dp_cells": dp_rows * group.order, "convolution_cells": gathers * group.order}
 
 
 def _prime_count(bound: int) -> int:
@@ -448,21 +465,22 @@ def _prime_count(bound: int) -> int:
 
 def transform_work(group: ClassGroup, n: int, d: int, j_lo: int) -> int | None:
     """Cells the transform engine of `moment_rows` touches at degree d on n
-    points for j_lo <= j <= d, or None where it cannot run (the group
-    exponent N above _MAX_EXPONENT, or more than _MAX_PRIMES primes):
-    primes * |G| * (sum of axis sizes * transforms + j_hi min(N, j_hi)),
-    with j_hi = min(n, d), one forward transform of the point classes and a
-    forward and an inverse one per row with non-constant class counts, and
-    the primes those rows' bound W_j <= C(n, j) calls for (N_(d-j) is a 0/1
-    vector there).  0 when every row is constant: those rows are closed forms."""
+    points for the rows of `_transformed_rows`, or None where it cannot run
+    (the group exponent N above _MAX_EXPONENT): primes * |G| * (sum of axis
+    sizes * transforms + j_hi min(N, j_hi)), with j_hi the highest row, one
+    forward transform of the point classes and a forward and an inverse one
+    per row, and the primes those rows' bound W_j <= C(n, j) calls for
+    (N_(d-j) is a 0/1 vector there).  0 when there is no such row.
+
+    n <= MAX_Q = 256, so C(n, j) <= C(256, 128) needs at most 11 primes."""
     rows = _transformed_rows(group, n, d, j_lo)
     if not rows:
         return 0
-    j_hi = min(n, d)
+    j_hi = rows[-1]
     N = math.lcm(*group.orders)
-    primes = _prime_count(max(math.comb(n, j) for j in rows))
-    if N > _MAX_EXPONENT or primes > _MAX_PRIMES or j_hi >> _PRIME_BITS:
+    if N > _MAX_EXPONENT:
         return None
+    primes = _prime_count(max(math.comb(n, j) for j in rows))
     axes = sum(p ** v for order in group.orders for p, v in _prime_powers(order))
     return primes * group.order * (axes * (1 + 2 * len(rows)) + j_hi * min(N, j_hi))
 
@@ -478,32 +496,30 @@ def moment_plan(group: ClassGroup, n: int, d: int, j_lo: int) -> tuple[str, dict
     return SIEVE, dp
 
 
-def sieve_plan(group: ClassGroup, k: int, n: int) -> tuple[str, dict[str, int]]:
-    """`moment_plan` of one `sieve_rows` run at degree k + t + ell on n points."""
-    params = group.params
-    return moment_plan(group, n, k + params.t + params.ell, k + 1)
-
-
-def merged_plan(plans) -> tuple[str, dict[str, int]]:
-    """The engines of several runs, joined by "+" in order of first use, and
-    their cells summed key by key; the DP with no cells when there is no run."""
-    engines, work = [], {}
-    for engine, cells in plans:
-        if engine not in engines:
-            engines.append(engine)
+def plan_rows(group: ClassGroup, n: int, runs, budget: int | None = None) -> tuple[str, dict[str, int]]:
+    """The plan of the `moment_rows` runs (d, j_lo) on n points: each run's
+    engine by `moment_plan`, and each engine's cells, summed over the runs,
+    checked against the budget under its own name before any run starts.
+    Returns the engines joined by "+" in order of first use and their cells
+    summed key by key (the artifact's `engine` and `work`); the DP with no
+    cells when there is no run."""
+    engines: dict[str, int] = {}  # engine -> its cells over the runs, in order of first use
+    work: dict[str, int] = {}
+    for d, j_lo in runs:
+        engine, cells = moment_plan(group, n, d, j_lo)
+        engines[engine] = engines.get(engine, 0) + sum(cells.values())
         for key, value in cells.items():
             work[key] = work.get(key, 0) + value
+    for engine, total in engines.items():
+        check_budget(ENGINE_CELLS[engine], total, budget)
     return ("+".join(engines), work) if engines else (SIEVE, {"dp_cells": 0, "convolution_cells": 0})
 
 
-def check_plans(plans, budget: int | None) -> None:
-    """Refuse when the cells that one engine spends over these runs exceed
-    the budget: each engine's total is checked under its own name."""
-    totals: dict[str, int] = {}
-    for engine, cells in plans:
-        totals[engine] = totals.get(engine, 0) + sum(cells.values())
-    for engine, total in totals.items():
-        check_budget(ENGINE_CELLS[engine], total, budget)
+def sieve_plan(group: ClassGroup, ks, n: int, budget: int | None = None) -> tuple[str, dict[str, int]]:
+    """`plan_rows` of the `sieve_rows` runs at each k of ks on n points:
+    degree k + t + ell from j_lo = k + 1."""
+    params = group.params
+    return plan_rows(group, n, [(k + params.t + params.ell, k + 1) for k in ks], budget)
 
 
 def moment_rows(
@@ -512,33 +528,12 @@ def moment_rows(
     """W_j(eps) = sum_c S_j(c) N_(d-j)(eps c^-1) at degree d for
     j_lo <= j <= d, with the class counts N_e = counts(e), as an object array
     of Python integers indexed [j - j_lo, eps].  Rows past n = len(pts) are
-    0: no j-subset of the points exists.  The one place where W_j is formed:
-    by the engine of `moment_plan`, whose cells are checked against the
-    budget first."""
-    engine, work = moment_plan(group, len(pts), d, j_lo)
-    check_budget(ENGINE_CELLS[engine], sum(work.values()), budget)
-    rows = moment_rows_dp if engine == SIEVE else moment_rows_transform
-    return rows(group, pts, counts, d, j_lo)
-
-
-def moment_rows_dp(group: ClassGroup, pts: tuple[FqElement, ...], counts, d: int, j_lo: int) -> np.ndarray:
-    """`moment_rows` by the subset-product table and the group-algebra product."""
+    0: no j-subset of the points exists.  The one place where W_j is formed.
+    A row whose class counts are one constant c is the closed form C(n, j) c
+    (S_j sums to C(n, j) over the classes); the engine of `plan_rows`,
+    whose cells are checked against the budget first, forms the others."""
     n = len(pts)
-    S = subset_product_table(group, pts, j_lo, min(n, d))
-    W = np.zeros((d - j_lo + 1, group.order), dtype=object)
-    for row, j in zip(W, range(j_lo, min(n, d) + 1)):
-        row[:] = group_convolve(group, counts(d - j), S[j])
-    return W
-
-
-def moment_rows_transform(
-    group: ClassGroup, pts: tuple[FqElement, ...], counts, d: int, j_lo: int
-) -> np.ndarray:
-    """`moment_rows` in the character domain (`hayesdist.transform`, imported
-    only here).  A row with constant class counts c is the closed form
-    C(n, j) c: the transform of a constant lives on the trivial character,
-    where S_j^ is C(n, j)."""
-    n = len(pts)
+    engine, _ = plan_rows(group, n, [(d, j_lo)], budget)
     W = np.zeros((d - j_lo + 1, group.order), dtype=object)
     wanted = {}
     for j in range(j_lo, min(n, d) + 1):
@@ -548,14 +543,28 @@ def moment_rows_transform(
         else:
             wanted[j] = N
     if wanted:
-        from .transform import character_rows
-
-        bound = max(math.comb(n, j) * max(N) for j, N in wanted.items())
-        classes = _point_classes(group, pts)
-        rows = character_rows(group, classes, wanted, min(n, d), _prime_count(bound), _PRIME_BITS)
-        for j, row in rows.items():
+        rows = moment_rows_dp if engine == SIEVE else moment_rows_transform
+        for j, row in rows(group, pts, wanted).items():
             W[j - j_lo] = row
     return W
+
+
+def moment_rows_dp(group: ClassGroup, pts: tuple[FqElement, ...], wanted: dict[int, list[int]]) -> dict:
+    """W_j = S_j * N for each row j -> N of `wanted` (1 <= j <= len(pts)), by
+    the subset-product table and the group-algebra product."""
+    S = subset_product_table(group, pts, min(wanted), max(wanted))
+    return {j: group_convolve(group, N, S[j]) for j, N in wanted.items()}
+
+
+def moment_rows_transform(group: ClassGroup, pts: tuple[FqElement, ...], wanted: dict[int, list[int]]) -> dict:
+    """The rows of `moment_rows_dp` in the character domain
+    (`hayesdist.transform`, imported only here), with the primes that
+    W_j <= C(n, j) max N calls for."""
+    from .transform import character_rows
+
+    bound = max(math.comb(len(pts), j) * max(N) for j, N in wanted.items())
+    classes = _point_classes(group, pts)
+    return character_rows(group, classes, wanted, max(wanted), _prime_count(bound), _PRIME_BITS)
 
 
 def sieve_rows(
@@ -748,8 +757,8 @@ def verify_series_identities(
     through N_(d-j) with j >= 1, so no slice compares the table with itself.
     Every degree's q^d (n+1) evaluation cells (n evaluations and one label
     per polynomial) are checked against the budget before the first one,
-    and then, for each engine, the sum over the degrees of the cells of
-    the `moment_rows` calls it runs (`moment_plan`).
+    and then the cells of the `moment_rows` calls, summed over the degrees
+    per engine, by one `plan_rows` call.
 
     Returns the verdict, the check records ({"name", "pass", "detail"}
     dicts, each made as it is read) and the work counts.  Every table is
@@ -765,9 +774,8 @@ def verify_series_identities(
         raise ValidationError(f"d_max must be >= 0, got {d_max}")
     for d in range(d_max + 1):
         check_budget(f"evaluation cells q^{d} (n+1)", q ** d * (n + 1), budget)
-    plans = [moment_plan(group, n, d, 1) for d in range(d_max + 1)]
-    work = {"polynomials_checked": sum(q ** d for d in range(d_max + 1)), **merged_plan(plans)[1]}
-    check_plans(plans, budget)
+    _, cells = plan_rows(group, n, [(d, 1) for d in range(d_max + 1)], budget)
+    work = {"polynomials_checked": sum(q ** d for d in range(d_max + 1)), **cells}
 
     N: list[list[int]] = []  # N[d][class]
     M: list[list[list[int]]] = []  # M[d][j][class], exact Python integers

@@ -84,13 +84,22 @@ def _view(data: bytes, *shape: int) -> np.ndarray:
 
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the first 12 primes as bases: deterministic, and exact
+    for n < 3.18 * 10^23 (Jiang and Deng 2014), far above the 2^64 that
+    `regimes` admits."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    s, d = 0, n - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    for a in bases:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
-        d += 1
     return True
 
 

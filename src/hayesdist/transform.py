@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from .ffield import _is_prime
 from .hayes import ClassGroup, _prime_powers
 
 
@@ -57,18 +58,6 @@ def _power_places(sizes: list[int], i: int) -> np.ndarray:
     for m in sizes:
         places = (places[:, None] * m + i * np.arange(m) % m).ravel()
     return places
-
-
-def _is_prime(P: int) -> bool:
-    """Miller-Rabin to bases 2, 3, 5, 7: exact for odd 7 < P < 3215031751."""
-    s, d = 0, P - 1
-    while d % 2 == 0:
-        s, d = s + 1, d // 2
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, P)
-        if x not in (1, P - 1) and all((x := x * x % P) != P - 1 for _ in range(s - 1)):
-            return False
-    return True
 
 
 def primes(N: int, count: int, bits: int) -> list[int]:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -285,10 +286,14 @@ ORACLE = "enumeration comparisons |G| q^k n"
         (["series-check", "--p", "3", "--ell", "2", "--Q", "1", "--d-max", "2"],
          SIEVE, 117, {"dp_cells": 27 + 45, "convolution_cells": 9 + 36}),
         # bounds-check sums the sieve over k = 0..2 at q = 5, n = 5, |G| = 5:
-        # 25 + 5, 40 + 5 and 45 + 5 cells; the refusal names the largest
-        # k's 50 cells alone
+        # 25 + 5, 40 + 5 and 45 + 5 cells, checked as one sum before k = 0
         (["bounds-check", "--p", "5", "--ell", "1", "--Q", "1", "--k", "2"],
-         SIEVE, 50, {"dp_cells": 110, "convolution_cells": 15}),
+         SIEVE, 125, {"dp_cells": 110, "convolution_cells": 15}),
+        # moments-check sums the oracle over k = 0..3 at |G| = 6, n = 2:
+        # 6 (1 + 3 + 9 + 27) 2 comparisons, where the largest k alone
+        # makes 324
+        (["moments-check", "--p", "3", "--ell", "1", "--Q", "x + 1", "--k", "3"],
+         ORACLE, 480, {"comparisons": 480, "dp_cells": 30, "convolution_cells": 30}),
         # moments-check's sieve at |G| = 9, n = 3, d = 2: DP rows 1, 1-2,
         # 1-2 and phi_1 + phi_0 = 3 + 1 gathers, above the group's 3^2 * 3
         # candidate cells plus floor(log2 9) = 3 rungs of |G| = 9 and the
@@ -302,7 +307,7 @@ def test_refusal_value_is_the_work_of_the_route(capsys, argv, what, value, work)
     assert code == 0
     assert {key: data["work"][key] for key in work} == work
     route = {SIEVE: ("dp_cells", "convolution_cells"), ORACLE: ("comparisons",)}.get(what, ())
-    if route and argv[0] != "bounds-check":  # bounds-check sums the cells over k
+    if route:
         assert sum(work[key] for key in route) == value
     code, record = run_json(capsys, argv + ["--max-enum", str(value - 1)])
     assert code == 2
@@ -584,9 +589,11 @@ def test_weil_and_series_work_counts(capsys):
     # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..t+ell = 2,
     # class counts of degrees 0..2; series-check --d-max 3: degrees 0..3
     # enumerated once each into the joint table, and one row run per degree
-    # d = 1..3 over the n = 2 points: DP rows 1, 1 (d = 1) and 1, 1-2
-    # (d = 2, 3), and min(|G|, phi_(d-j)) gathers for 1 <= j <= min(d, 2):
-    # phi_0..phi_2 = 1, 2, 6, so 1 (d = 1) + 2 + 1 (d = 2) + 6 + 2 (d = 3)
+    # d = 1..3 over the n = 2 points.  phi_0..phi_2 = 1, 2, 6, and the row
+    # j = 1 of d = 3 has constant class counts (phi_2 = |G|), a closed form:
+    # DP rows 1, 1 (d = 1), 1, 1-2 (d = 2) and 1, 2 (d = 3, row 2 alone),
+    # and phi_(d-j) gathers for the other rows, 1 (d = 1) + 2 + 1 (d = 2) + 2
+    # (d = 3)
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
     assert code == 0
     assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9, "character_sums": 5 * 3}
@@ -594,7 +601,7 @@ def test_weil_and_series_work_counts(capsys):
     assert code == 0
     assert data["work"] == {
         "classes": 6, "polynomials_checked": 1 + 3 + 9 + 27,
-        "dp_cells": 6 * (2 + 3 + 3), "convolution_cells": 6 * 12,
+        "dp_cells": 6 * (2 + 3 + 2), "convolution_cells": 6 * 6,
     }
 
 
@@ -989,6 +996,7 @@ def test_unwritable_out_is_a_validation_record(capsys, tmp_path, argv, where):
         (["--p", "3", "--t", "-1"], "t="),
         (["--p", "3", "--ell", "-2"], "ell="),
         (["--p", "4"], "not prime"),
+        (["--p", str(1 << 64)], "not below 2^64"),
         (["--p", "3", "--a", "0"], "extension degree"),
         (["--p", "5", "--delta0", "nan"], "delta0 must be finite"),
         (["--p", "5", "--delta0", "inf"], "delta0 must be finite"),
@@ -998,6 +1006,18 @@ def test_regimes_input_validation(capsys, extra, needle):
     code, data = run_json(capsys, ["regimes", "--k-list", "1", *extra])
     assert code == 1
     assert data["error"] == "validation" and needle in data["message"]
+
+
+def test_regimes_large_characteristic(capsys):
+    # --p is tested by one deterministic Miller-Rabin, where trial division
+    # ran for minutes: the prime 2^61 - 1 is accepted and a product of two
+    # primes near 10^9 refused, each in well under a second
+    start = time.perf_counter()
+    code, data = run_json(capsys, ["regimes", "--p", str((1 << 61) - 1), "--k-list", "1"])
+    assert code == 0 and data["table"][0]["q"] == (1 << 61) - 1
+    code, data = run_json(capsys, ["regimes", "--p", str(1000000007 * 998244353), "--k-list", "1"])
+    assert code == 1 and "not prime" in data["message"]
+    assert time.perf_counter() - start < 1
 
 
 _EXECUTED = """
@@ -1164,10 +1184,10 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, line):
     "sub, route, what, value",
     [
         # |G| = 5, n = 5: the oracle makes 25, 125 and 625 comparisons at k =
-        # 0, 1, 2; the refusal at k = 2 comes before the oracle runs at k = 0
-        ("moments-check", "enumeration_distributions_all", ORACLE, 625),
+        # 0, 1, 2; the refusal of their sum comes before the oracle runs at k = 0
+        ("moments-check", "enumeration_distributions_all", ORACLE, 25 + 125 + 625),
         # the sieve touches 30, 45 and 50 cells at k = 0, 1, 2
-        ("bounds-check", "sieve_rows", SIEVE, 50),
+        ("bounds-check", "sieve_rows", SIEVE, 30 + 45 + 50),
     ],
     ids=["moments-check", "bounds-check"],
 )

@@ -17,6 +17,7 @@ from hayesdist.dist import (
     exact_distributions_all,
     factorial_moments,
     factorization_counts,
+    _live_rows,
     group_convolve,
     joint_zero_counts,
     moment_plan,
@@ -319,10 +320,10 @@ class TestSieveDifferential:
         # the transform would take 1 prime * 5 * (one axis of 5 * 3
         # transforms + 2 * min(5, 2)) = 95 cells
         G = groups(5, 1, 1, "1")
-        assert sieve_plan(G, 1, 5) == ("sieve", {"dp_cells": 40, "convolution_cells": 5})
+        assert sieve_plan(G, [1], 5) == ("sieve", {"dp_cells": 40, "convolution_cells": 5})
         assert transform_work(G, 5, 2, 2) == 95
         # k >= n: every W_j is the closed form C(n, j) q^(k-j), no DP at all
-        assert sieve_plan(G, 5, 5) == ("sieve", {"dp_cells": 0, "convolution_cells": 0})
+        assert sieve_plan(G, [5], 5) == ("sieve", {"dp_cells": 0, "convolution_cells": 0})
         with pytest.raises(BudgetExceededError) as info:
             exact_distributions_all(G, 1, budget=44)
         assert info.value.value == 45
@@ -402,30 +403,34 @@ class TestSeriesIdentities:
     )
     def test_work_counts_the_gathers_and_rows_it_makes(self, groups, monkeypatch, key):
         # convolution_cells is |G| per nonzero class count that
-        # group_convolve gathers, exactly; dp_cells is one unbanded table per
-        # degree d <= d_max that the DP runs, rows 1..min(i+1, d) for the
-        # i-th point, times |G|; the other degrees count transform cells
+        # group_convolve gathers, and dp_cells |G| per row that the
+        # subset-product tables update (rows lo..hi of `_live_rows` at each
+        # point, for the band each table is built for), exactly; the degrees
+        # that the transform runs count its cells
         G = groups(*key)
         t, ell = G.params.t, G.params.ell
         n = len(default_point_set(G.params))
-        gathers = []
+        gathers, updates = [], []
 
         def counted(group, u, v):
             gathers.append(sum(1 for uc in u if uc))
             return group_convolve(group, u, v)
 
+        def table(group, points, j_lo, j_hi):
+            updates.extend(hi - lo + 1 for lo, hi in _live_rows(len(points), j_lo, j_hi) if lo <= hi)
+            return subset_product_table(group, points, j_lo, j_hi)
+
         monkeypatch.setattr("hayesdist.dist.group_convolve", counted)
+        monkeypatch.setattr("hayesdist.dist.subset_product_table", table)
         for d_max in range(t + ell + 3):
             gathers.clear()
+            updates.clear()
             passed, _, work = verify_series_identities(G, d_max)
             assert passed
-            plans = [moment_plan(G, n, d, 1) for d in range(d_max + 1)]
-            dp = [d for d, (engine, _) in enumerate(plans) if engine == "sieve"]
+            transformed = [d for d in range(d_max + 1) if moment_plan(G, n, d, 1)[0] == "transform"]
             assert work.get("convolution_cells", 0) == G.order * sum(gathers), d_max
-            rows = sum(min(i + 1, d) for d in dp for i in range(n))
-            assert work.get("dp_cells", 0) == G.order * rows, d_max
-            cells = sum(transform_work(G, n, d, 1) for d in range(d_max + 1) if d not in dp)
-            assert work.get("transform_cells", 0) == cells, d_max
+            assert work.get("dp_cells", 0) == G.order * sum(updates), d_max
+            assert work.get("transform_cells", 0) == sum(transform_work(G, n, d, 1) for d in transformed), d_max
 
     def test_degenerate_single_class(self, groups):
         passed, _, _ = verify_series_identities(groups(2, 1, 0, "1"), 3)
@@ -525,11 +530,11 @@ def _corrupt_linear_class_count(monkeypatch):
             {f"product slice z^{d} (u-1)^{j}" for d in range(5) for j in range(1, min(d, 2) + 1)}
             | {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(3) for j in (k + 1, k + 2)},
         ),
-        # the DP forms the rows of degrees 1..3; at degree 4 every class
-        # count N_(4-j) is constant and the transform's closed form runs
+        # the DP forms the rows with d - j < t + ell; a row whose class
+        # count N_(d-j) is constant (d - j >= 2) is a closed form
         (
             _corrupt_group_convolve,
-            {f"product slice z^{d} (u-1)^{j}" for d in range(4) for j in range(1, min(d, 2) + 1)}
+            {f"product slice z^{d} (u-1)^{j}" for d in range(4) for j in range(max(1, d - 1), min(d, 2) + 1)}
             | {f"moment slice k={k} eps=0 (u-1)^{j}" for k in range(2) for j in (k + 1, k + 2) if j <= 2},
         ),
         (_corrupt_joint_zero_counts, {"product slice z^3 (u-1)^1"}),

@@ -16,6 +16,7 @@ from hayesdist.dist import (
     default_point_set,
     exact_distributions_all,
     moment_plan,
+    moment_rows,
     moment_rows_dp,
     moment_rows_transform,
     moment_work,
@@ -23,7 +24,7 @@ from hayesdist.dist import (
     transform_work,
 )
 from hayesdist.errors import BudgetExceededError
-from hayesdist.ffield import Polynomial, _is_prime
+from hayesdist.ffield import MAX_Q, Polynomial, _is_prime
 
 # (p, a, ell, Q, d): what each case covers
 GRID = [
@@ -43,25 +44,32 @@ GRID = [
 
 
 def _rows(engine, G, pts, d, j_lo):
-    return engine(G, pts, G.monic_class_counts, d, j_lo).tolist()
+    """The rows j_lo <= j <= min(n, d) at degree d, every one formed by the
+    engine, the rows with constant class counts too."""
+    wanted = {j: G.monic_class_counts(d - j) for j in range(j_lo, min(len(pts), d) + 1)}
+    rows = engine(G, pts, wanted) if wanted else {}
+    assert sorted(rows) == sorted(wanted)
+    assert all(row.dtype == object and {type(x) for x in row.tolist()} <= {int} for row in rows.values())
+    return {j: row.tolist() for j, row in rows.items()}
 
 
 @pytest.mark.parametrize("key, d", GRID)
 def test_transform_rows_equal_the_dp_rows(groups, key, d):
-    # every band j_lo..d, on all points and on a prefix of them
+    # every band j_lo..d, on all points and on a prefix of them; both
+    # engines equal the rows of `moment_rows`, closed forms included
     G = groups(*key)
     pts = default_point_set(G.params)
     for sub in (pts, pts[: len(pts) // 2]):
         for j_lo in range(max(1, d - G.params.t - G.params.ell - 2), d + 1):
             want = _rows(moment_rows_dp, G, sub, d, j_lo)
-            got = moment_rows_transform(G, sub, G.monic_class_counts, d, j_lo)
-            assert got.dtype == object and {type(x) for x in got.ravel().tolist()} <= {int}
-            assert got.tolist() == want, (key, d, j_lo, len(sub))
+            assert _rows(moment_rows_transform, G, sub, d, j_lo) == want, (key, d, j_lo, len(sub))
+            W = moment_rows(G, sub, G.monic_class_counts, d, j_lo).tolist()
+            assert {j: W[j - j_lo] for j in want} == want, (key, d, j_lo, len(sub))
 
 
 def test_transform_with_no_points(groups):
     G = groups(5, 1, 1, "x^2 + x + 1")
-    assert _rows(moment_rows_transform, G, (), 4, 2) == [[0] * G.order] * 3
+    assert moment_rows(G, (), G.monic_class_counts, 4, 2).tolist() == [[0] * G.order] * 3
     assert moment_plan(G, 0, 4, 2) == ("sieve", {"dp_cells": 0, "convolution_cells": 0})
 
 
@@ -91,7 +99,7 @@ def test_two_primes_at_full_size(groups):
     G = groups(2, 6, 2, "1")
     pts = default_point_set(G.params)
     assert dist._prime_count(math.comb(64, 7)) == 2
-    assert sieve_plan(G, 5, 64)[0] == "transform"
+    assert sieve_plan(G, [5], 64)[0] == "transform"
     assert _rows(moment_rows_transform, G, pts, 7, 6) == _rows(moment_rows_dp, G, pts, 7, 6)
 
 
@@ -118,12 +126,28 @@ def test_random_configurations(fields, groups, data):
 def test_engine_choice(groups):
     # a small group keeps the DP: 45 cells against the transform's 95
     G = groups(5, 1, 1, "1")
-    assert sieve_plan(G, 1, 5) == ("sieve", moment_work(G, 5, 2, 2))
+    assert sieve_plan(G, [1], 5) == ("sieve", moment_work(G, 5, 2, 2))
     # q = 243, ell = 1, Q = 1, k = 2: 1 prime * 243 * (5 axes of 3 * 3
     # transforms + 3 * min(3, 3)) against the DP's 175932 cells
     G = groups(3, 5, 1, "1")
     assert sum(moment_work(G, 243, 3, 3).values()) == 175932
-    assert sieve_plan(G, 2, 243) == ("transform", {"transform_cells": 243 * (15 * 3 + 9)})
+    assert sieve_plan(G, [2], 243) == ("transform", {"transform_cells": 243 * (15 * 3 + 9)})
+
+
+def test_the_dp_stays_where_it_counts_fewer_cells(groups):
+    # q = 3, ell = 0, Q = x^7 + 2x^6 + x^5 + 1 (irreducible): |G| = 2186, one
+    # cyclic factor with a prime axis of 1093, so every transform is a
+    # 1093-column matrix product.  At k = 0 (n = 3, d = 7) the DP counts
+    # 2.3e6 cells against the transform's 1.7e7 and keeps the run; in one
+    # process, warm, it forms the rows in about 30 ms against 35 ms.  The
+    # engines' rows agree.
+    G = groups(3, 1, 0, "x^7 + 2*x^6 + x^5 + 1")
+    pts = default_point_set(G.params)
+    assert (G.order, len(pts)) == (2186, 3)
+    dp = sum(moment_work(G, 3, 7, 1).values())
+    assert (dp, transform_work(G, 3, 7, 1)) == (2314974, 16775364)
+    assert sieve_plan(G, [0], 3) == ("sieve", moment_work(G, 3, 7, 1))
+    assert _rows(moment_rows_dp, G, pts, 7, 1) == _rows(moment_rows_transform, G, pts, 7, 1)
 
 
 def test_transform_unavailable_past_its_limits(groups, monkeypatch):
@@ -138,7 +162,7 @@ def test_budget_counts_the_engine_that_runs(groups):
     # at q = 243, ell = 1, k = 2 the budget meets the transform's 13122
     # cells, not the DP's 175932
     G = groups(3, 5, 1, "1")
-    cells = sieve_plan(G, 2, 243)[1]["transform_cells"]
+    cells = sieve_plan(G, [2], 243)[1]["transform_cells"]
     assert len(exact_distributions_all(G, 2, budget=cells)) == 243
     with pytest.raises(BudgetExceededError) as info:
         exact_distributions_all(G, 2, budget=cells - 1)
@@ -156,8 +180,9 @@ def test_cli_names_the_transform(capsys):
 
 
 def test_a_corrupt_transform_fails_the_series_check(capsys, monkeypatch):
-    # q = 9, ell = 1, Q = 1: the transform forms the row j = 2 of degree 2
-    # (N_0 is not constant; N_1 is, and its row is a closed form)
+    # q = 25, ell = 1, Q = 1: the transform forms the row j = 2 of degree 2
+    # (N_0 is not constant; N_1 is, and its row is a closed form), 850
+    # cells against the DP's 1225
     real = transform.character_rows
 
     def corrupt(*args):
@@ -167,7 +192,7 @@ def test_a_corrupt_transform_fails_the_series_check(capsys, monkeypatch):
         return rows
 
     monkeypatch.setattr(transform, "character_rows", corrupt)
-    assert run(["series-check", "--p", "3", "--a", "2", "--ell", "1", "--Q", "1", "--d-max", "2"]) == 1
+    assert run(["series-check", "--p", "5", "--a", "2", "--ell", "1", "--Q", "1", "--d-max", "2"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert "transform_cells" in data["work"]
     assert {c["name"] for c in data["checks"] if not c["pass"]} == {
@@ -176,16 +201,18 @@ def test_a_corrupt_transform_fails_the_series_check(capsys, monkeypatch):
 
 
 def test_enough_primes_for_every_exponent():
-    # transform_work admits N <= _MAX_EXPONENT and at most _MAX_PRIMES
-    # primes: for every such N there are that many primes 1 mod N in
-    # (2^24, 2^25), so `transform.primes` never runs short
+    # transform_work admits N <= _MAX_EXPONENT, and a row's bound
+    # C(n, j) <= C(MAX_Q, MAX_Q // 2) calls for at most 11 primes: for
+    # every such N there are that many primes 1 mod N in (2^24, 2^25), so
+    # `transform.primes` never runs short
     lo, hi = 1 << dist._PRIME_BITS, 1 << dist._PRIME_BITS + 1
     sieve = np.ones(hi - lo, dtype=bool)  # sieve[i]: lo + i is prime
     for p in range(2, math.isqrt(hi) + 1):
         if _is_prime(p):
             sieve[-lo % p::p] = False
     fewest = min(sieve[-(lo - 1) % N::N].sum() for N in range(1, dist._MAX_EXPONENT + 1))
-    assert fewest >= dist._MAX_PRIMES
+    needed = dist._prime_count(math.comb(MAX_Q, MAX_Q // 2))
+    assert needed == 11 and fewest >= needed
     candidates = range((hi - 2) // 2394 * 2394 + 1, lo, -2394)
     assert transform.primes(2394, 3, 24) == [p for p in candidates if sieve[p - lo]][:3]
 
