@@ -1,19 +1,20 @@
 """Characters of the Hayes class group and their L-polynomials.
 
 Characters are read off the group's direct-product decomposition
-(`ClassGroup.orders` and `dlog`): the map  class -> exponent tuple  is a
-homomorphism onto Z_{n_1} x ... x Z_{n_m}.  The character with exponent
-tuple e sends a class with dlog d to exp(2 pi i sum_i e_i d_i / n_i);
-characters are numbered in `itertools.product` order of their exponent
-tuples, so character 0 is the trivial one.
+(`ClassGroup.orders` and `exponents`): the map  class -> exponent tuple  is
+a homomorphism onto Z_{n_1} x ... x Z_{n_m}.  The character with exponent
+tuple e sends a class with exponent tuple d to
+exp(2 pi i sum_i e_i d_i / n_i); characters are numbered in
+`itertools.product` order of their exponent tuples, so character 0 is the
+trivial one.
 
 No |G| x |G| table is built.  The character sums of one degree j,
 
     S_j(e) = sum over classes c of N_j(c) chi_e(c),
 
 are one inverse FFT of the class counts N_j laid out on the `orders` grid
-by their dlog (`CharacterTable.sums`), and single character values come
-from exact integer phases (`CharacterTable.values_at`).  Both are complex
+at each class's place (`CharacterTable.sums`), and single character values
+come from exact integer phases (`CharacterTable.values_at`).  Both are complex
 floats; an L-polynomial coefficient below COEFF_ZERO_TOL counts as zero.
 A character is extended by zero to polynomials not coprime to Q, which is
 already encoded in the class counts: non-coprime polynomials carry no class.
@@ -82,7 +83,7 @@ class CharacterTable:
         `classes` (columns), from the exact phase sum_i e_i d_i N/n_i mod N."""
         N = math.lcm(*self.orders)
         weights = np.array([N // n for n in self.orders], dtype=np.int64)
-        d = self._group.dlog[np.asarray(classes, dtype=np.int64)].astype(np.int64) * weights
+        d = self._group.exponents(classes) * weights
         return np.exp(2j * np.pi * ((self.exponents @ d.T) % N / N))
 
     def sums(self, j: int, budget: int | None = None) -> np.ndarray:

@@ -449,6 +449,8 @@ def cmd_bounds_check(args) -> int:
 def cmd_rs(args) -> int:
     from .dist import classify_row, rs_census, rs_distance_row, rs_group, sieve_plan
 
+    if args.word is not None and args.census:
+        raise ValidationError("--word and --census exclude each other: a census classifies every word")
     spec = FieldSpec(args.p, args.a)
     group = rs_group(spec, args.ell, args.max_enum)
     engine, work = sieve_plan(group, [args.k], spec.q)

@@ -23,12 +23,12 @@ whose class counts are one constant c (Phi_(d-j)(Q) = 0, or d - j >= t + ell
 in the series check) is the closed form C(n, j) c; one of two engines
 forms the others (`_transformed_rows`, which both cost formulas count):
 
-* the DP ("sieve"): a dynamic programme that translates every class by
-  <x - a> once per point over the band of those rows, at most
-  n * (min(n, d) + 1) * |G| DP cells, then |G| per nonzero N_e entry for
-  the group-algebra product (`moment_work`); `group_convolve` gathers a
-  block of translations at once and sums them in int64 where no sum can
-  reach 2^63;
+* the DP ("sieve"): a dynamic programme that gathers the band of those
+  rows at i <x - a>^-1 once per point (`ClassGroup.quotients`, its one
+  group primitive), at most n * (min(n, d) + 1) * |G| DP cells, then |G|
+  per nonzero N_e entry for the group-algebra product (`moment_work`);
+  `group_convolve` gathers a block of quotients at once and sums them in
+  int64 where no sum can reach 2^63;
 * the transform ("transform", `hayesdist.transform`, imported only when it
   runs): one transform of the point classes gives the power sums of the
   point characters, Newton's identities (an order-N recurrence past the
@@ -100,9 +100,9 @@ at the points, residues mod Q, leading digits), and a block of
 consecutive low prefixes (up to `MONIC_BLOCK_ROWS` polynomials) costs
 O(n + t + ell) lookups per polynomial, with no row of coefficients formed.
 None of these routes touches the group multiplication, `group_convolve`,
-the transform or the sieve.  The census word list stays
-object-level: `Polynomial` objects, labelled a block of _LABEL_ROWS per
-call.
+the transform or the sieve.  The census word list (at most _CENSUS_WORDS
+words) is labelled on the row kernel too, by one `ClassGroup.classes_of`
+call on `FieldSpec.monic_rows`.
 
 `moment_rows` is the one place where W_j is formed, by either engine: the
 only caller of `subset_product_table`, of `group_convolve` (the one
@@ -127,12 +127,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import ValidationError, check_budget
-from .ffield import (
-    FieldSpec,
-    FqElement,
-    Polynomial,
-    enumerate_monic,
-)
+from .ffield import FieldSpec, FqElement, Polynomial
 from .hayes import MONIC_BLOCK_ROWS, ClassGroup, HayesParams, _prime_powers, phi
 
 if TYPE_CHECKING:
@@ -143,7 +138,6 @@ _AGREEMENT_CELLS = 1 << 14  # oracle blocks: low evaluation vectors, (target, lo
 _HISTOGRAM_CELLS = 1 << 16  # oracle blocks: (target, count) cells per histogram
 _GATHER_ROWS = 16  # group convolution: classes c gathered at once ...
 _GATHER_CELLS = 1 << 14  # ... and (c, class) cells
-_LABEL_ROWS = 1 << 10  # polynomials labelled per ClassGroup.classes_of call
 _CENSUS_WORDS = 1 << 12  # rs census: received words listed only while q^(k+ell) is at most this
 
 
@@ -269,11 +263,6 @@ class ZeroDistribution(Record):
 
         return Fraction(self.counts.get(r, 0), self.total)
 
-    def probabilities(self) -> dict[int, Fraction]:
-        from fractions import Fraction
-
-        return {r: Fraction(c, self.total) for r, c in sorted(self.counts.items())}
-
     def to_json(self) -> dict:
         spec = self.params.spec
         return {
@@ -372,14 +361,6 @@ def _point_classes(group: ClassGroup, pts: tuple[FqElement, ...]) -> list[int]:
     return group.classes_of([(spec.neg(a).index, 1) for a in pts]).tolist()
 
 
-def _labelled_blocks(group: ClassGroup, polys):
-    """Blocks of at most _LABEL_ROWS of the monic polynomials `polys` (all of
-    one degree), each with the array of their classes (-1 where gcd(f, Q) != 1)."""
-    polys = iter(polys)
-    while block := list(itertools.islice(polys, _LABEL_ROWS)):
-        yield block, group.classes_of([f.index_coeffs() for f in block])
-
-
 def _live_rows(n: int, j_lo: int, j_hi: int) -> list[tuple[int, int]]:
     """For each of n points in turn, the rows lo..hi of the subset-product
     table that the DP updates: row j fills once j points are seen, and it is
@@ -401,7 +382,7 @@ def subset_product_table(
     for (lo, hi), c in zip(_live_rows(len(points), j_lo, j_hi), _point_classes(group, points)):
         if lo <= hi:
             # S_j(eps) += S_(j-1)(eps * c^-1): subsets that take this point
-            S[lo:hi + 1] += S[lo - 1:hi][:, group.translation(group.inv(c))]
+            S[lo:hi + 1] += S[lo - 1:hi][:, group.quotients([c])[0]]
     return S
 
 
@@ -961,9 +942,9 @@ def rs_census(
             yield {"eps": d.eps, "rep": group.rep(d.eps).to_text(), "kind": kind, "counts": counts}
 
     def words():
-        for block, labels in _labelled_blocks(group, enumerate_monic(spec, k + ell)):
-            for f, eps in zip(block, labels.tolist()):
-                yield {"word": f.to_text(), "eps": eps, "kind": kinds[eps]}
+        rows = spec.monic_rows(k + ell)  # in `enumerate_monic` order
+        for row, eps in zip(rows.tolist(), group.classes_of(rows).tolist()):
+            yield {"word": Polynomial(spec, row).to_text(), "eps": eps, "kind": kinds[eps]}
 
     out = {"q": spec.q, "k": k, "ell": ell, "classes": classes(), "word_totals": tallies}
     if spec.q ** (k + ell) <= _CENSUS_WORDS:

@@ -548,11 +548,6 @@ class Polynomial:
             out[pw] = c
         return cls(spec, out)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Polynomial":
-        spec = FieldSpec(int(data["p"]), int(data.get("a", 1)))
-        return cls(spec, [int(c) for c in data["coeffs"]])
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -696,9 +691,6 @@ class Polynomial:
                 xpart = "x" if d == 1 else f"x^{d}"
                 terms.append(xpart if v == 1 else f"{v}*{xpart}")
         return " + ".join(terms)
-
-    def to_json(self) -> dict:
-        return {"p": self.spec.p, "a": self.spec.a, "coeffs": list(self.index_coeffs())}
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r})"

@@ -15,9 +15,10 @@ used everywhere: classes are numbered by the enumeration order of their
 representatives.
 
 The group is a direct product of cyclic factors with generators g_1..g_m of
-orders n_1..n_m; a class is stored by its exponent tuple (its *dlog*),
-products and inverses are index arithmetic on those tuples, and a
-translation rolls the classes laid out on the grid of tuples.
+orders n_1..n_m.  Its one stored layout is the grid of exponent tuples: each
+class has a place on it, sum_i e_i * stride_i for its exponent tuple e, so
+the exponents are the mixed-radix digits of the place (`exponents`), and
+products, inverses and quotients are digit arithmetic on places.
 
 Codes come from `ClassGroup._code` on residue and leading digits: from
 rows of index coefficients, on the field's row kernel (`FieldSpec.mod_rows`,
@@ -28,8 +29,9 @@ form; `monic_class_blocks` labels every monic polynomial of one degree
 through the same lookup, without forming a row, and `monic_class_counts`
 counts them.  `signature` is the object-level definition the kernel is
 tested against.  `member_base_rows` is the row form of `member_base`.
-`quotients` gives the translations i -> i c^-1 of a block of classes at
-once, for the group-algebra product.
+`quotients` gives the maps i -> i c^-1 of a block of classes c at once:
+the subset-product DP gathers through it one point class at a time, and
+the group-algebra product a block at a time.
 
 Phi_j(Q) counts monic degree-j polynomials coprime to Q.  It lives in
 `ffield` (`phi`), where the scalar subcommands reach it without numpy, as do
@@ -119,10 +121,11 @@ class ClassGroup:
     arrays of polynomials or of their residues and leading digits, with the
     field's numpy tables.  Representatives are kept
     as rows of index coefficients; `rep(eps)` makes one a `Polynomial`.
-    `generators` and `orders` give the decomposition, `dlog[i]` the
-    exponent tuple of class i (in the narrowest unsigned type that holds
-    every exponent), and the memory is O(|G| m).  Construction is
-    refused before it allocates anything when its cells exceed the budget.
+    `generators` and `orders` give the decomposition; each class's place on
+    the grid of exponent tuples (`_position`) and the class at each place
+    (`_eps_of`) are its one layout, and `exponents` reads the tuples off the
+    places.  Construction is refused before it allocates anything when its
+    cells exceed the budget.
     The whole structure is immutable after construction; queries are pure.
     """
 
@@ -206,7 +209,7 @@ class ClassGroup:
         """Greedy direct-product decomposition: repeatedly take the first class
         whose order modulo the subgroup H generated so far is maximal *and*
         equals its full order (such a lift always exists).  H is listed so
-        that position sum_i dlog_i * stride_i holds the class with that dlog."""
+        that place sum_i e_i * stride_i holds the class with exponent tuple e."""
         n = self.order
         everything = np.arange(n)
         ladders = []
@@ -245,17 +248,9 @@ class ClassGroup:
         self.orders = tuple(orders)
         self._radix = np.array(orders, dtype=np.int64)
         self._strides = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
-        self._eps_of = elements
-        self._grid = elements.reshape(self.orders or (1,))  # the classes laid out by exponent tuple
+        self._eps_of = elements  # the class at each place of the grid
         self._position = np.empty(n, dtype=np.intp)  # each class's place in the grid, the inverse of _eps_of
         self._position[elements] = everything
-        # the narrowest unsigned type that holds every exponent, one column
-        # at a time from each class's place; it is widened before any
-        # arithmetic (uint8 + uint8 wraps at 256)
-        self.dlog = np.empty((n, len(orders)), dtype=np.min_scalar_type(max(orders, default=1) - 1))
-        for i, (stride, order) in enumerate(zip(self._strides.tolist(), orders)):
-            self.dlog[:, i] = self._position // stride % order
-        self.dlog.flags.writeable = False
 
     # -- queries ----------------------------------------------------------------
 
@@ -270,40 +265,36 @@ class ClassGroup:
         """The canonical representative of class eps: its monic member of degree t + ell."""
         return Polynomial(self._spec, self._rows[eps].tolist())
 
-    def _class_at(self, dlog: np.ndarray) -> np.ndarray:
-        """Classes with the exponent tuples in the last axis of dlog (taken mod the orders)."""
-        return self._eps_of[dlog % self._radix @ self._strides]
+    def exponents(self, classes) -> np.ndarray:
+        """The exponent tuples of `classes` (a class, or an array of them, with
+        one more axis for the factors): the digits of their places, int64."""
+        return self._position[np.asarray(classes, dtype=np.intp)][..., None] // self._strides % self._radix
+
+    def _class_at(self, exponents: np.ndarray) -> np.ndarray:
+        """Classes with the exponent tuples in the last axis (taken mod the orders)."""
+        return self._eps_of[exponents % self._radix @ self._strides]
 
     def mul(self, i: int, j: int) -> int:
-        return int(self._class_at(self.dlog[i].astype(np.int64) + self.dlog[j]))
+        return int(self._class_at(self.exponents(i) + self.exponents(j)))
 
     def inv(self, i: int) -> int:
-        return int(self._class_at(-self.dlog[i].astype(np.int64)))
-
-    def translation(self, c: int) -> np.ndarray:
-        """Index array of i -> i*c over all classes, so that v[translation(c)]
-        is the class function eps -> v(eps * c): the grid of classes rolled
-        back by c's exponents, read at each class's place.  (Exponent
-        arithmetic on `dlog` would make |G| x m temporaries, which at
-        |G| = 65536 cost twice the time whenever the allocator maps them
-        afresh.)"""
-        shifts = [-e for e in self.dlog[c].tolist()]
-        return np.roll(self._grid, shifts, axis=tuple(range(len(shifts)))).ravel()[self._position]
+        return int(self._class_at(-self.exponents(i)))
 
     def quotients(self, cs) -> np.ndarray:
         """Classes i * c^-1 for each class c in cs (rows) and every class i
-        (columns): the rows translation(inv(c)) of a block of classes at
-        once.  On the grid, the place of i * c^-1 is a sum over the factors
-        of ((e_i - e_c) mod n) * stride, built by broadcasting one factor at
-        a time, and read at each class's place."""
+        (columns), so that v[quotients([c])[0]] is the class function
+        eps -> v(eps c^-1).  On the grid, the place of i * c^-1 is a sum over
+        the factors of ((e_i - e_c) mod n) * stride, built by broadcasting
+        one factor at a time, and read at each class's place (no |G| x m
+        array of exponents is formed)."""
         k, m = len(cs), len(self.orders)
         pos = np.zeros((k,) + (1,) * m, dtype=np.intp)
-        shifts = self.dlog[cs].astype(np.intp).T
+        shifts = self.exponents(cs).T
         for axis, (shift, n, stride) in enumerate(zip(shifts, self.orders, self._strides.tolist())):
             shape = [k] + [1] * m
             shape[axis + 1] = n
             pos = pos + ((np.arange(n) - shift[:, None]) % n * stride).reshape(shape)
-        return self._eps_of[pos.reshape(k, self.order)][:, self._position]
+        return self._eps_of.take(pos.reshape(k, self.order)).take(self._position, axis=1)
 
     def classes_of(self, rows) -> np.ndarray:
         """Class indices of monic polynomials of one degree, given as rows of
@@ -374,10 +365,6 @@ class ClassGroup:
     def monic_enumerated(self) -> int:
         """Monic polynomials enumerated so far by `monic_class_counts` (each degree once)."""
         return sum(self._q ** d for d in self._counts_cache)
-
-    def noncoprime_count(self, d: int) -> int:
-        """Number of monic degree-d polynomials with gcd(f, Q) != 1."""
-        return self._q ** d - sum(self.monic_class_counts(d))
 
     def export_classes(self) -> Iterator[dict]:
         """Stable class-index <-> canonical-representative mapping, one

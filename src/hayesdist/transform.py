@@ -41,11 +41,13 @@ from .hayes import ClassGroup, _prime_powers
 
 def _grid(group: ClassGroup) -> tuple[list[int], np.ndarray]:
     """The prime-power axes of the group (each cyclic factor split by CRT)
-    and every class's place on their grid, first axis slowest."""
+    and every class's place on their grid, first axis slowest.  The
+    exponents of one factor at a time are the digits of the class's place
+    on the group's grid."""
     sizes = []
     place = np.zeros(group.order, dtype=np.int64)
-    for column, order in zip(group.dlog.T, group.orders):
-        column = column.astype(np.int64)
+    for stride, order in zip(group._strides.tolist(), group.orders):
+        column = group._position // stride % order
         for p, v in _prime_powers(order):
             sizes.append(p ** v)
             place = place * p ** v + column % p ** v

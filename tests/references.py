@@ -119,7 +119,7 @@ def rs_count_asymptotic(r: int, q: int, k: int, ell: int) -> Fraction:
 def decompose_uncut(group):
     """`ClassGroup._decompose` with every ladder run to all of its v rungs
     x^(|G|/p^v), ..., x^(|G|/p), the rows of identities included: the
-    (generators, orders, position -> class, dlog) it finds, from the group's
+    (generators, orders, place -> class, exponents) it finds, from the group's
     batched products of representatives alone."""
     n = group.order
     everything = np.arange(n)
@@ -146,9 +146,9 @@ def decompose_uncut(group):
         generators.append(g)
         orders.append(m)
     strides = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
-    dlog = np.empty((n, len(orders)), dtype=np.int64)
-    dlog[elements] = everything[:, None] // strides % np.array(orders, dtype=np.int64)
-    return tuple(generators), tuple(orders), elements, dlog
+    exponents = np.empty((n, len(orders)), dtype=np.int64)
+    exponents[elements] = everything[:, None] // strides % np.array(orders, dtype=np.int64)
+    return tuple(generators), tuple(orders), elements, exponents
 
 
 def truncated_binomial_verdicts_per_cell():

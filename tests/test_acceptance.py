@@ -175,7 +175,7 @@ def test_character_layer(fields, groups):
         assert np.abs(M.conj().T @ M / size - np.eye(size)).max() < 1e-9
         # the definition: chi_e(c) = exp(2 pi i sum_i e_i d_i / n_i), e in itertools.product order
         exps = np.array(list(itertools.product(*[range(n) for n in G.orders])), dtype=float)
-        phases = (exps / np.array(G.orders, dtype=float)).reshape(size, -1) @ G.dlog.T.astype(float)
+        phases = (exps / np.array(G.orders, dtype=float)).reshape(size, -1) @ G.exponents(range(size)).T
         reference = np.exp(2j * np.pi * phases)
         for j in range(0, 7):
             counts = np.array(G.monic_class_counts(j), dtype=np.float64)

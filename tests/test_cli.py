@@ -122,6 +122,16 @@ def test_rs_single_word(capsys):
     assert data["row"]["counts"] == {"0": "1", "2": "1"}
 
 
+@pytest.mark.parametrize("order", [["--word", "x^2 + x", "--census"], ["--census", "--word", "x^2 + x"]])
+def test_rs_word_with_census_is_a_validation_record(capsys, order):
+    # one word row or the census of every word: asking for both is a usage
+    # error, not a word row with --census dropped
+    code, data = run_json(capsys, ["rs", "--p", "2", "--k", "1", "--ell", "1", *order])
+    assert code == 1
+    assert data == {"error": "validation", "message": data["message"]}
+    assert "--word" in data["message"] and "--census" in data["message"]
+
+
 def test_kernels_truncated_binomial(capsys):
     code, data = run_json(
         capsys, ["kernels", "truncated-binomial", "--m", "0", "--r", "5", "--n", "9", "--q", "4"]

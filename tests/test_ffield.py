@@ -297,7 +297,7 @@ def test_zero_polynomial_degree_marker(fields):
     assert not z.is_monic
 
 
-def test_text_and_json_round_trips(fields):
+def test_text_round_trips(fields):
     rng = random.Random(21)
     for p, a in [(2, 1), (3, 1), (5, 1), (3, 2)]:
         spec = fields(p, a)
@@ -306,10 +306,6 @@ def test_text_and_json_round_trips(fields):
             if f.is_zero:
                 continue
             assert Polynomial.from_text(spec, f.to_text()) == f
-    F3 = fields(3)
-    f = Polynomial.from_text(F3, "x^3 + 2*x + 1")
-    assert f.to_json() == {"p": 3, "a": 1, "coeffs": [1, 2, 0, 1]}
-    assert Polynomial.from_json(f.to_json()) == f
 
 
 def test_text_parser_handles_minus(fields):
@@ -328,8 +324,6 @@ def test_fields_are_shared_per_argument_triple():
     assert FieldSpec(2, 3) is FieldSpec(2, 3)
     assert FieldSpec(2, 3, modulus=(1, 1, 0, 1)) is FieldSpec(2, 3, modulus=[1, 1, 0, 1])
     assert FieldSpec(2, 3, modulus=(1, 1, 0, 1)) != FieldSpec(2, 3)  # default: (1, 0, 1, 1)
-    f = Polynomial.from_text(FieldSpec(3, 2), "x^2 + 5*x + 1")
-    assert Polynomial.from_json(f.to_json()).spec is f.spec
     for _ in range(2):  # a failed construction is not remembered
         with pytest.raises(ValueError):
             FieldSpec(2, 2, modulus=(1, 0, 1))

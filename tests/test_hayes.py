@@ -301,6 +301,8 @@ _DECOMPOSITION_GRID = [
     (3, 1, 2, "x^2"),
     (2, 1, 3, "x^3 + x + 1"),
     (7, 1, 1, "x^2 + 1"),
+    (2, 8, 0, "x"),  # one factor of order 255: exponent sums pass 255
+    (7, 1, 1, "x^3 + x + 1"),  # one factor of order 2394: exponents pass 255
 ]
 
 
@@ -337,7 +339,7 @@ class TestClassGroup:
                 assert sorted(mt[i]) == list(range(n))
                 assert mt[G.identity, i] == i
                 assert G.mul(i, G.inv(i)) == G.identity
-                assert G.translation(i).tolist() == mt[:, i].tolist()
+                assert G.quotients([i])[0].tolist() == mt[:, G.inv(i)].tolist()
             rng = random.Random(17)
             for _ in range(30):
                 i, j, k = (rng.randrange(n) for _ in range(3))
@@ -371,27 +373,39 @@ class TestClassGroup:
         assert ClassGroup(params, budget=175).order == 25
 
     @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
-    def test_translation_is_exponent_arithmetic(self, groups, key):
+    def test_exponents_round_trip_through_the_grid(self, groups, key):
+        # every class's exponent tuple, read off its place, leads back to it
         G = groups(*key)
-        for c in range(G.order):
-            assert np.array_equal(G.translation(c), G._class_at(G.dlog.astype(np.int64) + G.dlog[c]))
+        exponents = G.exponents(range(G.order))
+        assert exponents.shape == (G.order, len(G.orders)) and exponents.dtype == np.int64
+        assert ((exponents >= 0) & (exponents < np.array(G.orders, dtype=np.int64))).all()
+        assert G._class_at(exponents).tolist() == list(range(G.order))
+        assert G.exponents(G.identity).tolist() == [0] * len(G.orders)
+        for i, g in enumerate(G.generators):
+            assert G.exponents(g).tolist() == [int(i == axis) for axis in range(len(G.orders))]
+        for c in random.Random(G.order).sample(range(G.order), min(G.order, 20)):
+            assert G.exponents(c).tolist() == exponents[c].tolist()
 
     @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
-    def test_quotients_are_the_inverse_translations(self, groups, key):
-        # one row per class c of a block, i -> i * c^-1, in any block split
+    def test_quotients_are_products_with_inverses(self, groups, key):
+        # one row per class c of a block, i -> i * c^-1, in any block split;
+        # every c on the small groups, a sample on the larger ones
         G = groups(*key)
-        rows = [G.translation(G.inv(c)).tolist() for c in range(G.order)]
-        assert G.quotients(list(range(G.order))).tolist() == rows
-        cs = random.Random(G.order).sample(range(G.order), min(G.order, 5))
+        rng = random.Random(G.order)
+        cs = list(range(G.order)) if G.order <= 64 else rng.sample(range(G.order), 5)
+        rows = {c: [G.mul(i, G.inv(c)) for i in range(G.order)] for c in cs}
         assert G.quotients(cs).tolist() == [rows[c] for c in cs]
+        block = rng.sample(cs, min(len(cs), 3))
+        assert G.quotients(block).tolist() == [rows[c] for c in block]
         assert G.quotients([]).shape == (0, G.order)
 
     @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
     def test_decomposition_matches_the_uncut_ladders(self, groups, key):
         G = groups(*key)
-        generators, orders, eps_of, dlog = decompose_uncut(G)
+        generators, orders, eps_of, exponents = decompose_uncut(G)
         assert (G.generators, G.orders) == (generators, orders)
-        assert np.array_equal(G._eps_of, eps_of) and np.array_equal(G.dlog, dlog)
+        assert np.array_equal(G._eps_of, eps_of)
+        assert np.array_equal(G.exponents(range(G.order)), exponents)
 
     def test_degenerate_flag(self, fields, groups):
         assert groups(2, 1, 0, "1").degenerate
@@ -448,12 +462,13 @@ class TestClassMembers:
             next(members(groups(2, 1, 1, "x"), 0, 1))
 
 
-def test_monic_class_counts_consistency(groups):
+def test_monic_class_counts_consistency(fields, groups):
     G = groups(3, 1, 1, "x")
     q = 3
     for d in range(0, 5):
         counts = G.monic_class_counts(d)
-        assert sum(counts) + G.noncoprime_count(d) == q ** d
+        noncoprime = sum(1 for f in enumerate_monic(fields(3), d) if not f.gcd(G.params.Q).is_one)
+        assert q ** d - sum(counts) == noncoprime
         if d >= G.params.t + G.params.ell:
             assert all(c == q ** (d - G.params.t - G.params.ell) for c in counts)
 
@@ -499,7 +514,7 @@ def test_group_against_polynomial_oracle(fields, groups, p, a, ell, q_text, orde
         assert (got == -1).tolist() == [not f.gcd(Q).is_one for f in polys]
         counts = np.bincount(np.array(want) + 1, minlength=order + 1)
         assert G.monic_class_counts(d) == counts[1:].tolist()
-        assert G.noncoprime_count(d) == counts[0]
+        assert spec.q ** d - sum(G.monic_class_counts(d)) == counts[0]
 
 
 # (generators, orders) of the greedy decomposition, recorded from the
@@ -530,11 +545,11 @@ DECOMPOSITIONS = {
 def test_decomposition_is_pinned(groups, key):
     G = groups(*key)
     assert (G.generators, G.orders) == DECOMPOSITIONS[key]
-    assert G.dlog.shape == (G.order, len(G.orders))
+    assert G.exponents(range(G.order)).shape == (G.order, len(G.orders))
 
 
 def test_coordinates_beyond_the_class_cap(fields):
-    """|G| = 16384 over GF(128): sampled products, inverses and translations
+    """|G| = 16384 over GF(128): sampled products, inverses and quotients
     from the coordinates against classes of polynomial products."""
     spec = fields(2, 7)
     G = ClassGroup(HayesParams(2, Polynomial.one(spec)))
@@ -545,36 +560,31 @@ def test_coordinates_beyond_the_class_cap(fields):
         assert G.mul(i, j) == G.class_of(G.rep(i) * G.rep(j))
         assert G.class_of(G.rep(i) * G.rep(G.inv(i))) == G.identity
     for c in rng.sample(range(G.order), 3):
-        row = G.translation(c)
+        row = G.quotients([c])[0]  # i -> i c^-1
         for i in rng.sample(range(G.order), 20):
-            assert row[i] == G.class_of(G.rep(i) * G.rep(c))
+            assert G.class_of(G.rep(row[i]) * G.rep(c)) == i
 
 
-def test_exponents_near_the_dtype_limit(fields):
-    """q = 256, ell = 0, Q = x: one cyclic factor of order 255, so dlog is
-    uint8; products, inverses and quotients of classes of exponent 200 and
-    the character values there widen it first (200 + 200 wraps to 144 in
-    uint8, and -200 to 56, where the exponents are 145 and 55 mod 255)."""
+def test_exponents_near_256(fields):
+    """q = 256, ell = 0, Q = x: one cyclic factor of order 255.  Products,
+    inverses and quotients of classes of exponent 200 and the character
+    values there are taken mod 255 (200 + 200 = 145 and -200 = 55 mod 255,
+    where an 8-bit sum would wrap to 144 and 56)."""
     from hayesdist.chars import CharacterTable
 
     spec = fields(2, 8)
     G = ClassGroup(HayesParams(0, Polynomial.x(spec)))
-    assert G.orders == (255,) and G.dlog.dtype == np.uint8
-    at = {e: c for c, (e,) in enumerate(G.dlog.tolist())}
+    assert G.orders == (255,)
+    at = {e: c for c, (e,) in enumerate(G.exponents(range(G.order)).tolist())}
     a = at[200]
     assert G.mul(a, a) == at[145] == G.class_of(G.rep(a) * G.rep(a))
     assert G.inv(a) == at[55]
     assert G.class_of(G.rep(a) * G.rep(G.inv(a))) == G.identity
-    assert G.quotients([a]).tolist() == [G.translation(G.inv(a)).tolist()]
+    assert G.quotients([a]).tolist() == [[G.mul(i, at[55]) for i in range(G.order)]]
     assert G.quotients([a])[0, at[254]] == at[54]
     table = CharacterTable(G)
     values = table.values_at([a])[:, 0]
     assert np.allclose(values, np.exp(2j * np.pi * table.exponents[:, 0] * 200 / 255))
-
-
-def test_dlog_is_the_narrowest_unsigned_type(groups):
-    assert groups(2, 1, 0, "1").dlog.dtype == np.uint8  # the trivial group
-    assert groups(7, 1, 1, "x^3 + x + 1").dlog.dtype == np.uint16  # order 2394
 
 
 def test_paper_regime_group_builds_under_the_default_budget(fields):
