@@ -25,8 +25,9 @@ forms the others (`_transformed_rows`, which both cost formulas count):
 
 * the DP ("sieve"): a dynamic programme that gathers the band of those
   rows at i <x - a>^-1 once per point (`ClassGroup.quotients`, its one
-  group primitive), at most n * (min(n, d) + 1) * |G| DP cells, then |G|
-  per nonzero N_e entry for the group-algebra product (`moment_work`);
+  group primitive, made for a block of points at once), at most
+  n * (min(n, d) + 1) * |G| DP cells, then |G| per nonzero N_e entry for
+  the group-algebra product (`moment_work`);
   `group_convolve` gathers a block of quotients at once and sums them in
   int64 where no sum can reach 2^63;
 * the transform ("transform", `hayesdist.transform`, imported only when it
@@ -136,7 +137,7 @@ if TYPE_CHECKING:
 _BLOCK_ROWS = 1 << 16  # factorization product blocks: at most this many rows at once
 _AGREEMENT_CELLS = 1 << 14  # oracle blocks: low evaluation vectors, (target, low row) agreement counts
 _HISTOGRAM_CELLS = 1 << 16  # oracle blocks: (target, count) cells per histogram
-_GATHER_ROWS = 16  # group convolution: classes c gathered at once ...
+_GATHER_ROWS = 16  # DP and group convolution: classes c gathered at once ...
 _GATHER_CELLS = 1 << 14  # ... and (c, class) cells
 _CENSUS_WORDS = 1 << 12  # rs census: received words listed only while q^(k+ell) is at most this
 
@@ -379,11 +380,21 @@ def subset_product_table(
     between hold partial sums).  An object array of Python integers."""
     S = np.zeros((j_hi + 1, group.order), dtype=object)
     S[0, group.identity] = 1
-    for (lo, hi), c in zip(_live_rows(len(points), j_lo, j_hi), _point_classes(group, points)):
+    cs = _point_classes(group, points)
+    per_block = _gather_rows(group)
+    for i, (lo, hi) in enumerate(_live_rows(len(points), j_lo, j_hi)):
+        if i % per_block == 0:
+            block = group.quotients(cs[i:i + per_block])
         if lo <= hi:
             # S_j(eps) += S_(j-1)(eps * c^-1): subsets that take this point
-            S[lo:hi + 1] += S[lo - 1:hi][:, group.quotients([c])[0]]
+            S[lo:hi + 1] += S[lo - 1:hi][:, block[i % per_block]]
     return S
+
+
+def _gather_rows(group: ClassGroup) -> int:
+    """Classes whose quotient rows are made at once: at most _GATHER_ROWS,
+    and at most _GATHER_CELLS cells unless one row alone is more."""
+    return max(1, min(_GATHER_ROWS, _GATHER_CELLS // group.order))
 
 
 def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray:
@@ -399,7 +410,7 @@ def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray
     dtype = np.int64 if max(map(abs, weights), default=0) * sum(map(abs, v)) < 1 << 63 else object
     v = np.asarray(v).astype(dtype)
     out = np.zeros(group.order, dtype=dtype)
-    per_block = max(1, min(_GATHER_ROWS, _GATHER_CELLS // group.order))
+    per_block = _gather_rows(group)
     for lo in range(0, len(cs), per_block):
         out += np.array(weights[lo:lo + per_block], dtype=dtype) @ v[group.quotients(cs[lo:lo + per_block])]
     return out.astype(object)

@@ -18,7 +18,7 @@ The group is a direct product of cyclic factors with generators g_1..g_m of
 orders n_1..n_m.  Its one stored layout is the grid of exponent tuples: each
 class has a place on it, sum_i e_i * stride_i for its exponent tuple e, so
 the exponents are the mixed-radix digits of the place (`exponents`), and
-products, inverses and quotients are digit arithmetic on places.
+quotients are digit arithmetic on places.
 
 Codes come from `ClassGroup._code` on residue and leading digits: from
 rows of index coefficients, on the field's row kernel (`FieldSpec.mod_rows`,
@@ -265,20 +265,22 @@ class ClassGroup:
         """The canonical representative of class eps: its monic member of degree t + ell."""
         return Polynomial(self._spec, self._rows[eps].tolist())
 
+    def _exponent_columns(self, classes) -> Iterator[np.ndarray]:
+        """The exponents of `classes` (a class, or an array of them) in one
+        factor at a time: the digits of their places, int64."""
+        places = self._position[np.asarray(classes, dtype=np.intp)]
+        for stride, order in zip(self._strides.tolist(), self.orders):
+            yield places // stride % order
+
     def exponents(self, classes) -> np.ndarray:
         """The exponent tuples of `classes` (a class, or an array of them, with
-        one more axis for the factors): the digits of their places, int64."""
-        return self._position[np.asarray(classes, dtype=np.intp)][..., None] // self._strides % self._radix
+        one more axis for the factors), int64."""
+        columns = list(self._exponent_columns(classes))
+        return np.stack(columns, axis=-1) if columns else np.zeros(np.shape(classes) + (0,), dtype=np.int64)
 
     def _class_at(self, exponents: np.ndarray) -> np.ndarray:
         """Classes with the exponent tuples in the last axis (taken mod the orders)."""
         return self._eps_of[exponents % self._radix @ self._strides]
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self._class_at(self.exponents(i) + self.exponents(j)))
-
-    def inv(self, i: int) -> int:
-        return int(self._class_at(-self.exponents(i)))
 
     def quotients(self, cs) -> np.ndarray:
         """Classes i * c^-1 for each class c in cs (rows) and every class i
@@ -289,7 +291,7 @@ class ClassGroup:
         array of exponents is formed)."""
         k, m = len(cs), len(self.orders)
         pos = np.zeros((k,) + (1,) * m, dtype=np.intp)
-        shifts = self.exponents(cs).T
+        shifts = self._exponent_columns(np.asarray(cs, dtype=np.intp))
         for axis, (shift, n, stride) in enumerate(zip(shifts, self.orders, self._strides.tolist())):
             shape = [k] + [1] * m
             shape[axis + 1] = n

@@ -41,13 +41,11 @@ from .hayes import ClassGroup, _prime_powers
 
 def _grid(group: ClassGroup) -> tuple[list[int], np.ndarray]:
     """The prime-power axes of the group (each cyclic factor split by CRT)
-    and every class's place on their grid, first axis slowest.  The
-    exponents of one factor at a time are the digits of the class's place
-    on the group's grid."""
+    and every class's place on their grid, first axis slowest, from the
+    exponents of one factor at a time."""
     sizes = []
     place = np.zeros(group.order, dtype=np.int64)
-    for stride, order in zip(group._strides.tolist(), group.orders):
-        column = group._position // stride % order
+    for column, order in zip(group._exponent_columns(np.arange(group.order)), group.orders):
         for p, v in _prime_powers(order):
             sizes.append(p ** v)
             place = place * p ** v + column % p ** v

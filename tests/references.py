@@ -7,8 +7,9 @@ enumeration behind a Reed-Solomon distance row, the members of a Hayes
 class listed one polynomial at a time, the roots of a polynomial by
 evaluation, the cycle counts of a literal permutation, and the Reed-Solomon
 specialization of the mu-corrected mass, the class-group decomposition
-with its power ladders run to the end, and the truncated-binomial verdicts
-of `bounds-check` cell by cell.
+with its power ladders run to the end, products, inverses and quotients of
+classes as sums and differences of exponent tuples, and the
+truncated-binomial verdicts of `bounds-check` cell by cell.
 """
 
 import itertools
@@ -149,6 +150,24 @@ def decompose_uncut(group):
     exponents = np.empty((n, len(orders)), dtype=np.int64)
     exponents[elements] = everything[:, None] // strides % np.array(orders, dtype=np.int64)
     return tuple(generators), tuple(orders), elements, exponents
+
+
+def mul(group, i: int, j: int) -> int:
+    """Class of the product of classes i and j: the sum of their exponent tuples."""
+    return int(group._class_at(group.exponents(i) + group.exponents(j)))
+
+
+def inv(group, i: int) -> int:
+    """Class of the inverse of class i: its exponent tuple negated."""
+    return int(group._class_at(-group.exponents(i)))
+
+
+def quotient_rows(group, cs) -> np.ndarray:
+    """Classes i * c^-1 for each class c in cs (rows) and every class i
+    (columns): the classes at the differences of their exponent tuples,
+    formed whole as a len(cs) x |G| x m array."""
+    exponents = group.exponents(range(group.order))
+    return group._class_at(exponents[None, :, :] - exponents[np.asarray(cs, dtype=np.intp)][:, None, :])
 
 
 def truncated_binomial_verdicts_per_cell():

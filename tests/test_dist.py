@@ -34,7 +34,7 @@ from hayesdist.dist import (
 from hayesdist.errors import BudgetExceededError, ValidationError
 from hayesdist.ffield import Polynomial, enumerate_monic
 from hayesdist.hayes import ClassGroup, phi
-from references import codeword_agreement_row, exact_distribution_bruteforce
+from references import codeword_agreement_row, exact_distribution_bruteforce, quotient_rows
 
 
 class TestExactDistribution:
@@ -250,7 +250,10 @@ class TestSieveDifferential:
             assert sum(r * c for r, c in dist.counts.items()) == n * q ** (k - 1)
             assert all(0 <= r <= min(n, d) and c > 0 for r, c in dist.counts.items())
 
-    def test_subset_product_table(self, fields, groups):
+    @pytest.mark.parametrize("rows", [16, 2])
+    def test_subset_product_table(self, fields, groups, monkeypatch, rows):
+        # the quotient rows of all 5 points at once, or in blocks of 2
+        monkeypatch.setattr("hayesdist.dist._GATHER_ROWS", rows)
         F5 = fields(5)
         G = groups(5, 1, 1, "x^2 + x + 1")
         pts = default_point_set(G.params)
@@ -281,7 +284,7 @@ class TestSieveDifferential:
         want = [0] * G.order
         for c, uc in enumerate(u):
             if uc:
-                for eps, x in enumerate(G.quotients([c])[0].tolist()):
+                for eps, x in enumerate(quotient_rows(G, [c])[0].tolist()):
                     want[eps] += uc * v[x]
         monkeypatch.setattr("hayesdist.dist._GATHER_ROWS", rows)
         monkeypatch.setattr("hayesdist.dist._GATHER_CELLS", cells)

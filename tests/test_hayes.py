@@ -17,7 +17,7 @@ from hayesdist.ffield import (
     phi_relative_gap,
 )
 from hayesdist.hayes import ClassGroup, HayesParams, _prime_powers, equivalent, signature
-from references import decompose_uncut, members
+from references import decompose_uncut, inv, members, mul, quotient_rows
 
 
 GROUP_CELLS = "class group cells (candidates + ladders)"
@@ -333,13 +333,13 @@ class TestClassGroup:
         for key in [(2, 1, 1, "1"), (3, 1, 1, "x"), (2, 1, 2, "x + 1"), (2, 2, 1, "1")]:
             G = groups(*key)
             n = G.order
-            mt = np.array([[G.mul(i, j) for j in range(n)] for i in range(n)])
+            mt = np.array([[mul(G, i, j) for j in range(n)] for i in range(n)])
             assert np.array_equal(mt, mt.T)
             for i in range(n):
                 assert sorted(mt[i]) == list(range(n))
                 assert mt[G.identity, i] == i
-                assert G.mul(i, G.inv(i)) == G.identity
-                assert G.quotients([i])[0].tolist() == mt[:, G.inv(i)].tolist()
+                assert mul(G, i, inv(G, i)) == G.identity
+                assert G.quotients([i])[0].tolist() == mt[:, inv(G, i)].tolist()
             rng = random.Random(17)
             for _ in range(30):
                 i, j, k = (rng.randrange(n) for _ in range(3))
@@ -350,7 +350,7 @@ class TestClassGroup:
         rng = random.Random(23)
         for _ in range(40):
             i, j = rng.randrange(G.order), rng.randrange(G.order)
-            assert G.mul(i, j) == G.class_of(G.rep(i) * G.rep(j))
+            assert mul(G, i, j) == G.class_of(G.rep(i) * G.rep(j))
 
     def test_class_of_matches_signature(self, fields, groups):
         F3 = fields(3)
@@ -388,15 +388,15 @@ class TestClassGroup:
 
     @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
     def test_quotients_are_products_with_inverses(self, groups, key):
-        # one row per class c of a block, i -> i * c^-1, in any block split;
-        # every c on the small groups, a sample on the larger ones
+        # one row per class c, i -> i * c^-1: every c against the differences
+        # of exponent tuples, in blocks of 256 classes, and a sampled block
+        # against products with inverses
         G = groups(*key)
-        rng = random.Random(G.order)
-        cs = list(range(G.order)) if G.order <= 64 else rng.sample(range(G.order), 5)
-        rows = {c: [G.mul(i, G.inv(c)) for i in range(G.order)] for c in cs}
-        assert G.quotients(cs).tolist() == [rows[c] for c in cs]
-        block = rng.sample(cs, min(len(cs), 3))
-        assert G.quotients(block).tolist() == [rows[c] for c in block]
+        for lo in range(0, G.order, 256):
+            block = range(lo, min(lo + 256, G.order))
+            assert np.array_equal(G.quotients(block), quotient_rows(G, block))
+        cs = random.Random(G.order).sample(range(G.order), min(G.order, 5))
+        assert G.quotients(cs).tolist() == [[mul(G, i, inv(G, c)) for i in range(G.order)] for c in cs]
         assert G.quotients([]).shape == (0, G.order)
 
     @pytest.mark.parametrize("key", _DECOMPOSITION_GRID)
@@ -504,8 +504,8 @@ def test_group_against_polynomial_oracle(fields, groups, p, a, ell, q_text, orde
     rng = random.Random(order)
     for _ in range(300):
         i, j = rng.randrange(order), rng.randrange(order)
-        assert G.mul(i, j) == label(G.rep(i) * G.rep(j))
-        assert G.mul(i, G.inv(i)) == G.identity
+        assert mul(G, i, j) == label(G.rep(i) * G.rep(j))
+        assert mul(G, i, inv(G, i)) == G.identity
     for d in range(4):
         polys = list(enumerate_monic(spec, d))
         want = [label(f) for f in polys]
@@ -557,8 +557,8 @@ def test_coordinates_beyond_the_class_cap(fields):
     rng = random.Random(128)
     for _ in range(50):
         i, j = rng.randrange(G.order), rng.randrange(G.order)
-        assert G.mul(i, j) == G.class_of(G.rep(i) * G.rep(j))
-        assert G.class_of(G.rep(i) * G.rep(G.inv(i))) == G.identity
+        assert mul(G, i, j) == G.class_of(G.rep(i) * G.rep(j))
+        assert G.class_of(G.rep(i) * G.rep(inv(G, i))) == G.identity
     for c in rng.sample(range(G.order), 3):
         row = G.quotients([c])[0]  # i -> i c^-1
         for i in rng.sample(range(G.order), 20):
@@ -577,10 +577,10 @@ def test_exponents_near_256(fields):
     assert G.orders == (255,)
     at = {e: c for c, (e,) in enumerate(G.exponents(range(G.order)).tolist())}
     a = at[200]
-    assert G.mul(a, a) == at[145] == G.class_of(G.rep(a) * G.rep(a))
-    assert G.inv(a) == at[55]
-    assert G.class_of(G.rep(a) * G.rep(G.inv(a))) == G.identity
-    assert G.quotients([a]).tolist() == [[G.mul(i, at[55]) for i in range(G.order)]]
+    assert mul(G, a, a) == at[145] == G.class_of(G.rep(a) * G.rep(a))
+    assert inv(G, a) == at[55]
+    assert G.class_of(G.rep(a) * G.rep(inv(G, a))) == G.identity
+    assert G.quotients([a]).tolist() == [[mul(G, i, at[55]) for i in range(G.order)]]
     assert G.quotients([a])[0, at[254]] == at[54]
     table = CharacterTable(G)
     values = table.values_at([a])[:, 0]
