@@ -13,9 +13,8 @@ No |G| x |G| table is built.  The character sums of one degree j,
     S_j(e) = sum over classes c of N_j(c) chi_e(c),
 
 are one inverse FFT of the class counts N_j laid out on the `orders` grid
-at each class's place (`CharacterTable.sums`), and single character values
-come from exact integer phases (`CharacterTable.values_at`).  Both are complex
-floats; an L-polynomial coefficient below COEFF_ZERO_TOL counts as zero.
+at each class's place (`CharacterTable.sums`), as complex floats; an
+L-polynomial coefficient below COEFF_ZERO_TOL counts as zero.
 A character is extended by zero to polynomials not coprime to Q, which is
 already encoded in the class counts: non-coprime polynomials carry no class.
 
@@ -62,8 +61,8 @@ def decompose(group: ClassGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class CharacterTable:
-    """The |G| characters of a class group: their exponent tuples, values at
-    chosen classes, and per-degree character sums, in O(|G| m) memory."""
+    """The |G| characters of a class group: their exponent tuples and
+    per-degree character sums, in O(|G| m) memory."""
 
     def __init__(self, group: ClassGroup):
         self.orders = group.orders
@@ -77,14 +76,6 @@ class CharacterTable:
     @property
     def order(self) -> int:
         return len(self.exponents)
-
-    def values_at(self, classes) -> np.ndarray:
-        """chi(c) for every character chi (rows) and each class c of
-        `classes` (columns), from the exact phase sum_i e_i d_i N/n_i mod N."""
-        N = math.lcm(*self.orders)
-        weights = np.array([N // n for n in self.orders], dtype=np.int64)
-        d = self._group.exponents(classes) * weights
-        return np.exp(2j * np.pi * ((self.exponents @ d.T) % N / N))
 
     def sums(self, j: int, budget: int | None = None) -> np.ndarray:
         """Character sums over monic degree-j polynomials, one per character:

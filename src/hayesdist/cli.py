@@ -6,14 +6,14 @@ library version; identical configuration and seed give byte-identical output.
 
 Artifacts of the distribution commands, `weil` and `series-check` name the
 engine that produced their numbers ("sieve" or "transform" for the rows W_j,
-joined by "+" where the runs of one command differ; "enumeration" or
-"characters") and its deterministic work counts.  Each distribution
-command takes its row engines and cells from one `dist.sieve_plan` call
-(the planner `dist.plan_rows`), and none re-plans: `moments-check` and
-`bounds-check` check the sums over their k, of the oracle's comparisons
-and of each engine's cells, before the first k runs, so a refusal reports
-the totals that the artifact would.  Both row engines stay; the `dist`
-docstring says why.
+one engine for all of a command's rows; "enumeration" or "characters") and
+its deterministic work counts.  Each distribution command takes its row
+engine and cells from one `dist.sieve_plan` call (the planner
+`dist.moment_plan`) and forms the rows of all its k by one `dist.sieve_rows`
+call: `moments-check` and `bounds-check` check the oracle's comparisons,
+summed over their k, and the engine's cells for the one row run, before any
+k runs, so a refusal reports the totals that the artifact would.  Both row
+engines stay; the `dist` docstring says why.
 
 Exit codes: 0 when all asserted checks pass, 1 for validation or check
 failures (usage errors on the command line included), arithmetic-check
@@ -215,10 +215,9 @@ def cmd_moments_check(args) -> int:
     # per k, the oracle's q^k E[C(Y, j)] of every class (j <= k + t + ell)
     # and the sieve's W_j rows, as integers
     runs = []
-    for k in ks:
+    for k, (W, _) in zip(ks, sieve_rows(group, ks, points, budget=args.max_enum)):
         dists = enumeration_distributions_all(group, k, points, budget=args.max_enum)
-        moments = [binomial_moments(dist, k + t + ell) for dist in dists]
-        runs.append((k, moments, sieve_rows(group, k, points, budget=args.max_enum)[0].tolist()))
+        runs.append((k, [binomial_moments(dist, k + t + ell) for dist in dists], W.tolist()))
 
     def cells(k, moments, W):
         """(eps, j, measured, expected): C(n, j) q^(k-j) for j <= k, W_j(eps) for j > k."""
@@ -295,8 +294,10 @@ def truncated_binomial_verdicts():
     they are yielded once per (N, qq, m), as (N, qq, m, floor, close).
 
     mu_m(r) = num_m / qq^m for the running integer numerator
-    num_m = num_(m-1) qq + (-1)^m C(N, m), computed once per (N, qq), so
-    both checks are integer ones:
+    num_m = num_(m-1) qq + (-1)^m C(N, m) of
+    `comb.truncated_binomial_numerators`, the one that
+    `truncated_binomial_sum` reads, run once per (N, qq), so both checks
+    are integer ones:
 
       floor:  mu_m >= (qq - N)/qq            iff  num_m >= (qq - N) qq^(m-1)
       close:  |mu_m - (1-1/qq)^N| <= C(N, m+1) qq^-(m+1)
@@ -304,12 +305,12 @@ def truncated_binomial_verdicts():
 
     `floor` is None at m = 0 and is reported for every other cell, also
     where N > qq and the alternating floor need not hold."""
+    from .comb import truncated_binomial_numerators
+
     for N in range(13):
         for qq in range(2, 10):
             full = (qq - 1) ** N
-            num = 0
-            for m in range(13):
-                num = num * qq + (-1) ** m * math.comb(N, m)
+            for m, num in zip(range(13), truncated_binomial_numerators(N, qq)):
                 floor = num >= (qq - N) * qq ** (m - 1) if m >= 1 else None
                 close = abs(num * qq ** (N + 1) - full * qq ** (m + 1)) <= math.comb(N, m + 1) * qq ** N
                 yield N, qq, m, floor, close
@@ -387,8 +388,8 @@ def cmd_bounds_check(args) -> int:
         sieve_ok &= direct == sieved
     record("coordinate sieve (seeded)", sieve_ok, "direct sum", "signed cycle sum")
 
-    # factorization-count remainder and pmf remainder on this group, from one
-    # sieve run per k: its W_j rows and its per-class counts.  The pmf
+    # factorization-count remainder and pmf remainder on this group, from the
+    # sieve run of every k: its W_j rows and its per-class counts.  The pmf
     # records are made from the count rows as they are written; the verdict
     # comes first from the integers, as |count/q^k - prediction_r| <= bound_r
     # holds exactly when count lies in [ceil(q^k (prediction_r - bound_r)),
@@ -398,14 +399,13 @@ def cmd_bounds_check(args) -> int:
     remainders = []  # per k: the factorization records, the count rows, the pmf predictions and bounds
     remainders_ok = True
     ks = range(args.k + 1) if ell >= 1 and gamma_at_most_one(n, q, t, ell) else range(0)
-    # the sieve's cells, summed over the k of the run, checked before the first k runs
+    # the sieve's cells for all of the k, checked before any row is formed
     engine, work = sieve_plan(group, ks, n, args.max_enum)
     if not ks:
         checks.append(
             {"name": "remainder bounds", "pass": True, "skipped": "hypotheses ell >= 1 and gamma <= 1 not met"}
         )
-    for k in ks:
-        W, counts = sieve_rows(group, k, points, budget=args.max_enum)
+    for k, (W, counts) in zip(ks, sieve_rows(group, ks, points, budget=args.max_enum)):
         factorization = []
         for j, row in zip(range(k + 1, k + t + ell + 1), W.tolist()):
             main = Fraction(phi(k + t + ell - j, params.Q) * math.comb(n, j), group.order)

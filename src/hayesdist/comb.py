@@ -38,13 +38,24 @@ def binom_frac(x: RationalLike, m: int) -> Fraction:
     return num / math.factorial(m)
 
 
+def truncated_binomial_numerators(N: int, q: int):
+    """The running numerators num_m = num_(m-1) q + (-1)^m C(N, m), from
+    num_(-1) = 0, for m = 0, 1, 2, ...: sum_{j=0}^{m} (-1)^j C(N, j) q^-j is
+    num_m / q^m (Horner's rule)."""
+    num = 0
+    for m in itertools.count():
+        num = num * q + (-1) ** m * math.comb(N, m)
+        yield num
+
+
 def truncated_binomial_sum(m: int, r: int, n: int, q: int) -> Fraction:
     """Partial alternating sum  sum_{j=0}^{m} (-1)^j C(n-r, j) q^-j.
 
     This is the order-m truncation of the binomial expansion of
     (1 - 1/q)^(n-r); it appears as the correction factor in the asymptotic
     zero-count formulas.  It is built as one integer numerator over q^m,
-    sum_{j <= min(m, n-r)} (-1)^j C(n-r, j) q^(m-j), by Horner's rule.
+    the running numerator of `truncated_binomial_numerators` at
+    min(m, n-r) times q^(m - min(m, n-r)).
     """
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
@@ -52,11 +63,8 @@ def truncated_binomial_sum(m: int, r: int, n: int, q: int) -> Fraction:
         raise ValueError("need q >= 2")
     if m < 0:
         raise ValueError("need m >= 0")
-    N = n - r
-    top = min(m, N)  # C(N, j) = 0 past j = N
-    num = 0
-    for j in range(top + 1):
-        num = num * q + (-1) ** j * math.comb(N, j)
+    top = min(m, n - r)  # C(n-r, j) = 0 past j = n-r
+    num = next(itertools.islice(truncated_binomial_numerators(n - r, q), top, None))
     return Fraction(num * q ** (m - top), q ** m)
 
 

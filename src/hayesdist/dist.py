@@ -18,41 +18,42 @@ each such f is g * prod_{a in S} (x - a) with g monic of degree d - j, so
 where S_j(c) counts the j-subsets of D whose product of (x - a) lies in
 class c, and N_e counts monic degree-e polynomials per class.  Here
 e < t + ell, and a class holds at most one polynomial of such a degree, so
-N_e has Phi_e(Q) nonzero entries.  `moment_rows` forms these rows.  A row
-whose class counts are one constant c (Phi_(d-j)(Q) = 0, or d - j >= t + ell
-in the series check) is the closed form C(n, j) c; one of two engines
-forms the others (`_transformed_rows`, which both cost formulas count):
+N_e has Phi_e(Q) nonzero entries.  S_j depends on neither d nor k, so
+`moment_rows` forms the rows of every run (d, j_lo) of a command at once.
+A row whose class counts are one constant c (Phi_(d-j)(Q) = 0, or
+d - j >= t + ell in the series check) is the closed form C(n, j) c; one call
+of one of two engines forms all the others (`_transformed_rows`, which both
+cost formulas count):
 
 * the DP ("sieve"): a dynamic programme that gathers the band of those
-  rows at i <x - a>^-1 once per point (`ClassGroup.quotients`, its one
-  group primitive, made for a block of points at once), at most
-  n * (min(n, d) + 1) * |G| DP cells, then |G| per nonzero N_e entry for
-  the group-algebra product (`moment_work`);
-  `group_convolve` gathers a block of quotients at once and sums them in
-  int64 where no sum can reach 2^63;
+  rows, from their lowest j to their highest, at i <x - a>^-1 once per
+  point (`ClassGroup.quotients`, its one group primitive, made for a block
+  of points at once), at most n * (min(n, d) + 1) * |G| DP cells, then |G|
+  per nonzero N_e entry for the group-algebra product of each row
+  (`moment_work`); `group_convolve` gathers a block of quotients at once
+  and sums them in int64 where no sum can reach 2^63;
 * the transform ("transform", `hayesdist.transform`, imported only when it
   runs): one transform of the point classes gives the power sums of the
   point characters, Newton's identities (an order-N recurrence past the
-  group exponent N) their elementary symmetric functions S^_j, and one
-  inverse transform of S^_j N^_(d-j) per row gives W_j, modulo primes
-  P = 1 (mod N) in (2^24, 2^25) joined by CRT; primes * |G| * (sum of
-  axis sizes * transforms + j_hi min(N, j_hi)) cells, j_hi the highest
-  row (`transform_work`).
+  group exponent N) their elementary symmetric functions S^_j, once for
+  every row at that j, and one inverse transform of S^_j N^_(d-j) per row
+  gives W_j, modulo primes P = 1 (mod N) in (2^24, 2^25) joined by CRT;
+  primes * |G| * (sum of axis sizes * transforms + j_hi min(N, j_hi))
+  cells, j_hi the highest row (`transform_work`).
 
-`plan_rows` is the one planner: over a list of runs (d, j_lo) it picks each
-run's engine by `moment_plan` (fewer counted cells, the DP on a tie),
-checks each engine's cells, summed over the runs, against the budget
-before the first run starts, and returns the artifact's `engine` (joined by
-"+") and summed `work`.  `sieve_plan` is its form for `sieve_rows` runs,
-so a command that runs several k refuses on the sum it reports.  Both
-engines stay, since neither serves the paper's regime t <= sqrt(q) alone
-(transform figures with the exponent cap lifted): at q = 27, Q an
-irreducible cubic, ell = k = 0, the transform counts 1.07e8 cells, over
-the default budget, for a call the DP runs in 1.6e7; at q = 2, Q
-irreducible of degree 13 (a prime axis of 8191), `exact-dist --ell 0 --k 0`
-takes 1.4-1.7 s and 33 MB on the DP and 4.4 s and 2.1 GB on the transform;
-at q = 243, ell = 1, k = 2 the transform counts 13122 cells where the DP
-counts 175932.
+`moment_plan` is the one planner: over the runs of a command it counts both
+engines' cells for the one run, picks the engine with fewer (the DP on a
+tie), checks its cells against the budget under its own name before any row
+is formed, and returns the artifact's `engine` and `work`.  `sieve_plan` is
+its form for the `sieve_rows` runs at a list of k, so a command that runs
+several k refuses on the cells it reports.  Both engines stay, since
+neither serves the paper's regime t <= sqrt(q) alone (transform figures
+with the exponent cap lifted): at q = 27, Q an irreducible cubic,
+ell = k = 0, the transform counts 1.07e8 cells, over the default budget,
+for a call the DP runs in 1.6e7; at q = 2, Q irreducible of degree 13 (a
+prime axis of 8191), `exact-dist --ell 0 --k 0` takes 1.4-1.7 s and 33 MB on
+the DP and 4.4 s and 2.1 GB on the transform; at q = 243, ell = 1, k = 2 the
+transform counts 13122 cells where the DP counts 175932.
 
 Either way the work is polynomial in q, where enumeration costs
 |G| * q^k * n comparisons.  Counts are Python integers (numpy object
@@ -107,12 +108,12 @@ call on `FieldSpec.monic_rows`.
 
 `moment_rows` is the one place where W_j is formed, by either engine: the
 only caller of `subset_product_table`, of `group_convolve` (the one
-group-algebra product) and of the transform.  `sieve_rows` calls it at
-j_lo = k + 1 on the group's class counts; the series check calls it once
-per degree at j_lo = 1 on the class counts of its own joint tables, and its
-product and moment slices compare those rows with enumeration, so the
-check exercises the code that the other commands run, with the engine
-that the same sizes pick there.
+group-algebra product) and of the transform.  `sieve_rows` calls it once
+for all of its k, each run at j_lo = k + 1 on the group's class counts; the
+series check calls it once for all of its degrees, each at j_lo = 1 on the
+class counts of its own joint tables, and its product and moment slices
+compare those rows with enumeration, so the check exercises the code that
+the other commands run, with the engine that the same sizes pick there.
 
 Counts are arbitrary-precision integers; probabilities are exact rationals.
 """
@@ -418,35 +419,36 @@ def group_convolve(group: ClassGroup, u: list[int], v: np.ndarray) -> np.ndarray
 
 SIEVE = "sieve"  # the engines of `moment_rows`: the subset-product DP ...
 TRANSFORM = "transform"  # ... and the character-domain transform
-SIEVE_CELLS = "sieve cells (DP + convolution)"
+SIEVE_CELLS = "sieve cells (DP + convolution)"  # the refusal `what` of each engine
 TRANSFORM_CELLS = "sieve cells (character transform)"
-ENGINE_CELLS = {SIEVE: SIEVE_CELLS, TRANSFORM: TRANSFORM_CELLS}  # refusal `what` of each engine
 _PRIME_BITS = 24  # the transform's primes lie in (2^24, 2^25) ...
 _MAX_EXPONENT = 1 << 12  # ... each 1 mod the group exponent N, at most this
 
 
-def _transformed_rows(group: ClassGroup, n: int, d: int, j_lo: int) -> list[int]:
-    """The rows j_lo <= j <= min(n, d) that an engine of `moment_rows` forms:
-    those whose class counts N_(d-j) are not constant, as counted from Phi.
-    Below t + ell each class holds 0 or 1 polynomial of degree d - j, from
-    there on every class q^(d-j-t-ell); the constant rows are closed forms."""
+def _transformed_rows(group: ClassGroup, n: int, runs) -> list[tuple[int, int]]:
+    """The rows (d, j), j_lo <= j <= min(n, d), of the runs (d, j_lo) that an
+    engine of `moment_rows` forms: those whose class counts N_(d-j) are not
+    constant, as counted from Phi.  Below t + ell each class holds 0 or 1
+    polynomial of degree d - j, from there on every class q^(d-j-t-ell); the
+    constant rows are closed forms."""
     params = group.params
     return [
-        j for j in range(j_lo, min(n, d) + 1)
+        (d, j) for d, j_lo in runs for j in range(j_lo, min(n, d) + 1)
         if d - j < params.t + params.ell and 0 < phi(d - j, params.Q) < group.order
     ]
 
 
-def moment_work(group: ClassGroup, n: int, d: int, j_lo: int) -> dict[str, int]:
-    """Cells the DP engine of `moment_rows` touches at degree d on n points
-    for the rows of `_transformed_rows`: the DP cell updates of its
-    subset-product table, which runs from their lowest row to their highest,
+def moment_work(group: ClassGroup, n: int, runs) -> dict[str, int]:
+    """Cells the DP engine of `moment_rows` touches for the runs on n points,
+    for the rows of `_transformed_rows`: the DP cell updates of the one
+    subset-product table, which runs from their lowest j to their highest,
     and one |G|-gather per nonzero class count N_(d-j) of each row, of which
     there are Phi_(d-j)(Q)."""
-    rows = _transformed_rows(group, n, d, j_lo)
-    live = _live_rows(n, rows[0], rows[-1]) if rows else []
+    rows = _transformed_rows(group, n, runs)
+    js = [j for _, j in rows]
+    live = _live_rows(n, min(js), max(js)) if rows else []
     dp_rows = sum(max(0, hi - lo + 1) for lo, hi in live)
-    gathers = sum(phi(d - j, group.params.Q) for j in rows)
+    gathers = sum(phi(d - j, group.params.Q) for d, j in rows)
     return {"dp_cells": dp_rows * group.order, "convolution_cells": gathers * group.order}
 
 
@@ -455,142 +457,140 @@ def _prime_count(bound: int) -> int:
     return max(1, -(-bound.bit_length() // _PRIME_BITS))
 
 
-def transform_work(group: ClassGroup, n: int, d: int, j_lo: int) -> int | None:
-    """Cells the transform engine of `moment_rows` touches at degree d on n
-    points for the rows of `_transformed_rows`, or None where it cannot run
+def transform_work(group: ClassGroup, n: int, runs) -> int | None:
+    """Cells the transform engine of `moment_rows` touches for the runs on n
+    points, for the rows of `_transformed_rows`, or None where it cannot run
     (the group exponent N above _MAX_EXPONENT): primes * |G| * (sum of axis
-    sizes * transforms + j_hi min(N, j_hi)), with j_hi the highest row, one
+    sizes * transforms + j_hi min(N, j_hi)), with j_hi the highest j, one
     forward transform of the point classes and a forward and an inverse one
     per row, and the primes those rows' bound W_j <= C(n, j) calls for
     (N_(d-j) is a 0/1 vector there).  0 when there is no such row.
 
     n <= MAX_Q = 256, so C(n, j) <= C(256, 128) needs at most 11 primes."""
-    rows = _transformed_rows(group, n, d, j_lo)
+    rows = _transformed_rows(group, n, runs)
     if not rows:
         return 0
-    j_hi = rows[-1]
+    j_hi = max(j for _, j in rows)
     N = math.lcm(*group.orders)
     if N > _MAX_EXPONENT:
         return None
-    primes = _prime_count(max(math.comb(n, j) for j in rows))
+    primes = _prime_count(max(math.comb(n, j) for _, j in rows))
     axes = sum(p ** v for order in group.orders for p, v in _prime_powers(order))
     return primes * group.order * (axes * (1 + 2 * len(rows)) + j_hi * min(N, j_hi))
 
 
-def moment_plan(group: ClassGroup, n: int, d: int, j_lo: int) -> tuple[str, dict[str, int]]:
-    """The engine `moment_rows` runs at degree d on n points for
-    j_lo <= j <= d, and its cells: the transform where it counts fewer cells
-    than the DP, the DP otherwise."""
-    dp = moment_work(group, n, d, j_lo)
-    cells = transform_work(group, n, d, j_lo)
+def moment_plan(group: ClassGroup, n: int, runs, budget: int | None = None) -> tuple[str, dict[str, int]]:
+    """The engine that `moment_rows` runs for all of the runs (d, j_lo) on n
+    points, and its cells: the transform where it counts fewer cells than
+    the DP, the DP otherwise (with no cells when no row needs an engine).
+    The cells are checked against the budget, under the engine's own name,
+    before any row is formed.  Returns the artifact's `engine` and `work`."""
+    dp = moment_work(group, n, runs)
+    cells = transform_work(group, n, runs)
     if cells is not None and cells < sum(dp.values()):
+        check_budget(TRANSFORM_CELLS, cells, budget)
         return TRANSFORM, {"transform_cells": cells}
+    check_budget(SIEVE_CELLS, sum(dp.values()), budget)
     return SIEVE, dp
 
 
-def plan_rows(group: ClassGroup, n: int, runs, budget: int | None = None) -> tuple[str, dict[str, int]]:
-    """The plan of the `moment_rows` runs (d, j_lo) on n points: each run's
-    engine by `moment_plan`, and each engine's cells, summed over the runs,
-    checked against the budget under its own name before any run starts.
-    Returns the engines joined by "+" in order of first use and their cells
-    summed key by key (the artifact's `engine` and `work`); the DP with no
-    cells when there is no run."""
-    engines: dict[str, int] = {}  # engine -> its cells over the runs, in order of first use
-    work: dict[str, int] = {}
-    for d, j_lo in runs:
-        engine, cells = moment_plan(group, n, d, j_lo)
-        engines[engine] = engines.get(engine, 0) + sum(cells.values())
-        for key, value in cells.items():
-            work[key] = work.get(key, 0) + value
-    for engine, total in engines.items():
-        check_budget(ENGINE_CELLS[engine], total, budget)
-    return ("+".join(engines), work) if engines else (SIEVE, {"dp_cells": 0, "convolution_cells": 0})
+def _sieve_runs(group: ClassGroup, ks) -> list[tuple[int, int]]:
+    """The `moment_rows` runs of `sieve_rows` at each k of ks: degree
+    k + t + ell from j_lo = k + 1."""
+    params = group.params
+    for k in ks:
+        if k < 0:
+            raise ValidationError(f"k must be >= 0, got {k}")
+    return [(k + params.t + params.ell, k + 1) for k in ks]
 
 
 def sieve_plan(group: ClassGroup, ks, n: int, budget: int | None = None) -> tuple[str, dict[str, int]]:
-    """`plan_rows` of the `sieve_rows` runs at each k of ks on n points:
-    degree k + t + ell from j_lo = k + 1."""
-    params = group.params
-    return plan_rows(group, n, [(k + params.t + params.ell, k + 1) for k in ks], budget)
+    """`moment_plan` of the `sieve_rows` runs at each k of ks (each k >= 0)
+    on n points."""
+    return moment_plan(group, n, _sieve_runs(group, ks), budget)
 
 
 def moment_rows(
-    group: ClassGroup, pts: tuple[FqElement, ...], counts, d: int, j_lo: int, budget: int | None = None
-) -> np.ndarray:
-    """W_j(eps) = sum_c S_j(c) N_(d-j)(eps c^-1) at degree d for
-    j_lo <= j <= d, with the class counts N_e = counts(e), as an object array
-    of Python integers indexed [j - j_lo, eps].  Rows past n = len(pts) are
-    0: no j-subset of the points exists.  The one place where W_j is formed.
-    A row whose class counts are one constant c is the closed form C(n, j) c
-    (S_j sums to C(n, j) over the classes); the engine of `plan_rows`,
-    whose cells are checked against the budget first, forms the others."""
+    group: ClassGroup, pts: tuple[FqElement, ...], counts, runs, budget: int | None = None
+) -> list[np.ndarray]:
+    """For each run (d, j_lo), W_j(eps) = sum_c S_j(c) N_(d-j)(eps c^-1) at
+    degree d for j_lo <= j <= d, with the class counts N_e = counts(e), as an
+    object array of Python integers indexed [j - j_lo, eps].  Rows past
+    n = len(pts) are 0: no j-subset of the points exists.  The one place
+    where W_j is formed.  A row whose class counts are one constant c is the
+    closed form C(n, j) c (S_j sums to C(n, j) over the classes); one call
+    of the engine of `moment_plan`, whose cells are checked against the
+    budget first, forms all the others, of every run."""
     n = len(pts)
-    engine, _ = plan_rows(group, n, [(d, j_lo)], budget)
-    W = np.zeros((d - j_lo + 1, group.order), dtype=object)
-    wanted = {}
-    for j in range(j_lo, min(n, d) + 1):
-        N = counts(d - j)
-        if len(set(N)) == 1:
-            W[j - j_lo] = math.comb(n, j) * N[0]
-        else:
-            wanted[j] = N
+    engine, _ = moment_plan(group, n, runs, budget)
+    Ws = [np.zeros((d - j_lo + 1, group.order), dtype=object) for d, j_lo in runs]
+    wanted, places = [], []  # the rows (j, N) that the engine forms, and where each goes
+    for W, (d, j_lo) in zip(Ws, runs):
+        for j in range(j_lo, min(n, d) + 1):
+            N = counts(d - j)
+            if len(set(N)) == 1:
+                W[j - j_lo] = math.comb(n, j) * N[0]
+            else:
+                wanted.append((j, N))
+                places.append((W, j - j_lo))
     if wanted:
         rows = moment_rows_dp if engine == SIEVE else moment_rows_transform
-        for j, row in rows(group, pts, wanted).items():
-            W[j - j_lo] = row
-    return W
+        for (W, i), row in zip(places, rows(group, pts, wanted)):
+            W[i] = row
+    return Ws
 
 
-def moment_rows_dp(group: ClassGroup, pts: tuple[FqElement, ...], wanted: dict[int, list[int]]) -> dict:
-    """W_j = S_j * N for each row j -> N of `wanted` (1 <= j <= len(pts)), by
-    the subset-product table and the group-algebra product."""
-    S = subset_product_table(group, pts, min(wanted), max(wanted))
-    return {j: group_convolve(group, N, S[j]) for j, N in wanted.items()}
+def moment_rows_dp(group: ClassGroup, pts: tuple[FqElement, ...], wanted: list[tuple[int, list[int]]]) -> list:
+    """W_j = S_j * N for each row (j, N) of `wanted` (1 <= j <= len(pts)), in
+    order, by one subset-product table from the lowest j to the highest and
+    one group-algebra product per row."""
+    js = [j for j, _ in wanted]
+    S = subset_product_table(group, pts, min(js), max(js))
+    return [group_convolve(group, N, S[j]) for j, N in wanted]
 
 
-def moment_rows_transform(group: ClassGroup, pts: tuple[FqElement, ...], wanted: dict[int, list[int]]) -> dict:
+def moment_rows_transform(group: ClassGroup, pts: tuple[FqElement, ...], wanted: list[tuple[int, list[int]]]) -> list:
     """The rows of `moment_rows_dp` in the character domain
     (`hayesdist.transform`, imported only here), with the primes that
     W_j <= C(n, j) max N calls for."""
     from .transform import character_rows
 
-    bound = max(math.comb(len(pts), j) * max(N) for j, N in wanted.items())
-    classes = _point_classes(group, pts)
-    return character_rows(group, classes, wanted, max(wanted), _prime_count(bound), _PRIME_BITS)
+    bound = max(math.comb(len(pts), j) * max(N) for j, N in wanted)
+    return character_rows(group, _point_classes(group, pts), wanted, _prime_count(bound), _PRIME_BITS)
 
 
 def sieve_rows(
-    group: ClassGroup, k: int, pts: tuple[FqElement, ...], budget: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One sieve run at degree d = k + t + ell on `pts` (no zero of Q among
-    them): the rows W_j for k < j <= d, from `moment_rows` on the group's
-    class counts, and the counts q^k P(Y = r) of every class for r <= d, as
-    object arrays of Python integers indexed [j - k - 1, eps] and [r, eps].
-    Rows past n = len(pts) are 0: no j-subset of the points exists, and no
-    member has r zeros among them."""
+    group: ClassGroup, ks, pts: tuple[FqElement, ...], budget: int | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sieve runs at each k of ks, at degree d = k + t + ell on `pts` (no
+    zero of Q among them), from one `moment_rows` call on the group's class
+    counts: per k, the rows W_j for k < j <= d and the counts q^k P(Y = r)
+    of every class for r <= d, as object arrays of Python integers indexed
+    [j - k - 1, eps] and [r, eps].  Rows past n = len(pts) are 0: no
+    j-subset of the points exists, and no member has r zeros among them."""
     params = group.params
     q = params.spec.q
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
     n = len(pts)
-    d = k + params.t + params.ell
-    W = moment_rows(group, pts, group.monic_class_counts, d, k + 1, budget)
-    high = range(k + 1, d + 1)
-    # q^k P(Y = r): the class-free j <= k terms (C(n, j) = 0 for j > n), plus
-    # the j > k rows as one integer matrix product
-    low = np.array(
-        [
-            sum((-1) ** (j - r) * math.comb(j, r) * math.comb(n, j) * q ** (k - j) for j in range(r, k + 1))
-            for r in range(d + 1)
-        ],
-        dtype=object,
-    )
-    # (-1)^(j+r), not (-1)^(j-r): a negative power is a float, and one float
-    # term (times C(j, r) = 0 for r > j) would round the whole count
-    signs = np.array(
-        [[(-1) ** (j + r) * math.comb(j, r) for j in high] for r in range(d + 1)], dtype=object
-    ).reshape(d + 1, len(high))
-    return W, signs @ W + low[:, None]
+    Ws = moment_rows(group, pts, group.monic_class_counts, _sieve_runs(group, ks), budget)
+    out = []
+    for k, W in zip(ks, Ws):
+        d = k + params.t + params.ell
+        # q^k P(Y = r): the class-free j <= k terms (C(n, j) = 0 for j > n),
+        # plus the j > k rows as one integer matrix product
+        low = np.array(
+            [
+                sum((-1) ** (j - r) * math.comb(j, r) * math.comb(n, j) * q ** (k - j) for j in range(r, k + 1))
+                for r in range(d + 1)
+            ],
+            dtype=object,
+        )
+        # (-1)^(j+r), not (-1)^(j-r): a negative power is a float, and one
+        # float term (times C(j, r) = 0 for r > j) would round the whole count
+        signs = np.array(
+            [[(-1) ** (j + r) * math.comb(j, r) for j in range(k + 1, d + 1)] for r in range(d + 1)], dtype=object
+        ).reshape(d + 1, len(W))
+        out.append((W, signs @ W + low[:, None]))
+    return out
 
 
 def exact_distributions_all(
@@ -600,7 +600,7 @@ def exact_distributions_all(
     from the counts of one `sieve_rows` run."""
     params = group.params
     pts = _validated_points(params, points)
-    _, counts = sieve_rows(group, k, pts, budget)
+    [(_, counts)] = sieve_rows(group, [k], pts, budget)
     return ZeroDistributions(params, k, pts, counts.tolist(), params.spec.q ** k)
 
 
@@ -745,12 +745,12 @@ def verify_series_identities(
     table: its row sums are the class counts N_d, and its binomial moments
     M_d[j][c] = sum_r C(r, j) joint_d[c][r] are the left side of the
     product and moment slices.  The right sides are one `moment_rows` call
-    per degree at j_lo = 1 on those class counts, which read the table only
-    through N_(d-j) with j >= 1, so no slice compares the table with itself.
-    Every degree's q^d (n+1) evaluation cells (n evaluations and one label
-    per polynomial) are checked against the budget before the first one,
-    and then the cells of the `moment_rows` calls, summed over the degrees
-    per engine, by one `plan_rows` call.
+    over every degree at j_lo = 1 on those class counts, which read the
+    tables only through N_(d-j) with j >= 1, so no slice compares a table
+    with itself.  Every degree's q^d (n+1) evaluation cells (n evaluations
+    and one label per polynomial) are checked against the budget before the
+    first one, and then the cells of that `moment_rows` call, by one
+    `moment_plan` call.
 
     Returns the verdict, the check records ({"name", "pass", "detail"}
     dicts, each made as it is read) and the work counts.  Every table is
@@ -766,12 +766,12 @@ def verify_series_identities(
         raise ValidationError(f"d_max must be >= 0, got {d_max}")
     for d in range(d_max + 1):
         check_budget(f"evaluation cells q^{d} (n+1)", q ** d * (n + 1), budget)
-    _, cells = plan_rows(group, n, [(d, 1) for d in range(d_max + 1)], budget)
+    runs = [(d, 1) for d in range(d_max + 1)]
+    _, cells = moment_plan(group, n, runs, budget)
     work = {"polynomials_checked": sum(q ** d for d in range(d_max + 1)), **cells}
 
     N: list[list[int]] = []  # N[d][class]
     M: list[list[list[int]]] = []  # M[d][j][class], exact Python integers
-    W: list[list[list[int]]] = []  # W[d][j - 1][class]
     zeros = [0] * group.order  # M[d][j] for j > n: no polynomial has more than n zeros in D
     for d in range(d_max + 1):
         j_hi = min(d, n)
@@ -779,7 +779,7 @@ def verify_series_identities(
         moments = joint_zero_counts(group, d, pts).astype(object) @ binomials
         M.append(moments.T.tolist() + [zeros] * (d - j_hi))
         N.append(M[d][0])  # the (u-1)^0 moment: the row sums of the joint table
-        W.append(moment_rows(group, pts, N.__getitem__, d, 1, budget).tolist())
+    W = [rows.tolist() for rows in moment_rows(group, pts, N.__getitem__, runs, budget)]  # W[d][j - 1][class]
 
     tails = range(t + ell, d_max + 1)
     products = [(d, j) for d in range(d_max + 1) for j in range(min(d, n) + 1)]

@@ -28,7 +28,8 @@ monic polynomials of one degree with it, and `class_of` is its one-row
 form; `monic_class_blocks` labels every monic polynomial of one degree
 through the same lookup, without forming a row, and `monic_class_counts`
 counts them.  `signature` is the object-level definition the kernel is
-tested against.  `member_base_rows` is the row form of `member_base`.
+tested against.  `member_base_rows` gives a degree-d member of every class
+at once, as rows.
 `quotients` gives the maps i -> i c^-1 of a block of classes c at once:
 the subset-product DP gathers through it one point class at a time, and
 the group-algebra product a block at a time.
@@ -246,7 +247,6 @@ class ClassGroup:
             orders.append(m)
         self.generators = tuple(generators)
         self.orders = tuple(orders)
-        self._radix = np.array(orders, dtype=np.int64)
         self._strides = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
         self._eps_of = elements  # the class at each place of the grid
         self._position = np.empty(n, dtype=np.intp)  # each class's place in the grid, the inverse of _eps_of
@@ -277,10 +277,6 @@ class ClassGroup:
         one more axis for the factors), int64."""
         columns = list(self._exponent_columns(classes))
         return np.stack(columns, axis=-1) if columns else np.zeros(np.shape(classes) + (0,), dtype=np.int64)
-
-    def _class_at(self, exponents: np.ndarray) -> np.ndarray:
-        """Classes with the exponent tuples in the last axis (taken mod the orders)."""
-        return self._eps_of[exponents % self._radix @ self._strides]
 
     def quotients(self, cs) -> np.ndarray:
         """Classes i * c^-1 for each class c in cs (rows) and every class i
@@ -314,22 +310,10 @@ class ClassGroup:
         idx = int(self.classes_of([f.index_coeffs()])[0])
         return idx if idx >= 0 else None
 
-    def member_base(self, eps: int, d: int) -> Polynomial:
-        """A monic degree-d member of class eps: x^k * rep, residue-corrected."""
-        k = d - self._t - self._ell
-        if k < 0:
-            raise ValueError(f"degree must be >= t + ell = {self._t + self._ell}")
-        spec = self._spec
-        rep = self.rep(eps)
-        f0 = rep * Polynomial.monomial(spec, k)
-        if self._t > 0:
-            f0 = f0 + (rep % self.params.Q) - (f0 % self.params.Q)
-        return f0
-
     def member_base_rows(self, d: int) -> np.ndarray:
-        """Rows of member_base(eps, d) for every class eps at once: the
-        representatives shifted up by k, with the low t coefficients corrected
-        to the representative's residue."""
+        """A monic degree-d member of every class eps at once, as rows: the
+        representatives shifted up by k = d - t - ell, with the low t
+        coefficients corrected to the representative's residue."""
         k = d - self._t - self._ell
         if k < 0:
             raise ValueError(f"degree must be >= t + ell = {self._t + self._ell}")

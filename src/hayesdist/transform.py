@@ -130,12 +130,13 @@ def _crt(residues: np.ndarray, moduli: list[int]) -> np.ndarray:
 
 
 def character_rows(
-    group: ClassGroup, classes: list[int], wanted: dict[int, list[int]], j_hi: int, count: int, bits: int
-) -> dict[int, np.ndarray]:
-    """W_j = S_j * N for each row j -> N of `wanted` (1 <= j <= j_hi), where
+    group: ClassGroup, classes: list[int], wanted: list[tuple[int, list[int]]], count: int, bits: int
+) -> list[np.ndarray]:
+    """W_j = S_j * N for each row (j, N) of `wanted` (j >= 1), in order, where
     S_j counts the j-subsets of the points of `classes` (the class of x - a
     for every point a) by the class of their product: object arrays of
-    Python integers, exact when every W_j lies in [0, 2^(bits count))."""
+    Python integers, exact when every W_j lies in [0, 2^(bits count)).  One
+    recurrence up to the highest j gives S^_j to every row at that j."""
     sizes, place = _grid(group)
     N = math.lcm(*group.orders)
     moduli = primes(N, count, bits)
@@ -145,22 +146,26 @@ def character_rows(
     def forward(grid: np.ndarray) -> np.ndarray:
         return np.stack([t.forward_of(grid % t.P) for t in transforms])
 
+    at: dict[int, list[int]] = {}  # j -> the rows of `wanted` at j
+    for i, (j, _) in enumerate(wanted):
+        at.setdefault(j, []).append(i)
+    j_hi = max(at)
     H = forward(np.bincount(place[classes], minlength=group.order))
     window = min(N, j_hi)
     # (-1)^(i-1) p_i for i = 1..window
     power_sums = [(-1) ** (i - 1) * H[:, _power_places(sizes, i)] % P for i in range(1, window + 1)]
     e = [np.ones_like(H)]  # e_(j-window)..e_(j-1), e_0 first
-    rows = {}
+    rows = [None] * len(wanted)
     for j in range(1, j_hi + 1):
         acc = sum(power_sums[i - 1] * e[-i] for i in range(1, min(N, j) + 1))
         if j > N:
             acc = acc + (-1) ** N * (j - N) % P * e[-N]
         e.append(acc % P * np.array([pow(j, -1, p) for p in moduli], dtype=np.int64)[:, None] % P)
         del e[:-window]
-        if j in wanted:
+        for i in at.get(j, ()):
             grid = np.empty(group.order, dtype=np.int64)
-            grid[place] = wanted[j]
+            grid[place] = wanted[i][1]
             spectrum = e[-1] * forward(grid) % P
             residues = np.stack([t.inverse_of(s) for t, s in zip(transforms, spectrum)])
-            rows[j] = _crt(residues[:, place], moduli)
+            rows[i] = _crt(residues[:, place], moduli)
     return rows

@@ -7,9 +7,11 @@ enumeration behind a Reed-Solomon distance row, the members of a Hayes
 class listed one polynomial at a time, the roots of a polynomial by
 evaluation, the cycle counts of a literal permutation, and the Reed-Solomon
 specialization of the mu-corrected mass, the class-group decomposition
-with its power ladders run to the end, products, inverses and quotients of
-classes as sums and differences of exponent tuples, and the
-truncated-binomial verdicts of `bounds-check` cell by cell.
+with its power ladders run to the end, the class at an exponent tuple,
+products, inverses and quotients of classes as sums and differences of
+exponent tuples, a degree-d member of a class as a `Polynomial`, character
+values from exact phases, and the truncated-binomial verdicts of
+`bounds-check` cell by cell.
 """
 
 import itertools
@@ -52,10 +54,10 @@ def members(group, eps: int, d: int) -> Iterator[Polynomial]:
     """All q^(d - t - ell) monic degree-d members of class eps.
 
     The members are exactly base + h*Q over all h of degree < d - t - ell, with
-    base = `group.member_base(eps, d)`: adding h*Q (degree <= d - ell - 1)
+    base = `member_base(group, eps, d)`: adding h*Q (degree <= d - ell - 1)
     touches neither the ell leading coefficients nor the residue mod Q.
     """
-    base = group.member_base(eps, d)
+    base = member_base(group, eps, d)
     params = group.params
     for h in enumerate_below_degree(params.spec, d - params.t - params.ell):
         yield base + h * params.Q
@@ -152,14 +154,23 @@ def decompose_uncut(group):
     return tuple(generators), tuple(orders), elements, exponents
 
 
+def class_at(group, exponents: np.ndarray) -> np.ndarray:
+    """Classes with the exponent tuples in the last axis (taken mod the
+    orders): the class at the place sum_i e_i * prod(orders after i) of the
+    grid."""
+    orders = group.orders
+    strides = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))], dtype=np.int64)
+    return group._eps_of[exponents % np.array(orders, dtype=np.int64) @ strides]
+
+
 def mul(group, i: int, j: int) -> int:
     """Class of the product of classes i and j: the sum of their exponent tuples."""
-    return int(group._class_at(group.exponents(i) + group.exponents(j)))
+    return int(class_at(group, group.exponents(i) + group.exponents(j)))
 
 
 def inv(group, i: int) -> int:
     """Class of the inverse of class i: its exponent tuple negated."""
-    return int(group._class_at(-group.exponents(i)))
+    return int(class_at(group, -group.exponents(i)))
 
 
 def quotient_rows(group, cs) -> np.ndarray:
@@ -167,7 +178,32 @@ def quotient_rows(group, cs) -> np.ndarray:
     (columns): the classes at the differences of their exponent tuples,
     formed whole as a len(cs) x |G| x m array."""
     exponents = group.exponents(range(group.order))
-    return group._class_at(exponents[None, :, :] - exponents[np.asarray(cs, dtype=np.intp)][:, None, :])
+    return class_at(group, exponents[None, :, :] - exponents[np.asarray(cs, dtype=np.intp)][:, None, :])
+
+
+def member_base(group, eps: int, d: int) -> Polynomial:
+    """A monic degree-d member of class eps, as a `Polynomial`: x^k * rep,
+    k = d - t - ell, residue-corrected (the object form of
+    `ClassGroup.member_base_rows`)."""
+    params = group.params
+    k = d - params.t - params.ell
+    if k < 0:
+        raise ValueError(f"degree must be >= t + ell = {params.t + params.ell}")
+    rep = group.rep(eps)
+    f0 = rep * Polynomial.monomial(params.spec, k)
+    if params.t > 0:
+        f0 = f0 + (rep % params.Q) - (f0 % params.Q)
+    return f0
+
+
+def character_values(table, classes) -> np.ndarray:
+    """chi(c) for every character chi of a `CharacterTable` (rows) and each
+    class c of `classes` (columns), from the exact phase
+    sum_i e_i d_i N/n_i mod N."""
+    N = math.lcm(*table.orders)
+    weights = np.array([N // n for n in table.orders], dtype=np.int64)
+    d = table._group.exponents(classes) * weights
+    return np.exp(2j * np.pi * ((table.exponents @ d.T) % N / N))
 
 
 def truncated_binomial_verdicts_per_cell():

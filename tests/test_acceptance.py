@@ -52,7 +52,7 @@ from hayesdist.dist import (
     verify_series_identities,
 )
 from hayesdist.ffield import FieldSpec, Polynomial, distinct_irreducible_factors, enumerate_monic, phi
-from references import codeword_agreement_row
+from references import character_values, codeword_agreement_row
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]  # q = 2, 3, 4, 5
 
@@ -170,7 +170,7 @@ def test_character_layer(fields, groups):
         t = G.params.t
         table = CharacterTable(G)
         size = G.order
-        M = table.values_at(range(size))
+        M = character_values(table, range(size))
         assert np.abs(M @ M.conj().T / size - np.eye(size)).max() < 1e-9
         assert np.abs(M.conj().T @ M / size - np.eye(size)).max() < 1e-9
         # the definition: chi_e(c) = exp(2 pi i sum_i e_i d_i / n_i), e in itertools.product order
@@ -307,12 +307,12 @@ def test_remainder_bounds_past_the_oracle(tmp_path):
     # q = 32, ell = 2, Q = 1 (|G| = 1024, n = 32) for k = 0..6: the oracle
     # would need |G| q^6 n = 2^45 comparisons at k = 6; the sieve's rows run
     # every remainder check; the worst lhs/rhs ratio is reported, not ruled.
-    # The DP forms the rows at k = 0 and the transform at k = 1..6, where it
-    # counts fewer cells
+    # One engine forms the rows of all k: the DP, whose one table counts
+    # fewer cells than the transform for the whole run
     out = tmp_path / "bounds.json"
     code = run(["bounds-check", "--p", "2", "--a", "5", "--ell", "2", "--Q", "1", "--k", "6", "--out", str(out)])
     data = json.loads(out.read_text())
-    assert code == 0 and data["pass"] is True and data["engine"] == "sieve+transform"
+    assert code == 0 and data["pass"] is True and data["engine"] == "sieve"
     remainders = [c for c in data["checks"] if c["name"].startswith(("factorization remainder ", "pmf remainder "))]
     assert all(c["pass"] for c in remainders)
     assert len({c["name"] for c in remainders if c["name"].startswith("factorization")}) == 7 * 2

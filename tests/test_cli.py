@@ -39,11 +39,12 @@ def _corrupt_moment_row(monkeypatch, d, eps, j, by):
     """Add `by` to the W_j(eps) of degree d that the row function returns."""
     from hayesdist.dist import moment_rows
 
-    def corrupt(group, pts, counts, d_, j_lo, budget=None):
-        W = moment_rows(group, pts, counts, d_, j_lo, budget)
-        if d_ == d:
-            W[j - j_lo, eps] += by
-        return W
+    def corrupt(group, pts, counts, runs, budget=None):
+        Ws = moment_rows(group, pts, counts, runs, budget)
+        for W, (d_, j_lo) in zip(Ws, runs):
+            if d_ == d:
+                W[j - j_lo, eps] += by
+        return Ws
 
     monkeypatch.setattr("hayesdist.dist.moment_rows", corrupt)
 
@@ -290,20 +291,21 @@ ORACLE = "enumeration comparisons |G| q^k n"
         (["series-check", "--p", "2", "--ell", "1", "--Q", "x^2 + x", "--d-max", "6"],
          "evaluation cells q^6 (n+1)", 64, {"dp_cells": 0, "convolution_cells": 0}),
         # series check at |G| = 9, n = 3: its 3^2 * 4 evaluation cells are
-        # below its sieve cells, one row run per degree: DP rows 1, 1, 1 and
-        # phi_0 = 1 gather at d = 1; DP rows 1, 1-2, 1-2 and phi_1 + phi_0 =
-        # 3 + 1 gathers at d = 2
+        # below its sieve cells, one row run for both degrees: one table of
+        # DP rows 1, 1-2, 1-2, and phi_0 = 1 gather at d = 1 and phi_1 +
+        # phi_0 = 3 + 1 gathers at d = 2
         (["series-check", "--p", "3", "--ell", "2", "--Q", "1", "--d-max", "2"],
-         SIEVE, 117, {"dp_cells": 27 + 45, "convolution_cells": 9 + 36}),
-        # bounds-check sums the sieve over k = 0..2 at q = 5, n = 5, |G| = 5:
-        # 25 + 5, 40 + 5 and 45 + 5 cells, checked as one sum before k = 0
+         SIEVE, 90, {"dp_cells": 45, "convolution_cells": 9 + 36}),
+        # bounds-check runs the sieve for k = 0..2 at q = 5, n = 5, |G| = 5 as
+        # one row run, checked before k = 0: one table of rows 1..3 (DP rows
+        # 1, 1-2, 1-3, 1-3, 1-3) and one gather per k
         (["bounds-check", "--p", "5", "--ell", "1", "--Q", "1", "--k", "2"],
-         SIEVE, 125, {"dp_cells": 110, "convolution_cells": 15}),
+         SIEVE, 75, {"dp_cells": 60, "convolution_cells": 15}),
         # moments-check sums the oracle over k = 0..3 at |G| = 6, n = 2:
         # 6 (1 + 3 + 9 + 27) 2 comparisons, where the largest k alone
         # makes 324
         (["moments-check", "--p", "3", "--ell", "1", "--Q", "x + 1", "--k", "3"],
-         ORACLE, 480, {"comparisons": 480, "dp_cells": 30, "convolution_cells": 30}),
+         ORACLE, 480, {"comparisons": 480, "dp_cells": 18, "convolution_cells": 30}),
         # moments-check's sieve at |G| = 9, n = 3, d = 2: DP rows 1, 1-2,
         # 1-2 and phi_1 + phi_0 = 3 + 1 gathers, above the group's 3^2 * 3
         # candidate cells plus floor(log2 9) = 3 rungs of |G| = 9 and the
@@ -363,13 +365,14 @@ def test_artifact_names_engine_and_work(capsys, argv, engine, unit):
 
 def test_moments_check_work_count(capsys):
     # |G| * q^k * n comparisons summed over k = 0..2: 6 classes, 2 points;
-    # the sieve's cells summed over k as in bounds-check: k = 0 updates DP
-    # rows 1 and 1-2 and gathers phi_1 + phi_0 = 2 + 1 entries, k = 1 rows
-    # 1 and 2 and phi_1 = 2 entries, k = 2 >= n nothing
+    # the sieve's cells of the one row run as in bounds-check: one table
+    # updates DP rows 1 and 1-2 for the rows j = 1, 2 of k = 0 and j = 2 of
+    # k = 1, which gather phi_1 + phi_0 = 2 + 1 and phi_1 = 2 entries; k = 2
+    # >= n has no row
     code, data = run_json(capsys, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
     assert code == 0
     assert data["work"] == {
-        "comparisons": 6 * (1 + 3 + 9) * 2, "dp_cells": 6 * (3 + 2), "convolution_cells": 6 * (3 + 2),
+        "comparisons": 6 * (1 + 3 + 9) * 2, "dp_cells": 6 * 3, "convolution_cells": 6 * (3 + 2),
     }
 
 
@@ -387,10 +390,10 @@ def test_bounds_check_remainder_records(capsys, monkeypatch):
     code, data = run_json(capsys, ["bounds-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"])
     assert code == 0 and data["pass"]
     # |G| = 6, t = ell = 1, n = 2: r = 0..k+2 for k = 0..2, j = k+1..k+2; the
-    # sieve's work summed over k: k = 0 updates DP rows 1 and 1-2 and gathers
-    # phi_1 + phi_0 = 2 + 1 entries, k = 1 rows 1 and 2 and phi_1 = 2
-    # entries, k = 2 >= n nothing
-    assert data["work"] == {"dp_cells": 6 * (3 + 2), "convolution_cells": 6 * (3 + 2)}
+    # sieve's work for all k in one row run: one table updates DP rows 1
+    # and 1-2, the rows of k = 0 gather phi_1 + phi_0 = 2 + 1 entries and
+    # that of k = 1 phi_1 = 2; k = 2 >= n has no row
+    assert data["work"] == {"dp_cells": 6 * 3, "convolution_cells": 6 * (3 + 2)}
     assert calls == [(k, r) for k in range(3) for r in range(k + 3)]
     names = [c["name"] for c in data["checks"]]
     pmf = [name for name in names if name.startswith("pmf remainder ")]
@@ -598,12 +601,11 @@ def test_truncated_binomial_verdicts_cover_every_cell():
 def test_weil_and_series_work_counts(capsys):
     # |G| = 3 * 2; weil: 5 nontrivial characters, coefficients j = 0..t+ell = 2,
     # class counts of degrees 0..2; series-check --d-max 3: degrees 0..3
-    # enumerated once each into the joint table, and one row run per degree
-    # d = 1..3 over the n = 2 points.  phi_0..phi_2 = 1, 2, 6, and the row
+    # enumerated once each into the joint table, and one row run for all
+    # degrees over the n = 2 points.  phi_0..phi_2 = 1, 2, 6, and the row
     # j = 1 of d = 3 has constant class counts (phi_2 = |G|), a closed form:
-    # DP rows 1, 1 (d = 1), 1, 1-2 (d = 2) and 1, 2 (d = 3, row 2 alone),
-    # and phi_(d-j) gathers for the other rows, 1 (d = 1) + 2 + 1 (d = 2) + 2
-    # (d = 3)
+    # one table of DP rows 1 and 1-2, and phi_(d-j) gathers for the other
+    # rows, 1 (d = 1) + 2 + 1 (d = 2) + 2 (d = 3)
     code, data = run_json(capsys, ["weil", "--p", "3", "--ell", "1", "--Q", "x"])
     assert code == 0
     assert data["work"] == {"classes": 6, "monic_enumerated": 1 + 3 + 9, "character_sums": 5 * 3}
@@ -611,7 +613,7 @@ def test_weil_and_series_work_counts(capsys):
     assert code == 0
     assert data["work"] == {
         "classes": 6, "polynomials_checked": 1 + 3 + 9 + 27,
-        "dp_cells": 6 * (2 + 3 + 2), "convolution_cells": 6 * 6,
+        "dp_cells": 6 * 3, "convolution_cells": 6 * 6,
     }
 
 
@@ -619,14 +621,13 @@ def test_series_check_counts_factorization_pairs(capsys):
     # the moment slice's W_j, the counts of the factorization pairs (g, S),
     # come from the row function, so its work is the sieve's cells, not the
     # pairs.  Q = x^2 + 1 has no root in GF(3), so n = 3 and
-    # |G| = 9 * phi_2 = 72; one row run per degree d = 1..4 over the three
-    # points: DP rows 1, 1, 1 (d = 1), 1, 1-2, 1-2 (d = 2) and 1, 1-2, 1-3
-    # (d = 3, 4), so 3 + 5 + 6 + 6 rows, and 1 + (3 + 1) + (8 + 3 + 1) +
-    # (24 + 8 + 3) gathers
+    # |G| = 9 * phi_2 = 72; one row run for the degrees d = 1..4 over the
+    # three points: one table of DP rows 1, 1-2 and 1-3, so 6 rows, and
+    # 1 + (3 + 1) + (8 + 3 + 1) + (24 + 8 + 3) gathers
     code, data = run_json(capsys, ["series-check", "--p", "3", "--ell", "2", "--Q", "x^2 + 1", "--d-max", "4"])
     assert code == 0 and data["pass"]
     assert "factorization_pairs" not in data["work"]
-    assert data["work"]["dp_cells"] == 72 * (3 + 5 + 6 + 6)
+    assert data["work"]["dp_cells"] == 72 * 6
     assert data["work"]["convolution_cells"] == 72 * 52
 
 
@@ -741,6 +742,14 @@ def test_negative_degree_is_a_validation_record(capsys, argv):
     code, data = run_json(capsys, argv)
     assert code == 1
     assert data["error"] == "validation" and ">= 0" in data["message"]
+
+
+@pytest.mark.parametrize("word", [[], ["--word", "x"]])
+def test_rs_below_k_minus_one_is_the_k_record(capsys, word):
+    # the up-front sieve plan checks k itself, before any cost formula
+    # reads a negative degree
+    code, data = run_json(capsys, ["rs", "--p", "5", "--k", "-2", "--ell", "1", *word])
+    assert (code, data) == (1, {"error": "validation", "message": "k must be >= 0, got -2"})
 
 
 @pytest.mark.parametrize(
@@ -1196,8 +1205,8 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, line):
         # |G| = 5, n = 5: the oracle makes 25, 125 and 625 comparisons at k =
         # 0, 1, 2; the refusal of their sum comes before the oracle runs at k = 0
         ("moments-check", "enumeration_distributions_all", ORACLE, 25 + 125 + 625),
-        # the sieve touches 30, 45 and 50 cells at k = 0, 1, 2
-        ("bounds-check", "sieve_rows", SIEVE, 30 + 45 + 50),
+        # the one row run of the sieve for k = 0, 1, 2 touches 60 + 15 cells
+        ("bounds-check", "sieve_rows", SIEVE, 60 + 15),
     ],
     ids=["moments-check", "bounds-check"],
 )
@@ -1210,6 +1219,41 @@ def test_oracle_budget_refuses_before_any_k_runs(capsys, monkeypatch, sub, route
     code, record = run_json(capsys, argv)
     assert code == 2
     assert record == {"error": "budget-exceeded", "what": what, "value": value, "budget": value - 1}
+
+
+@pytest.mark.parametrize(
+    "argv, engine",
+    [
+        (["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], "subset_product_table"),
+        (["moments-check", "--p", "3", "--a", "3", "--ell", "1", "--Q", "1", "--k", "1"], "character_rows"),
+        (["bounds-check", "--p", "5", "--ell", "1", "--Q", "1", "--k", "2"], "subset_product_table"),
+        (["bounds-check", "--p", "3", "--a", "3", "--ell", "1", "--Q", "1", "--k", "2"], "character_rows"),
+        (["series-check", "--p", "3", "--ell", "2", "--Q", "x^2 + 1", "--d-max", "4"], "subset_product_table"),
+        (["series-check", "--p", "3", "--a", "3", "--ell", "1", "--Q", "1", "--d-max", "2"], "character_rows"),
+    ],
+)
+def test_a_command_forms_the_rows_of_all_its_runs_in_one_engine_call(capsys, monkeypatch, argv, engine):
+    # S_j depends on neither k nor the degree: every k of moments-check and
+    # bounds-check, and every degree of series-check, is served by one
+    # subset-product table or one transform recurrence
+    from hayesdist import dist, transform
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(dist, "subset_product_table")
+    spy(transform, "character_rows")
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["pass"]
+    assert calls == [engine]
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from hayesdist.dist import (
 from hayesdist.errors import BudgetExceededError, ValidationError
 from hayesdist.ffield import Polynomial, enumerate_monic
 from hayesdist.hayes import ClassGroup, phi
-from references import codeword_agreement_row, exact_distribution_bruteforce, quotient_rows
+from references import codeword_agreement_row, exact_distribution_bruteforce, member_base, quotient_rows
 
 
 class TestExactDistribution:
@@ -210,7 +210,7 @@ class TestSieveDifferential:
     @pytest.mark.parametrize("ell", [0, 1, 2])
     @pytest.mark.parametrize("p,a,q_text", DIFFERENTIAL_GRID)
     def test_sieve_rows_are_the_factorization_counts(self, groups, p, a, q_text, ell):
-        # one sieve run gives both W_j (k < j <= d), equal to the enumerated
+        # one sieve call for all k gives both W_j (k < j <= d), equal to the enumerated
         # factorization counts, and the oracle's counts per class for r <= d,
         # all as Python integers: a float anywhere in the signed combination
         # rounds the counts once they pass 2^53 (q = 128, ell = 2, k = 20).
@@ -219,13 +219,11 @@ class TestSieveDifferential:
         G = groups(p, a, ell, q_text)
         q, t = G.params.spec.q, G.params.t
         pts = default_point_set(G.params)
-        for k in range(3):
-            if G.order * q ** k * max(len(pts), 1) > 50_000:
-                break
-            d = k + t + ell
-            for sub in (pts, pts[:1]):
-                n = len(sub)
-                W, counts = sieve_rows(G, k, sub)
+        ks = [k for k in range(3) if G.order * q ** k * max(len(pts), 1) <= 50_000]
+        for sub in (pts, pts[:1]):
+            n = len(sub)
+            for k, (W, counts) in zip(ks, sieve_rows(G, ks, sub), strict=True):  # one call for all k
+                d = k + t + ell
                 assert W.shape == (d - k, G.order)
                 assert counts.shape == (d + 1, G.order)
                 assert {type(c) for c in [*W.ravel().tolist(), *counts.ravel().tolist()]} <= {int}
@@ -312,10 +310,12 @@ class TestSieveDifferential:
         G = groups(*key)
         pts = default_point_set(G.params)
         n = len(pts)
-        full = moment_rows(G, pts, G.monic_class_counts, d, 1).tolist()
+        [full] = moment_rows(G, pts, G.monic_class_counts, [(d, 1)])
+        full = full.tolist()
         assert len(full) == d and all(not any(row) for row in full[n:])
         for j_lo in range(1, min(n, d) + 1):
-            assert moment_rows(G, pts, G.monic_class_counts, d, j_lo).tolist() == full[j_lo - 1:], j_lo
+            [W] = moment_rows(G, pts, G.monic_class_counts, [(d, j_lo)])
+            assert W.tolist() == full[j_lo - 1:], j_lo
 
     def test_sieve_plan(self, groups):
         # q = 5, n = 5, |G| = 5, d = 2: the DP updates rows 1, 1-2, 1-2, 1-2
@@ -324,7 +324,7 @@ class TestSieveDifferential:
         # transforms + 2 * min(5, 2)) = 95 cells
         G = groups(5, 1, 1, "1")
         assert sieve_plan(G, [1], 5) == ("sieve", {"dp_cells": 40, "convolution_cells": 5})
-        assert transform_work(G, 5, 2, 2) == 95
+        assert transform_work(G, 5, [(2, 2)]) == 95
         # k >= n: every W_j is the closed form C(n, j) q^(k-j), no DP at all
         assert sieve_plan(G, [5], 5) == ("sieve", {"dp_cells": 0, "convolution_cells": 0})
         with pytest.raises(BudgetExceededError) as info:
@@ -408,8 +408,8 @@ class TestSeriesIdentities:
         # convolution_cells is |G| per nonzero class count that
         # group_convolve gathers, and dp_cells |G| per row that the
         # subset-product tables update (rows lo..hi of `_live_rows` at each
-        # point, for the band each table is built for), exactly; the degrees
-        # that the transform runs count its cells
+        # point, for the band of the one table), exactly; where the
+        # transform runs the degrees, its cells are counted instead
         G = groups(*key)
         t, ell = G.params.t, G.params.ell
         n = len(default_point_set(G.params))
@@ -430,10 +430,12 @@ class TestSeriesIdentities:
             updates.clear()
             passed, _, work = verify_series_identities(G, d_max)
             assert passed
-            transformed = [d for d in range(d_max + 1) if moment_plan(G, n, d, 1)[0] == "transform"]
-            assert work.get("convolution_cells", 0) == G.order * sum(gathers), d_max
-            assert work.get("dp_cells", 0) == G.order * sum(updates), d_max
-            assert work.get("transform_cells", 0) == sum(transform_work(G, n, d, 1) for d in transformed), d_max
+            runs = [(d, 1) for d in range(d_max + 1)]
+            if moment_plan(G, n, runs)[0] == "transform":
+                assert work["transform_cells"] == transform_work(G, n, runs) and not gathers + updates, d_max
+            else:
+                assert work["convolution_cells"] == G.order * sum(gathers), d_max
+                assert work["dp_cells"] == G.order * sum(updates), d_max
 
     def test_degenerate_single_class(self, groups):
         passed, _, _ = verify_series_identities(groups(2, 1, 0, "1"), 3)
@@ -442,17 +444,18 @@ class TestSeriesIdentities:
     def test_one_enumeration_per_degree(self, groups, monkeypatch):
         # the joint table is the only enumeration of each degree: no oracle,
         # no factorization counts, no class counts of the group; the rows
-        # come from the row function, once per degree, not from sieve_rows
+        # come from one call of the row function for all degrees, not from
+        # sieve_rows
         degrees = []
-        row_degrees = []
+        row_runs = []
 
         def spy(group, d, points=None):
             degrees.append(d)
             return joint_zero_counts(group, d, points)
 
-        def rows(group, pts, counts, d, j_lo, budget=None):
-            row_degrees.append((d, j_lo))
-            return moment_rows(group, pts, counts, d, j_lo, budget)
+        def rows(group, pts, counts, runs, budget=None):
+            row_runs.append(runs)
+            return moment_rows(group, pts, counts, runs, budget)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a second enumeration ran")
@@ -465,7 +468,7 @@ class TestSeriesIdentities:
         passed, _, _ = verify_series_identities(groups(3, 1, 1, "x"), 4)
         assert passed
         assert degrees == [0, 1, 2, 3, 4]
-        assert row_degrees == [(d, 1) for d in range(5)]
+        assert row_runs == [[(d, 1) for d in range(5)]]
 
     def test_budget_refused_before_any_enumeration(self, groups, monkeypatch):
         def spy(*args, **kwargs):
@@ -481,10 +484,11 @@ class TestSeriesIdentities:
 
 def _corrupt_factorization_counts(monkeypatch):
     # class 0 of every W_j row that the row function returns, rows past n included
-    def corrupt(group, pts, counts, d, j_lo, budget=None):
-        W = moment_rows(group, pts, counts, d, j_lo, budget)
-        W[:, 0] += 1
-        return W
+    def corrupt(group, pts, counts, runs, budget=None):
+        Ws = moment_rows(group, pts, counts, runs, budget)
+        for W in Ws:
+            W[:, 0] += 1
+        return Ws
 
     monkeypatch.setattr("hayesdist.dist.moment_rows", corrupt)
 
@@ -612,7 +616,7 @@ class TestReedSolomon:
         assert [c["eps"] for c in classes] == list(range(G.order))
         totals = {"deep-hole": 0, "ordinary": 0, "neither": 0}
         for entry in classes:
-            row = rs_distance_row(G.member_base(entry["eps"], k + ell), k, ell, G)
+            row = rs_distance_row(member_base(G, entry["eps"], k + ell), k, ell, G)
             kind = classify_row(row)
             assert entry == {"eps": entry["eps"], "rep": G.rep(entry["eps"]).to_text(), "kind": kind,
                              "counts": row.to_json()["counts"]}

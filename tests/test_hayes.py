@@ -17,7 +17,7 @@ from hayesdist.ffield import (
     phi_relative_gap,
 )
 from hayesdist.hayes import ClassGroup, HayesParams, _prime_powers, equivalent, signature
-from references import decompose_uncut, inv, members, mul, quotient_rows
+from references import character_values, class_at, decompose_uncut, inv, members, mul, quotient_rows
 
 
 GROUP_CELLS = "class group cells (candidates + ladders)"
@@ -379,7 +379,7 @@ class TestClassGroup:
         exponents = G.exponents(range(G.order))
         assert exponents.shape == (G.order, len(G.orders)) and exponents.dtype == np.int64
         assert ((exponents >= 0) & (exponents < np.array(G.orders, dtype=np.int64))).all()
-        assert G._class_at(exponents).tolist() == list(range(G.order))
+        assert class_at(G, exponents).tolist() == list(range(G.order))
         assert G.exponents(G.identity).tolist() == [0] * len(G.orders)
         for i, g in enumerate(G.generators):
             assert G.exponents(g).tolist() == [int(i == axis) for axis in range(len(G.orders))]
@@ -583,7 +583,7 @@ def test_exponents_near_256(fields):
     assert G.quotients([a]).tolist() == [[mul(G, i, at[55]) for i in range(G.order)]]
     assert G.quotients([a])[0, at[254]] == at[54]
     table = CharacterTable(G)
-    values = table.values_at([a])[:, 0]
+    values = character_values(table, [a])[:, 0]
     assert np.allclose(values, np.exp(2j * np.pi * table.exponents[:, 0] * 200 / 255))
 
 

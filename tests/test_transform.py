@@ -46,11 +46,11 @@ GRID = [
 def _rows(engine, G, pts, d, j_lo):
     """The rows j_lo <= j <= min(n, d) at degree d, every one formed by the
     engine, the rows with constant class counts too."""
-    wanted = {j: G.monic_class_counts(d - j) for j in range(j_lo, min(len(pts), d) + 1)}
-    rows = engine(G, pts, wanted) if wanted else {}
-    assert sorted(rows) == sorted(wanted)
-    assert all(row.dtype == object and {type(x) for x in row.tolist()} <= {int} for row in rows.values())
-    return {j: row.tolist() for j, row in rows.items()}
+    wanted = [(j, G.monic_class_counts(d - j)) for j in range(j_lo, min(len(pts), d) + 1)]
+    rows = engine(G, pts, wanted) if wanted else []
+    assert len(rows) == len(wanted)
+    assert all(row.dtype == object and {type(x) for x in row.tolist()} <= {int} for row in rows)
+    return {j: row.tolist() for (j, _), row in zip(wanted, rows)}
 
 
 @pytest.mark.parametrize("key, d", GRID)
@@ -63,14 +63,35 @@ def test_transform_rows_equal_the_dp_rows(groups, key, d):
         for j_lo in range(max(1, d - G.params.t - G.params.ell - 2), d + 1):
             want = _rows(moment_rows_dp, G, sub, d, j_lo)
             assert _rows(moment_rows_transform, G, sub, d, j_lo) == want, (key, d, j_lo, len(sub))
-            W = moment_rows(G, sub, G.monic_class_counts, d, j_lo).tolist()
+            [W] = moment_rows(G, sub, G.monic_class_counts, [(d, j_lo)])
+            W = W.tolist()
             assert {j: W[j - j_lo] for j in want} == want, (key, d, j_lo, len(sub))
+
+
+@pytest.mark.parametrize("engine", ["sieve", "transform"])
+@pytest.mark.parametrize("key, d", GRID)
+def test_one_call_over_several_runs_equals_one_call_per_run(groups, monkeypatch, key, d, engine):
+    # the series runs (e, 1), e <= d, and the sieve runs at k = 0..2 in one
+    # `moment_rows` call, on all points and on every other point: the rows of
+    # one call per run (each on the engine its own plan picks), with either
+    # engine forced for the one call
+    G = groups(*key)
+    pts = default_point_set(G.params)
+    t_ell = G.params.t + G.params.ell
+    runs = [(e, 1) for e in range(d + 1)] + [(k + t_ell, k + 1) for k in range(3)]
+    for sub in (pts, pts[1::2]):
+        each = [moment_rows(G, sub, G.monic_class_counts, [run])[0].tolist() for run in runs]
+        with monkeypatch.context() as m:
+            m.setattr(dist, "moment_plan", lambda group, n, runs, budget=None: (engine, {}))
+            one = moment_rows(G, sub, G.monic_class_counts, runs)
+        assert [W.tolist() for W in one] == each, (key, d, len(sub))
 
 
 def test_transform_with_no_points(groups):
     G = groups(5, 1, 1, "x^2 + x + 1")
-    assert moment_rows(G, (), G.monic_class_counts, 4, 2).tolist() == [[0] * G.order] * 3
-    assert moment_plan(G, 0, 4, 2) == ("sieve", {"dp_cells": 0, "convolution_cells": 0})
+    [W] = moment_rows(G, (), G.monic_class_counts, [(4, 2)])
+    assert W.tolist() == [[0] * G.order] * 3
+    assert moment_plan(G, 0, [(4, 2)]) == ("sieve", {"dp_cells": 0, "convolution_cells": 0})
 
 
 @pytest.mark.parametrize("bits", [8, 10])
@@ -126,11 +147,11 @@ def test_random_configurations(fields, groups, data):
 def test_engine_choice(groups):
     # a small group keeps the DP: 45 cells against the transform's 95
     G = groups(5, 1, 1, "1")
-    assert sieve_plan(G, [1], 5) == ("sieve", moment_work(G, 5, 2, 2))
+    assert sieve_plan(G, [1], 5) == ("sieve", moment_work(G, 5, [(2, 2)]))
     # q = 243, ell = 1, Q = 1, k = 2: 1 prime * 243 * (5 axes of 3 * 3
     # transforms + 3 * min(3, 3)) against the DP's 175932 cells
     G = groups(3, 5, 1, "1")
-    assert sum(moment_work(G, 243, 3, 3).values()) == 175932
+    assert sum(moment_work(G, 243, [(3, 3)]).values()) == 175932
     assert sieve_plan(G, [2], 243) == ("transform", {"transform_cells": 243 * (15 * 3 + 9)})
 
 
@@ -144,18 +165,18 @@ def test_the_dp_stays_where_it_counts_fewer_cells(groups):
     G = groups(3, 1, 0, "x^7 + 2*x^6 + x^5 + 1")
     pts = default_point_set(G.params)
     assert (G.order, len(pts)) == (2186, 3)
-    dp = sum(moment_work(G, 3, 7, 1).values())
-    assert (dp, transform_work(G, 3, 7, 1)) == (2314974, 16775364)
-    assert sieve_plan(G, [0], 3) == ("sieve", moment_work(G, 3, 7, 1))
+    dp = sum(moment_work(G, 3, [(7, 1)]).values())
+    assert (dp, transform_work(G, 3, [(7, 1)])) == (2314974, 16775364)
+    assert sieve_plan(G, [0], 3) == ("sieve", moment_work(G, 3, [(7, 1)]))
     assert _rows(moment_rows_dp, G, pts, 7, 1) == _rows(moment_rows_transform, G, pts, 7, 1)
 
 
 def test_transform_unavailable_past_its_limits(groups, monkeypatch):
     G = groups(7, 1, 1, "x^3 + x + 1")  # exponent 2394
-    assert transform_work(G, 7, 4, 1) is not None
+    assert transform_work(G, 7, [(4, 1)]) is not None
     monkeypatch.setattr(dist, "_MAX_EXPONENT", 2393)
-    assert transform_work(G, 7, 4, 1) is None
-    assert moment_plan(G, 7, 4, 1)[0] == "sieve"
+    assert transform_work(G, 7, [(4, 1)]) is None
+    assert moment_plan(G, 7, [(4, 1)])[0] == "sieve"
 
 
 def test_budget_counts_the_engine_that_runs(groups):
@@ -180,22 +201,24 @@ def test_cli_names_the_transform(capsys):
 
 
 def test_a_corrupt_transform_fails_the_series_check(capsys, monkeypatch):
-    # q = 25, ell = 1, Q = 1: the transform forms the row j = 2 of degree 2
-    # (N_0 is not constant; N_1 is, and its row is a closed form), 850
-    # cells against the DP's 1225
+    # q = 27, ell = 1, Q = 1, degrees 0..2: the transform forms the rows
+    # j = 1 of degree 1 and j = 2 of degree 2 (N_0 is not constant; N_1 is,
+    # and its row is a closed form) in one call, 1323 cells against the
+    # DP's 1485
     real = transform.character_rows
 
     def corrupt(*args):
         rows = real(*args)
-        for row in rows.values():
+        for row in rows:
             row[0] += 1
         return rows
 
     monkeypatch.setattr(transform, "character_rows", corrupt)
-    assert run(["series-check", "--p", "5", "--a", "2", "--ell", "1", "--Q", "1", "--d-max", "2"]) == 1
+    assert run(["series-check", "--p", "3", "--a", "3", "--ell", "1", "--Q", "1", "--d-max", "2"]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert "transform_cells" in data["work"]
+    assert data["work"]["transform_cells"] == 1323
     assert {c["name"] for c in data["checks"] if not c["pass"]} == {
+        "product slice z^1 (u-1)^1", "moment slice k=0 eps=0 (u-1)^1",
         "product slice z^2 (u-1)^2", "moment slice k=1 eps=0 (u-1)^2",
     }
 
