@@ -28,7 +28,7 @@ _HOMES = {
     ),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = ("_writer", "asym", "chars", "cli", "comb", "dist", "errors", "ffield", "hayes", "transform")
+_SUBMODULES = ("_writer", "asym", "chars", "cli", "comb", "commands", "dist", "errors", "ffield", "hayes", "transform")
 
 __all__ = [*_HOME_OF, "__version__"]
 

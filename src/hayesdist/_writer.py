@@ -15,8 +15,12 @@ one ``%`` template per key set and depth, whose keys were sorted once.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
+
+try:  # json's C accelerator, which json.encoder itself uses, without importing json
+    from _json import encode_basestring_ascii as _string
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _string
 
 _INDENT = "  "
 _INF = float("inf")

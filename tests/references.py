@@ -210,8 +210,8 @@ def truncated_binomial_verdicts_per_cell():
     """The truncated-binomial floor and proximity verdicts of every cell
     (n, qq, r, m) with n <= 12, 2 <= qq <= 9, r <= n and m <= 12, one
     running numerator per (n, qq, r), yielded as (n, qq, r, m, floor, close):
-    the per-cell loop that `cli.truncated_binomial_verdicts` folds to one
-    cell per (n - r, qq, m)."""
+    the per-cell loop that `commands.bounds_check.truncated_binomial_verdicts`
+    folds to one cell per (n - r, qq, m)."""
     for n in range(13):
         for qq in range(2, 10):
             for r in range(n + 1):

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from hayesdist import cli, comb
 from hayesdist.cli import run
+from hayesdist.commands import _frac, _ratio
+from hayesdist.commands.bounds_check import truncated_binomial_verdicts
 from hayesdist.ffield import Polynomial
 from hayesdist.hayes import ClassGroup
 from references import truncated_binomial_verdicts_per_cell
@@ -58,7 +61,7 @@ def test_moments_check_failure_record(capsys, monkeypatch):
     (bad,) = data["failures"]
     assert (bad["k"], bad["eps"], bad["j"]) == (1, 2, 3)
     moment = Fraction(*map(int, bad["moment"].split("/")))
-    assert bad["expected"] == cli._frac(moment + 1)  # (W + 3) / 3
+    assert bad["expected"] == _frac(moment + 1)  # (W + 3) / 3
 
 
 @pytest.mark.parametrize(
@@ -104,7 +107,7 @@ def test_moment_checks_never_call_the_factorization_counts(capsys, monkeypatch, 
 
 @pytest.mark.parametrize("num, den", [(0, 1), (0, 27), (6, 9), (5, 25), (81, 27), (2 ** 70, 3 ** 40 * 2 ** 9)])
 def test_ratio_matches_frac(num, den):
-    assert cli._ratio(num, den) == cli._frac(Fraction(num, den))
+    assert _ratio(num, den) == _frac(Fraction(num, den))
 
 
 def test_rs_census_worked_example(capsys):
@@ -460,7 +463,7 @@ def _oracle_remainder_records(group, k_max):
             worst = max(abs(w - main) for w in factorization_counts(group, j, k, points))
             out.append({
                 "name": f"factorization remainder k={k} j={j}", "pass": worst <= bound,
-                "lhs": cli._frac(Fraction(worst)), "rhs": cli._frac(bound),
+                "lhs": _frac(Fraction(worst)), "rhs": _frac(bound),
             })
         for eps in range(group.order):
             for r in range(k + t + ell + 1):
@@ -468,7 +471,7 @@ def _oracle_remainder_records(group, k_max):
                 bound = pmf_remainder_bound(r, n, q, k, t, ell)
                 out.append({
                     "name": f"pmf remainder k={k} eps={eps} r={r}", "pass": lhs <= bound,
-                    "lhs": cli._frac(lhs), "rhs": cli._frac(bound),
+                    "lhs": _frac(lhs), "rhs": _frac(bound),
                 })
     return out
 
@@ -573,7 +576,7 @@ def test_truncated_binomial_verdicts_match_fraction_form():
     floor_false = 0
     expected = iter((N, q, m) for N in range(13) for q in range(2, 10) for m in range(13))
     mu = None
-    for N, q, m, floor, close in cli.truncated_binomial_verdicts():
+    for N, q, m, floor, close in truncated_binomial_verdicts():
         assert (N, q, m) == next(expected)
         mu = Fraction(1) if m == 0 else mu + Fraction((-1) ** m * math.comb(N, m), q ** m)
         if m == 0:
@@ -595,7 +598,7 @@ def test_truncated_binomial_verdicts_cover_every_cell():
     per_cell = list(truncated_binomial_verdicts_per_cell())
     assert len(per_cell) == 9464
     folded = {(n - r, q, m, floor, close) for n, q, r, m, floor, close in per_cell}
-    assert folded == set(cli.truncated_binomial_verdicts())
+    assert folded == set(truncated_binomial_verdicts())
 
 
 def test_weil_and_series_work_counts(capsys):
@@ -879,9 +882,8 @@ def test_csv_without_a_table_is_refused_before_any_work(capsys, monkeypatch, arg
     def forbidden(args):
         raise AssertionError("a subcommand ran")
 
-    for name in dir(cli):
-        if name.startswith("cmd_"):
-            monkeypatch.setattr(cli, name, forbidden)
+    for _, module in cli._SUBCOMMANDS.values():
+        monkeypatch.setattr(importlib.import_module(f"hayesdist.commands.{module}"), "run", forbidden)
     code, data = run_json(capsys, argv + ["--format", "csv"])
     assert code == 1
     assert data["error"] == "validation" and "--format" in data["message"]
@@ -1040,39 +1042,41 @@ def test_regimes_large_characteristic(capsys):
 
 
 _EXECUTED = """
-import json, os, sys
-ran = set()
-sys.addaudithook(lambda event, args: event == "exec" and ran.add(getattr(args[0], "co_filename", "")))
+import os, sys
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(getattr(args[0], "co_filename", "")))
 code = None
 try:
     exec(sys.argv[1])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([
-    code,
-    sorted(os.path.basename(f) for f in ran if os.sep + "hayesdist" + os.sep in f),
-    sorted(sys.modules),
-]))
+home = os.sep + "hayesdist" + os.sep
+files = sorted(f.rsplit(home, 1)[1].replace(os.sep, "/") for f in ran if home in f)
+modules = sorted(sys.modules)
+import json  # after the modules are listed: a job must not import json itself
+print(json.dumps([code, files, modules]))
 """
 
 
 def _executed(snippet: str, *argv: str):
     """(exit code, hayesdist source files whose module code ran, numpy
     modules left in sys.modules) of `snippet` in a fresh interpreter, the
-    files seen by an audit hook on exec."""
+    files seen by an audit hook on exec, as paths under the package
+    ("cli.py", "commands/weil.py")."""
     code, ran, modules = _executed_with_modules(snippet, *argv)
     return code, ran, {name for name in modules if name.split(".")[0] == "numpy"}
 
 
-def _executed_with_modules(snippet: str, *argv: str):
-    """As `_executed`, with every module left in sys.modules."""
+def _executed_with_modules(snippet: str, *argv: str, repeats: bool = False):
+    """As `_executed`, with every module left in sys.modules; with
+    `repeats`, the files as a sorted list with one entry per execution."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-c", _EXECUTED, snippet, *argv], capture_output=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     code, ran, modules = json.loads(proc.stdout.decode().splitlines()[-1])
-    return code, set(ran), set(modules)
+    return code, ran if repeats else set(ran), set(modules)
 
 
 _RUN_CLI = """
@@ -1138,9 +1142,11 @@ def test_scalar_jobs_never_import_numpy(tmp_path, argv):
 # dataclasses (with inspect) nothing in the package any more, csv the CSV
 # tables, fractions (with decimal) the exact rationals of comb, asym and dist,
 # which the integer-only subcommands (exact-dist, rs, moments-check,
-# series-check) never build
-_HEAVY = {"dataclasses", "inspect", "csv", "fractions", "decimal", "numpy"}
-_INTEGER_JOB = {"dataclasses", "csv", "fractions", "decimal"}  # numpy loads inspect
+# series-check) never build, json a failure record or a CSV table's header
+# (the JSON artifacts take their string encoder from json's C accelerator)
+_JSON = {"json", "json.decoder", "json.scanner", "json.encoder"}
+_HEAVY = {"dataclasses", "inspect", "csv", "fractions", "decimal", "numpy", *_JSON}
+_INTEGER_JOB = {"dataclasses", "csv", "fractions", "decimal", *_JSON}  # numpy loads inspect
 
 
 @pytest.mark.parametrize(
@@ -1148,7 +1154,7 @@ _INTEGER_JOB = {"dataclasses", "csv", "fractions", "decimal"}  # numpy loads ins
     [
         ("import hayesdist.cli", [], _HEAVY),
         (_RUN_CLI, ["kernels", "phi", "--p", "2", "--a", "4", "--Q", "x^2 + x + 1", "--j", "3"], _HEAVY),
-        (_RUN_CLI, ["weil", "--p", "5", "--ell", "2", "--Q", "x^2 + x + 2"], {"dataclasses", "csv"}),
+        (_RUN_CLI, ["weil", "--p", "5", "--ell", "2", "--Q", "x^2 + x + 2"], {"dataclasses", "csv", *_JSON}),
         (_RUN_CLI, ["exact-dist", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], _INTEGER_JOB),
         (_RUN_CLI, ["rs", "--p", "5", "--k", "2", "--ell", "1"], _INTEGER_JOB),
         (_RUN_CLI, ["moments-check", "--p", "3", "--ell", "1", "--Q", "x", "--k", "2"], _INTEGER_JOB),
@@ -1162,6 +1168,55 @@ def test_a_job_imports_only_the_standard_library_it_runs(tmp_path, snippet, argv
     code, ran, modules = _executed_with_modules(snippet, *argv)
     assert code == (0 if argv else None)
     assert not modules & absent, sorted(modules & absent)
+
+
+# one job of each subcommand, small enough to run in a fraction of a second
+_JOBS = {
+    "exact-dist": ["--p", "3", "--ell", "1", "--Q", "x", "--k", "2"],
+    "moments-check": ["--p", "3", "--ell", "1", "--Q", "x", "--k", "2"],
+    "weil": ["--p", "3", "--ell", "1", "--Q", "x"],
+    "bounds-check": ["--p", "3", "--ell", "1", "--Q", "x", "--k", "1"],
+    "rs": ["--p", "5", "--k", "2", "--ell", "1"],
+    "approx": ["--p", "3", "--ell", "1", "--Q", "x", "--k", "2"],
+    "regimes": ["--p", "3", "--k-list", "1,2"],
+    "series-check": ["--p", "3", "--ell", "1", "--Q", "x^2 + 1", "--d-max", "4"],
+    "kernels": ["phi", "--p", "2", "--Q", "x", "--j", "2"],
+}
+
+
+def _command_modules(ran) -> set:
+    return {f for f in ran if f.startswith("commands/") and f != "commands/__init__.py"}
+
+
+def test_importing_the_cli_runs_no_command_module():
+    code, ran, modules = _executed_with_modules("import hayesdist.cli")
+    assert code is None
+    assert "commands/__init__.py" in ran and not _command_modules(ran)
+
+
+@pytest.mark.parametrize("sub", sorted(_JOBS))
+def test_a_job_runs_only_its_own_command_module(tmp_path, sub):
+    assert set(_JOBS) == set(cli._SUBCOMMANDS)
+    code, ran, modules = _executed_with_modules(_RUN_CLI, sub, *_JOBS[sub], "--out", str(tmp_path / "a.out"))
+    assert code == 0
+    assert _command_modules(ran) == {f"commands/{cli._SUBCOMMANDS[sub][1]}.py"}
+
+
+def test_a_command_line_without_a_subcommand_runs_every_command_module():
+    # the usage error lists every subcommand, as the parser with all of them does
+    code, ran, modules = _executed_with_modules(_RUN_CLI)
+    assert code == 1
+    assert _command_modules(ran) == {f"commands/{module}.py" for _, module in cli._SUBCOMMANDS.values()}
+
+
+def test_the_cli_runs_once_as_main(tmp_path):
+    # the command modules never import hayesdist.cli, which would run
+    # cli.py a second time next to __main__
+    argv = ["weil", *_JOBS["weil"], "--out", str(tmp_path / "a.json")]
+    code, ran, modules = _executed_with_modules(_RUN_CLI, *argv, repeats=True)
+    assert code == 0
+    assert ran.count("cli.py") == 1
+    assert "hayesdist.cli" not in modules and "hayesdist.commands.weil" in modules
 
 
 def test_weil_does_not_load_numpy_ma(tmp_path):
